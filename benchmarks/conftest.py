@@ -23,17 +23,14 @@ def quick() -> bool:
 
 
 def run_figure(benchmark, module, quick_flag):
-    """Run a figure experiment under pytest-benchmark, print and save it."""
+    """Run a figure experiment under pytest-benchmark and print it.
+
+    The rendered tables under ``results/`` come from
+    ``python -m repro.experiments.run_all``; this only asserts shape.
+    """
     out = benchmark.pedantic(
         module.run, kwargs=dict(quick=quick_flag), rounds=1, iterations=1
     )
     print()
     print(out.render())
-    # pytest captures stdout for passing tests, so also persist the
-    # rendered figure where it can always be inspected.
-    results_dir = os.path.join(os.path.dirname(__file__), "results")
-    os.makedirs(results_dir, exist_ok=True)
-    name = module.__name__.rsplit(".", 1)[-1]
-    with open(os.path.join(results_dir, f"{name}.txt"), "w") as handle:
-        handle.write(out.render() + "\n")
     return out

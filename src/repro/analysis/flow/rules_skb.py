@@ -398,14 +398,16 @@ def _stable(
 
 
 #: Per-project memo so the four FLOW rules run the analysis once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
+#: Entries hold the project itself, so its id cannot be reused by a
+#: later project while the entry is cached.
+_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
 
 
 def typestate_findings(project: Project) -> List[_RawFinding]:
     key = id(project)
     cached = _FINDINGS_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     spec = stage_order_spec()
     pairs = _project_functions(project)
     summaries = _compute_summaries(pairs, spec)
@@ -422,7 +424,7 @@ def typestate_findings(project: Project) -> List[_RawFinding]:
     # A statement may sit in several blocks' views (loop headers); dedupe.
     unique = sorted(set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
     _FINDINGS_CACHE.clear()  # bound memory: one project at a time
-    _FINDINGS_CACHE[key] = unique
+    _FINDINGS_CACHE[key] = (project, unique)
     return unique
 
 

@@ -194,14 +194,16 @@ def _enclosing_function_name(
 
 
 #: Per-project memo so all three ORD51x rules run the walks once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
+#: Entries hold the project itself, so its id cannot be reused by a
+#: later project while the entry is cached.
+_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
 
 
 def causality_findings(project: Project) -> List[_RawFinding]:
     key = id(project)
     cached = _FINDINGS_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     report: List[_RawFinding] = []
     for ctx in project.files:
         if ctx.tree is None:
@@ -269,7 +271,7 @@ def causality_findings(project: Project) -> List[_RawFinding]:
         set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
     )
     _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
+    _FINDINGS_CACHE[key] = (project, unique)
     return unique
 
 

@@ -3,8 +3,8 @@
 The engine's fire-and-forget path pools :class:`~repro.sim.events.Event`
 objects: ``post``/``post_at``/``post_batch`` acquire from a freelist,
 the event loop fires the callback, and ``_recycle`` returns the object.
-Lazy cancellation adds a second release route — the schedulers discard
-flagged entries during ``pop``/``peek``/compaction/refill. A pooled
+Lazy cancellation adds a second release route — the event queue
+discards flagged entries during ``pop``/``peek``/compaction. A pooled
 object with two owners (or none) breaks determinism silently: a
 double-released event serves two callbacks at once after the freelist
 hands it out twice, and a leaked one quietly degrades the pool.
@@ -288,14 +288,16 @@ class _EventAnalysis:
 
 
 #: Per-project memo so all three OWN60x rules walk once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
+#: Entries hold the project itself, so its id cannot be reused by a
+#: later project while the entry is cached.
+_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
 
 
 def event_findings(project: Project) -> List[_RawFinding]:
     key = id(project)
     cached = _FINDINGS_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     report: List[_RawFinding] = []
     for ctx in project.files:
         if ctx.tree is None:
@@ -315,7 +317,7 @@ def event_findings(project: Project) -> List[_RawFinding]:
         set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
     )
     _FINDINGS_CACHE.clear()  # bound memory: one project at a time
-    _FINDINGS_CACHE[key] = unique
+    _FINDINGS_CACHE[key] = (project, unique)
     return unique
 
 
@@ -383,7 +385,7 @@ class UseAfterReleaseRule(_EventRuleBase):
         "After _recycle the object belongs to the pool: its fn/args "
         "slots are neutralized and the next _acquire may rebind them at "
         "any moment. Queueing or touching it races that rebind — the "
-        "lazy-cancellation discard paths in the schedulers are release "
+        "lazy-cancellation discard paths in the event queue are release "
         "points too."
     )
 

@@ -308,14 +308,16 @@ def _assume_findings(
 
 
 #: Per-project memo so all three OWN61x rules walk once.
-_FINDINGS_CACHE: Dict[int, List[_RawFinding]] = {}
+#: Entries hold the project itself, so its id cannot be reused by a
+#: later project while the entry is cached.
+_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
 
 
 def skbown_findings(project: Project) -> List[_RawFinding]:
     key = id(project)
     cached = _FINDINGS_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[1]
     report: List[_RawFinding] = []
     for ctx in project.files:
         if ctx.tree is None:
@@ -331,7 +333,7 @@ def skbown_findings(project: Project) -> List[_RawFinding]:
         set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
     )
     _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = unique
+    _FINDINGS_CACHE[key] = (project, unique)
     return unique
 
 

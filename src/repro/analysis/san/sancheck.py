@@ -17,7 +17,7 @@ run never exercised is listed as *unexercised*, not failed, because no
 single scenario hits every discard path.
 
 ``repro san --trace`` runs :func:`dynamic_site_probe` (a few
-milliseconds of simulated time across both schedulers, a thrashed flow
+milliseconds of simulated time through the event queue, a thrashed flow
 table and a two-host cluster ring) and cross-checks it; the sanitizer
 test tier does the same against full golden scenarios.
 """
@@ -101,25 +101,24 @@ def static_site_catalog(paths: Sequence[str] = ("src",)) -> Set[str]:
 def dynamic_site_probe() -> Set[str]:
     """A small sanitized workout that touches every object kind.
 
-    Exercises: scheduled + posted events on both schedulers, lazy
-    cancellation discards and compaction, flow-table insert / evict /
-    invalidate churn, and the cross-shard record path of a tiny cluster
-    ring. Returns the site tags the ledger saw.
+    Exercises: scheduled + posted events, lazy cancellation discards and
+    compaction, flow-table insert / evict / invalidate churn, and the
+    cross-shard record path of a tiny cluster ring. Returns the site
+    tags the ledger saw.
     """
     from repro.validate.sanitize import sanitizing
 
     with sanitizing() as ledger:
-        _probe_engine("heap")
-        _probe_engine("calendar")
+        _probe_engine()
         _probe_flowtable()
         _probe_cluster()
         return ledger.report().sites()
 
 
-def _probe_engine(scheduler: str) -> None:
+def _probe_engine() -> None:
     from repro.sim.engine import Simulator
 
-    sim = Simulator(scheduler)
+    sim = Simulator()
     hits: List[int] = []
     # Enough schedule/cancel churn to trip compaction: dead entries must
     # outnumber live ones past COMPACT_MIN_EVENTS (strictly, hence 320).
@@ -128,12 +127,6 @@ def _probe_engine(scheduler: str) -> None:
         sim.cancel(event)
     sim.post(1.0, hits.append, -1)
     sim.post_batch(2.0, hits.append, [(-2,), (-3,)])
-    if scheduler == "calendar":
-        # Far beyond the wheel horizon, then cancelled: exercises the
-        # overflow refill's dead-entry discard.
-        far = [sim.schedule(10_000.0 + i, hits.append, i) for i in range(4)]
-        for event in far[::2]:
-            sim.cancel(event)
     sim.run()
 
 

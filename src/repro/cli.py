@@ -7,7 +7,6 @@ Examples::
     python -m repro.cli tcp      --mode overlay --size 4096 --falcon --split-gro
     python -m repro.cli latency  --size 16 --rate 300000
     python -m repro.cli figures  --quick --only fig10_udp_stress
-    python -m repro.cli bench    --quick --out results
 
 `figures` delegates to :mod:`repro.experiments.run_all`; the other
 subcommands build a single scenario and print one result row plus the
@@ -284,58 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(CI mode)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the performance benchmark suite and emit BENCH_<ts>.json",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="quick subset (CI perf-smoke mode)"
-    )
-    bench.add_argument("--out", default="results", help="output directory")
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: min(4, cpus))",
-    )
-    bench.add_argument(
-        "--only",
-        default=None,
-        help="comma-separated benchmark names (see --list)",
-    )
-    bench.add_argument("--seed", type=int, default=0, help="root seed")
-    bench.add_argument(
-        "--scheduler",
-        choices=["heap", "calendar"],
-        default="heap",
-        help="event-scheduler implementation benchmarks run under",
-    )
-    bench.add_argument(
-        "--check",
-        default=None,
-        metavar="FILE",
-        help="validate an existing BENCH_*.json against the schema "
-        "(and against --baseline, when given) and exit",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="gate events/sec against a committed BENCH_*.json baseline; "
-        "regressions beyond --tolerance fail the run",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional events/sec slowdown vs --baseline "
-        "(default: schema DEFAULT_TOLERANCE)",
-    )
-    bench.add_argument(
-        "--list", action="store_true", dest="list_benches",
-        help="print the benchmark catalogue and exit",
-    )
-
     cluster = sub.add_parser(
         "cluster",
         help="run a multi-host ring scenario on the sharded engine "
@@ -364,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, default=8, help="TCP messages in flight"
     )
     cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument(
-        "--scheduler", choices=["heap", "calendar"], default="heap"
-    )
     cluster.add_argument("--falcon", action="store_true", help="enable Falcon")
     cluster.add_argument("--bandwidth", type=float, default=10.0, help="link Gbps")
     cluster.add_argument(
@@ -589,102 +533,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.to_json() if args.fmt == "json" else report.to_text())
         return 0 if report.ok else 1
 
-    if args.command == "bench":
-        import json as _json
-
-        from repro.bench import (
-            DEFAULT_TOLERANCE,
-            all_specs,
-            compare_bench_docs,
-            run_bench,
-            validate_bench_doc,
-            write_bench_doc,
-        )
-
-        def load_doc(path: str):
-            with open(path, "r", encoding="utf-8") as handle:
-                return _json.load(handle)
-
-        tolerance = (
-            DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-        )
-
-        def gate_against_baseline(doc) -> int:
-            """Compare ``doc`` to --baseline; 0 pass, non-zero fail."""
-            try:
-                baseline = load_doc(args.baseline)
-            except (OSError, ValueError) as exc:
-                print(f"repro bench: {exc}", file=sys.stderr)
-                return 2
-            regressions = compare_bench_docs(doc, baseline, tolerance=tolerance)
-            for regression in regressions:
-                print(f"baseline: {regression}", file=sys.stderr)
-            print(
-                f"repro bench: baseline {args.baseline} "
-                + (
-                    f"FAILED ({len(regressions)} regression(s), "
-                    f"tolerance {tolerance:.0%})"
-                    if regressions
-                    else f"ok (tolerance {tolerance:.0%})"
-                )
-            )
-            return 1 if regressions else 0
-
-        if args.list_benches:
-            for spec in all_specs():
-                marker = "quick" if spec.quick else "full "
-                print(f"{marker}  {spec.kind:<8}  {spec.name}")
-            return 0
-        if args.check:
-            try:
-                doc = load_doc(args.check)
-            except (OSError, ValueError) as exc:
-                print(f"repro bench: {exc}", file=sys.stderr)
-                return 2
-            problems = validate_bench_doc(doc)
-            for problem in problems:
-                print(f"schema: {problem}", file=sys.stderr)
-            print(
-                f"repro bench: {args.check} "
-                + ("FAILED schema check" if problems else "schema ok")
-            )
-            if problems:
-                return 1
-            if args.baseline:
-                return gate_against_baseline(doc)
-            return 0
-        only = args.only.split(",") if args.only else None
-        try:
-            doc = run_bench(
-                quick=args.quick,
-                workers=args.workers,
-                only=only,
-                root_seed=args.seed,
-                scheduler=args.scheduler,
-            )
-        except ValueError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-        path = write_bench_doc(doc, args.out)
-        for entry in doc["benchmarks"]:
-            rate = (
-                f"{entry['events_per_sec']:>12,.0f} ev/s"
-                if entry["status"] == "ok"
-                else f"ERROR {entry['error']}"
-            )
-            print(f"{entry['name']:<36} {entry['wall_s']:>8.3f}s  {rate}")
-        totals = doc["totals"]
-        print(
-            f"bench: {totals['ok']}/{len(doc['benchmarks'])} ok, "
-            f"{totals['events']:,} events in {totals['wall_s']:.2f}s "
-            f"({totals['events_per_sec']:,.0f} ev/s aggregate) -> {path}"
-        )
-        if totals["errors"]:
-            return 1
-        if args.baseline:
-            return gate_against_baseline(doc)
-        return 0
-
     if args.command == "cluster":
         from repro.sim.errors import ConfigurationError
         from repro.overlay.cluster import (
@@ -697,7 +545,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             num_hosts=args.hosts,
             message_size=args.size,
             seed=args.seed,
-            scheduler=args.scheduler,
             falcon=args.falcon,
             bandwidth_gbps=args.bandwidth,
             propagation_us=args.propagation_us,

@@ -38,7 +38,7 @@ from repro.metrics.meters import MeasurementWindow
 from repro.metrics.tracing import PacketTracer
 from repro.overlay.host import Host
 from repro.overlay.network import OverlayNetwork
-from repro.sim.engine import Simulator, note_external_events
+from repro.sim.engine import Simulator
 from repro.sim.errors import ConfigurationError, ShardError
 from repro.sim.shard import CrossShardEvent, InlineShardHandle, ShardCoordinator
 from repro.validate.golden import SCHEMA_VERSION, TIME_PRECISION
@@ -103,7 +103,6 @@ class ClusterSpec:
     num_hosts: int
     flows: Tuple[ClusterFlow, ...]
     seed: int = 0
-    scheduler: str = "heap"
     falcon: bool = False
     num_cpus: int = 8
     bandwidth_gbps: float = 10.0
@@ -158,7 +157,6 @@ class ClusterSpec:
             self.num_hosts,
             tuple(flow.to_wire() for flow in self.flows),
             self.seed,
-            self.scheduler,
             self.falcon,
             self.num_cpus,
             self.bandwidth_gbps,
@@ -471,7 +469,7 @@ class ClusterWorld:
     def __init__(self, spec: ClusterSpec, hosts: Sequence[int]) -> None:
         spec.validate()
         self.spec = spec
-        self.sim = Simulator(spec.scheduler)
+        self.sim = Simulator()
         #: Ownership ledger hook (REPRO_SANITIZE=1); None in normal runs.
         self._san: Optional[Any] = None
         if os.environ.get("REPRO_SANITIZE"):
@@ -812,10 +810,6 @@ def run_cluster(
         per_host.extend(shard_doc["hosts"])
         events += int(shard_doc["events_processed"])
     per_host.sort(key=lambda doc: doc["host"])
-    if transport == "process":
-        # Worker simulators counted their events in their own process;
-        # fold them into this one for events/sec accounting.
-        note_external_events(events)
 
     delivered = sum(doc["messages_delivered"] for doc in per_host)
     rate = sum(doc["message_rate_pps"] for doc in per_host)
@@ -832,7 +826,6 @@ def run_cluster(
                 "scenario": "cluster",
                 "num_hosts": spec.num_hosts,
                 "seed": spec.seed,
-                "scheduler": spec.scheduler,
                 "falcon": spec.falcon,
                 "flows": [list(flow.to_wire()) for flow in spec.flows],
                 "warmup_us": spec.warmup_us,

@@ -13,15 +13,10 @@ constants :data:`~repro.sim.clock.US`, :data:`~repro.sim.clock.MS` and
 
 from repro.sim.clock import MS, NS, SEC, US
 from repro.sim.context import SimContext
-from repro.sim.engine import Event, Simulator, global_events_processed
+from repro.sim.engine import Event, Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    Scheduler,
-    make_scheduler,
-)
+from repro.sim.scheduler import HeapScheduler
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -41,11 +36,7 @@ __all__ = [
     "SimContext",
     "SimulationError",
     "RngRegistry",
-    "Scheduler",
     "HeapScheduler",
-    "CalendarScheduler",
-    "make_scheduler",
-    "global_events_processed",
     "Counter",
     "Histogram",
     "LatencyRecorder",

@@ -32,11 +32,10 @@ the per-event cost of an unmonitored run stays one attribute check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import Scheduler
 
 if TYPE_CHECKING:  # CostModel lives a layer above repro.sim.
     from repro.kernel.costs import CostModel
@@ -60,9 +59,8 @@ class SimContext:
         *,
         seed: int = 0,
         name: str = "run",
-        scheduler: Union[str, Scheduler, None] = None,
     ) -> None:
-        self.sim = sim if sim is not None else Simulator(scheduler)
+        self.sim = sim if sim is not None else Simulator()
         self.rng = rng if rng is not None else RngRegistry(seed)
         #: The run's cost model; filled in by the stack when it resolves
         #: its configuration, or passed explicitly.

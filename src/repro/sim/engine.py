@@ -1,24 +1,19 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is an event loop over a pluggable priority queue: events are
+The engine is an event loop over one priority queue: events are
 ``(time, sequence)``-ordered callbacks held by a
-:class:`~repro.sim.scheduler.Scheduler`. Determinism matters — two runs
-with the same seed must produce identical results, so ties in event time
-are broken by insertion order, never by object identity, and every
-scheduler implementation honours that ordering exactly.
+:class:`~repro.sim.scheduler.HeapScheduler`. Determinism matters — two
+runs with the same seed must produce identical results, so ties in event
+time are broken by insertion order, never by object identity.
 
 Design notes
 ------------
 * Events are lightweight ``__slots__`` objects so that per-packet work
   (which can mean hundreds of thousands of events per run) stays cheap.
-* The queue implementation is chosen per :class:`Simulator` — by name
-  (``"heap"`` or ``"calendar"``), by instance, or from the
-  ``REPRO_SIM_SCHEDULER`` environment variable (default ``"heap"``).
-  All implementations produce identical event orders.
 * Cancellation is lazy: a cancelled event stays queued and is skipped
-  when popped. This keeps :meth:`Simulator.cancel` O(1); the scheduler
+  when popped. This keeps :meth:`Simulator.cancel` O(1); the queue
   compacts itself when dead entries dominate, so schedule-and-cancel
-  workloads no longer grow the queue without bound.
+  workloads do not grow it without bound.
 * Fire-and-forget callers that never cancel should prefer
   :meth:`Simulator.post` / :meth:`Simulator.post_at` /
   :meth:`Simulator.post_batch` over ``schedule``: no handle escapes, so
@@ -31,42 +26,16 @@ Design notes
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
-from repro.sim.scheduler import Scheduler, make_scheduler
+from repro.sim.scheduler import HeapScheduler
 
-__all__ = ["Event", "Simulator", "global_events_processed", "note_external_events"]
-
-#: Environment variable consulted when no scheduler is passed explicitly.
-SCHEDULER_ENV_VAR = "REPRO_SIM_SCHEDULER"
+__all__ = ["Event", "Simulator"]
 
 #: Upper bound on recycled Event objects kept per simulator.
 _FREELIST_CAP = 4096
-
-#: Process-wide count of events executed across every Simulator instance.
-#: The bench harness reads this to compute events/sec for workloads that
-#: construct their simulators internally.
-_global_events = 0
-
-
-def global_events_processed() -> int:
-    """Events executed so far by all simulators in this process."""
-    return _global_events
-
-
-def note_external_events(count: int) -> None:
-    """Fold events executed by another process into the global counter.
-
-    The sharded engine runs simulators inside worker processes whose
-    counters die with them; the coordinator reports their totals here so
-    that events/sec accounting (the bench harness) sees the whole run.
-    """
-    global _global_events
-    if count < 0:
-        raise SimulationError(f"cannot note a negative event count ({count})")
-    _global_events += count
 
 
 def _noop() -> None:
@@ -87,13 +56,8 @@ class Simulator:
     5.0
     """
 
-    def __init__(self, scheduler: Union[str, Scheduler, None] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
-        if isinstance(scheduler, str):
-            scheduler = make_scheduler(scheduler)
-        self._scheduler: Scheduler = scheduler
         self._seq: int = 0
         self._halted: bool = False
         self._freelist: List[Event] = []
@@ -107,15 +71,14 @@ class Simulator:
             from repro.validate.sanitize import current_ledger
 
             self._san = current_ledger()
-            if self._san is not None and hasattr(type(self._scheduler), "_san"):
-                self._scheduler._san = self._san
+        self._scheduler = HeapScheduler(self._san)
         #: Optional :class:`repro.validate.InvariantMonitor` hook. When
         #: None (the default) the event loop pays one attribute check per
         #: event and nothing else.
         self.monitor: Optional[Any] = None
 
     @property
-    def scheduler(self) -> Scheduler:
+    def scheduler(self) -> HeapScheduler:
         """The priority queue backing this simulator."""
         return self._scheduler
 
@@ -172,7 +135,7 @@ class Simulator:
         ``args_list`` order (sequence numbers are assigned in iteration
         order). Built for NAPI poll storms, where a single poll round
         fans tens of per-packet continuations into the queue: the
-        scheduler gets them as one bulk insert. Returns the number of
+        queue gets them as one bulk insert. Returns the number of
         events queued.
         """
         if delay < 0:
@@ -216,20 +179,14 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
+    def run(self, until: Optional[float] = None) -> None:
         """Process events in time order.
 
         Args:
             until: stop once the clock would pass this timestamp. Events at
                 exactly ``until`` are still processed; the clock is left at
                 ``until`` if the queue ran dry earlier.
-            max_events: safety valve — stop after this many events.
         """
-        global _global_events
         if self._halted:
             raise SimulationError("simulator has been halted")
         processed = 0
@@ -239,8 +196,6 @@ class Simulator:
             if event is None:
                 break
             if until is not None and event.time > until:
-                break
-            if max_events is not None and processed >= max_events:
                 break
             scheduler.pop()
             if self.monitor is not None:
@@ -260,13 +215,11 @@ class Simulator:
             if self._halted:
                 break
         self.events_processed += processed
-        _global_events += processed
         if until is not None and self.now < until and not self._halted:
             self.now = until
 
     def step(self) -> bool:
         """Process a single event. Returns False when the queue is empty."""
-        global _global_events
         event = self._scheduler.pop()
         if event is None:
             return False
@@ -279,7 +232,6 @@ class Simulator:
             # Mirror run(): no leak (and exactly one release) on a
             # raising callback.
             self.events_processed += 1
-            _global_events += 1
             if self._san is not None:
                 self._san.release("event", id(event), "engine.fired")
             if event.reusable:

@@ -1,43 +1,24 @@
-"""Pluggable event schedulers for the simulation engine.
+"""The event queue behind :class:`~repro.sim.engine.Simulator`.
 
-:class:`~repro.sim.engine.Simulator` used to own a binary heap directly;
-this module pulls that data structure out behind the small
-:class:`Scheduler` protocol (``push`` / ``pop`` / ``peek`` / ``__len__``
-plus the bulk/cancellation hooks) so alternative priority queues can be
-swapped in without touching the event loop. Two deterministic
-implementations ship:
-
-* :class:`HeapScheduler` — the classic binary heap. Robust for any event
-  distribution; O(log n) per operation.
-* :class:`CalendarScheduler` — a bucketed calendar queue (one-level
-  timing wheel over a window of ``num_buckets * bucket_width_us``
-  microseconds, with a heap-ordered overflow for far-future events).
-  Packet runs schedule overwhelmingly into the near future — NAPI
-  completions, per-work-item CPU busy intervals, softirq kicks — so most
-  pushes are an O(1) bucket insert plus a tiny intra-bucket heap.
-
-Both order events strictly by ``(time, seq)``: for any identical
-schedule/cancel sequence they pop events in exactly the same order, so a
-run's trace is byte-identical whichever scheduler is configured (the
-golden suite pins this down).
-
-Shared mechanics, identical across implementations:
+:class:`HeapScheduler` is a binary heap ordered strictly by
+``(time, seq)``: ties in time break by insertion order, never by object
+identity, so identical schedule/cancel sequences pop in identical order
+(the golden suite pins this down). Two mechanics sit on top of the heap:
 
 * **Lazy cancellation with compaction.** ``cancel`` stays O(1) (it only
-  flags the event), but the scheduler counts dead entries and rebuilds
+  flags the event), but the queue counts dead entries and rebuilds
   itself once they outnumber live ones past
   :data:`COMPACT_MIN_EVENTS` — so schedule-and-cancel workloads
-  (retransmit timers, watchdogs) no longer grow the queue without bound.
+  (retransmit timers, watchdogs) do not grow the queue without bound.
 * **Lazy-pop peek.** ``peek`` discards cancelled entries from the head
   as a side effect and returns the next *live* event in O(live-gap)
-  time, replacing the old ``sorted(heap)[:16]`` probe.
+  time.
 """
 
 from __future__ import annotations
 
-import math
 from heapq import heapify, heappop, heappush
-from typing import Iterable, List, Optional, Protocol
+from typing import Any, Iterable, List, Optional
 
 from repro.sim.events import Event
 
@@ -50,68 +31,39 @@ COMPACT_MIN_EVENTS = 256
 COMPACT_LIVE_FRACTION = 0.5
 
 
-def _san_discard(san, event: Event, site: str) -> None:
+def _san_discard(san: Any, event: Event, site: str) -> None:
     """Tell the ownership ledger a cancelled entry was lazily discarded.
 
     The discard paths are release points in the event lifecycle — the
     queue drops its (last) reference here. ``san`` is None unless the
-    simulator that owns this scheduler runs under REPRO_SANITIZE=1.
+    simulator that owns this queue runs under REPRO_SANITIZE=1.
     """
     if san is not None:
         san.release("event", id(event), site)
 
 
-class Scheduler(Protocol):
-    """The priority-queue contract the event loop programs against.
-
-    Implementations must order events by ``(time, seq)`` — ties in time
-    break by insertion order, never by object identity — and must treat
-    ``event.cancelled`` entries as absent from ``pop``/``peek`` while
-    still counting them in ``len()`` until they are discarded.
-    """
-
-    def push(self, event: Event) -> None:
-        """Insert one event."""
-        ...
-
-    def push_many(self, events: Iterable[Event]) -> None:
-        """Bulk-insert events (batch scheduling for NAPI poll storms)."""
-        ...
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or None when drained."""
-        ...
-
-    def peek(self) -> Optional[Event]:
-        """Return the next live event without removing it (lazy-pops
-        cancelled entries off the head as a side effect)."""
-        ...
-
-    def note_cancel(self, event: Event) -> None:
-        """Record that a queued event was cancelled (may compact)."""
-        ...
-
-    def __len__(self) -> int:
-        """Entries still held, including not-yet-discarded cancelled ones."""
-        ...
-
-
 class HeapScheduler:
-    """Binary-heap scheduler — the original ``Simulator`` queue."""
+    """Binary-heap event queue.
+
+    Treats ``event.cancelled`` entries as absent from ``pop``/``peek``
+    while still counting them in ``len()`` until they are discarded.
+    """
 
     __slots__ = ("_heap", "_cancelled", "_san")
 
-    def __init__(self) -> None:
+    def __init__(self, san: Any = None) -> None:
         self._heap: List[Event] = []
         self._cancelled = 0
-        self._san = None
+        self._san = san
 
     # -- insertion -----------------------------------------------------
     def push(self, event: Event) -> None:
+        """Insert one event."""
         event.queued = True
         heappush(self._heap, event)
 
     def push_many(self, events: Iterable[Event]) -> None:
+        """Bulk-insert events (batch scheduling for NAPI poll storms)."""
         batch = list(events)
         heap = self._heap
         if 4 * len(batch) >= len(heap):
@@ -126,6 +78,7 @@ class HeapScheduler:
 
     # -- removal -------------------------------------------------------
     def pop(self) -> Optional[Event]:
+        """Remove and return the next live event, or None when drained."""
         heap = self._heap
         while heap:
             event = heappop(heap)
@@ -139,6 +92,7 @@ class HeapScheduler:
         return None
 
     def peek(self) -> Optional[Event]:
+        """Return the next live event without removing it."""
         heap = self._heap
         while heap:
             event = heap[0]
@@ -153,6 +107,7 @@ class HeapScheduler:
 
     # -- cancellation --------------------------------------------------
     def note_cancel(self, event: Event) -> None:
+        """Record that a queued event was cancelled (may compact)."""
         self._cancelled += 1
         size = len(self._heap)
         if size >= COMPACT_MIN_EVENTS and (
@@ -171,233 +126,3 @@ class HeapScheduler:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-class CalendarScheduler:
-    """Bucketed calendar queue tuned for near-future-dominated runs.
-
-    The wheel covers ``[base, base + num_buckets * bucket_width_us)``;
-    each bucket is a small ``(time, seq)`` heap, so intra-bucket order is
-    exact and inter-bucket order follows from the bucket index being
-    monotone in time. Events beyond the window wait in a heap-ordered
-    overflow; when the wheel drains, the window rebases onto the earliest
-    overflow event and the in-window prefix migrates in.
-
-    Invariants:
-
-    * every overflow event's time is >= ``base + horizon``, so the wheel
-      always holds the global minimum while it is non-empty;
-    * buckets below ``_cursor`` are empty (``push`` rewinds the cursor
-      when an insert lands behind it);
-    * ``_peeked`` (when set) is the global-minimum live event and sits at
-      the top of ``_buckets[_peeked_bucket]``.
-    """
-
-    __slots__ = (
-        "_width",
-        "_nbuckets",
-        "_horizon",
-        "_buckets",
-        "_base",
-        "_cursor",
-        "_wheel_count",
-        "_overflow",
-        "_cancelled",
-        "_peeked",
-        "_peeked_bucket",
-        "_san",
-    )
-
-    def __init__(self, bucket_width_us: float = 1.0, num_buckets: int = 512) -> None:
-        if bucket_width_us <= 0:
-            raise ValueError("bucket width must be positive")
-        if num_buckets < 2:
-            raise ValueError("calendar needs at least two buckets")
-        self._width = bucket_width_us
-        self._nbuckets = num_buckets
-        self._horizon = bucket_width_us * num_buckets
-        self._buckets: List[List[Event]] = [[] for _ in range(num_buckets)]
-        self._base = 0.0
-        self._cursor = 0
-        #: Entries in the wheel, including not-yet-discarded cancelled ones.
-        self._wheel_count = 0
-        self._overflow: List[Event] = []
-        self._cancelled = 0
-        self._peeked: Optional[Event] = None
-        self._peeked_bucket = 0
-        self._san = None
-
-    # -- insertion -----------------------------------------------------
-    def _bucket_index(self, time: float) -> int:
-        index = int((time - self._base) / self._width)
-        if index < 0:
-            # Float rounding at a rebase boundary; collapsing into the
-            # first bucket preserves (time, seq) order (see pop).
-            return 0
-        if index >= self._nbuckets:
-            return self._nbuckets - 1
-        return index
-
-    def push(self, event: Event) -> None:
-        event.queued = True
-        if event.time - self._base < self._horizon:
-            index = self._bucket_index(event.time)
-            if index < self._cursor:
-                # peek() may have advanced the cursor past this bucket
-                # before the clock reached it; rewind so pop rescans.
-                self._cursor = index
-            heappush(self._buckets[index], event)
-            self._wheel_count += 1
-            peeked = self._peeked
-            if peeked is not None and event < peeked:
-                self._peeked = event
-                self._peeked_bucket = index
-        else:
-            # Beyond the window: by the wheel invariant this can never
-            # undercut a cached wheel minimum.
-            heappush(self._overflow, event)
-
-    def push_many(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.push(event)
-
-    # -- removal -------------------------------------------------------
-    def pop(self) -> Optional[Event]:
-        event = self._peeked
-        if event is not None and not event.cancelled:
-            # The cached global minimum tops its bucket; O(log bucket).
-            bucket = self._buckets[self._peeked_bucket]
-            popped = heappop(bucket)
-            self._wheel_count -= 1
-            self._cursor = self._peeked_bucket
-            self._peeked = None
-            popped.queued = False
-            return popped
-        self._peeked = None
-        found = self._scan(remove=True)
-        if found is not None:
-            found.queued = False
-        return found
-
-    def peek(self) -> Optional[Event]:
-        event = self._peeked
-        if event is not None and not event.cancelled:
-            return event
-        self._peeked = None
-        return self._scan(remove=False)
-
-    def _scan(self, remove: bool) -> Optional[Event]:
-        """Find the next live event; optionally remove it.
-
-        Discards cancelled entries encountered at bucket heads. When the
-        wheel drains, rebases onto the overflow and retries.
-        """
-        while True:
-            if self._wheel_count:
-                buckets = self._buckets
-                for index in range(self._cursor, self._nbuckets):
-                    bucket = buckets[index]
-                    while bucket and bucket[0].cancelled:
-                        dead = heappop(bucket)
-                        dead.queued = False
-                        self._wheel_count -= 1
-                        self._cancelled -= 1
-                        _san_discard(self._san, dead, "calendar.discard")
-                    if bucket:
-                        self._cursor = index
-                        if remove:
-                            self._wheel_count -= 1
-                            return heappop(bucket)
-                        live = bucket[0]
-                        self._peeked = live
-                        self._peeked_bucket = index
-                        return live
-                    self._cursor = index
-            if not self._overflow:
-                return None
-            self._refill()
-
-    def _refill(self) -> None:
-        """Rebase the (drained) wheel onto the earliest overflow event."""
-        overflow = self._overflow
-        while overflow and overflow[0].cancelled:
-            dead = heappop(overflow)
-            dead.queued = False
-            self._cancelled -= 1
-            _san_discard(self._san, dead, "calendar.refill")
-        if not overflow:
-            return
-        width = self._width
-        self._base = math.floor(overflow[0].time / width) * width
-        self._cursor = 0
-        horizon_end = self._base + self._horizon
-        buckets = self._buckets
-        count = 0
-        while overflow and overflow[0].time < horizon_end:
-            event = heappop(overflow)
-            if event.cancelled:
-                event.queued = False
-                self._cancelled -= 1
-                _san_discard(self._san, event, "calendar.refill")
-                continue
-            heappush(buckets[self._bucket_index(event.time)], event)
-            count += 1
-        self._wheel_count = count
-
-    # -- cancellation --------------------------------------------------
-    def note_cancel(self, event: Event) -> None:
-        self._cancelled += 1
-        if self._peeked is event:
-            self._peeked = None
-        size = len(self)
-        if size >= COMPACT_MIN_EVENTS and (
-            size - self._cancelled < size * COMPACT_LIVE_FRACTION
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        live: List[Event] = []
-        for bucket in self._buckets:
-            for event in bucket:
-                if event.cancelled:
-                    event.queued = False
-                    _san_discard(self._san, event, "calendar.compact")
-                else:
-                    live.append(event)
-            del bucket[:]
-        overflow_live: List[Event] = []
-        for event in self._overflow:
-            if event.cancelled:
-                event.queued = False
-                _san_discard(self._san, event, "calendar.compact")
-            else:
-                overflow_live.append(event)
-        # Overflow entries still satisfy time >= base + horizon, so the
-        # base (and hence all bucket math) survives the rebuild.
-        heapify(overflow_live)
-        self._overflow = overflow_live
-        self._wheel_count = 0
-        self._cursor = 0
-        self._peeked = None
-        self._cancelled = 0
-        for event in live:
-            # Re-insert through push so the wheel bookkeeping stays exact.
-            self.push(event)
-
-    def __len__(self) -> int:
-        return self._wheel_count + len(self._overflow)
-
-
-#: Names accepted by configuration (``REPRO_SIM_SCHEDULER`` / CLI).
-SCHEDULER_NAMES = ("heap", "calendar")
-
-
-def make_scheduler(name: str) -> Scheduler:
-    """Build a scheduler from its configuration name."""
-    if name == "heap":
-        return HeapScheduler()
-    if name == "calendar":
-        return CalendarScheduler()
-    raise ValueError(
-        f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}"
-    )

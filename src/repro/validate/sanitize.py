@@ -7,8 +7,8 @@ kinds of owned objects the reproduction moves across boundaries:
 
 ``event``       pooled/scheduled :class:`~repro.sim.events.Event`
                 objects — acquired when minted (``schedule_at`` /
-                ``_acquire``), released when fired or when a scheduler
-                discards a cancelled entry lazily.
+                ``_acquire``), released when fired or when the event
+                queue discards a cancelled entry lazily.
 ``flow_entry``  flow-cache entries — acquired at
                 :meth:`~repro.kernel.flowcache.FlowTable.insert`,
                 released by eviction and every ``invalidate*`` path

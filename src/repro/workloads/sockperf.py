@@ -115,11 +115,8 @@ class Testbed:
         backlog_capacity: int = 1000,
         rmem_packets: int = 4096,
         seed: int = 0,
-        scheduler: Optional[str] = None,
     ) -> None:
-        # None defers to REPRO_SIM_SCHEDULER (default "heap"), so a whole
-        # run — goldens included — can be flipped from the environment.
-        self.sim = Simulator(scheduler)
+        self.sim = Simulator()
         self.mode = mode
         config = StackConfig(
             mode=mode,

@@ -5,8 +5,7 @@ cluster's hosts across shards (and even across worker processes) is an
 implementation detail that must not change one byte of the simulated
 outcome. These tests pin that down by comparing canonical trace JSON —
 the same serialization the golden suite uses — between a 1-shard
-reference and 2/4-shard runs, across a seed matrix and both scheduler
-implementations.
+reference and 2/4-shard runs, across a seed matrix.
 
 On divergence the failing pair of trace documents is written to
 ``$SHARD_DIVERGENCE_DIR`` (when set) so CI can upload them as artifacts.
@@ -75,25 +74,21 @@ def _assert_equivalent(name, reference, actual):
     ]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @pytest.mark.parametrize("seed", [0, 7, 1234])
 @pytest.mark.parametrize("shards", [2, 4])
-def test_udp_ring_shards_match_reference(scheduler, seed, shards):
+def test_udp_ring_shards_match_reference(seed, shards):
     spec = udp_ring_spec(
         num_hosts=4,
         message_size=512,
         rate_pps=60_000.0,
         seed=seed,
-        scheduler=scheduler,
         warmup_us=WARMUP_US,
         duration_us=DURATION_US,
         trace=True,
     )
     reference = _run(spec, shards=1)
     actual = _run(spec, shards=shards)
-    _assert_equivalent(
-        f"udp-{scheduler}-seed{seed}-shards{shards}", reference, actual
-    )
+    _assert_equivalent(f"udp-seed{seed}-shards{shards}", reference, actual)
     # Sharding must do real work to be a meaningful test: every window
     # of this scenario crosses shard boundaries (it is a ring).
     assert actual.records_exchanged > 0
@@ -136,9 +131,8 @@ def test_falcon_cluster_shards_match_reference():
     _assert_equivalent("falcon-shards2", reference, actual)
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
 @pytest.mark.parametrize("shards", [2, 3])
-def test_flowcache_churn_shards_match_reference(scheduler, shards):
+def test_flowcache_churn_shards_match_reference(shards):
     """The flow-cache datapath under churn: a capacity-1 ingress table
     thrashes (miss → hit → evict), then mid-run churn on host 1 sends
     RECORD_INVAL to its senders across a shard boundary. Cache state is
@@ -149,7 +143,6 @@ def test_flowcache_churn_shards_match_reference(scheduler, shards):
         rate_pps=40_000.0,
         rate2_pps=12_000.0,
         seed=9,
-        scheduler=scheduler,
         flowcache=True,
         flowcache_capacity=1,
         churn=((1800.0, 1),),
@@ -159,9 +152,7 @@ def test_flowcache_churn_shards_match_reference(scheduler, shards):
     )
     reference = _run(spec, shards=1)
     actual = _run(spec, shards=shards)
-    _assert_equivalent(
-        f"flowcache-{scheduler}-shards{shards}", reference, actual
-    )
+    _assert_equivalent(f"flowcache-shards{shards}", reference, actual)
     # Per-host cache counters (hits/misses/evictions/invalidations) are
     # part of the equivalence contract too.
     assert [h["flowcache"] for h in actual.per_host] == [

@@ -1,21 +1,27 @@
-"""Property tests: the two scheduler implementations are observationally equal.
+"""Property tests: the event loop matches a reference model of its queue.
 
-The calendar queue is only admissible because it is *indistinguishable*
-from the binary heap: same fire order, same clocks, same
-``events_processed`` for any schedule/cancel/run sequence. These tests
-drive both implementations with identical programs — hypothesis-generated
-op lists and seeded self-sustaining churn (the ``repro bench`` workload
-shape) — and compare the full traces.
+Each test runs one program on two schedulers — the heap behind
+:class:`Simulator` and :class:`ReferenceQueue` — and requires identical
+outcomes. The model is the plainest possible queue: a list of the live
+``(time, seq, fn, args)`` entries kept sorted, where ``cancel`` removes
+an entry and events posted by a firing callback (spawned children) are
+inserted when their parent fires. :class:`Simulator` must produce the
+same fire order, clocks and ``events_processed`` for any
+schedule/post/batch/cancel/run program — hypothesis-generated op lists
+and a seeded self-sustaining churn. The compaction thresholds are
+lowered so that lazy-cancel compaction runs inside these programs.
 """
 
+import bisect
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.scheduler as scheduler_module
 from repro.sim.engine import Simulator
-from repro.sim.scheduler import SCHEDULER_NAMES
 
 _DELAY = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
@@ -24,16 +30,78 @@ _OP = st.one_of(
     st.tuples(st.just("post"), _DELAY),
     st.tuples(st.just("post_at"), _DELAY),
     # spawn: an event that, when fired, posts a child — exercises pushes
-    # below the calendar cursor after the clock has advanced.
+    # after the clock has advanced.
     st.tuples(st.just("spawn"), _DELAY, st.floats(0.0, 50.0, allow_nan=False)),
     st.tuples(st.just("batch"), _DELAY, st.integers(1, 8)),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
 )
 
 
-def _run_program(scheduler, ops):
-    """Apply one op sequence to a fresh simulator; return its full trace."""
-    sim = Simulator(scheduler)
+class ReferenceQueue:
+    """The subset of the Simulator API the programs use, on a sorted list."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._entries = []
+        self._seq = 0
+
+    def _add(self, time, fn, args):
+        key = (time, self._seq)
+        self._seq += 1
+        bisect.insort(self._entries, (time, key[1], fn, args))
+        return key
+
+    def schedule(self, delay, fn, *args):
+        return self._add(self.now + delay, fn, args)
+
+    def post(self, delay, fn, *args):
+        self._add(self.now + delay, fn, args)
+
+    def post_at(self, time, fn, *args):
+        self._add(time, fn, args)
+
+    def post_batch(self, delay, fn, args_list):
+        for args in args_list:
+            self._add(self.now + delay, fn, args)
+
+    def cancel(self, key):
+        index = bisect.bisect_left(self._entries, key)
+        if index < len(self._entries) and self._entries[index][:2] == key:
+            del self._entries[index]
+
+    def pending(self):
+        return len(self._entries)
+
+    def run(self, until=None):
+        while self._entries:
+            if until is not None and self._entries[0][0] > until:
+                break
+            time, _, fn, args = self._entries.pop(0)
+            self.now = time
+            fn(*args)
+            self.events_processed += 1
+        if until is not None and self.now < until:
+            self.now = until
+
+
+def _small_compaction():
+    return mock.patch.object(scheduler_module, "COMPACT_MIN_EVENTS", 8)
+
+
+def _eager_compaction():
+    """Compact on every cancel once two entries are queued.
+
+    The op mix cancels too few of its events to cross the real live
+    fraction, so without this hypothesis would almost never compact.
+    """
+    return mock.patch.multiple(
+        scheduler_module, COMPACT_MIN_EVENTS=2, COMPACT_LIVE_FRACTION=1.0
+    )
+
+
+def _run_program(sim, ops):
+    """Apply one op sequence to ``sim``; return its full trace."""
     trace = []
     handles = []
 
@@ -64,20 +132,20 @@ def _run_program(scheduler, ops):
 
 @given(st.lists(_OP, max_size=120))
 @settings(max_examples=60, deadline=None)
-def test_heap_and_calendar_traces_identical(ops):
-    results = [_run_program(name, ops) for name in SCHEDULER_NAMES]
-    assert results[0] == results[1]
+def test_simulator_matches_reference_model(ops):
+    with _eager_compaction():
+        actual = _run_program(Simulator(), ops)
+    assert actual == _run_program(ReferenceQueue(), ops)
 
 
 @given(st.lists(_DELAY, max_size=80), st.floats(0.0, 2000.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_run_until_agrees_across_schedulers(delays, bound):
     outcomes = []
-    for name in SCHEDULER_NAMES:
-        sim = Simulator(name)
+    for sim in (Simulator(), ReferenceQueue()):
         fired = []
         for tag, delay in enumerate(delays):
-            sim.post(delay, lambda t=tag: fired.append((sim.now, t)))
+            sim.post(delay, lambda s=sim, t=tag: fired.append((s.now, t)))
         sim.run(until=bound)
         mid = (list(fired), sim.now, sim.pending())
         sim.run()
@@ -85,41 +153,41 @@ def test_run_until_agrees_across_schedulers(delays, bound):
     assert outcomes[0] == outcomes[1]
 
 
+def _churn(sim, seed):
+    """Self-sustaining ticks plus cancellable timers, seeded."""
+    rng = random.Random(seed)
+    trace = []
+    remaining = 2_000
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+
+    def tick():
+        nonlocal remaining
+        trace.append((sim.now, "tick"))
+        if remaining <= 0:
+            return
+        remaining -= 1
+        delay = rng.random() * 4.0 if rng.random() < 0.9 else 400.0 + rng.random() * 600.0
+        sim.post(delay, tick)
+        if rng.random() < 0.5:
+            handle = sim.schedule(rng.random() * 50.0, fire, remaining)
+            if rng.random() < 0.8:
+                sim.cancel(handle)
+
+    for _ in range(16):
+        sim.post(rng.random(), tick)
+    sim.run()
+    return trace, sim.now, sim.events_processed
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
 def test_seeded_churn_identical_across_schedulers(seed):
-    """The bench churn shape: self-sustaining ticks + cancellable timers.
-
-    Heavy lazy cancellation drives both implementations through their
-    compaction paths; the far-future delays drive the calendar queue
-    through its overflow/rebase path.
-    """
-
-    def churn(scheduler):
-        sim = Simulator(scheduler)
-        rng = random.Random(seed)
-        trace = []
-        remaining = 2_000
-
-        def fire(tag):
-            trace.append((sim.now, tag))
-
-        def tick():
-            nonlocal remaining
-            trace.append((sim.now, "tick"))
-            if remaining <= 0:
-                return
-            remaining -= 1
-            delay = rng.random() * 4.0 if rng.random() < 0.9 else 400.0 + rng.random() * 600.0
-            sim.post(delay, tick)
-            if rng.random() < 0.5:
-                handle = sim.schedule(rng.random() * 50.0, fire, remaining)
-                if rng.random() < 0.8:
-                    sim.cancel(handle)
-
-        for _ in range(16):
-            sim.post(rng.random(), tick)
-        sim.run()
-        return trace, sim.now, sim.events_processed
-
-    results = [churn(name) for name in SCHEDULER_NAMES]
-    assert results[0] == results[1]
+    """Heavy lazy cancellation drives the heap through compaction."""
+    compact = scheduler_module.HeapScheduler._compact
+    with _small_compaction(), mock.patch.object(
+        scheduler_module.HeapScheduler, "_compact", autospec=True, side_effect=compact
+    ) as spy:
+        actual = _churn(Simulator(), seed)
+    assert spy.call_count > 0
+    assert actual == _churn(ReferenceQueue(), seed)

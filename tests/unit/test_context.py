@@ -6,7 +6,6 @@ from repro.overlay.host import Host
 from repro.sim import SimContext, Simulator
 from repro.kernel.stack import StackConfig
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import CalendarScheduler
 
 
 class _Monitor:
@@ -32,11 +31,6 @@ def test_context_accepts_existing_components():
     ctx = SimContext(sim=sim, rng=rng)
     assert ctx.sim is sim
     assert ctx.rng is rng
-
-
-def test_context_scheduler_selection():
-    ctx = SimContext(scheduler="calendar")
-    assert isinstance(ctx.sim.scheduler, CalendarScheduler)
 
 
 def test_two_contexts_are_isolated():

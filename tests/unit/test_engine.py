@@ -106,15 +106,6 @@ def test_step_processes_single_event():
     assert not sim.step()
 
 
-def test_max_events_bound():
-    sim = Simulator()
-    hits = []
-    for i in range(10):
-        sim.schedule(float(i + 1), hits.append, i)
-    sim.run(max_events=3)
-    assert hits == [0, 1, 2]
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(5):

@@ -4,7 +4,7 @@ Three layers, mirroring the module's contract:
 
 * ledger semantics — acquire/release bookkeeping, double-acquire and
   untracked-release errors, leak-vs-pending classification;
-* instrumentation — the engine, schedulers, flow table and cluster
+* instrumentation — the engine, event queue, flow table and cluster
   record path acquire and release at the sanctioned sites, including
   the lazy-cancellation discards and the raising-callback path;
 * non-interference — a sanitized golden run produces **byte-identical**
@@ -133,7 +133,7 @@ class TestEngineInstrumentation:
         assert report.released == {"engine.fired": 2}
 
     def test_stolen_event_is_reported_as_leak(self):
-        # Popping the scheduler by hand bypasses the engine's fire path:
+        # Popping the queue by hand bypasses the engine's fire path:
         # nothing will ever release the event — the exact bug shape the
         # sanitizer exists to localize, tagged with its acquire site.
         with sanitizing() as ledger:
@@ -162,10 +162,9 @@ class TestEngineInstrumentation:
         assert report.ok, report.render()
         assert report.released == {"engine.fired": 1}
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_cancelled_event_released_at_discard(self, scheduler):
+    def test_cancelled_event_released_at_discard(self):
         with sanitizing() as ledger:
-            sim = Simulator(scheduler)
+            sim = Simulator()
             keep = []
             victim = sim.schedule(1.0, keep.append, "gone")
             sim.schedule(2.0, keep.append, "kept")
@@ -179,8 +178,7 @@ class TestEngineInstrumentation:
             for site, count in report.released.items()
             if site != "engine.fired"
         }
-        assert sum(discards.values()) == 1
-        assert all(site.startswith(f"{scheduler}.") for site in discards)
+        assert discards == {"heap.discard": 1}
 
 
 class TestFlowTableInstrumentation:

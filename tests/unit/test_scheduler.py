@@ -1,70 +1,27 @@
-"""Unit tests for the pluggable schedulers and their shared mechanics.
+"""Unit tests for the event queue and its mechanics.
 
-Covers the Scheduler protocol implementations directly (ordering,
-lazy-cancellation discard, compaction) and the engine-level behaviours
-that ride on them: lazy-pop ``peek_time``, the cancellation-leak fix,
-freelist recycling of ``post*`` events, and environment-variable
-scheduler selection.
+Covers :class:`HeapScheduler` directly (ordering, lazy-cancellation
+discard, compaction) and the engine-level behaviours that ride on it:
+lazy-pop ``peek_time``, the cancellation-leak fix and freelist recycling
+of ``post*`` events.
 """
 
 import pytest
 
-from repro.sim.engine import SCHEDULER_ENV_VAR, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.scheduler import (
-    COMPACT_MIN_EVENTS,
-    CalendarScheduler,
-    HeapScheduler,
-    SCHEDULER_NAMES,
-    make_scheduler,
-)
-
-SCHEDULERS = [HeapScheduler, CalendarScheduler]
+from repro.sim.scheduler import COMPACT_MIN_EVENTS, HeapScheduler
 
 
 # ----------------------------------------------------------------------
-# Construction / selection
-# ----------------------------------------------------------------------
-def test_make_scheduler_names():
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("fifo")
-
-
-def test_env_var_selects_scheduler(monkeypatch):
-    monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-    assert isinstance(Simulator().scheduler, CalendarScheduler)
-    monkeypatch.setenv(SCHEDULER_ENV_VAR, "heap")
-    assert isinstance(Simulator().scheduler, HeapScheduler)
-    monkeypatch.delenv(SCHEDULER_ENV_VAR)
-    assert isinstance(Simulator().scheduler, HeapScheduler)
-
-
-def test_explicit_scheduler_overrides_env(monkeypatch):
-    monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-    assert isinstance(Simulator("heap").scheduler, HeapScheduler)
-    custom = CalendarScheduler(bucket_width_us=2.0, num_buckets=64)
-    assert Simulator(custom).scheduler is custom
-
-
-def test_calendar_rejects_degenerate_geometry():
-    with pytest.raises(ValueError):
-        CalendarScheduler(bucket_width_us=0.0)
-    with pytest.raises(ValueError):
-        CalendarScheduler(num_buckets=1)
-
-
-# ----------------------------------------------------------------------
-# Protocol-level ordering
+# Queue-level ordering
 # ----------------------------------------------------------------------
 def _event(time, seq):
     return Event(time, seq, lambda: None, ())
 
 
-@pytest.mark.parametrize("cls", SCHEDULERS)
-def test_pop_orders_by_time_then_seq(cls):
-    sched = cls()
+def test_pop_orders_by_time_then_seq():
+    sched = HeapScheduler()
     sched.push(_event(5.0, 3))
     sched.push(_event(1.0, 1))
     sched.push(_event(5.0, 2))
@@ -79,9 +36,8 @@ def test_pop_orders_by_time_then_seq(cls):
     assert len(sched) == 0
 
 
-@pytest.mark.parametrize("cls", SCHEDULERS)
-def test_peek_returns_next_live_without_removing(cls):
-    sched = cls()
+def test_peek_returns_next_live_without_removing():
+    sched = HeapScheduler()
     first = _event(1.0, 0)
     second = _event(2.0, 1)
     sched.push(first)
@@ -96,9 +52,8 @@ def test_peek_returns_next_live_without_removing(cls):
     assert sched.peek() is None
 
 
-@pytest.mark.parametrize("cls", SCHEDULERS)
-def test_push_many_preserves_seq_order_on_ties(cls):
-    sched = cls()
+def test_push_many_preserves_seq_order_on_ties():
+    sched = HeapScheduler()
     batch = [_event(3.0, seq) for seq in range(16)]
     sched.push_many(batch)
     sched.push(_event(1.0, 99))
@@ -108,38 +63,12 @@ def test_push_many_preserves_seq_order_on_ties(cls):
     assert popped == [99] + list(range(16))
 
 
-def test_calendar_overflow_and_rebase():
-    # Events far beyond the wheel window live in the overflow; once the
-    # wheel drains, the window rebases onto them and order still holds.
-    sched = CalendarScheduler(bucket_width_us=1.0, num_buckets=8)
-    far = [_event(1000.0 + step, 10 + step) for step in range(3)]
-    near = [_event(float(step), step) for step in range(3)]
-    for event in far + near:
-        sched.push(event)
-    popped = [sched.pop().time for _ in range(6)]
-    assert popped == [0.0, 1.0, 2.0, 1000.0, 1001.0, 1002.0]
-
-
-def test_calendar_push_below_cursor_rescans():
-    # peek() advances the cursor; a later push landing in an earlier
-    # bucket must rewind it or the event would be skipped.
-    sched = CalendarScheduler(bucket_width_us=1.0, num_buckets=16)
-    sched.push(_event(9.0, 0))
-    assert sched.peek().time == 9.0
-    early = _event(2.0, 1)
-    sched.push(early)
-    assert sched.peek() is early
-    assert sched.pop() is early
-    assert sched.pop().time == 9.0
-
-
 # ----------------------------------------------------------------------
 # Cancellation leak + compaction (the regression this PR fixes)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_cancel_heavy_workload_compacts_queue(name):
+def test_cancel_heavy_workload_compacts_queue():
     """Schedule-and-cancel no longer grows the queue without bound."""
-    sim = Simulator(name)
+    sim = Simulator()
     keep = []
     total = 4 * COMPACT_MIN_EVENTS
     for index in range(total):
@@ -155,9 +84,8 @@ def test_cancel_heavy_workload_compacts_queue(name):
     assert sim.events_processed == live
 
 
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_compaction_preserves_order_and_future_cancels(name):
-    sim = Simulator(name)
+def test_compaction_preserves_order_and_future_cancels():
+    sim = Simulator()
     fired = []
     handles = [
         sim.schedule(float(index % 50), fired.append, index)
@@ -189,7 +117,7 @@ def test_cancel_after_fire_is_noop():
     handle = sim.schedule(1.0, fired.append, "x")
     sim.schedule(2.0, fired.append, "y")
     sim.run()
-    sim.cancel(handle)  # already ran; must not corrupt scheduler counters
+    sim.cancel(handle)  # already ran; must not corrupt queue counters
     sim.cancel(handle)
     sim.schedule(1.0, fired.append, "z")
     sim.run()
@@ -199,9 +127,8 @@ def test_cancel_after_fire_is_noop():
 # ----------------------------------------------------------------------
 # peek_time (lazy-pop fix)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_peek_time_skips_cancelled_head(name):
-    sim = Simulator(name)
+def test_peek_time_skips_cancelled_head():
+    sim = Simulator()
     first = sim.schedule(1.0, lambda: None)
     sim.schedule(5.0, lambda: None)
     assert sim.peek_time() == 1.0
@@ -212,9 +139,8 @@ def test_peek_time_skips_cancelled_head(name):
     assert sim.peek_time() is None
 
 
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_peek_time_many_cancelled(name):
-    sim = Simulator(name)
+def test_peek_time_many_cancelled():
+    sim = Simulator()
     handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
     for handle in handles[:99]:
         sim.cancel(handle)

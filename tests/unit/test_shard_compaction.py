@@ -7,8 +7,8 @@ to the bound — and any event fired inside the window may cancel timers
 and trip a compaction pass (lazy-cancel rebuild). These tests pin down
 that the combination cannot reorder or drop pending injections:
 
-* the calendar scheduler's peek cache/cursor must survive an earlier
-  insertion and a full compaction rebuild;
+* a peeked head must survive an earlier insertion and a full
+  compaction rebuild;
 * recycled (freelisted) ``post_at`` events must stay well-ordered
   through cancel churn — the wire path means every cross-shard delivery
   is such an event;
@@ -16,24 +16,19 @@ that the combination cannot reorder or drop pending injections:
   window must stay partition-invariant.
 """
 
-import pytest
-
 import repro.sim.scheduler as scheduler_module
 from repro.sim.engine import Simulator
 from repro.sim.shard.coordinator import InlineShardHandle, ShardCoordinator
 from repro.sim.shard.records import CrossShardEvent
 
-SCHEDULERS = ["heap", "calendar"]
 
-
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_peek_then_earlier_injection_then_compaction(scheduler, monkeypatch):
-    """The exact shard-loop shape: peek_time (caches the scheduler's
+def test_peek_then_earlier_injection_then_compaction(monkeypatch):
+    """The exact shard-loop shape: peek_time (lazy-pops to the live
     head), inject earlier cross-shard arrivals, cancel-churn past the
     compaction threshold, then advance. Every injection must fire, in
     timestamp order, before any local event."""
     monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
-    sim = Simulator(scheduler)
+    sim = Simulator()
     fired = []
     for i in range(20):
         sim.schedule(50.0 + i, fired.append, ("local", i))
@@ -57,8 +52,7 @@ def test_peek_then_earlier_injection_then_compaction(scheduler, monkeypatch):
     assert fired[30:] == [("timer", i) for i in range(35, 40)]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_compaction_cannot_resurrect_or_drop(scheduler, monkeypatch):
+def test_compaction_cannot_resurrect_or_drop(monkeypatch):
     """Randomized churn cross-checked against a straight reference list:
     cancellations interleaved with peeks (cache invalidation points) and
     forced compactions must fire exactly the live set, in (time, seq)
@@ -67,7 +61,7 @@ def test_compaction_cannot_resurrect_or_drop(scheduler, monkeypatch):
 
     monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 16)
     rng = random.Random(1)
-    sim = Simulator(scheduler)
+    sim = Simulator()
     fired = []
     expected = []
     handles = {}
@@ -89,13 +83,12 @@ def test_compaction_cannot_resurrect_or_drop(scheduler, monkeypatch):
     )]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_freelist_reuse_survives_cancel_churn(scheduler, monkeypatch):
+def test_freelist_reuse_survives_cancel_churn(monkeypatch):
     """post_at events are recycled through a freelist after firing; the
     cross-shard inject path reuses them at wire speed. Reused carcasses
     must order correctly against cancel churn and compaction."""
     monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
-    sim = Simulator(scheduler)
+    sim = Simulator()
     fired = []
     def wave(round_index):
         if round_index >= 30:
@@ -127,9 +120,9 @@ class ChurnProgram:
 
     LATENCY = 4.0
 
-    def __init__(self, hosts, all_hosts, scheduler):
+    def __init__(self, hosts, all_hosts):
         self._hosts = tuple(hosts)
-        self._sim = Simulator(scheduler)
+        self._sim = Simulator()
         self._seqs = {h: 0 for h in hosts}
         self._out = []
         self.delivered = []
@@ -179,8 +172,7 @@ class ChurnProgram:
         return {"delivered": list(self.delivered)}
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
-def test_churn_cluster_is_partition_invariant(scheduler, monkeypatch):
+def test_churn_cluster_is_partition_invariant(monkeypatch):
     """End to end: compaction passes inside open barrier windows must
     not change what crosses shards, when, or in what order."""
     monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
@@ -189,7 +181,7 @@ def test_churn_cluster_is_partition_invariant(scheduler, monkeypatch):
     def drive(shards):
         groups = [g for g in (all_hosts[i::shards] for i in range(shards)) if g]
         handles = [
-            InlineShardHandle(slot, ChurnProgram(group, all_hosts, scheduler))
+            InlineShardHandle(slot, ChurnProgram(group, all_hosts))
             for slot, group in enumerate(groups)
         ]
         coordinator = ShardCoordinator(handles, ChurnProgram.LATENCY)

@@ -2,9 +2,8 @@
 """Run the ``mypy --strict`` gate over the typed packages.
 
 The simulation core (``repro.sim``), the kernel model entry points
-(``repro.kernel``), the static-analysis pass (``repro.analysis``) and
-the bench harness (``repro.bench``) are type-checked strictly; modules
-listed in the pyproject ratchet
+(``repro.kernel``) and the static-analysis pass (``repro.analysis``)
+are type-checked strictly; modules listed in the pyproject ratchet
 (mirrored in ``tools/mypy_ratchet.txt``) still have errors ignored.
 
 mypy is an optional tool dependency — this container image does not
@@ -29,7 +28,6 @@ TARGETS: List[str] = [
     "src/repro/sim",
     "src/repro/kernel",
     "src/repro/analysis",
-    "src/repro/bench",
 ]
 
 
