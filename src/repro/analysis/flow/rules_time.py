@@ -73,9 +73,6 @@ _TRANSPARENT_CALLS = ("min", "max", "abs", "round", "sum", "float", "int")
 _SCHEDULER_CALLS = (
     "schedule",
     "schedule_at",
-    "post",
-    "post_at",
-    "post_batch",
     "submit",
     "submit_multi",
 )

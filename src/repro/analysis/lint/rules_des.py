@@ -204,7 +204,7 @@ class MagicServiceTimeRule(Rule):
         fn, *payload)`` second. Payload/callback arguments are never
         scanned — integers are legitimate event arguments there.
         """
-        if name in ("schedule", "schedule_at", "post", "post_at", "post_batch"):
+        if name in ("schedule", "schedule_at"):
             return node.args[:1]
         if name == "submit":
             return node.args[2:3] if len(node.args) >= 3 else node.args[:1]

@@ -41,9 +41,6 @@ WALL_CLOCK_CALLS: Set[str] = {
 SCHEDULING_CALLS: Set[str] = {
     "schedule",
     "schedule_at",
-    "post",
-    "post_at",
-    "post_batch",
     "submit",
     "submit_multi",
     "raise_net_rx",

@@ -27,11 +27,10 @@ This is a whole-project pass:
    known function of that name, across modules) is walked from the
    entry points; this is what makes the pass cross-module — e.g.
    ``EnqueueTransition.route`` (stages.py) reaching
-   ``enqueue_backlog`` (softirq.py). Dispatch calls (``post`` /
-   ``post_at`` / ``post_batch`` / ``push_many`` / ``schedule`` /
-   ``submit`` ...) contribute their *arguments* as edges too, so a
-   callback handed to the scheduler in a batch is traced into per-CPU
-   structures just like a direct call.
+   ``enqueue_backlog`` (softirq.py). Dispatch calls (``schedule`` /
+   ``schedule_at`` / ``submit`` ...) contribute their *arguments* as
+   edges too, so a callback handed to the scheduler is traced into
+   per-CPU structures just like a direct call.
 4. **Check**: a reachable function that (a) juggles more than one CPU
    identity (two or more cpu/core-named parameters), (b) subscripts a
    per-CPU structure by one of them, and (c) never calls a
@@ -69,9 +68,6 @@ SERIALIZATION_CALLS: Set[str] = {
     "enqueue_to_backlog",
     "schedule",
     "schedule_at",
-    "post",
-    "post_at",
-    "post_batch",
     "submit",
     "submit_multi",
 }
@@ -89,13 +85,9 @@ ENTRY_FUNCTION_NAMES: Set[str] = {
 ENTRY_CLASS_FRAGMENTS: Tuple[str, ...] = ("Stage", "Transition", "Napi")
 
 #: Calls that dispatch their callable arguments onto the event stream.
-#: The call graph follows those arguments — ``sim.post_batch(t, fn, items)``
-#: reaches ``fn`` exactly like ``fn(items)`` would.
+#: The call graph follows those arguments — ``sim.schedule(t, fn, item)``
+#: reaches ``fn`` exactly like ``fn(item)`` would.
 DISPATCH_CALLS: Set[str] = {
-    "post",
-    "post_at",
-    "post_batch",
-    "push_many",
     "schedule",
     "schedule_at",
     "submit",

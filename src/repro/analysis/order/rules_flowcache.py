@@ -54,13 +54,9 @@ _TABLE_ATTRS = frozenset(("ingress", "egress"))
 _SANCTIONED_INSERTERS = frozenset(("insert", "hit_or_populate", "delivered"))
 
 #: Calls that dispatch their callable arguments (mirrors the RACE301
-#: collector) — reachability must follow batch-posted work too.
+#: collector) — reachability must follow scheduled work too.
 _DISPATCH_CALLS = frozenset(
     (
-        "post",
-        "post_at",
-        "post_batch",
-        "push_many",
         "schedule",
         "schedule_at",
         "submit",

@@ -20,7 +20,7 @@ taint tag — *partition-variant* — forward through each function:
 * **sinks** (one rule each):
 
   ``ORD501``  a tainted value becomes an event **timestamp** — the first
-              argument of a scheduler call (``post``/``post_at``/...) or
+              argument of a scheduler call (``schedule``/``schedule_at``/...) or
               of an outbox ``emit``/``CrossShardEvent`` construction;
   ``ORD502``  a tainted value becomes a **seed** — any ``seed=`` keyword
               or an argument of ``seed``/``Random``/``default_rng``/
@@ -79,9 +79,6 @@ _SOURCE_CALLS = ("getpid", "getppid", "fileno")
 _SCHEDULER_CALLS = (
     "schedule",
     "schedule_at",
-    "post",
-    "post_at",
-    "post_batch",
     "submit",
     "submit_multi",
 )

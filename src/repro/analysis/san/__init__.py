@@ -1,12 +1,10 @@
 """simsan: ownership/lifetime verifier for the repo's moved objects.
 
 The fourth analyzer on the simflow CFG/worklist engine
-(lint → flow → order → **ownership**), proving that each of the three
+(lint → flow → order → **ownership**), proving that each of the two
 kinds of owned objects the reproduction moves across boundaries has
-exactly one owner, is never reused while live, and is never leaked:
+exactly one owner and is never reused while live:
 
-* pooled :class:`~repro.sim.events.Event` objects through the freelist
-  and lazy-cancellation discard paths (:mod:`rules_event`, OWN601-603);
 * skbs across stages and shard boundaries via ``encode_skb`` /
   ``decode_skb`` wire payloads (:mod:`rules_skbown`, OWN611-613);
 * flow-cache entries through insert/evict/invalidate, including the

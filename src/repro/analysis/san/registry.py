@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-#: Event-lifecycle linearity rules (rules_event.py).
-EVENT_RULE_IDS: Tuple[str, ...] = ("OWN601", "OWN602", "OWN603")
-
 #: Skb ownership-transfer rules (rules_skbown.py).
 SKB_RULE_IDS: Tuple[str, ...] = ("OWN611", "OWN612", "OWN613")
 
@@ -20,6 +17,4 @@ SKB_RULE_IDS: Tuple[str, ...] = ("OWN611", "OWN612", "OWN613")
 CACHE_RULE_IDS: Tuple[str, ...] = ("OWN621", "OWN622", "OWN623")
 
 #: Every rule id the ``repro san`` pass can report.
-SAN_RULE_IDS: Tuple[str, ...] = (
-    EVENT_RULE_IDS + SKB_RULE_IDS + CACHE_RULE_IDS
-)
+SAN_RULE_IDS: Tuple[str, ...] = SKB_RULE_IDS + CACHE_RULE_IDS

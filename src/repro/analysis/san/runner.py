@@ -3,7 +3,7 @@
 Mirrors :mod:`repro.analysis.order.runner` — same file discovery, same
 :class:`FileContext`/:class:`Project` model, same pragma machinery and
 the same reporters — but runs the ownership rules. All four passes share
-one rule-id namespace, so a ``# simlint: disable=OWN601`` pragma is
+one rule-id namespace, so a ``# simlint: disable=OWN611`` pragma is
 valid anywhere and no pass flags another's ids as unknown.
 """
 
@@ -23,11 +23,10 @@ from repro.analysis.lint.report import LintResult
 from repro.analysis.lint.runner import iter_python_files, known_rule_ids
 from repro.analysis.san.registry import SAN_RULE_IDS
 from repro.analysis.san.rules_cache import CACHE_RULES
-from repro.analysis.san.rules_event import EVENT_RULES
 from repro.analysis.san.rules_skbown import SKBOWN_RULES
 
 #: Every ownership rule, in catalogue order.
-SAN_RULES: Tuple[Rule, ...] = EVENT_RULES + SKBOWN_RULES + CACHE_RULES
+SAN_RULES: Tuple[Rule, ...] = SKBOWN_RULES + CACHE_RULES
 
 assert tuple(rule.id for rule in SAN_RULES) == SAN_RULE_IDS, (
     "san registry out of sync with the rule classes"

@@ -3,9 +3,9 @@
 Two sides describe the same lifecycle and must agree:
 
 * the **static catalog** — every site tag literal at an instrumentation
-  call (``ledger.acquire(kind, identity, "tag", ...)`` /
-  ``ledger.release(kind, identity, "tag")`` / ``_san_discard(san,
-  event, "tag")``) found by scanning the source tree;
+  call (``ledger.acquire(kind, identity, "tag")`` /
+  ``ledger.release(kind, identity, "tag")``) found by scanning the
+  source tree;
 * the **dynamic sites** — the tags an actual sanitized run reported
   through :meth:`~repro.validate.sanitize.SanitizeReport.sites`.
 
@@ -14,10 +14,9 @@ find means an instrumentation call built its site string at runtime (so
 ``repro san`` cannot reason about it) or lives outside the analyzed
 tree. The reverse direction is informational — a static site a probe
 run never exercised is listed as *unexercised*, not failed, because no
-single scenario hits every discard path.
+single scenario hits every release path.
 
-``repro san --trace`` runs :func:`dynamic_site_probe` (a few
-milliseconds of simulated time through the event queue, a thrashed flow
+``repro san --trace`` runs :func:`dynamic_site_probe` (a thrashed flow
 table and a two-host cluster ring) and cross-checks it; the sanitizer
 test tier does the same against full golden scenarios.
 """
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
 #: Callee last-segments whose third positional argument is a site tag.
-_INSTRUMENTATION_CALLS = frozenset(("acquire", "release", "_san_discard"))
+_INSTRUMENTATION_CALLS = frozenset(("acquire", "release"))
 
 #: Argument index of the site tag in every instrumentation call.
 _SITE_ARG_INDEX = 2
@@ -101,33 +100,16 @@ def static_site_catalog(paths: Sequence[str] = ("src",)) -> Set[str]:
 def dynamic_site_probe() -> Set[str]:
     """A small sanitized workout that touches every object kind.
 
-    Exercises: scheduled + posted events, lazy cancellation discards and
-    compaction, flow-table insert / evict / invalidate churn, and the
+    Exercises flow-table insert / evict / invalidate churn and the
     cross-shard record path of a tiny cluster ring. Returns the site
     tags the ledger saw.
     """
     from repro.validate.sanitize import sanitizing
 
     with sanitizing() as ledger:
-        _probe_engine()
         _probe_flowtable()
         _probe_cluster()
         return ledger.report().sites()
-
-
-def _probe_engine() -> None:
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-    hits: List[int] = []
-    # Enough schedule/cancel churn to trip compaction: dead entries must
-    # outnumber live ones past COMPACT_MIN_EVENTS (strictly, hence 320).
-    events = [sim.schedule(10.0 + i * 0.01, hits.append, i) for i in range(600)]
-    for event in events[:320]:
-        sim.cancel(event)
-    sim.post(1.0, hits.append, -1)
-    sim.post_batch(2.0, hits.append, [(-2,), (-3,)])
-    sim.run()
 
 
 def _probe_flowtable() -> None:

@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     san = sub.add_parser(
         "san",
-        help="run the simsan ownership pass (event freelist linearity, "
-        "skb ownership transfer, flow-cache entry lifecycle)",
+        help="run the simsan ownership pass (skb ownership transfer, "
+        "flow-cache entry lifecycle)",
     )
     san.add_argument(
         "paths",
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="ID",
-        help="run only this rule id (repeatable, e.g. --rule OWN601)",
+        help="run only this rule id (repeatable, e.g. --rule OWN611)",
     )
     san.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"

@@ -70,7 +70,7 @@ class DynamicSplitController:
         if self._started:
             return
         self._started = True
-        self.machine.sim.post(self.sample_us, self._sample)
+        self.machine.sim.schedule(self.sample_us, self._sample)
 
     def _sample(self) -> None:
         load = self.machine.cpus[self.driver_cpu].load
@@ -88,7 +88,7 @@ class DynamicSplitController:
                     self._hot_samples = 0
             else:
                 self._hot_samples = 0
-        self.machine.sim.post(self.sample_us, self._sample)
+        self.machine.sim.schedule(self.sample_us, self._sample)
 
 
 def attach_dynamic_splitting(

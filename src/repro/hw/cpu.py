@@ -129,9 +129,7 @@ class Cpu:
         if self.monitor is not None:
             self.monitor.on_cpu_start(self.index, self.sim.now, duration)
         self.busy_us_total += duration
-        # Fire-and-forget: completions are never cancelled, so the event
-        # object is recycled through the simulator's freelist.
-        self.sim.post(duration, self._complete, fn, args)
+        self.sim.schedule(duration, self._complete, fn, args)
 
     def _complete(self, fn: Completion, args: tuple) -> None:
         self._running = None

@@ -81,7 +81,7 @@ class Link:
         the sender (FIFO), modelling the NIC's transmit serialization.
         """
         arrival = self.reserve(nbytes)
-        self.sim.post_at(arrival, deliver)
+        self.sim.schedule_at(arrival, deliver)
         return arrival
 
     @property

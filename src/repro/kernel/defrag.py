@@ -74,7 +74,7 @@ class DefragEngine:
     def _schedule_gc(self) -> None:
         if not self._gc_scheduled:
             self._gc_scheduled = True
-            self.sim.post(self.timeout_us, self._gc)
+            self.sim.schedule(self.timeout_us, self._gc)
 
     def _gc(self) -> None:
         self._gc_scheduled = False

@@ -80,7 +80,7 @@ class Socket:
         self._reader_busy = True
         # Waking an idle (blocked-in-recv) thread costs a context switch.
         wakeup = self.costs.app_wakeup_us
-        self.sim.post(wakeup, self._read_one)
+        self.sim.schedule(wakeup, self._read_one)
 
     def _read_one(self) -> None:
         if not self.rx_queue:

@@ -250,9 +250,9 @@ class SoftirqNet:
             delay = self.costs.ipi_delay_us + self._ipi_rng.random() * (
                 self.costs.ipi_jitter_us
             )
-            self.machine.sim.post(delay, self._kick, cpu_index)
+            self.machine.sim.schedule(delay, self._kick, cpu_index)
         else:
-            self.machine.sim.post(
+            self.machine.sim.schedule(
                 self.costs.softirq_entry_us, self._kick, cpu_index
             )
 

@@ -46,7 +46,7 @@ class LoadTracker:
         if self._started:
             return
         self._started = True
-        self.machine.sim.post(self.tick_us, self._tick)
+        self.machine.sim.schedule(self.tick_us, self._tick)
 
     def _tick(self) -> None:
         machine = self.machine
@@ -62,4 +62,4 @@ class LoadTracker:
             self._prev_busy[index] = busy
             cpu.load = alpha * instant + (1.0 - alpha) * cpu.load
         self.ticks += 1
-        machine.sim.post(self.tick_us, self._tick)
+        machine.sim.schedule(self.tick_us, self._tick)

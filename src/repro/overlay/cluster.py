@@ -488,8 +488,8 @@ class ClusterWorld:
         end = spec.end_us
         for h in self._hosts:
             world_host = self.by_index[h]
-            self.sim.post_at(spec.warmup_us, self._open_window, world_host)
-            self.sim.post_at(end, world_host.window.close)
+            self.sim.schedule_at(spec.warmup_us, self._open_window, world_host)
+            self.sim.schedule_at(end, world_host.window.close)
             for sender in world_host.senders.values():
                 sender.start(until_us=end)
         # Container churn runs on the churned host's shard; the sender
@@ -497,7 +497,7 @@ class ClusterWorld:
         # shard boundaries like any other record.
         for time_us, h in spec.churn:
             if h in self.by_index:
-                self.sim.post_at(time_us, self._churn, self.by_index[h])
+                self.sim.schedule_at(time_us, self._churn, self.by_index[h])
 
     def _churn(self, world_host: _ClusterHost) -> None:
         """The host's server container restarts (migration/FDB flush).
@@ -642,7 +642,9 @@ class ClusterWorld:
                         f"host {record.dst}"
                     )
                 skb = decode_skb(key, record.payload)
-                self.sim.post_at(record.time, world_host.host.stack.inject, skb)
+                self.sim.schedule_at(
+                    record.time, world_host.host.stack.inject, skb
+                )
             elif record.kind == RECORD_CREDIT:
                 flow_index = record.payload[0] if record.payload else None
                 sender = world_host.senders.get(flow_index)  # type: ignore[arg-type]
@@ -651,7 +653,7 @@ class ClusterWorld:
                         f"credit record for unknown TCP flow {flow_index!r} "
                         f"on host {record.dst}"
                     )
-                self.sim.post_at(record.time, sender.remote_credit)
+                self.sim.schedule_at(record.time, sender.remote_credit)
             elif record.kind == RECORD_INVAL:
                 flow_index = record.payload[0] if record.payload else None
                 sender = world_host.senders.get(flow_index)  # type: ignore[arg-type]
@@ -660,7 +662,7 @@ class ClusterWorld:
                         f"inval record for unknown flow {flow_index!r} on "
                         f"host {record.dst}"
                     )
-                self.sim.post_at(
+                self.sim.schedule_at(
                     record.time, self._sender_inval, world_host, sender.flow
                 )
             else:

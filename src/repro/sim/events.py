@@ -1,6 +1,6 @@
-"""The scheduled-callback record shared by the engine and its schedulers.
+"""The scheduled-callback record shared by the engine and its queue.
 
-Split out of :mod:`repro.sim.engine` so scheduler implementations
+Split out of :mod:`repro.sim.engine` so the queue
 (:mod:`repro.sim.scheduler`) can type against :class:`Event` without a
 circular import.
 """
@@ -17,15 +17,12 @@ class Event:
     and can be passed to :meth:`~repro.sim.engine.Simulator.cancel`. They
     order by ``(time, seq)`` which is what the scheduler requires.
 
-    Two bookkeeping flags support the engine's hot path and are not part
-    of the public surface: ``queued`` tracks whether the event currently
-    sits in a scheduler (so cancel-after-fire cannot corrupt compaction
-    accounting), and ``reusable`` marks events created through the
-    no-handle ``post*`` APIs, which the engine may recycle through its
-    freelist once they have run.
+    The ``queued`` flag is engine bookkeeping, not part of the public
+    surface: it tracks whether the event currently sits in the scheduler
+    (so cancel-after-fire cannot corrupt compaction accounting).
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "queued", "reusable")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "queued")
 
     def __init__(
         self, time: float, seq: int, fn: Callable[..., Any], args: Tuple[Any, ...]
@@ -36,7 +33,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.queued = False
-        self.reusable = False
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:

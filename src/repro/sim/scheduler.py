@@ -18,7 +18,7 @@ identity, so identical schedule/cancel sequences pop in identical order
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Iterable, List, Optional
+from typing import List, Optional
 
 from repro.sim.events import Event
 
@@ -31,17 +31,6 @@ COMPACT_MIN_EVENTS = 256
 COMPACT_LIVE_FRACTION = 0.5
 
 
-def _san_discard(san: Any, event: Event, site: str) -> None:
-    """Tell the ownership ledger a cancelled entry was lazily discarded.
-
-    The discard paths are release points in the event lifecycle — the
-    queue drops its (last) reference here. ``san`` is None unless the
-    simulator that owns this queue runs under REPRO_SANITIZE=1.
-    """
-    if san is not None:
-        san.release("event", id(event), site)
-
-
 class HeapScheduler:
     """Binary-heap event queue.
 
@@ -49,12 +38,11 @@ class HeapScheduler:
     while still counting them in ``len()`` until they are discarded.
     """
 
-    __slots__ = ("_heap", "_cancelled", "_san")
+    __slots__ = ("_heap", "_cancelled")
 
-    def __init__(self, san: Any = None) -> None:
+    def __init__(self) -> None:
         self._heap: List[Event] = []
         self._cancelled = 0
-        self._san = san
 
     # -- insertion -----------------------------------------------------
     def push(self, event: Event) -> None:
@@ -62,32 +50,16 @@ class HeapScheduler:
         event.queued = True
         heappush(self._heap, event)
 
-    def push_many(self, events: Iterable[Event]) -> None:
-        """Bulk-insert events (batch scheduling for NAPI poll storms)."""
-        batch = list(events)
-        heap = self._heap
-        if 4 * len(batch) >= len(heap):
-            # Bulk path: one O(n + k) heapify beats k O(log n) sifts.
-            for event in batch:
-                event.queued = True
-            heap.extend(batch)
-            heapify(heap)
-        else:
-            for event in batch:
-                self.push(event)
-
     # -- removal -------------------------------------------------------
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None when drained."""
         heap = self._heap
         while heap:
             event = heappop(heap)
-            if event.cancelled:
-                event.queued = False
-                self._cancelled -= 1
-                _san_discard(self._san, event, "heap.discard")
-                continue
             event.queued = False
+            if event.cancelled:
+                self._cancelled -= 1
+                continue
             return event
         return None
 
@@ -100,7 +72,6 @@ class HeapScheduler:
                 heappop(heap)
                 event.queued = False
                 self._cancelled -= 1
-                _san_discard(self._san, event, "heap.discard")
                 continue
             return event
         return None
@@ -116,12 +87,14 @@ class HeapScheduler:
             self._compact()
 
     def _compact(self) -> None:
+        live = []
         for event in self._heap:
             if event.cancelled:
                 event.queued = False
-                _san_discard(self._san, event, "heap.compact")
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapify(self._heap)
+            else:
+                live.append(event)
+        heapify(live)
+        self._heap = live
         self._cancelled = 0
 
     def __len__(self) -> int:

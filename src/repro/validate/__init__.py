@@ -39,7 +39,6 @@ from repro.validate.harness import (
 )
 from repro.validate.sanitize import (
     SANITIZE_ENV_VAR,
-    LeakRecord,
     OwnershipLedger,
     SanitizeReport,
     current_ledger,
@@ -64,7 +63,6 @@ __all__ = [
     "GOLDEN_SCENARIOS",
     "InvariantMonitor",
     "InvariantViolation",
-    "LeakRecord",
     "OwnershipLedger",
     "SANITIZE_ENV_VAR",
     "SanitizeReport",

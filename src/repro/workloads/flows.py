@@ -107,7 +107,7 @@ class BaseSender:
         payloads = self._fragment_payloads()
         tx_done = max(self.sim.now, self._tx_free) + self._tx_cost_us(len(payloads))
         self._tx_free = tx_done
-        self.sim.post_at(tx_done, self._push_message, t_send, payloads, on_pushed)
+        self.sim.schedule_at(tx_done, self._push_message, t_send, payloads, on_pushed)
         return tx_done
 
     def _push_message(
@@ -202,7 +202,7 @@ class UdpSender(BaseSender):
             # Paced mode: arrivals follow the process; bursts queue at
             # the (work-conserving) sender and drain at its line rate.
             next_at = self.sim.now + gap
-        self.sim.post_at(next_at, self._tick)
+        self.sim.schedule_at(next_at, self._tick)
 
     def _next_gap(self) -> float:
         process = self.process

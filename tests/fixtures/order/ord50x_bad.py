@@ -16,13 +16,13 @@ class ShardClock:
 
     def skewed_tick(self, sim):
         skew = self.shard_index * 0.25
-        sim.post_at(sim.now + skew, self.on_tick)  # expect: ORD501
+        sim.schedule_at(sim.now + skew, self.on_tick)  # expect: ORD501
 
     def reseed(self, rng):
         rng.seed(os.getpid())  # expect: ORD502
 
     def tag_payload(self, sim, time_us, payload):
-        sim.post_at(time_us, self.deliver, (payload, self.worker_id))  # expect: ORD503
+        sim.schedule_at(time_us, self.deliver, (payload, self.worker_id))  # expect: ORD503
 
     def emit(self, time_us, kind, dst):
         return CrossShardEvent(time_us, self.shard_index, 0, kind, dst, ())  # expect: ORD503

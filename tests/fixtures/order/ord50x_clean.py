@@ -12,10 +12,10 @@ class InvariantClock:
         self.shard_index = shard_index  # routing identity, never leaked
 
     def tick(self, sim, period_us):
-        sim.post_at(sim.now + period_us, self.on_tick)
+        sim.schedule_at(sim.now + period_us, self.on_tick)
 
     def tag_message(self, sim, time_us, payload, msg_id):
-        sim.post_at(time_us, self.deliver, (payload, msg_id))
+        sim.schedule_at(time_us, self.deliver, (payload, msg_id))
 
 
 def make_invariant_host(spec, index, factory):

@@ -20,7 +20,7 @@ class LeakyOutbox:
 
 
 def poke_other_shard(other, fn):
-    other._program.sim.post_at(0.0, fn)  # expect: ORD512
+    other._program.sim.schedule_at(0.0, fn)  # expect: ORD512
 
 
 def forge_record(time_us, src, seq, kind, dst, payload):

@@ -4,11 +4,11 @@ Each test runs one program on two schedulers — the heap behind
 :class:`Simulator` and :class:`ReferenceQueue` — and requires identical
 outcomes. The model is the plainest possible queue: a list of the live
 ``(time, seq, fn, args)`` entries kept sorted, where ``cancel`` removes
-an entry and events posted by a firing callback (spawned children) are
-inserted when their parent fires. :class:`Simulator` must produce the
-same fire order, clocks and ``events_processed`` for any
-schedule/post/batch/cancel/run program — hypothesis-generated op lists
-and a seeded self-sustaining churn. The compaction thresholds are
+an entry and events scheduled by a firing callback (spawned children)
+are inserted when their parent fires. :class:`Simulator` must produce
+the same fire order, clocks and ``events_processed`` for any
+schedule/schedule_at/batch/cancel/run program — hypothesis-generated op
+lists and a seeded self-sustaining churn. The compaction thresholds are
 lowered so that lazy-cancel compaction runs inside these programs.
 """
 
@@ -26,11 +26,12 @@ from repro.sim.engine import Simulator
 _DELAY = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 _OP = st.one_of(
+    # schedule keeps its handle for later cancels; forget drops it.
     st.tuples(st.just("schedule"), _DELAY),
-    st.tuples(st.just("post"), _DELAY),
-    st.tuples(st.just("post_at"), _DELAY),
-    # spawn: an event that, when fired, posts a child — exercises pushes
-    # after the clock has advanced.
+    st.tuples(st.just("forget"), _DELAY),
+    st.tuples(st.just("schedule_at"), _DELAY),
+    # spawn: an event that, when fired, schedules a child — exercises
+    # pushes after the clock has advanced.
     st.tuples(st.just("spawn"), _DELAY, st.floats(0.0, 50.0, allow_nan=False)),
     st.tuples(st.just("batch"), _DELAY, st.integers(1, 8)),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
@@ -55,15 +56,8 @@ class ReferenceQueue:
     def schedule(self, delay, fn, *args):
         return self._add(self.now + delay, fn, args)
 
-    def post(self, delay, fn, *args):
-        self._add(self.now + delay, fn, args)
-
-    def post_at(self, time, fn, *args):
-        self._add(time, fn, args)
-
-    def post_batch(self, delay, fn, args_list):
-        for args in args_list:
-            self._add(self.now + delay, fn, args)
+    def schedule_at(self, time, fn, *args):
+        return self._add(time, fn, args)
 
     def cancel(self, key):
         index = bisect.bisect_left(self._entries, key)
@@ -110,20 +104,21 @@ def _run_program(sim, ops):
 
     def spawn(tag, child_delay):
         trace.append((sim.now, tag))
-        sim.post(child_delay, fire, ("child", tag))
+        sim.schedule(child_delay, fire, ("child", tag))
 
     for tag, op in enumerate(ops):
         kind = op[0]
         if kind == "schedule":
             handles.append(sim.schedule(op[1], fire, tag))
-        elif kind == "post":
-            sim.post(op[1], fire, tag)
-        elif kind == "post_at":
-            sim.post_at(op[1], fire, tag)
+        elif kind == "forget":
+            sim.schedule(op[1], fire, tag)
+        elif kind == "schedule_at":
+            sim.schedule_at(op[1], fire, tag)
         elif kind == "spawn":
-            sim.post(op[1], spawn, tag, op[2])
+            sim.schedule(op[1], spawn, tag, op[2])
         elif kind == "batch":
-            sim.post_batch(op[1], fire, [((tag, i),) for i in range(op[2])])
+            for i in range(op[2]):
+                sim.schedule(op[1], fire, (tag, i))
         elif kind == "cancel" and handles:
             sim.cancel(handles[op[1] % len(handles)])
     sim.run()
@@ -145,7 +140,7 @@ def test_run_until_agrees_across_schedulers(delays, bound):
     for sim in (Simulator(), ReferenceQueue()):
         fired = []
         for tag, delay in enumerate(delays):
-            sim.post(delay, lambda s=sim, t=tag: fired.append((s.now, t)))
+            sim.schedule(delay, lambda s=sim, t=tag: fired.append((s.now, t)))
         sim.run(until=bound)
         mid = (list(fired), sim.now, sim.pending())
         sim.run()
@@ -169,14 +164,14 @@ def _churn(sim, seed):
             return
         remaining -= 1
         delay = rng.random() * 4.0 if rng.random() < 0.9 else 400.0 + rng.random() * 600.0
-        sim.post(delay, tick)
+        sim.schedule(delay, tick)
         if rng.random() < 0.5:
             handle = sim.schedule(rng.random() * 50.0, fire, remaining)
             if rng.random() < 0.8:
                 sim.cancel(handle)
 
     for _ in range(16):
-        sim.post(rng.random(), tick)
+        sim.schedule(rng.random(), tick)
     sim.run()
     return trace, sim.now, sim.events_processed
 

@@ -97,7 +97,7 @@ class PingProgram:
             # Per-host seed derivation (the cluster's idiom): a host's
             # randomness must not depend on which shard builds it.
             rng = random.Random(seed * 1_000_003 + host)
-            self._sim.post_at(
+            self._sim.schedule_at(
                 rng.random() * period, self._tick, host, peer, period
             )
 
@@ -109,7 +109,7 @@ class PingProgram:
                 self._sim.now + self.LATENCY, host, seq, "ping", peer, ()
             )
         )
-        self._sim.post_at(self._sim.now + period, self._tick, host, peer, period)
+        self._sim.schedule_at(self._sim.now + period, self._tick, host, peer, period)
 
     # -- ShardProgram ---------------------------------------------------
     def next_time(self):
@@ -129,7 +129,7 @@ class PingProgram:
 
     def inject(self, records):
         for record in records:
-            self._sim.post_at(
+            self._sim.schedule_at(
                 record.time,
                 self.delivered.append,
                 (record.time, record.src, record.seq, record.dst),

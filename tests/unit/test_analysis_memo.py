@@ -18,7 +18,6 @@ from repro.analysis.order.rules_causality import causality_findings
 from repro.analysis.order.rules_flowcache import flowcache_findings
 from repro.analysis.order.rules_partition import partition_findings
 from repro.analysis.san.rules_cache import cache_findings
-from repro.analysis.san.rules_event import event_findings
 from repro.analysis.san.rules_skbown import skbown_findings
 
 
@@ -31,7 +30,6 @@ from repro.analysis.san.rules_skbown import skbown_findings
         flowcache_findings,
         partition_findings,
         cache_findings,
-        event_findings,
         skbown_findings,
     ],
 )

@@ -36,7 +36,7 @@ def test_context_accepts_existing_components():
 def test_two_contexts_are_isolated():
     a = SimContext(seed=1, name="a")
     b = SimContext(seed=1, name="b")
-    a.sim.post(10.0, lambda: None)
+    a.sim.schedule(10.0, lambda: None)
     a.sim.run()
     assert a.sim.now == 10.0
     assert b.sim.now == 0.0
@@ -69,7 +69,7 @@ def test_monitor_reaches_event_loop():
     ctx = SimContext()
     monitor = _Monitor()
     ctx.attach_monitor(monitor)
-    ctx.sim.post(5.0, lambda: None)
+    ctx.sim.schedule(5.0, lambda: None)
     ctx.sim.run()
     assert monitor.events == [(0.0, 5.0)]
 

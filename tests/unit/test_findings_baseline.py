@@ -136,10 +136,10 @@ class TestCheckedInBaselinesMatchReality:
         assert errors == [], "\n".join(errors)
 
     def test_san_baseline_is_empty(self):
-        # simsan's acceptance bar: the engine's freelist, the wire codec
-        # and the flowcache satisfy every OWN rule with no pragmas at
-        # all — ownership discipline holds in-tree, not modulo a list
-        # of grandfathered leaks.
+        # simsan's acceptance bar: the wire codec, GRO and the
+        # flowcache satisfy every OWN rule with no pragmas at all —
+        # ownership discipline holds in-tree, not modulo a list of
+        # grandfathered violations.
         assert load_baseline_file(str(SAN_BASELINE)) == {}
 
 

@@ -130,20 +130,20 @@ class TestTransitionIndirection:
 
 
 class TestDispatchArguments:
-    """Batch-dispatched callbacks are call-graph edges: the reachability
-    walk follows the *arguments* of post/post_at/post_batch/push_many
-    etc., so a handler handed to the scheduler is traced into per-CPU
-    structures exactly like a direct call."""
+    """Dispatched callbacks are call-graph edges: the reachability walk
+    follows the *arguments* of schedule/schedule_at/submit/submit_multi,
+    so a handler handed to the scheduler or a core is traced into
+    per-CPU structures exactly like a direct call."""
 
-    def test_post_batch_callback_is_reached(self, tmp_path):
+    def test_schedule_callback_is_reached(self, tmp_path):
         path = write(
             tmp_path,
-            "batched.py",
+            "scheduled.py",
             PERCPU_OWNER
             + "\n"
             "class Router:\n"
             "    def route(self, skb, cpu, sim, mesh):\n"
-            "        sim.post_batch(0.0, self._drain, skb, cpu, mesh)\n"
+            "        sim.schedule(0.0, self._drain, skb, cpu, mesh)\n"
             "\n"
             "    def _drain(self, skb, src_cpu, dst_cpu, mesh):\n"
             "        mesh.data[dst_cpu].append(skb)\n",
@@ -152,15 +152,15 @@ class TestDispatchArguments:
         assert len(race) == 1
         assert "_drain" in race[0].message
 
-    def test_push_many_callback_is_reached(self, tmp_path):
+    def test_submit_callback_is_reached(self, tmp_path):
         path = write(
             tmp_path,
-            "pushed.py",
+            "submitted.py",
             PERCPU_OWNER
             + "\n"
             "class Router:\n"
-            "    def route(self, skb, cpu, queue, mesh):\n"
-            "        queue.push_many(self._spill, skb, cpu, mesh)\n"
+            "    def route(self, skb, cpu, core, mesh):\n"
+            "        core.submit('softirq', 'spill', 1.0, self._spill, skb, cpu, mesh)\n"
             "\n"
             "    def _spill(self, skb, src_cpu, dst_cpu, mesh):\n"
             "        mesh.data[dst_cpu].append(skb)\n",

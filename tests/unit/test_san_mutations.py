@@ -5,8 +5,6 @@ analyzer does that too) — it is that seeding each canonical ownership
 bug into a *copy of the real module* yields exactly the expected OWN
 finding at the expected line:
 
-* the engine's post path releasing its pooled event twice → OWN601;
-* the same path dropping the event instead of queueing it → OWN603;
 * GRO holding a fragment *and* forwarding it (store-AND-forward in
   place of the legal store-XOR-forward) → OWN612;
 * decode_skb serving a cached object instead of constructing fresh
@@ -24,7 +22,6 @@ from repro.analysis.lint.report import render_text
 from repro.analysis.san import san_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-ENGINE = REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
 GRO = REPO_ROOT / "src" / "repro" / "kernel" / "gro.py"
 CLUSTER = REPO_ROOT / "src" / "repro" / "overlay" / "cluster.py"
 FLOWCACHE = REPO_ROOT / "src" / "repro" / "kernel" / "flowcache.py"
@@ -54,7 +51,7 @@ class TestCleanCopies:
     """The unmutated modules are clean even out-of-tree (module=None)."""
 
     def test_copies_are_clean(self, tmp_path):
-        for source in (ENGINE, GRO, CLUSTER, FLOWCACHE):
+        for source in (GRO, CLUSTER, FLOWCACHE):
             copy = tmp_path / source.name
             copy.write_text(source.read_text())
             result = san_paths([str(copy)])
@@ -62,32 +59,6 @@ class TestCleanCopies:
 
 
 class TestPlantedDefects:
-    def test_double_recycle_in_post_yields_own601(self, tmp_path):
-        copy = mutate(
-            tmp_path,
-            ENGINE,
-            "        self._scheduler.push("
-            "self._acquire(self.now + delay, fn, args))",
-            "        event = self._acquire(self.now + delay, fn, args)\n"
-            "        self._recycle(event)\n"
-            "        self._recycle(event)",
-        )
-        expected_line = line_of(copy, "self._recycle(event)") + 1
-        assert findings_for(copy) == [(expected_line, "OWN601")]
-
-    def test_dropped_event_in_post_yields_own603(self, tmp_path):
-        copy = mutate(
-            tmp_path,
-            ENGINE,
-            "        self._scheduler.push("
-            "self._acquire(self.now + delay, fn, args))",
-            "        event = self._acquire(self.now + delay, fn, args)",
-        )
-        expected_line = line_of(
-            copy, "event = self._acquire(self.now + delay, fn, args)"
-        )
-        assert findings_for(copy) == [(expected_line, "OWN603")]
-
     def test_gro_store_and_forward_yields_own612(self, tmp_path):
         # feed's legal shape holds the fragment XOR returns it; keep the
         # held reference and forward the skb anyway and the container

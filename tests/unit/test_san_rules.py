@@ -4,7 +4,7 @@ Mirrors the simlint/simflow/simorder fixture discipline: every seeded
 violation in ``tests/fixtures/san/`` carries a trailing ``# expect:
 RULE`` marker and the tests demand exact (file, line, rule) agreement —
 no extra findings, none missing. The clean twins (which deliberately
-mirror the real engine/GRO/FlowTable idioms) and the whole in-tree
+mirror the real GRO/wire-codec/FlowTable idioms) and the whole in-tree
 source must produce zero findings, which is the pass's false-positive
 budget.
 """
@@ -82,9 +82,8 @@ class TestFixtureCorpus:
 class TestSourceTreeIsClean:
     """Zero in-tree findings is the false-positive budget of the pass.
 
-    This is also the PR's acceptance bar: the engine's freelist, the
-    shard wire codec and the flowcache satisfy every OWN rule with an
-    **empty** baseline — no pragmas, no suppressions (see
+    The shard wire codec, GRO and the flowcache satisfy every OWN rule
+    with an **empty** baseline — no pragmas, no suppressions (see
     test_findings_baseline.py).
     """
 
@@ -106,11 +105,11 @@ class TestRuleCatalogue:
         assert san_rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
-        result, actual = actual_findings([FIXTURES], rule_ids=["OWN601"])
+        result, actual = actual_findings([FIXTURES], rule_ids=["OWN622"])
         rules = {rule for _, _, rule in actual}
-        assert rules <= {"OWN601", "LINT000", "LINT001"}
-        assert ("own60x_bad.py", 14, "OWN601") in actual
-        assert not any(rule == "OWN603" for _, _, rule in actual)
+        assert rules <= {"OWN622", "LINT000", "LINT001"}
+        assert ("own62x_bad.py", 27, "OWN622") in actual
+        assert not any(rule == "OWN621" for _, _, rule in actual)
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
@@ -118,48 +117,21 @@ class TestRuleCatalogue:
 
 
 class TestOwnershipSemantics:
-    """The path-sensitivity the corpus README calls out, plus the
-    must-discipline: one-path releases never flag, one-path leaks do."""
+    """The path-sensitivity the corpus README calls out: a release on
+    each of two disjoint paths is not a double release, and retention is
+    tracked per path rather than per function."""
 
     def test_branch_release_is_not_double(self, tmp_path):
         copy = tmp_path / "branch_release.py"
         copy.write_text(
-            "def reap(self, flag):\n"
-            "    ev = self._freelist.pop()\n"
-            "    if flag:\n"
-            "        self._recycle(ev)\n"
+            "def teardown(self, table, key, local):\n"
+            "    if local:\n"
+            "        table.invalidate(key)\n"
             "    else:\n"
-            "        self._recycle(ev)\n"
+            "        table.invalidate(key)\n"
         )
         result, _ = actual_findings([copy])
         assert result.ok, render_text(result)
-
-    def test_release_after_either_arm_is_double(self, tmp_path):
-        copy = tmp_path / "joined_double.py"
-        copy.write_text(
-            "def reap(self, flag):\n"
-            "    ev = self._freelist.pop()\n"
-            "    if flag:\n"
-            "        self._recycle(ev)\n"
-            "    else:\n"
-            "        self._recycle(ev)\n"
-            "    self._recycle(ev)\n"
-        )
-        _, actual = actual_findings([copy])
-        assert ("joined_double.py", 7, "OWN601") in actual
-
-    def test_leak_is_existential(self, tmp_path):
-        # Queued on one path only: the other path leaks, and that is
-        # enough — the leak rule does not wait for all paths to drop it.
-        copy = tmp_path / "one_path_leak.py"
-        copy.write_text(
-            "def post_if(self, armed):\n"
-            "    ev = self._freelist.pop()\n"
-            "    if armed:\n"
-            "        self._scheduler.push(ev)\n"
-        )
-        _, actual = actual_findings([copy])
-        assert ("one_path_leak.py", 2, "OWN603") in actual
 
     def test_store_xor_forward_stays_silent(self, tmp_path):
         # GRO's shape: held on one path, returned on the disjoint other.
@@ -189,18 +161,18 @@ class TestPragmaSuppression:
     """Ownership findings honour the shared simlint pragma machinery."""
 
     def test_disable_pragma_suppresses_san_finding(self, tmp_path):
-        src = (FIXTURES / "own60x_bad.py").read_text()
+        src = (FIXTURES / "own62x_bad.py").read_text()
         patched = src.replace(
-            "self._recycle(ev)  # expect: OWN601",
-            "self._recycle(ev)  # simlint: disable=OWN601",
+            "table.invalidate(key)  # expect: OWN622",
+            "table.invalidate(key)  # simlint: disable=OWN622",
         )
         assert patched != src
         copy = tmp_path / "suppressed.py"
         copy.write_text(patched)
         result, actual = actual_findings([copy])
-        assert ("suppressed.py", 14, "OWN601") not in actual
-        assert [f.rule for f in result.suppressed] == ["OWN601"]
-        assert result.suppressed[0].line == 14
+        assert ("suppressed.py", 27, "OWN622") not in actual
+        assert [f.rule for f in result.suppressed] == ["OWN622"]
+        assert result.suppressed[0].line == 27
 
     def test_san_ids_are_known_to_lint_meta_rules(self, tmp_path):
         from repro.analysis.lint import lint_paths
@@ -219,29 +191,22 @@ class TestStaticDynamicCrossCheck:
     def test_probe_exercises_known_sites_only(self):
         check = san_cross_check()
         assert check.ok, "\n".join(check.render())
-        assert len(check.static_sites) >= 12
-        # The probe covers every kind; the lazy-cancel discards are the
-        # easy ones to lose, so pin a few by name.
-        for site in (
-            "engine.post",
-            "engine.fired",
-            "heap.compact",
-            "heap.discard",
-            "flowtable.evict",
-            "world.inject",
-        ):
+        assert len(check.static_sites) >= 7
+        # The probe covers both kinds and every release path.
+        assert check.unexercised == [], check.unexercised
+        for site in ("flowtable.evict", "outbox.emit", "world.inject"):
             assert site in check.dynamic_sites, site
 
     def test_unknown_dynamic_site_fails(self):
-        check = san_cross_check(dynamic_sites=["engine.post", "bogus.site"])
+        check = san_cross_check(dynamic_sites=["outbox.emit", "bogus.site"])
         assert not check.ok
         assert check.unknown == ["bogus.site"]
         assert any("bogus.site" in line for line in check.render())
 
     def test_unexercised_is_informational(self):
-        check = san_cross_check(dynamic_sites=["engine.post"])
+        check = san_cross_check(dynamic_sites=["outbox.emit"])
         assert check.ok
-        assert "heap.discard" in check.unexercised
+        assert "world.inject" in check.unexercised
 
 
 class TestUnifiedCheck:
@@ -274,7 +239,7 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts_by_rule"]["OWN603"] == 3
+        assert payload["counts_by_rule"]["OWN621"] == 2
         assert payload["counts_by_rule"]["OWN611"] == 4
 
     def test_unknown_rule_exits_two(self, capsys):

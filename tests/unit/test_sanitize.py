@@ -3,10 +3,9 @@
 Three layers, mirroring the module's contract:
 
 * ledger semantics — acquire/release bookkeeping, double-acquire and
-  untracked-release errors, leak-vs-pending classification;
-* instrumentation — the engine, event queue, flow table and cluster
-  record path acquire and release at the sanctioned sites, including
-  the lazy-cancellation discards and the raising-callback path;
+  untracked-release errors, pending residue;
+* instrumentation — the flow table and the cluster record path acquire
+  and release at the sanctioned sites;
 * non-interference — a sanitized golden run produces **byte-identical**
   trace documents (the ledger never schedules, never reads the clock),
   and every site it reports is in the static catalog ``repro san``
@@ -20,7 +19,6 @@ import pytest
 from repro.analysis.san.sancheck import san_cross_check
 from repro.kernel.flowcache import FlowTable
 from repro.overlay.cluster import run_cluster, udp_ring_spec
-from repro.sim.engine import Simulator
 from repro.validate.golden import (
     CLUSTER_GOLDEN_SCENARIOS,
     GOLDEN_SCENARIOS,
@@ -41,57 +39,41 @@ from repro.validate.sanitize import (
 class TestLedgerSemantics:
     def test_acquire_release_balances(self):
         ledger = OwnershipLedger()
-        ledger.acquire("event", 1, "engine.post")
-        assert ledger.live_count("event") == 1
-        ledger.release("event", 1, "engine.fired")
+        ledger.acquire("record", (0, 0), "outbox.emit")
+        assert ledger.live_count("record") == 1
+        ledger.release("record", (0, 0), "world.inject")
         assert ledger.live_count() == 0
         report = ledger.report()
         assert report.ok
-        assert report.acquired == {"engine.post": 1}
-        assert report.released == {"engine.fired": 1}
-        assert report.sites() == {"engine.post", "engine.fired"}
+        assert report.acquired == {"outbox.emit": 1}
+        assert report.released == {"world.inject": 1}
+        assert report.sites() == {"outbox.emit", "world.inject"}
 
     def test_double_acquire_is_an_error(self):
         ledger = OwnershipLedger()
-        ledger.acquire("event", 1, "engine.post")
-        ledger.acquire("event", 1, "engine.schedule")
+        ledger.acquire("flow_entry", (1, (2, 3)), "flowtable.insert")
+        ledger.acquire("flow_entry", (1, (2, 3)), "other.insert")
         report = ledger.report()
         assert not report.ok
         assert len(report.errors) == 1
         assert "two owners" in report.errors[0]
-        assert "engine.post" in report.errors[0]
+        assert "flowtable.insert" in report.errors[0]
 
     def test_untracked_release_is_an_error(self):
         ledger = OwnershipLedger()
-        ledger.release("event", 99, "heap.discard")
+        ledger.release("record", (0, 99), "world.inject")
         report = ledger.report()
         assert not report.ok
         assert "untracked" in report.errors[0]
 
-    def test_unqueued_live_event_is_a_leak(self):
-        class FakeEvent:
-            queued = False
-
+    def test_live_entries_and_records_are_pending(self):
         ledger = OwnershipLedger()
-        ledger.acquire("event", 1, "engine.post", FakeEvent())
-        report = ledger.report()
-        assert not report.ok
-        assert [
-            (leak.kind, leak.site, leak.count) for leak in report.leaks
-        ] == [("event", "engine.post", 1)]
-        assert "leaked" in report.leaks[0].render()
-
-    def test_queued_events_and_entries_are_pending(self):
-        class FakeEvent:
-            queued = True
-
-        ledger = OwnershipLedger()
-        ledger.acquire("event", 1, "engine.schedule", FakeEvent())
         ledger.acquire("flow_entry", (1, (2, 3)), "flowtable.insert")
         ledger.acquire("record", (0, 0), "outbox.emit")
         report = ledger.report()
         assert report.ok
-        assert report.pending == {"event": 1, "flow_entry": 1, "record": 1}
+        assert report.pending == {"flow_entry": 1, "record": 1}
+        assert "2 pending" in report.render()[0]
 
 
 class TestEnvPlumbing:
@@ -100,7 +82,6 @@ class TestEnvPlumbing:
         reset_ledger()
         assert not sanitize_enabled()
         assert current_ledger() is None
-        assert Simulator()._san is None
         assert FlowTable(capacity=4)._san is None
         assert sanitize_outcome() is None
 
@@ -116,69 +97,6 @@ class TestEnvPlumbing:
             assert current_ledger() is ledger
         assert not sanitize_enabled()
         assert current_ledger() is None
-
-
-class TestEngineInstrumentation:
-    def test_fired_events_balance(self):
-        with sanitizing() as ledger:
-            sim = Simulator()
-            hits = []
-            sim.post(1.0, hits.append, 1)
-            sim.schedule(2.0, hits.append, 2)
-            sim.run()
-            report = ledger.report()
-        assert hits == [1, 2]
-        assert report.ok, report.render()
-        assert report.acquired == {"engine.post": 1, "engine.schedule": 1}
-        assert report.released == {"engine.fired": 2}
-
-    def test_stolen_event_is_reported_as_leak(self):
-        # Popping the queue by hand bypasses the engine's fire path:
-        # nothing will ever release the event — the exact bug shape the
-        # sanitizer exists to localize, tagged with its acquire site.
-        with sanitizing() as ledger:
-            sim = Simulator()
-            sim.post(1.0, lambda: None)
-            sim.scheduler.pop()
-            report = ledger.report()
-        assert not report.ok
-        assert [
-            (leak.kind, leak.site, leak.count) for leak in report.leaks
-        ] == [("event", "engine.post", 1)]
-
-    def test_raising_callback_still_releases(self):
-        # The fire path releases and recycles in a finally block: a
-        # callback that raises must not leak its pooled event.
-        def boom():
-            raise RuntimeError("callback exploded")
-
-        with sanitizing() as ledger:
-            sim = Simulator()
-            sim.post(1.0, boom)
-            with pytest.raises(RuntimeError, match="callback exploded"):
-                sim.run()
-            assert len(sim._freelist) == 1
-            report = ledger.report()
-        assert report.ok, report.render()
-        assert report.released == {"engine.fired": 1}
-
-    def test_cancelled_event_released_at_discard(self):
-        with sanitizing() as ledger:
-            sim = Simulator()
-            keep = []
-            victim = sim.schedule(1.0, keep.append, "gone")
-            sim.schedule(2.0, keep.append, "kept")
-            sim.cancel(victim)
-            sim.run()
-            report = ledger.report()
-        assert keep == ["kept"]
-        assert report.ok, report.render()
-        discards = {
-            site: count
-            for site, count in report.released.items()
-            if site != "engine.fired"
-        }
-        assert discards == {"heap.discard": 1}
 
 
 class TestFlowTableInstrumentation:
@@ -275,7 +193,7 @@ class TestGoldenByteIdentity:
             report = ledger.report()
         assert sanitized == plain
         assert report.ok, report.render()
-        # The churn scenario exercises all three object kinds.
+        # The churn scenario exercises both object kinds.
         assert report.acquired.get("flowtable.insert", 0) > 0
         assert report.acquired.get("outbox.emit", 0) > 0
 
@@ -291,24 +209,22 @@ class TestGoldenByteIdentity:
 class TestHarnessOutcome:
     def test_outcome_row_when_sanitizing(self):
         with sanitizing():
-            sim = Simulator()
-            sim.post(1.0, lambda: None)
-            sim.run()
+            table = FlowTable(capacity=4)
+            table.insert((1, 2, 17, 1000, 2000))
+            table.invalidate_all()
             outcome = sanitize_outcome()
         assert outcome is not None
         assert outcome.suite == "sanitize"
         assert outcome.ok
         assert any("balanced" in line for line in outcome.details)
 
-    def test_outcome_reports_leak(self):
-        with sanitizing():
-            sim = Simulator()
-            sim.post(1.0, lambda: None)
-            sim.scheduler.pop()
+    def test_outcome_reports_errors(self):
+        with sanitizing() as ledger:
+            ledger.release("record", (0, 0), "world.inject")
             outcome = sanitize_outcome()
         assert outcome is not None
         assert not outcome.ok
-        assert any("leaked" in line for line in outcome.details)
+        assert any("untracked" in line for line in outcome.details)
 
     def test_no_row_when_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)

@@ -2,11 +2,8 @@
 
 Covers :class:`HeapScheduler` directly (ordering, lazy-cancellation
 discard, compaction) and the engine-level behaviours that ride on it:
-lazy-pop ``peek_time``, the cancellation-leak fix and freelist recycling
-of ``post*`` events.
+lazy-pop ``peek_time`` and the cancellation-leak fix.
 """
-
-import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -50,17 +47,6 @@ def test_peek_returns_next_live_without_removing():
     assert sched.peek() is second
     assert sched.pop() is second
     assert sched.peek() is None
-
-
-def test_push_many_preserves_seq_order_on_ties():
-    sched = HeapScheduler()
-    batch = [_event(3.0, seq) for seq in range(16)]
-    sched.push_many(batch)
-    sched.push(_event(1.0, 99))
-    popped = []
-    while len(sched):
-        popped.append(sched.pop().seq)
-    assert popped == [99] + list(range(16))
 
 
 # ----------------------------------------------------------------------
@@ -145,48 +131,3 @@ def test_peek_time_many_cancelled():
     for handle in handles[:99]:
         sim.cancel(handle)
     assert sim.peek_time() == 99.0
-
-
-# ----------------------------------------------------------------------
-# Freelist recycling of post* events
-# ----------------------------------------------------------------------
-def test_post_events_are_recycled():
-    sim = Simulator()
-    for _ in range(10):
-        sim.post(1.0, lambda: None)
-    sim.run()
-    recycled = list(sim._freelist)
-    assert len(recycled) == 10
-    # The same objects are reused for subsequent posts...
-    sim.post(1.0, lambda: None)
-    assert sim._freelist == recycled[:-1]
-    # ...and schedule() handles are never recycled (they can escape).
-    handle = sim.schedule(1.0, lambda: None)
-    assert not handle.reusable
-    sim.run()
-    assert handle not in sim._freelist
-
-
-def test_post_batch_runs_in_args_order():
-    sim = Simulator()
-    fired = []
-    count = sim.post_batch(2.0, fired.append, [(i,) for i in range(32)])
-    assert count == 32
-    sim.post(1.0, fired.append, "first")
-    sim.run()
-    assert fired == ["first"] + list(range(32))
-    assert sim.now == 2.0
-
-
-def test_post_rejects_negative_delay():
-    from repro.sim.errors import SimulationError
-
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.post(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.post_batch(-1.0, lambda: None, [()])
-    sim.post(5.0, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.post_at(1.0, lambda: None)

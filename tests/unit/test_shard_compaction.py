@@ -2,16 +2,15 @@
 
 The shard advance loop leaves a ``peek_time`` probe outstanding while
 the coordinator computes the barrier, then injects cross-shard records
-(``post_at``) that can land *earlier* than the peeked event, then runs
+(``schedule_at``) that can land *earlier* than the peeked event, then runs
 to the bound — and any event fired inside the window may cancel timers
 and trip a compaction pass (lazy-cancel rebuild). These tests pin down
 that the combination cannot reorder or drop pending injections:
 
 * a peeked head must survive an earlier insertion and a full
   compaction rebuild;
-* recycled (freelisted) ``post_at`` events must stay well-ordered
-  through cancel churn — the wire path means every cross-shard delivery
-  is such an event;
+* events scheduled from inside callbacks must stay well-ordered
+  through cancel churn;
 * at the coordinator level, a cancel-churn workload compacting mid-
   window must stay partition-invariant.
 """
@@ -36,11 +35,13 @@ def test_peek_then_earlier_injection_then_compaction(monkeypatch):
     assert sim.peek_time() == 50.0
     # Cross-shard records land before the local work (but >= now).
     for i in range(10):
-        sim.post_at(5.0 + i, fired.append, ("remote", i))
+        sim.schedule_at(5.0 + i, fired.append, ("remote", i))
     # Cancel churn while the window is open — with the threshold at 8
     # this forces at least one compaction rebuild.
-    handles = [sim.schedule(200.0 + i, sim.post, 0.0, fired.append, ("timer", i))
-               for i in range(40)]
+    handles = [
+        sim.schedule(200.0 + i, sim.schedule, 0.0, fired.append, ("timer", i))
+        for i in range(40)
+    ]
     for handle in handles[:35]:
         sim.cancel(handle)
     # Advance to the barrier: only the injected records lie below it.
@@ -83,27 +84,27 @@ def test_compaction_cannot_resurrect_or_drop(monkeypatch):
     )]
 
 
-def test_freelist_reuse_survives_cancel_churn(monkeypatch):
-    """post_at events are recycled through a freelist after firing; the
-    cross-shard inject path reuses them at wire speed. Reused carcasses
-    must order correctly against cancel churn and compaction."""
+def test_rescheduled_waves_survive_cancel_churn(monkeypatch):
+    """Callbacks that schedule the next wave while cancel churn keeps
+    compacting the queue — the shape of the cross-shard inject path —
+    must fire every wave in order and keep cancelled timers dead."""
     monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
     sim = Simulator()
     fired = []
     def wave(round_index):
         if round_index >= 30:
             return
-        # Each wave posts recyclable events (exercising freelist reuse),
-        # plus cancellable timers, most of which die -> compaction.
+        # Each wave schedules deliveries plus cancellable timers, most
+        # of which die -> compaction.
         for i in range(8):
-            sim.post_at(sim.now + 1.0 + i * 0.1, fired.append,
-                        (round_index, i))
+            sim.schedule_at(sim.now + 1.0 + i * 0.1, fired.append,
+                            (round_index, i))
         doomed = [sim.schedule(500.0 + i, fired.append, "never")
                   for i in range(12)]
         for handle in doomed[:11]:
             sim.cancel(handle)
-        sim.post_at(sim.now + 2.0, wave, round_index + 1)
-    sim.post_at(0.0, wave, 0)
+        sim.schedule_at(sim.now + 2.0, wave, round_index + 1)
+    sim.schedule_at(0.0, wave, 0)
     sim.run(until=100.0)
     by_round = [entry for entry in fired if isinstance(entry, tuple)]
     assert by_round == sorted(by_round)
@@ -128,7 +129,7 @@ class ChurnProgram:
         self.delivered = []
         for host in hosts:
             peer = all_hosts[(all_hosts.index(host) + 1) % len(all_hosts)]
-            self._sim.post_at(1.0 + host * 0.25, self._tick, host, peer)
+            self._sim.schedule_at(1.0 + host * 0.25, self._tick, host, peer)
 
     def _tick(self, host, peer):
         seq = self._seqs[host]
@@ -138,7 +139,7 @@ class ChurnProgram:
         doomed = [self._sim.schedule(300.0 + i, self._noop) for i in range(10)]
         for handle in doomed[:9]:
             self._sim.cancel(handle)
-        self._sim.post_at(self._sim.now + 3.0, self._tick, host, peer)
+        self._sim.schedule_at(self._sim.now + 3.0, self._tick, host, peer)
 
     @staticmethod
     def _noop():
@@ -161,7 +162,7 @@ class ChurnProgram:
 
     def inject(self, records):
         for record in records:
-            self._sim.post_at(
+            self._sim.schedule_at(
                 record.time, self.delivered.append,
                 (record.time, record.src, record.seq))
 
