@@ -8,12 +8,12 @@ Two halves:
   stage and the saturation packet rate, and estimates queueing latency.
   The cross-validation tests assert simulator and analysis agree, which
   protects both against silent calibration drift.
-* :mod:`~repro.analysis.lint` — ``simlint``, the static-analysis pass
-  that enforces the simulator's determinism, DES-discipline and
-  simulated-concurrency contracts on every file (``repro lint``), with
-  suppression pragmas in :mod:`~repro.analysis.pragmas`. Imported
-  lazily: linting never loads the simulator and the simulator never
-  loads the linter.
+* the static analyzer — four rule families (:mod:`~repro.analysis.lint`,
+  :mod:`~repro.analysis.flow`, :mod:`~repro.analysis.order`,
+  :mod:`~repro.analysis.san`) enforcing the simulator's determinism,
+  DES-discipline, ordering and ownership contracts, one catalogue and
+  runner (:mod:`~repro.analysis.runner`), and ``repro check``
+  (:mod:`~repro.analysis.check`) as its one entry point.
 """
 
 from repro.analysis.pipeline import (

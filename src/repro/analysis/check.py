@@ -1,21 +1,17 @@
-"""The unified static-analysis pipeline behind ``repro check``.
+"""``repro check``: the one entry point of the static analyzer.
 
-One entry point running every static gate the repo has — simlint,
-simflow, simorder, simsan, and the mypy strict gate — in a single pass
-over one file discovery, so "is this change statically clean?" is one
-command instead of five. Each gate becomes a :class:`CheckStep`; the
-report fails if any non-skipped step fails.
+One run, three steps; the report fails if any step fails:
 
-Baselines: when invoked from the repository root, each analyzer is also
-held to its committed suppressed-findings ratchet
-(``tools/{lint,flow,order,san}_baseline.txt``) exactly as CI does —
-drift in either direction fails the step. From any other working
-directory the ratchets are skipped (baseline paths are cwd-relative by
-design).
-
-mypy is an optional tool dependency; when it is not installed the mypy
-step reports ``skipped`` and does not fail the pipeline unless
-``require_mypy`` is set (CI mode).
+* ``rules`` — every rule family (:mod:`repro.analysis.runner`) in one
+  pass over one parse of the paths, held to the suppressed-findings
+  baseline ``tools/analysis_baseline.txt``
+  (:mod:`repro.analysis.baseline`);
+* ``trace`` — the static↔dynamic cross-check of the golden traces and
+  the sanitizer sites (:mod:`repro.analysis.trace`);
+* ``mypy`` — the ratcheted strict gate (``tools/typecheck.py``). mypy is
+  an optional tool dependency: when it is not installed the step reports
+  ``skipped`` and does not fail the run unless ``require_mypy`` is set
+  (CI mode).
 """
 
 from __future__ import annotations
@@ -28,12 +24,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-_REPO_ROOT = Path(__file__).resolve().parents[3]
+from repro.analysis import baseline
+from repro.analysis.runner import AnalysisResult, analyze
+from repro.analysis.trace import TraceCheck, trace_check
+
+_TYPECHECK = Path(__file__).resolve().parents[3] / "tools" / "typecheck.py"
 
 
 @dataclass(frozen=True)
 class CheckStep:
-    """Outcome of one gate in the pipeline."""
+    """Outcome of one step of the check."""
 
     name: str
     ok: bool
@@ -45,6 +45,9 @@ class CheckStep:
 class CheckReport:
     """Outcome of one ``repro check`` run."""
 
+    analysis: AnalysisResult
+    baseline_errors: List[str]
+    trace: TraceCheck
     steps: List[CheckStep] = field(default_factory=list)
 
     @property
@@ -52,11 +55,12 @@ class CheckReport:
         return all(step.ok for step in self.steps)
 
     def to_text(self) -> str:
-        lines = []
+        lines = [str(finding) for finding in self.analysis.findings]
+        lines.extend(f"baseline: {error}" for error in self.baseline_errors)
+        lines.extend(f"trace: ERROR: {error}" for error in self.trace.errors())
+        lines.extend(f"trace: warning: {w}" for w in self.trace.warnings())
         for step in self.steps:
-            status = (
-                "SKIP" if step.skipped else "ok" if step.ok else "FAILED"
-            )
+            status = "SKIP" if step.skipped else "ok" if step.ok else "FAILED"
             lines.append(f"{step.name:<6} {status:<7} {step.summary}")
         lines.append("check OK" if self.ok else "check FAILED")
         return "\n".join(lines)
@@ -73,48 +77,16 @@ class CheckReport:
                 }
                 for step in self.steps
             ],
+            "rules": {
+                **self.analysis.to_dict(),
+                "baseline_errors": self.baseline_errors,
+            },
+            "trace": self.trace.to_dict(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _baseline_errors(result, name: str, paths: Sequence[str]) -> List[str]:
-    """Ratchet drift for one analyzer, when the run can be compared.
-
-    Baseline entries are repo-root-relative paths of the ``src`` tree;
-    comparing them only makes sense when that is the working directory
-    and the run actually covers ``src`` (a fixture run would read as
-    phantom drift).
-    """
-    if Path.cwd().resolve() != _REPO_ROOT:
-        return []
-    if len(paths) != 1 or Path(paths[0]).resolve() != _REPO_ROOT / "src":
-        return []
-    baseline_path = _REPO_ROOT / "tools" / f"{name}_baseline.txt"
-    if not baseline_path.exists():
-        return []
-    from repro.analysis.baseline import check_baseline, load_baseline_file
-
-    frozen = load_baseline_file(str(baseline_path))
-    return check_baseline(result, frozen)
-
-
-def _analyzer_step(name: str, result, paths: Sequence[str]) -> CheckStep:
-    drift = _baseline_errors(result, name, paths)
-    parts = [
-        f"{len(result.findings)} finding(s) in {result.files_checked} files"
-    ]
-    if result.suppressed:
-        parts.append(f"{len(result.suppressed)} suppressed")
-    parts.extend(f"baseline: {error}" for error in drift)
-    return CheckStep(
-        name=name,
-        ok=result.ok and not drift,
-        summary="; ".join(parts),
-    )
-
-
 def _mypy_step(require_mypy: bool) -> CheckStep:
-    script = _REPO_ROOT / "tools" / "typecheck.py"
     if importlib.util.find_spec("mypy") is None:
         if require_mypy:
             return CheckStep(
@@ -128,11 +100,11 @@ def _mypy_step(require_mypy: bool) -> CheckStep:
             skipped=True,
             summary="mypy not installed; strict gate skipped",
         )
-    command = [sys.executable, str(script)]
+    command = [sys.executable, str(_TYPECHECK)]
     if require_mypy:
         command.append("--require")
     proc = subprocess.run(
-        command, cwd=_REPO_ROOT, capture_output=True, text=True
+        command, cwd=_TYPECHECK.parents[1], capture_output=True, text=True
     )
     tail = (proc.stdout or proc.stderr).strip().splitlines()
     return CheckStep(
@@ -146,61 +118,35 @@ def run_check(
     paths: Sequence[str] = ("src",),
     require_mypy: bool = False,
     rule_ids: Optional[Sequence[str]] = None,
+    write_baseline: bool = False,
 ) -> CheckReport:
-    """Run lint + flow + order + san + mypy over ``paths`` in one pass.
+    """Run the rules, the baseline ratchet, the trace step and mypy.
 
-    ``rule_ids`` restricts each analyzer to the ids it owns (unknown ids
-    raise ``ValueError`` only if no analyzer claims them).
+    ``write_baseline`` first rewrites the entries of the baseline this
+    run covers from its own suppressions. Raises ``ValueError`` for an
+    unknown rule id, a missing path, a run with no ``.py`` file or a
+    malformed baseline, and ``OSError`` when the baseline is unreadable.
     """
-    from repro.analysis.flow.runner import flow_paths, flow_rule_by_id
-    from repro.analysis.lint.runner import lint_paths, rule_by_id
-    from repro.analysis.order.runner import order_paths, order_rule_by_id
-    from repro.analysis.san.runner import san_paths, san_rule_by_id
-
-    def owned(selector, ids):
-        if ids is None:
-            return None
-        return [rule_id for rule_id in ids if selector(rule_id) is not None]
-
-    if rule_ids is not None:
-        claimed = set(
-            owned(rule_by_id, rule_ids)
-            + owned(flow_rule_by_id, rule_ids)
-            + owned(order_rule_by_id, rule_ids)
-            + owned(san_rule_by_id, rule_ids)
+    analysis = analyze(paths, rule_ids=rule_ids)
+    frozen = baseline.load_baseline_file(baseline.BASELINE_PATH)
+    if write_baseline:
+        frozen = baseline.updated_baseline(analysis, frozen)
+        baseline.BASELINE_PATH.write_text(
+            baseline.render_baseline(frozen), encoding="utf-8"
         )
-        unknown = [rule_id for rule_id in rule_ids if rule_id not in claimed]
-        if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
-
-    report = CheckReport()
+    drift = baseline.check_baseline(analysis, frozen)
+    trace = trace_check()
+    report = CheckReport(analysis=analysis, baseline_errors=drift, trace=trace)
     report.steps.append(
-        _analyzer_step(
-            "lint",
-            lint_paths(paths, rule_ids=owned(rule_by_id, rule_ids)),
-            paths,
+        CheckStep(
+            name="rules",
+            ok=analysis.ok and not drift,
+            summary=analysis.summary()
+            + (f"; {len(drift)} baseline error(s)" if drift else ""),
         )
     )
     report.steps.append(
-        _analyzer_step(
-            "flow",
-            flow_paths(paths, rule_ids=owned(flow_rule_by_id, rule_ids)),
-            paths,
-        )
-    )
-    report.steps.append(
-        _analyzer_step(
-            "order",
-            order_paths(paths, rule_ids=owned(order_rule_by_id, rule_ids)),
-            paths,
-        )
-    )
-    report.steps.append(
-        _analyzer_step(
-            "san",
-            san_paths(paths, rule_ids=owned(san_rule_by_id, rule_ids)),
-            paths,
-        )
+        CheckStep(name="trace", ok=trace.ok, summary=trace.summary())
     )
     report.steps.append(_mypy_step(require_mypy))
     return report

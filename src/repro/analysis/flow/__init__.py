@@ -1,67 +1,15 @@
-"""simflow: interprocedural dataflow & typestate analysis.
+"""The ``flow`` rule family: interprocedural dataflow and typestate.
 
-A CFG + worklist-fixpoint engine (:mod:`cfg`, :mod:`engine`) carrying
-three analyses over the packet-stage pipeline:
+A CFG + worklist-fixpoint engine (:mod:`cfg`, :mod:`engine`), shared by
+the order and san families, carrying two analyses over the packet-stage
+pipeline:
 
-* skb typestate against the derived stage order (:mod:`rules_skb`,
-  :mod:`stagespec`);
-* time-unit / wall-clock taint (:mod:`rules_time`);
-* static↔dynamic stage-edge cross-check against the golden traces
-  (:mod:`crosscheck`).
+* skb typestate against the stage order derived from the live
+  Stage/Transition objects (:mod:`rules_skb`, :mod:`stagespec`;
+  FLOW401-404);
+* time-unit / wall-clock taint (:mod:`rules_time`; TIME501-502).
 
-Run it as ``repro flow``; it shares reporters, pragmas, and the rule-id
-namespace with ``repro lint``.
-
-Exports resolve lazily (PEP 562): :mod:`repro.analysis.lint.runner`
-imports :mod:`repro.analysis.flow.registry` for the shared rule-id
-namespace, and an eager import of :mod:`flow.runner` here would close
-that loop into a circular import.
+Run every family with ``repro check``; its ``trace`` step
+(:mod:`repro.analysis.trace`) holds the derived stage graph against the
+golden traces.
 """
-
-from typing import TYPE_CHECKING, Tuple
-
-from repro.analysis.flow.registry import FLOW_RULE_IDS
-
-if TYPE_CHECKING:  # pragma: no cover - static-analysis only
-    from repro.analysis.flow.cfg import Cfg, build_cfg
-    from repro.analysis.flow.crosscheck import CrossCheckResult, cross_check
-    from repro.analysis.flow.engine import (
-        DataflowAnalysis,
-        FixpointError,
-        fixpoint,
-    )
-    from repro.analysis.flow.runner import (
-        FLOW_RULES,
-        flow_paths,
-        flow_rule_by_id,
-    )
-    from repro.analysis.flow.stagespec import StageOrderSpec, stage_order_spec
-
-_LAZY = {
-    "Cfg": ("repro.analysis.flow.cfg", "Cfg"),
-    "build_cfg": ("repro.analysis.flow.cfg", "build_cfg"),
-    "CrossCheckResult": ("repro.analysis.flow.crosscheck", "CrossCheckResult"),
-    "cross_check": ("repro.analysis.flow.crosscheck", "cross_check"),
-    "DataflowAnalysis": ("repro.analysis.flow.engine", "DataflowAnalysis"),
-    "FixpointError": ("repro.analysis.flow.engine", "FixpointError"),
-    "fixpoint": ("repro.analysis.flow.engine", "fixpoint"),
-    "FLOW_RULES": ("repro.analysis.flow.runner", "FLOW_RULES"),
-    "flow_paths": ("repro.analysis.flow.runner", "flow_paths"),
-    "flow_rule_by_id": ("repro.analysis.flow.runner", "flow_rule_by_id"),
-    "StageOrderSpec": ("repro.analysis.flow.stagespec", "StageOrderSpec"),
-    "stage_order_spec": ("repro.analysis.flow.stagespec", "stage_order_spec"),
-}
-
-__all__ = ["FLOW_RULE_IDS", *sorted(_LAZY)]
-
-
-def __getattr__(name: str) -> object:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

@@ -1,6 +1,6 @@
 """Intraprocedural control-flow graphs over Python function ASTs.
 
-The ``simflow`` analyses (:mod:`repro.analysis.flow`) are *flow*
+The dataflow families' analyses (:mod:`repro.analysis.flow`) are *flow*
 properties — "an skb is re-enqueued after socket delivery" is a claim
 about paths, not about single statements — so they run over a CFG
 rather than a plain AST walk. The graph is deliberately coarse:

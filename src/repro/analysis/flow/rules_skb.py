@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.flow.cfg import Cfg, build_cfg
 from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
@@ -42,7 +42,13 @@ from repro.analysis.flow.stagespec import (
     StageOrderSpec,
     stage_order_spec,
 )
-from repro.analysis.lint.core import FileContext, Finding, Project, Rule
+from repro.analysis.lint.core import (
+    FamilyRule,
+    FileContext,
+    Finding,
+    Project,
+    Rule,
+)
 
 #: Abstract state: variable name -> set of possible pipeline ranks.
 State = Dict[str, FrozenSet[int]]
@@ -73,15 +79,6 @@ def _is_skb_name(name: str, annotation: Optional[ast.expr] = None) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class _RawFinding:
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-
 @dataclass
 class _Summary:
     """Exit typestate of one function's skb parameters."""
@@ -99,7 +96,7 @@ class _FunctionAnalysis:
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
         spec: StageOrderSpec,
         summaries: Dict[str, List[_Summary]],
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -310,7 +307,7 @@ class _FunctionAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -397,21 +394,11 @@ def _stable(
     return True
 
 
-#: Per-project memo so the four FLOW rules run the analysis once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def typestate_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
+def typestate_findings(project: Project) -> List[Finding]:
     spec = stage_order_spec()
     pairs = _project_functions(project)
     summaries = _compute_summaries(pairs, spec)
-    report: List[_RawFinding] = []
+    report: List[Finding] = []
     for ctx, func in pairs:
         cfg = build_cfg(func)
         # Fixpoint runs silent; only the post-convergence walk reports,
@@ -422,33 +409,10 @@ def typestate_findings(project: Project) -> List[_RawFinding]:
         reporter = _FunctionAnalysis(ctx, func, spec, summaries, report=report)
         walk_block(cfg, states, reporter, lambda stmt, state: None)
     # A statement may sit in several blocks' views (loop headers); dedupe.
-    unique = sorted(set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    _FINDINGS_CACHE.clear()  # bound memory: one project at a time
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _FlowRuleBase(Rule):
-    scope = None  # all linted files; the in-tree sources must stay clean
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in typestate_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
-
-
-class StageOrderRule(_FlowRuleBase):
+class StageOrderRule(FamilyRule):
     id = "FLOW401"
     title = "skb stage calls must follow the derived stage order"
     rationale = (
@@ -460,7 +424,7 @@ class StageOrderRule(_FlowRuleBase):
     )
 
 
-class ReEnqueueAfterDeliverRule(_FlowRuleBase):
+class ReEnqueueAfterDeliverRule(FamilyRule):
     id = "FLOW402"
     title = "no pipeline re-entry after SocketDeliver"
     rationale = (
@@ -470,7 +434,7 @@ class ReEnqueueAfterDeliverRule(_FlowRuleBase):
     )
 
 
-class UseAfterFreeRule(_FlowRuleBase):
+class UseAfterFreeRule(FamilyRule):
     id = "FLOW403"
     title = "no double free / use after free of an skb"
     rationale = (
@@ -480,7 +444,7 @@ class UseAfterFreeRule(_FlowRuleBase):
     )
 
 
-class UncountedDropRule(_FlowRuleBase):
+class UncountedDropRule(FamilyRule):
     id = "FLOW404"
     title = "every skb drop must increment a counter"
     rationale = (
@@ -490,9 +454,12 @@ class UncountedDropRule(_FlowRuleBase):
     )
 
 
-SKB_RULES: Tuple[Rule, ...] = (
-    StageOrderRule(),
-    ReEnqueueAfterDeliverRule(),
-    UseAfterFreeRule(),
-    UncountedDropRule(),
+SKB_RULES: Tuple[Rule, ...] = tuple(
+    rule(typestate_findings)
+    for rule in (
+        StageOrderRule,
+        ReEnqueueAfterDeliverRule,
+        UseAfterFreeRule,
+        UncountedDropRule,
+    )
 )

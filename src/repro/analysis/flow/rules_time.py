@@ -34,12 +34,17 @@ never produce noise.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.flow.cfg import Cfg, build_cfg
 from repro.analysis.flow.engine import fixpoint, walk_block
-from repro.analysis.lint.core import FileContext, Finding, Project, Rule
+from repro.analysis.lint.core import (
+    FamilyRule,
+    FileContext,
+    Finding,
+    Project,
+    Rule,
+)
 
 #: Abstract state: variable name -> set of unit/taint tags.
 State = Dict[str, FrozenSet[str]]
@@ -89,15 +94,6 @@ def suffix_unit(name: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class _RawFinding:
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-
 class _UnitAnalysis:
     """Forward taint/unit propagation over one function's CFG."""
 
@@ -105,7 +101,7 @@ class _UnitAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -305,7 +301,7 @@ class _UnitAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -320,18 +316,8 @@ def _suffix_tags(name: str) -> FrozenSet[str]:
     return frozenset((unit,)) if unit is not None else EMPTY
 
 
-#: Per-project memo so both TIME rules run the analysis once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def unit_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    report: List[_RawFinding] = []
+def unit_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
@@ -341,35 +327,10 @@ def unit_findings(project: Project) -> List[_RawFinding]:
             states = fixpoint(cfg, silent)
             reporter = _UnitAnalysis(ctx, func, report=report)
             walk_block(cfg, states, reporter, lambda stmt, state: None)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _TimeRuleBase(Rule):
-    scope = None
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in unit_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
-
-
-class MixedUnitArithmeticRule(_TimeRuleBase):
+class MixedUnitArithmeticRule(FamilyRule):
     id = "TIME501"
     title = "no arithmetic across different time units"
     rationale = (
@@ -381,7 +342,7 @@ class MixedUnitArithmeticRule(_TimeRuleBase):
     )
 
 
-class WallTimeIntoSchedulerRule(_TimeRuleBase):
+class WallTimeIntoSchedulerRule(FamilyRule):
     id = "TIME502"
     title = "wall-clock time must not reach the DES scheduler"
     rationale = (
@@ -392,7 +353,10 @@ class WallTimeIntoSchedulerRule(_TimeRuleBase):
     )
 
 
-TIME_RULES: Tuple[Rule, ...] = (
-    MixedUnitArithmeticRule(),
-    WallTimeIntoSchedulerRule(),
+TIME_RULES: Tuple[Rule, ...] = tuple(
+    rule(unit_findings)
+    for rule in (
+        MixedUnitArithmeticRule,
+        WallTimeIntoSchedulerRule,
+    )
 )

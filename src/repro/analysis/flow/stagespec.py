@@ -23,8 +23,8 @@ From the graph we extract:
   the synthetic ``alloc`` root), plus synthetic ``alloc`` / ``hardirq``
   roots and ``socket`` / ``free`` sinks;
 * ``edges`` — the legal stage→stage handoffs (also the reference set the
-  ``--trace`` static↔dynamic cross-check compares runtime traces
-  against);
+  static↔dynamic trace step of ``repro check`` compares runtime
+  traces against);
 * ``ops`` — a callable-name → pipeline-position table: each
   :class:`Step`'s name maps to the rank *set* of the stages that contain
   it (``netif_rx`` appears in several), transitions contribute the
@@ -110,7 +110,7 @@ class StageOrderSpec:
         return f"rank{rank}"
 
     def describe(self) -> Dict[str, object]:
-        """JSON-friendly dump (the ``repro flow --dump-spec`` payload)."""
+        """JSON-friendly dump of the spec."""
         return {
             "stages": dict(sorted(self.stage_rank.items(), key=lambda kv: kv[1])),
             "edges": sorted(f"{a}->{b}" for a, b in self.edges),

@@ -1,9 +1,14 @@
-"""``simlint``: static enforcement of the simulator's core contracts.
+"""The ``lint`` rule family and the machinery every family shares.
 
-The static counterpart of :mod:`repro.validate` (PR 1): where the
-invariant monitors catch a determinism or serialization violation *when
-a workload executes it*, these rules catch the same contract violations
-on every file before any workload runs. Three rule families:
+:mod:`~repro.analysis.lint.core` holds the parsed-file model
+(:class:`~repro.analysis.lint.core.FileContext`,
+:class:`~repro.analysis.lint.core.Project`), the
+:class:`~repro.analysis.lint.core.Rule` and
+:class:`~repro.analysis.lint.core.FamilyRule` bases and the meta
+findings. The family's own rules are the static counterpart of
+:mod:`repro.validate`: where the invariant monitors catch a determinism
+or serialization violation *when a workload executes it*, these catch
+the same contract violations on every file before any workload runs.
 
 =========  =============================================================
 SIM101     no wall-clock reads (``time.time`` & co.)
@@ -20,22 +25,6 @@ RACE301    cross-core access to per-CPU structures must route through
 LINT000/1  malformed pragmas / unparseable files (always on)
 =========  =============================================================
 
-Run via ``repro lint <paths>`` or programmatically via
-:func:`lint_paths`. Suppression pragmas are documented in
-:mod:`repro.analysis.pragmas`.
+Run every family with ``repro check``; suppression pragmas are
+documented in :mod:`repro.analysis.pragmas`.
 """
-
-from repro.analysis.lint.core import Finding, Rule
-from repro.analysis.lint.report import LintResult, render_json, render_text
-from repro.analysis.lint.runner import ALL_RULES, lint_paths, rule_by_id
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintResult",
-    "Rule",
-    "lint_paths",
-    "render_json",
-    "render_text",
-    "rule_by_id",
-]

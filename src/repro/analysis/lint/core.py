@@ -1,12 +1,16 @@
-"""Core machinery of the ``simlint`` static-analysis pass.
+"""Core machinery shared by every rule family of the analyzer.
 
-The linter parses every file once into a :class:`FileContext` (AST +
-import-alias tables + pragmas + exemption spans), bundles them into a
-:class:`Project`, and hands the project to each :class:`Rule`. Rules are
-AST visitors in spirit but receive whole files so that a rule can
-correlate nodes (e.g. "a set iteration whose body schedules events");
-the race detector overrides :meth:`Rule.check_project` to see every file
-at once and build a cross-module call graph.
+The runner (:mod:`repro.analysis.runner`) parses every file once into a
+:class:`FileContext` (AST + import-alias tables + pragmas + exemption
+spans), bundles them into a :class:`Project`, and hands the project to
+each :class:`Rule`. Rules are AST visitors in spirit but receive whole
+files so that a rule can correlate nodes (e.g. "a set iteration whose
+body schedules events"); the race detector overrides
+:meth:`Rule.check_project` to see every file at once and build a
+cross-module call graph. The dataflow families (flow, order, san) report
+several rule ids from one walk over the project: their rules are
+:class:`FamilyRule` subclasses sharing that walk through
+:meth:`Project.memo`.
 
 Name resolution is deliberately conservative: a dotted call like
 ``np.random.default_rng(...)`` is only canonicalised to
@@ -20,7 +24,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.pragmas import RULE_ID_RE, FilePragmas, parse_pragmas
 
@@ -43,9 +57,12 @@ SIMULATED_SCOPE: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location."""
+    """One rule violation at one source location.
+
+    Ordered by (path, line, col, rule, message): the report order.
+    """
 
     path: str
     line: int
@@ -53,8 +70,8 @@ class Finding:
     rule: str
     message: str
 
-    def sort_key(self) -> Tuple[str, int, int, str]:
-        return (self.path, self.line, self.col, self.rule)
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 
 @dataclass
@@ -208,19 +225,36 @@ class FileContext:
         return None
 
 
+#: A family-wide analysis: every finding of every rule in one family.
+Analysis = Callable[["Project"], List[Finding]]
+
+
 @dataclass
 class Project:
-    """Every file handed to one lint invocation."""
+    """Every file handed to one analyzer run."""
 
     files: List[FileContext] = field(default_factory=list)
+    _memo: Dict[Analysis, List[Finding]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def memo(self, analysis: Analysis) -> List[Finding]:
+        """``analysis(self)``, computed once for this project.
+
+        The memo lives on the project, so its results die with it and
+        two projects can never be served each other's findings.
+        """
+        if analysis not in self._memo:
+            self._memo[analysis] = analysis(self)
+        return self._memo[analysis]
 
 
 class Rule:
-    """Base class for lint rules.
+    """Base class for rules of every family.
 
     Subclasses set the class attributes and implement
     :meth:`check_file`; cross-module rules override
-    :meth:`check_project` instead.
+    :meth:`check_project` instead (see also :class:`FamilyRule`).
     """
 
     id: str = "LINT999"
@@ -267,6 +301,26 @@ class Rule:
             rule=self.id,
             message=message,
         )
+
+
+class FamilyRule(Rule):
+    """One rule id of a family whose rules share a single analysis.
+
+    Every rule of a family is built with the family's analysis, which
+    runs once per project; each rule keeps the findings that carry its
+    id, in files inside its scope.
+    """
+
+    def __init__(self, analysis: Analysis) -> None:
+        self.analysis = analysis
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        modules = {ctx.path: ctx.module for ctx in project.files}
+        for finding in project.memo(self.analysis):
+            if finding.rule == self.id and self.applies_to(
+                modules.get(finding.path)
+            ):
+                yield finding
 
 
 def _last_segment(node: ast.AST) -> Optional[str]:

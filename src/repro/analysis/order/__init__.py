@@ -1,8 +1,8 @@
-"""simorder: static causality & ordering verifier for the parallel datapaths.
+"""The ``order`` rule family: causality and ordering for the parallel datapaths.
 
-A third analyzer on the simflow CFG/worklist engine, guarding the two
-invariants the paper's correctness argument rests on — 1-vs-N-shard
-byte-identity and per-flow delivery order through the cached fast path:
+Guards the two invariants the paper's correctness argument rests on —
+1-vs-N-shard byte-identity and per-flow delivery order through the
+cached fast path — on the flow family's CFG/worklist engine:
 
 * partition-invariance taint: shard/worker identity must not reach
   timestamps, payloads, seeds or merge keys (:mod:`rules_partition`,
@@ -11,56 +11,9 @@ byte-identity and per-flow delivery order through the cached fast path:
   ``CrossShardEvent`` with a timestamp provably past the window barrier
   plus lookahead (:mod:`rules_causality`, ORD511-513);
 * flowcache ordering typestate: the slow-inflight ledger gate and
-  container-removal invalidation (:mod:`rules_flowcache`, ORD521-523);
-* static↔dynamic ordering cross-check over the golden traces
-  (:mod:`ordercheck`).
+  container-removal invalidation (:mod:`rules_flowcache`, ORD521-523).
 
-Run it as ``repro order`` (or as part of ``repro check``); it shares
-reporters, pragmas, and the rule-id namespace with ``repro lint`` and
-``repro flow``.
-
-Exports resolve lazily (PEP 562): :mod:`repro.analysis.lint.runner`
-imports :mod:`repro.analysis.order.registry` for the shared rule-id
-namespace, and an eager import of :mod:`order.runner` here would close
-that loop into a circular import.
+Run every family with ``repro check``; its ``trace`` step
+(:mod:`repro.analysis.trace`) replays the goldens for per-flow delivery
+order and fastpath edges.
 """
-
-from typing import TYPE_CHECKING
-
-from repro.analysis.order.registry import ORDER_RULE_IDS
-
-if TYPE_CHECKING:  # pragma: no cover - static-analysis only
-    from repro.analysis.order.ordercheck import (
-        OrderCheckResult,
-        order_cross_check,
-    )
-    from repro.analysis.order.runner import (
-        ORDER_RULES,
-        order_paths,
-        order_rule_by_id,
-    )
-
-_LAZY = {
-    "OrderCheckResult": ("repro.analysis.order.ordercheck", "OrderCheckResult"),
-    "order_cross_check": (
-        "repro.analysis.order.ordercheck",
-        "order_cross_check",
-    ),
-    "ORDER_RULES": ("repro.analysis.order.runner", "ORDER_RULES"),
-    "order_paths": ("repro.analysis.order.runner", "order_paths"),
-    "order_rule_by_id": ("repro.analysis.order.runner", "order_rule_by_id"),
-}
-
-__all__ = ["ORDER_RULE_IDS", *sorted(_LAZY)]
-
-
-def __getattr__(name: str) -> object:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

@@ -14,7 +14,7 @@ statically for every partition:
             ``... + <propagation/lookahead>`` sum, a value returned by
             ``Link.reserve`` (which charges serialization *and*
             propagation), or a variable that provably holds one. The
-            proof is a must-dataflow over the simflow CFG: a name is
+            proof is a must-dataflow over the flow family's CFG: a name is
             bounded only when **every** path assigns it a bounded value
             (intersection join).
 ``ORD512``  reaching through another handle's ``._program`` — mutating a
@@ -35,12 +35,17 @@ the same causality bound the TCP credits use).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.analysis.flow.cfg import Cfg, build_cfg
 from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
-from repro.analysis.lint.core import FileContext, Finding, Project, Rule
+from repro.analysis.lint.core import (
+    FamilyRule,
+    FileContext,
+    Finding,
+    Project,
+    Rule,
+)
 
 #: Must-state: names that provably hold a causality-bounded timestamp on
 #: every path reaching the statement.
@@ -88,7 +93,7 @@ class _BoundedAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -172,7 +177,7 @@ class _BoundedAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -193,18 +198,8 @@ def _enclosing_function_name(
     return None
 
 
-#: Per-project memo so all three ORD51x rules run the walks once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def causality_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    report: List[_RawFinding] = []
+def causality_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
@@ -226,7 +221,7 @@ def causality_findings(project: Project) -> List[_RawFinding]:
                 )
             ):
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=node.lineno,
                         col=node.col_offset,
@@ -254,7 +249,7 @@ def causality_findings(project: Project) -> List[_RawFinding]:
                 if enclosing in _SANCTIONED_CONSTRUCTORS:
                     continue
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=node.lineno,
                         col=node.col_offset,
@@ -267,36 +262,15 @@ def causality_findings(project: Project) -> List[_RawFinding]:
                         ),
                     )
                 )
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _CausalityRuleBase(Rule):
-    scope = ("repro.sim", "repro.overlay")
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in causality_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+_SCOPE = ("repro.sim", "repro.overlay")
 
 
-class EmitBelowLookaheadRule(_CausalityRuleBase):
+class EmitBelowLookaheadRule(FamilyRule):
     id = "ORD511"
+    scope = _SCOPE
     title = "cross-shard emits must be timestamped >= barrier + lookahead"
     rationale = (
         "The coordinator validates records against the window bound at "
@@ -307,8 +281,9 @@ class EmitBelowLookaheadRule(_CausalityRuleBase):
     )
 
 
-class ForeignWorldMutationRule(_CausalityRuleBase):
+class ForeignWorldMutationRule(FamilyRule):
     id = "ORD512"
+    scope = _SCOPE
     title = "no reaching into another shard handle's program"
     rationale = (
         "handle._program is the coordinator's private line to its own "
@@ -319,8 +294,9 @@ class ForeignWorldMutationRule(_CausalityRuleBase):
     )
 
 
-class AdHocRecordRule(_CausalityRuleBase):
+class AdHocRecordRule(FamilyRule):
     id = "ORD513"
+    scope = _SCOPE
     title = "CrossShardEvent construction is reserved to emit/from_wire"
     rationale = (
         "The (time, src, seq) merge key is total only because every "
@@ -331,8 +307,11 @@ class AdHocRecordRule(_CausalityRuleBase):
     )
 
 
-CAUSALITY_RULES: Tuple[Rule, ...] = (
-    EmitBelowLookaheadRule(),
-    ForeignWorldMutationRule(),
-    AdHocRecordRule(),
+CAUSALITY_RULES: Tuple[Rule, ...] = tuple(
+    rule(causality_findings)
+    for rule in (
+        EmitBelowLookaheadRule,
+        ForeignWorldMutationRule,
+        AdHocRecordRule,
+    )
 )

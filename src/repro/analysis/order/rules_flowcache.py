@@ -32,10 +32,10 @@ time instead of under a lucky workload.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.flow.rules_time import _RawFinding
 from repro.analysis.lint.core import (
+    FamilyRule,
     FileContext,
     Finding,
     Project,
@@ -203,18 +203,8 @@ def _called_names(
     return names
 
 
-#: Per-project memo so all three ORD52x rules walk once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def flowcache_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    report: List[_RawFinding] = []
+def flowcache_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
 
     # Name-level call graph for ORD523 reachability.
     defined: Dict[str, List[Tuple[FileContext, ast.AST]]] = {}
@@ -242,7 +232,7 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                     and func.name not in _SANCTIONED_INSERTERS
                 ):
                     report.append(
-                        _RawFinding(
+                        Finding(
                             path=ctx.path,
                             line=node.lineno,
                             col=node.col_offset,
@@ -267,7 +257,7 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                 hit_bump = _serves_hits(func)
                 if hit_bump is not None and not _mentions_inflight(func):
                     report.append(
-                        _RawFinding(
+                        Finding(
                             path=ctx.path,
                             line=hit_bump.lineno,
                             col=hit_bump.col_offset,
@@ -304,7 +294,7 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                 continue
             for ctx, func in sites:
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=func.lineno,
                         col=func.col_offset,
@@ -318,36 +308,15 @@ def flowcache_findings(project: Project) -> List[_RawFinding]:
                     )
                 )
 
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _FlowcacheRuleBase(Rule):
-    scope = ("repro.kernel", "repro.overlay")
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in flowcache_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+_SCOPE = ("repro.kernel", "repro.overlay")
 
 
-class UngatedInsertRule(_FlowcacheRuleBase):
+class UngatedInsertRule(FamilyRule):
     id = "ORD521"
+    scope = _SCOPE
     title = "flow-table inserts go through the ledger-gated populate path"
     rationale = (
         "FlowTable.access marks the flow slow-inflight on a miss and "
@@ -358,8 +327,9 @@ class UngatedInsertRule(_FlowcacheRuleBase):
     )
 
 
-class UngatedLookupRule(_FlowcacheRuleBase):
+class UngatedLookupRule(FamilyRule):
     id = "ORD522"
+    scope = _SCOPE
     title = "flow-table lookups must consult the slow-inflight ledger"
     rationale = (
         "Serving a cached hit while the same flow has a packet in "
@@ -369,8 +339,9 @@ class UngatedLookupRule(_FlowcacheRuleBase):
     )
 
 
-class MissingInvalidationRule(_FlowcacheRuleBase):
+class MissingInvalidationRule(FamilyRule):
     id = "ORD523"
+    scope = _SCOPE
     title = "container removal paths must reach cache invalidation"
     rationale = (
         "Host.remove_container and the cluster churn path both "
@@ -382,8 +353,11 @@ class MissingInvalidationRule(_FlowcacheRuleBase):
     )
 
 
-FLOWCACHE_RULES: Tuple[Rule, ...] = (
-    UngatedInsertRule(),
-    UngatedLookupRule(),
-    MissingInvalidationRule(),
+FLOWCACHE_RULES: Tuple[Rule, ...] = tuple(
+    rule(flowcache_findings)
+    for rule in (
+        UngatedInsertRule,
+        UngatedLookupRule,
+        MissingInvalidationRule,
+    )
 )

@@ -8,7 +8,7 @@ with the OS), so any of them flowing into the event timeline silently
 breaks 1-vs-N equivalence in a way the runtime suite can only catch for
 the partitions it happens to run.
 
-This analysis reuses the simflow CFG/worklist engine to propagate one
+This analysis reuses the flow family's CFG/worklist engine to propagate one
 taint tag — *partition-variant* — forward through each function:
 
 * **sources**: names whose segments spell a shard/worker identity
@@ -45,13 +45,13 @@ records it moves are validated by ``CrossShardEvent.from_wire``).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.analysis.flow.cfg import Cfg, build_cfg
 from repro.analysis.flow.engine import fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
 from repro.analysis.lint.core import (
     SIMULATED_SCOPE,
+    FamilyRule,
     FileContext,
     Finding,
     Project,
@@ -116,7 +116,7 @@ class _PartitionAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -341,7 +341,7 @@ class _PartitionAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -351,18 +351,8 @@ class _PartitionAnalysis:
         )
 
 
-#: Per-project memo so all three ORD50x rules run the analysis once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def partition_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    report: List[_RawFinding] = []
+def partition_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
@@ -372,40 +362,19 @@ def partition_findings(project: Project) -> List[_RawFinding]:
             states = fixpoint(cfg, silent)
             reporter = _PartitionAnalysis(ctx, func, report=report)
             walk_block(cfg, states, reporter, lambda stmt, state: None)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _PartitionRuleBase(Rule):
-    scope = SIMULATED_SCOPE
-    #: The transport is the sanctioned OS-facing module: pids/pipes/fds
-    #: are its whole job, and nothing it computes from them enters the
-    #: simulation (records are re-validated by CrossShardEvent.from_wire).
-    exempt = ("repro.sim.shard.transport",)
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in partition_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+#: The transport is the sanctioned OS-facing module: pids/pipes/fds are
+#: its whole job, and nothing it computes from them enters the
+#: simulation (records are re-validated by CrossShardEvent.from_wire).
+_EXEMPT = ("repro.sim.shard.transport",)
 
 
-class PartitionTimestampRule(_PartitionRuleBase):
+class PartitionTimestampRule(FamilyRule):
     id = "ORD501"
+    scope = SIMULATED_SCOPE
+    exempt = _EXEMPT
     title = "shard/worker identity must not reach event timestamps"
     rationale = (
         "Cross-shard records merge in (time, src, seq) order; the 1-vs-N "
@@ -416,8 +385,10 @@ class PartitionTimestampRule(_PartitionRuleBase):
     )
 
 
-class PartitionSeedRule(_PartitionRuleBase):
+class PartitionSeedRule(FamilyRule):
     id = "ORD502"
+    scope = SIMULATED_SCOPE
+    exempt = _EXEMPT
     title = "shard/worker identity must not reach seeds or RNG streams"
     rationale = (
         "Every RNG in the simulation is seeded from (spec.seed, global "
@@ -428,8 +399,10 @@ class PartitionSeedRule(_PartitionRuleBase):
     )
 
 
-class PartitionPayloadRule(_PartitionRuleBase):
+class PartitionPayloadRule(FamilyRule):
     id = "ORD503"
+    scope = SIMULATED_SCOPE
+    exempt = _EXEMPT
     title = "shard/worker identity must not reach record payloads/merge keys"
     rationale = (
         "The (time, src, seq) merge key and the record payload are the "
@@ -440,8 +413,11 @@ class PartitionPayloadRule(_PartitionRuleBase):
     )
 
 
-PARTITION_RULES: Tuple[Rule, ...] = (
-    PartitionTimestampRule(),
-    PartitionSeedRule(),
-    PartitionPayloadRule(),
+PARTITION_RULES: Tuple[Rule, ...] = tuple(
+    rule(partition_findings)
+    for rule in (
+        PartitionTimestampRule,
+        PartitionSeedRule,
+        PartitionPayloadRule,
+    )
 )

@@ -1,7 +1,7 @@
-"""Suppression pragmas for the ``simlint`` static-analysis pass.
+"""Suppression pragmas for the static analyzer (``repro check``).
 
-The linter (:mod:`repro.analysis.lint`) enforces the simulator's
-determinism / DES-discipline / simulated-concurrency contracts on every
+The rules (:mod:`repro.analysis.runner`) enforce the simulator's
+determinism, DES-discipline, ordering and ownership contracts on every
 file. A handful of places legitimately step outside those contracts —
 the :class:`~repro.sim.rng.RngRegistry` has to construct the one
 ``random.Random`` everyone else is banned from, and the experiment

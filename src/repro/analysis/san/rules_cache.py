@@ -1,6 +1,6 @@
 """Flow-cache entry-lifecycle rules (OWN621, OWN622, OWN623).
 
-``repro order`` (ORD521-523) guards *when* the cache may serve or
+The order family (ORD521-523) guards *when* the cache may serve or
 populate; these rules guard the *lifecycle of the entries themselves*:
 insert → hit → invalidate must be total, and every removal must release
 exactly once and be accounted exactly once.
@@ -26,11 +26,10 @@ exactly once and be accounted exactly once.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow.rules_time import _RawFinding
 from repro.analysis.lint.core import (
-    FileContext,
+    FamilyRule,
     Finding,
     Project,
     Rule,
@@ -209,18 +208,8 @@ def _class_removes_entries(cls: ast.ClassDef) -> bool:
     return False
 
 
-#: Per-project memo so all three OWN62x rules walk once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def cache_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    report: List[_RawFinding] = []
+def cache_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
@@ -230,7 +219,7 @@ def cache_findings(project: Project) -> List[_RawFinding]:
             if removals and not _accounts_removal(func):
                 for node in removals:
                     report.append(
-                        _RawFinding(
+                        Finding(
                             path=ctx.path,
                             line=getattr(node, "lineno", func.lineno),
                             col=getattr(node, "col_offset", 0),
@@ -246,7 +235,7 @@ def cache_findings(project: Project) -> List[_RawFinding]:
             # OWN622: same entry released twice on one straight path.
             for node in _sequential_double_releases(func):
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=getattr(node, "lineno", func.lineno),
                         col=getattr(node, "col_offset", 0),
@@ -267,7 +256,7 @@ def cache_findings(project: Project) -> List[_RawFinding]:
             insert_site = _class_inserts_entries(node)
             if insert_site is not None and not _class_removes_entries(node):
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=getattr(insert_site, "lineno", node.lineno),
                         col=getattr(insert_site, "col_offset", 0),
@@ -281,36 +270,15 @@ def cache_findings(project: Project) -> List[_RawFinding]:
                         ),
                     )
                 )
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _CacheRuleBase(Rule):
-    scope = ("repro.kernel", "repro.overlay")
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in cache_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
+_SCOPE = ("repro.kernel", "repro.overlay")
 
 
-class UnaccountedRemovalRule(_CacheRuleBase):
+class UnaccountedRemovalRule(FamilyRule):
     id = "OWN621"
+    scope = _SCOPE
     title = "every cache-entry removal is accounted"
     rationale = (
         "The differential and golden suites reconcile hit/miss/eviction/"
@@ -321,8 +289,9 @@ class UnaccountedRemovalRule(_CacheRuleBase):
     )
 
 
-class DoubleInvalidationRule(_CacheRuleBase):
+class DoubleInvalidationRule(FamilyRule):
     id = "OWN622"
+    scope = _SCOPE
     title = "a cache entry is released exactly once per teardown"
     rationale = (
         "Container churn invalidates locally and notifies remote "
@@ -333,8 +302,9 @@ class DoubleInvalidationRule(_CacheRuleBase):
     )
 
 
-class ImmortalEntriesRule(_CacheRuleBase):
+class ImmortalEntriesRule(FamilyRule):
     id = "OWN623"
+    scope = _SCOPE
     title = "a cache that inserts must also invalidate"
     rationale = (
         "insert→hit→invalidate must be total: ONCache's correctness "
@@ -345,8 +315,11 @@ class ImmortalEntriesRule(_CacheRuleBase):
     )
 
 
-CACHE_RULES: Tuple[Rule, ...] = (
-    UnaccountedRemovalRule(),
-    DoubleInvalidationRule(),
-    ImmortalEntriesRule(),
+CACHE_RULES: Tuple[Rule, ...] = tuple(
+    rule(cache_findings)
+    for rule in (
+        UnaccountedRemovalRule,
+        DoubleInvalidationRule,
+        ImmortalEntriesRule,
+    )
 )

@@ -14,8 +14,8 @@ boundaries genuinely transfer ownership:
   container will replay an object the pipeline already moved on.
 
 ``OWN611``  use after relinquish: an skb passed to a wire-encode op is
-            used again in the same function (dataflow on the simflow
-            CFG engine, must-violation discipline).
+            used again in the same function (dataflow on the flow
+            family's CFG engine, must-violation discipline).
 ``OWN612``  retain and forward: a path stores an skb into an
             attribute/container and then returns that same skb — a
             reference survives the stage transition alongside the
@@ -35,8 +35,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.flow.cfg import Cfg, build_cfg
 from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
-from repro.analysis.flow.rules_time import _RawFinding
 from repro.analysis.lint.core import (
+    FamilyRule,
     FileContext,
     Finding,
     Project,
@@ -81,7 +81,7 @@ class _RelinquishAnalysis:
         self,
         ctx: FileContext,
         func: "ast.FunctionDef | ast.AsyncFunctionDef",
-        report: Optional[List[_RawFinding]] = None,
+        report: Optional[List[Finding]] = None,
     ) -> None:
         self.ctx = ctx
         self.func = func
@@ -235,7 +235,7 @@ class _RelinquishAnalysis:
         if self.report is None:
             return
         self.report.append(
-            _RawFinding(
+            Finding(
                 path=self.ctx.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
@@ -264,7 +264,7 @@ def _own_nodes(
 def _assume_findings(
     ctx: FileContext,
     func: "ast.FunctionDef | ast.AsyncFunctionDef",
-    report: List[_RawFinding],
+    report: List[Finding],
 ) -> None:
     """OWN613: a decode/from_wire boundary must construct, not share."""
     if not any(
@@ -291,7 +291,7 @@ def _assume_findings(
             )
             if shared:
                 report.append(
-                    _RawFinding(
+                    Finding(
                         path=ctx.path,
                         line=value.lineno,
                         col=value.col_offset,
@@ -307,18 +307,8 @@ def _assume_findings(
                 )
 
 
-#: Per-project memo so all three OWN61x rules walk once.
-#: Entries hold the project itself, so its id cannot be reused by a
-#: later project while the entry is cached.
-_FINDINGS_CACHE: Dict[int, Tuple[Project, List[_RawFinding]]] = {}
-
-
-def skbown_findings(project: Project) -> List[_RawFinding]:
-    key = id(project)
-    cached = _FINDINGS_CACHE.get(key)
-    if cached is not None:
-        return cached[1]
-    report: List[_RawFinding] = []
+def skbown_findings(project: Project) -> List[Finding]:
+    report: List[Finding] = []
     for ctx in project.files:
         if ctx.tree is None:
             continue
@@ -329,35 +319,10 @@ def skbown_findings(project: Project) -> List[_RawFinding]:
             reporter = _RelinquishAnalysis(ctx, func, report=report)
             walk_block(cfg, states, reporter, lambda stmt, state: None)
             _assume_findings(ctx, func, report)
-    unique = sorted(
-        set(report), key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-    )
-    _FINDINGS_CACHE.clear()
-    _FINDINGS_CACHE[key] = (project, unique)
-    return unique
+    return sorted(set(report))
 
 
-class _SkbOwnRuleBase(Rule):
-    scope = None  # all analyzed files; the in-tree sources must stay clean
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        by_path = {ctx.path: ctx for ctx in project.files}
-        for raw in skbown_findings(project):
-            if raw.rule != self.id:
-                continue
-            ctx = by_path.get(raw.path)
-            if ctx is not None and not self.applies_to(ctx.module):
-                continue
-            yield Finding(
-                path=raw.path,
-                line=raw.line,
-                col=raw.col,
-                rule=raw.rule,
-                message=raw.message,
-            )
-
-
-class UseAfterRelinquishRule(_SkbOwnRuleBase):
+class UseAfterRelinquishRule(FamilyRule):
     id = "OWN611"
     title = "no use of an skb after it was wire-encoded"
     rationale = (
@@ -369,7 +334,7 @@ class UseAfterRelinquishRule(_SkbOwnRuleBase):
     )
 
 
-class RetainAndForwardRule(_SkbOwnRuleBase):
+class RetainAndForwardRule(FamilyRule):
     id = "OWN612"
     title = "a stage must not retain an skb it forwards"
     rationale = (
@@ -381,7 +346,7 @@ class RetainAndForwardRule(_SkbOwnRuleBase):
     )
 
 
-class SharedAssumeRule(_SkbOwnRuleBase):
+class SharedAssumeRule(FamilyRule):
     id = "OWN613"
     title = "decode/from_wire must construct a fresh object"
     rationale = (
@@ -392,8 +357,11 @@ class SharedAssumeRule(_SkbOwnRuleBase):
     )
 
 
-SKBOWN_RULES: Tuple[Rule, ...] = (
-    UseAfterRelinquishRule(),
-    RetainAndForwardRule(),
-    SharedAssumeRule(),
+SKBOWN_RULES: Tuple[Rule, ...] = tuple(
+    rule(skbown_findings)
+    for rule in (
+        UseAfterRelinquishRule,
+        RetainAndForwardRule,
+        SharedAssumeRule,
+    )
 )

@@ -29,7 +29,7 @@ def wall_seconds() -> float:
     """Wall-clock timestamp (seconds) for harness progress reporting.
 
     The single sanctioned wall-clock read in the tree — everything under
-    simulated time must use ``sim.now`` (enforced by simlint SIM101).
+    simulated time must use ``sim.now`` (enforced by rule SIM101).
     """
     return time.time()
 

@@ -20,7 +20,7 @@ latency >= min(next) + lookahead = window_end`` — never inside the
 window that produced it. The coordinator *checks* that bound on every
 record and raises :class:`~repro.sim.errors.ShardError` on a violation
 (a misdeclared lookahead would otherwise silently corrupt causality).
-The same bound is enforced *statically* by ``repro order`` (ORD511):
+The same bound is enforced *statically* by ``repro check`` (ORD511):
 every ``emit`` timestamp must be provably ``now + propagation``-shaped,
 so a violation is caught at review time for every partition — not just
 the shard layouts a test run happens to exercise.

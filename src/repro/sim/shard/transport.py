@@ -7,7 +7,7 @@ payloads are plain tuples of primitives (see
 :mod:`repro.sim.shard.records`). Everything on the simulation side —
 coordinator, records, shard programs — stays pure DES code; the lint
 rules that ban concurrency primitives inside the simulated scope carve
-out exactly this module. The simorder partition-invariance rules
+out exactly this module. The partition-invariance rules
 (ORD501-503) carve it out too, by the same reasoning: pids, pipe fds
 and poll timeouts are this module's *job*, and nothing here flows into
 simulated timestamps, seeds or payloads — the wire tuples it ships are

@@ -1,6 +1,6 @@
-"""Runtime ownership sanitizer: the dynamic side of ``repro san``.
+"""Runtime ownership sanitizer: the dynamic side of the san rules.
 
-The static pass (:mod:`repro.analysis.san`) proves ownership discipline
+The static rules (:mod:`repro.analysis.san`) proves ownership discipline
 over the *source*; this module checks it over an actual *run*. A shadow
 :class:`OwnershipLedger` records every acquire and release of the two
 kinds of owned objects the reproduction moves across boundaries:
@@ -26,9 +26,9 @@ end of run — table-owned entries and in-flight records — is residue of
 stopping the clock and is counted as *pending*.
 
 Site tags are string literals at the instrumentation sites;
-:mod:`repro.analysis.san.sancheck` scans the source for them and
-cross-checks that every site a dynamic run reports is in that static
-catalog.
+the ``trace`` step of ``repro check`` (:mod:`repro.analysis.trace`)
+scans the source for them and cross-checks them against the sites a
+sanitized probe run reports.
 """
 
 from __future__ import annotations

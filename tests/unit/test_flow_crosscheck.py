@@ -1,17 +1,25 @@
-"""Tests for the static↔dynamic stage-edge cross-check (``repro flow --trace``)."""
+"""Tests for the stage-edge half of the ``trace`` step of ``repro check``."""
 
 import json
 from pathlib import Path
 
-from repro.analysis.flow.crosscheck import (
+import repro.validate.golden
+from repro.analysis.trace import (
     _single_packet,
     _trace_edges,
-    cross_check,
-    default_trace_dir,
+    static_site_catalog,
+    trace_check,
 )
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+#: A small clean input, so the CLI tests exercise the trace step cheaply.
+CLEAN_FILE = REPO_ROOT / "tests" / "fixtures" / "flow" / "flow401_clean.py"
+
+
+def cross_check(paths=None):
+    """The trace step over ``paths``, with every sanitizer site exercised."""
+    return trace_check(paths, sites=static_site_catalog())
 
 
 def make_trace_file(tmp_path, events_lists, name="synthetic.json"):
@@ -78,14 +86,14 @@ class TestHelpers:
 class TestCrossCheck:
     def test_golden_traces_match_static_graph(self):
         result = cross_check()
-        assert result.ok, result.to_text()
+        assert result.ok, result.errors()
         assert result.traces_replayed > 0
-        assert result.missing_static == []
+        assert result.missing_edges == []
         # Every observed edge is a real static edge.
         assert result.observed
 
     def test_default_trace_dir_exists(self):
-        golden_dir = Path(default_trace_dir())
+        golden_dir = Path(repro.validate.golden.default_golden_dir())
         assert golden_dir.is_dir()
         assert list(golden_dir.glob("*.json"))
 
@@ -101,11 +109,11 @@ class TestCrossCheck:
         )
         result = cross_check([str(path)])
         assert not result.ok
-        assert ("socket", "pnic") in result.missing_static
-        assert "ERROR" in result.to_text()
-        payload = json.loads(result.to_json())
+        assert ("socket", "pnic") in result.missing_edges
+        assert any("socket->pnic" in error for error in result.errors())
+        payload = json.loads(json.dumps(result.to_dict()))
         assert payload["ok"] is False
-        assert "socket->pnic" in payload["missing_from_static_graph"]
+        assert any("socket->pnic" in error for error in payload["errors"])
 
     def test_multi_packet_traces_are_skipped(self, tmp_path):
         path = make_trace_file(
@@ -131,29 +139,38 @@ class TestCrossCheck:
         )
         result = cross_check([str(path)])
         assert result.ok
-        assert result.unobserved_static  # most static edges unexercised
-        assert "warning" in result.to_text()
+        assert result.unobserved_edges  # most static edges unexercised
+        assert any("never observed" in w for w in result.warnings())
 
 
 class TestCli:
     def test_trace_default_goldens_exit_zero(self, capsys):
-        assert main(["flow", "--trace"]) == 0
+        assert main(["check", str(CLEAN_FILE), "--rule", "FLOW401"]) == 0
         out = capsys.readouterr().out
-        assert "cross-check OK" in out
+        assert "trace  ok" in out
+        assert "check OK" in out
 
-    def test_trace_bad_file_exits_one(self, tmp_path, capsys):
-        path = make_trace_file(
+    def test_trace_bad_file_exits_one(self, tmp_path, capsys, monkeypatch):
+        make_trace_file(
             tmp_path,
             [[
                 [1.0, "deliver", "socket", 0],
                 [2.0, "exec", "pnic", 0],
             ]],
         )
-        assert main(["flow", "--trace", str(path)]) == 1
-        assert "FAILED" in capsys.readouterr().out
+        monkeypatch.setattr(
+            repro.validate.golden, "default_golden_dir", lambda: tmp_path
+        )
+        assert main(["check", str(CLEAN_FILE), "--rule", "FLOW401"]) == 1
+        out = capsys.readouterr().out
+        assert "socket->pnic" in out
+        assert "trace  FAILED" in out
 
     def test_trace_json_format(self, capsys):
-        assert main(["flow", "--trace", "--format", "json"]) == 0
+        code = main([
+            "check", str(CLEAN_FILE), "--rule", "FLOW401", "--format", "json",
+        ])
+        assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["traces_replayed"] > 0
+        assert payload["trace"]["ok"] is True
+        assert payload["trace"]["traces_replayed"] > 0

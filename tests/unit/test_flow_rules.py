@@ -1,10 +1,11 @@
-"""Tests for the ``simflow`` dataflow/typestate pass.
+"""Tests for the flow rule family (dataflow/typestate).
 
-Mirrors the simlint fixture discipline: every seeded violation in
+Same fixture discipline as the lint family: every seeded violation in
 ``tests/fixtures/flow/`` carries a trailing ``# expect: RULE`` marker and
-the tests demand exact (file, line, rule) agreement — no extra findings,
-none missing. The clean twins and the whole in-tree source must produce
-zero findings, which is the pass's false-positive budget.
+the tests, running the flow family's rules, demand exact (file, line,
+rule) agreement — no extra findings, none missing. The clean twins and
+the whole in-tree source must produce zero findings, which is the
+family's false-positive budget.
 """
 
 import json
@@ -13,13 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import (
-    FLOW_RULE_IDS,
-    FLOW_RULES,
-    flow_paths,
-    flow_rule_by_id,
-    stage_order_spec,
-)
 from repro.analysis.flow.stagespec import (
     ALLOC,
     DROP_OPS,
@@ -27,12 +21,16 @@ from repro.analysis.flow.stagespec import (
     FREE,
     HARDIRQ,
     SOCKET,
+    stage_order_spec,
 )
-from repro.analysis.lint.report import render_json, render_text
+from repro.analysis.runner import FAMILIES, analyze, rule_by_id
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "flow"
+
+FLOW_RULES = FAMILIES["flow"]
+FLOW_RULE_IDS = [rule.id for rule in FLOW_RULES]
 
 MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
 
@@ -53,8 +51,13 @@ def expected_fixture_findings():
     return expected
 
 
-def actual_findings(paths, **kwargs):
-    result = flow_paths([str(p) for p in paths], **kwargs)
+def rule_flags(rule_ids):
+    """``--rule`` arguments selecting ``rule_ids`` on the command line."""
+    return [arg for rule_id in rule_ids for arg in ("--rule", rule_id)]
+
+
+def actual_findings(paths, rule_ids=FLOW_RULE_IDS):
+    result = analyze([str(p) for p in paths], rule_ids=rule_ids)
     return result, {
         (Path(f.path).name, f.line, f.rule) for f in result.findings
     }
@@ -75,7 +78,7 @@ class TestFixtureCorpus:
         clean = sorted(FIXTURES.glob("*_clean.py"))
         assert clean, "corpus is missing its clean twins"
         result, actual = actual_findings(clean)
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert actual == set()
 
     def test_findings_are_deterministic(self):
@@ -89,25 +92,27 @@ class TestSourceTreeIsClean:
 
     def test_src_flows_clean(self):
         result, _ = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert result.files_checked > 50
 
     def test_tests_tree_flows_clean(self):
         # Unit tests manipulate skbs and microsecond timestamps freely;
         # the must-analysis design has to keep quiet there too.
         result, _ = actual_findings([REPO_ROOT / "tests" / "unit"])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
 
 class TestRuleCatalogue:
     def test_registry_matches_rules(self):
-        assert tuple(r.id for r in FLOW_RULES) == FLOW_RULE_IDS
+        assert FLOW_RULE_IDS == [
+            "FLOW401", "FLOW402", "FLOW403", "FLOW404", "TIME501", "TIME502",
+        ]
 
     def test_rule_by_id(self):
         for rule in FLOW_RULES:
-            assert flow_rule_by_id(rule.id) is rule
+            assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
-        assert flow_rule_by_id("BOGUS99") is None
+        assert rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
         result, actual = actual_findings([FIXTURES], rule_ids=["FLOW403"])
@@ -118,7 +123,7 @@ class TestRuleCatalogue:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            flow_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
 
 class TestPragmaSuppression:
@@ -133,19 +138,17 @@ class TestPragmaSuppression:
         copy = tmp_path / "suppressed.py"
         copy.write_text(patched)
         result, actual = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert len(result.suppressed) == 2
         assert {f.rule for f in result.suppressed} == {"FLOW403"}
 
     def test_flow_ids_are_known_to_lint_meta_rules(self, tmp_path):
-        # LINT001 (unknown rule id in pragma) must not fire for flow ids
-        # used from the lint pass, and vice versa.
-        from repro.analysis.lint import lint_paths
-
+        # LINT000 (unknown rule id in pragma) must not fire for flow ids
+        # when only the lint family runs.
         copy = tmp_path / "cross.py"
         copy.write_text("x = 1  # simlint: disable=FLOW402\n")
-        result = lint_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result = analyze([str(copy)], rule_ids=["SIM101"])
+        assert result.ok, result.to_text()
 
 
 class TestDerivedStageSpec:
@@ -230,7 +233,7 @@ class TestInterproceduralSummaries:
             "    stack.l4_rcv(skb)\n"
         )
         result, actual = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_both_branches_freed_fires(self, tmp_path):
         copy = tmp_path / "both.py"
@@ -248,32 +251,30 @@ class TestInterproceduralSummaries:
 
 class TestCli:
     def test_flow_src_exits_zero(self, capsys):
-        assert main(["flow", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+        code = main(["check", str(REPO_ROOT / "src"), *rule_flags(FLOW_RULE_IDS)])
+        assert code == 0
+        assert "check OK" in capsys.readouterr().out
 
     def test_flow_fixtures_exits_one_with_json(self, capsys):
-        code = main(["flow", str(FIXTURES), "--format", "json"])
+        code = main([
+            "check", str(FIXTURES), "--format", "json",
+            *rule_flags(FLOW_RULE_IDS),
+        ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts_by_rule"]["FLOW401"] == 3
+        assert payload["rules"]["counts_by_rule"]["FLOW401"] == 3
 
     def test_unknown_rule_exits_two(self, capsys):
-        code = main(["flow", str(FIXTURES), "--rule", "BOGUS99"])
+        code = main(["check", str(FIXTURES), "--rule", "BOGUS99"])
         assert code == 2
         assert "BOGUS99" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
-        assert main(["flow", "--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in FLOW_RULE_IDS:
             assert rule_id in out
-
-    def test_dump_spec(self, capsys):
-        assert main(["flow", "--dump-spec"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stages"]["alloc"] == 0
-        assert "alloc->hardirq" in payload["edges"]
 
     def test_json_reporter_includes_suppressed(self, tmp_path, capsys):
         copy = tmp_path / "supp.py"
@@ -282,9 +283,9 @@ class TestCli:
             "    stack.consume_skb(skb)\n"
             "    stack.netif_rx(skb)  # simlint: disable=FLOW403\n"
         )
-        assert main(["flow", str(copy), "--format", "json"]) == 0
+        assert main(["check", str(copy), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["suppressed"] == [
+        assert payload["rules"]["suppressed"] == [
             {"path": str(copy), "line": 3, "rule": "FLOW403"}
         ]

@@ -1,9 +1,10 @@
-"""Tests for the ``simlint`` static-analysis pass.
+"""Tests for the lint rule family and the shared runner/pragma machinery.
 
 The fixture corpus under ``tests/fixtures/lint/`` carries one violation
 per rule id, each line marked with a trailing ``# expect: RULE`` comment;
-the tests derive the expected finding set from those markers and demand
-exact (file, line, rule) agreement — no extra findings, none missing.
+the tests run the lint family's rules over it, derive the expected
+finding set from those markers and demand exact (file, line, rule)
+agreement — no extra findings, none missing.
 """
 
 import json
@@ -12,20 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    ALL_RULES,
-    lint_paths,
-    render_json,
-    render_text,
-    rule_by_id,
-)
 from repro.analysis.pragmas import lint_exempt, parse_pragmas
+from repro.analysis.runner import ALL_RULES, FAMILIES, analyze, rule_by_id
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 SRC_TREE = REPO_ROOT / "src" / "repro"
 SOFTIRQ = SRC_TREE / "kernel" / "softirq.py"
+
+LINT_RULE_IDS = [rule.id for rule in FAMILIES["lint"]]
 
 #: Trailing marker naming the rule(s) a fixture line must trigger.
 MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
@@ -50,8 +47,13 @@ def expected_fixture_findings():
     return expected
 
 
-def actual_findings(paths, **kwargs):
-    result = lint_paths([str(p) for p in paths], **kwargs)
+def rule_flags(rule_ids):
+    """``--rule`` arguments selecting ``rule_ids`` on the command line."""
+    return [arg for rule_id in rule_ids for arg in ("--rule", rule_id)]
+
+
+def actual_findings(paths, rule_ids=LINT_RULE_IDS):
+    result = analyze([str(p) for p in paths], rule_ids=rule_ids)
     return result, {
         (Path(f.path).name, f.line, f.rule) for f in result.findings
     }
@@ -65,8 +67,8 @@ class TestFixtureCorpus:
 
     def test_every_rule_is_exercised(self):
         rules_seen = {rule for _, _, rule in expected_fixture_findings()}
-        for rule in ALL_RULES:
-            assert rule.id in rules_seen, f"no fixture exercises {rule.id}"
+        for rule_id in LINT_RULE_IDS:
+            assert rule_id in rules_seen, f"no fixture exercises {rule_id}"
         assert "LINT000" in rules_seen
         assert "LINT001" in rules_seen
 
@@ -86,7 +88,7 @@ class TestFixtureCorpus:
 class TestSourceTreeIsClean:
     def test_src_lints_clean(self):
         result, actual = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert result.files_checked > 50
 
 
@@ -97,7 +99,7 @@ class TestRaceDetectorOnSoftirq:
         copy = tmp_path / "softirq_copy.py"
         copy.write_text(SOFTIRQ.read_text())
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_removing_serialization_fires_race301(self, tmp_path):
         lines = SOFTIRQ.read_text().splitlines(keepends=True)
@@ -128,7 +130,7 @@ class TestRuleSelection:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            lint_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
     def test_rule_by_id_catalogue(self):
         for rule in ALL_RULES:
@@ -139,14 +141,14 @@ class TestRuleSelection:
 class TestReporters:
     def test_text_format(self):
         result, _ = actual_findings([FIXTURES / "sim101_bad.py"])
-        text = render_text(result)
+        text = result.to_text()
         assert "sim101_bad.py:7:" in text
         assert "SIM101" in text
         assert "1 finding" in text
 
     def test_json_format(self):
         result, _ = actual_findings([FIXTURES / "sim101_bad.py"])
-        payload = json.loads(render_json(result))
+        payload = json.loads(json.dumps(result.to_dict()))
         assert payload["ok"] is False
         assert payload["counts_by_rule"] == {"SIM101": 1}
         (finding,) = payload["findings"]
@@ -156,23 +158,41 @@ class TestReporters:
 
 class TestCli:
     def test_lint_src_exits_zero(self, capsys):
-        assert main(["lint", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+        code = main(["check", str(REPO_ROOT / "src"), *rule_flags(LINT_RULE_IDS)])
+        assert code == 0
+        assert "check OK" in capsys.readouterr().out
 
     def test_lint_fixtures_exits_one_with_json(self, capsys):
-        code = main(["lint", str(FIXTURES), "--format", "json"])
+        code = main([
+            "check", str(FIXTURES), "--format", "json",
+            *rule_flags(LINT_RULE_IDS),
+        ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts_by_rule"]["RACE301"] == 1
+        assert payload["rules"]["counts_by_rule"]["RACE301"] == 1
 
     def test_unknown_rule_exits_two(self, capsys):
-        code = main(["lint", str(FIXTURES), "--rule", "BOGUS99"])
+        code = main(["check", str(FIXTURES), "--rule", "BOGUS99"])
         assert code == 2
         assert "BOGUS99" in capsys.readouterr().err
 
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        # A typo in a CI path must not turn the gate into a pass over
+        # nothing.
+        missing = tmp_path / "nonexistent_dir"
+        assert main(["check", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_path_without_python_files_exits_two(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no code here\n")
+        assert main(["check", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        with pytest.raises(ValueError, match="no .py files"):
+            analyze([str(tmp_path / "notes.txt")])
+
     def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ALL_RULES:
             assert rule.id in out
@@ -279,12 +299,12 @@ class TestPragmaBinding:
             "# simlint: disable=SIM102\n"
             "x = random.random()\n"
         )
-        result = lint_paths([str(src)])
-        assert result.ok, render_text(result)
+        result = analyze([str(src)])
+        assert result.ok, result.to_text()
         assert [f.rule for f in result.suppressed] == ["SIM102"]
 
     def test_eof_pragma_is_reported_by_the_runner(self, tmp_path):
         src = tmp_path / "mod.py"
         src.write_text("x = 1\n# simlint: disable=SIM101\n")
-        result = lint_paths([str(src)])
+        result = analyze([str(src)])
         assert [f.rule for f in result.findings] == ["LINT000"]

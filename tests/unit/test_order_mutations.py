@@ -1,6 +1,6 @@
-"""Mutation tests: simorder must catch planted defects in the real code.
+"""Mutation tests: the order rules must catch planted defects in the real code.
 
-The acceptance bar for the pass is not "runs clean on src" (a vacuous
+The acceptance bar for the family is not "runs clean on src" (a vacuous
 analyzer does that too) — it is that seeding each of the three canonical
 ordering bugs into a *copy of the real module* yields exactly the
 expected ORD finding at the expected line:
@@ -17,12 +17,17 @@ unconditionally — strict by default.
 
 from pathlib import Path
 
-from repro.analysis.lint.report import render_text
-from repro.analysis.order import order_paths
+from repro.analysis.runner import FAMILIES, analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CLUSTER = REPO_ROOT / "src" / "repro" / "overlay" / "cluster.py"
 FLOWCACHE = REPO_ROOT / "src" / "repro" / "kernel" / "flowcache.py"
+
+ORDER_RULE_IDS = [rule.id for rule in FAMILIES["order"]]
+
+
+def order_paths(paths):
+    return analyze(paths, rule_ids=ORDER_RULE_IDS)
 
 
 def findings_for(path):
@@ -52,13 +57,13 @@ class TestCleanCopies:
         copy = tmp_path / CLUSTER.name
         copy.write_text(CLUSTER.read_text())
         result = order_paths([str(copy)])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_flowcache_copy_is_clean(self, tmp_path):
         copy = tmp_path / FLOWCACHE.name
         copy.write_text(FLOWCACHE.read_text())
         result = order_paths([str(copy)])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
 
 class TestPlantedDefects:

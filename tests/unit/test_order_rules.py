@@ -1,11 +1,12 @@
-"""Tests for the ``simorder`` ordering/causality pass.
+"""Tests for the order rule family (ordering/causality) and ``repro check``.
 
-Mirrors the simlint/simflow fixture discipline: every seeded violation
+Same fixture discipline as the other families: every seeded violation
 in ``tests/fixtures/order/`` carries a trailing ``# expect: RULE``
-marker and the tests demand exact (file, line, rule) agreement — no
-extra findings, none missing. The clean twins (which deliberately
-mirror the real shard/flowcache idioms) and the whole in-tree source
-must produce zero findings, which is the pass's false-positive budget.
+marker and the tests, running the order family's rules, demand exact
+(file, line, rule) agreement — no extra findings, none missing. The
+clean twins (which deliberately mirror the real shard/flowcache idioms)
+and the whole in-tree source must produce zero findings, which is the
+family's false-positive budget.
 """
 
 import json
@@ -14,19 +15,18 @@ from pathlib import Path
 
 import pytest
 
+import repro.validate.golden
 from repro.analysis.check import run_check
-from repro.analysis.lint.report import render_text
-from repro.analysis.order import (
-    ORDER_RULE_IDS,
-    ORDER_RULES,
-    order_cross_check,
-    order_paths,
-    order_rule_by_id,
-)
+from repro.analysis.runner import FAMILIES, analyze, rule_by_id
+from repro.analysis.trace import static_site_catalog, trace_check
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "order"
+CLEAN_FILE = FIXTURES / "ord51x_clean.py"
+
+ORDER_RULES = FAMILIES["order"]
+ORDER_RULE_IDS = [rule.id for rule in ORDER_RULES]
 
 MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
 
@@ -47,8 +47,18 @@ def expected_fixture_findings():
     return expected
 
 
-def actual_findings(paths, **kwargs):
-    result = order_paths([str(p) for p in paths], **kwargs)
+def rule_flags(rule_ids):
+    """``--rule`` arguments selecting ``rule_ids`` on the command line."""
+    return [arg for rule_id in rule_ids for arg in ("--rule", rule_id)]
+
+
+def order_cross_check(paths=None):
+    """The trace step over ``paths``, with every sanitizer site exercised."""
+    return trace_check(paths, sites=static_site_catalog())
+
+
+def actual_findings(paths, rule_ids=ORDER_RULE_IDS):
+    result = analyze([str(p) for p in paths], rule_ids=rule_ids)
     return result, {
         (Path(f.path).name, f.line, f.rule) for f in result.findings
     }
@@ -69,7 +79,7 @@ class TestFixtureCorpus:
         clean = sorted(FIXTURES.glob("*_clean.py"))
         assert clean, "corpus is missing its clean twins"
         result, actual = actual_findings(clean)
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert actual == set()
 
     def test_findings_are_deterministic(self):
@@ -81,27 +91,31 @@ class TestFixtureCorpus:
 class TestSourceTreeIsClean:
     """Zero in-tree findings is the false-positive budget of the pass.
 
-    This is also the PR's acceptance bar: the real shard engine and
-    flowcache must satisfy every ORD rule with an **empty** baseline —
-    no pragmas, no suppressions (see test_findings_baseline.py).
+    The real shard engine and flowcache satisfy every ORD rule with no
+    baseline entry — no pragmas, no suppressions (see
+    test_findings_baseline.py).
     """
 
     def test_src_orders_clean(self):
         result, _ = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert not result.suppressed
         assert result.files_checked > 50
 
 
 class TestRuleCatalogue:
     def test_registry_matches_rules(self):
-        assert tuple(r.id for r in ORDER_RULES) == ORDER_RULE_IDS
+        assert ORDER_RULE_IDS == [
+            "ORD501", "ORD502", "ORD503",
+            "ORD511", "ORD512", "ORD513",
+            "ORD521", "ORD522", "ORD523",
+        ]
 
     def test_rule_by_id(self):
         for rule in ORDER_RULES:
-            assert order_rule_by_id(rule.id) is rule
+            assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
-        assert order_rule_by_id("BOGUS99") is None
+        assert rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
         result, actual = actual_findings([FIXTURES], rule_ids=["ORD511"])
@@ -112,7 +126,7 @@ class TestRuleCatalogue:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            order_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
 
 class TestMustAnalysisSemantics:
@@ -153,7 +167,7 @@ class TestMustAnalysisSemantics:
             "    self.outbox.emit(when, 'credit', src, ())\n"
         )
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
 
 class TestPragmaSuppression:
@@ -173,14 +187,12 @@ class TestPragmaSuppression:
         assert {f.rule for f in result.suppressed} == {"ORD511"}
 
     def test_order_ids_are_known_to_lint_meta_rules(self, tmp_path):
-        # LINT001 (unknown rule id in pragma) must not fire for order ids
-        # used from the lint pass, and vice versa.
-        from repro.analysis.lint import lint_paths
-
+        # LINT000 (unknown rule id in pragma) must not fire for order
+        # ids when only the lint family runs.
         copy = tmp_path / "cross.py"
         copy.write_text("x = 1  # simlint: disable=ORD521\n")
-        result = lint_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result = analyze([str(copy)], rule_ids=["SIM101"])
+        assert result.ok, result.to_text()
 
 
 class TestOrderCrossCheck:
@@ -188,7 +200,7 @@ class TestOrderCrossCheck:
 
     def test_shipped_goldens_hold_the_ordering_model(self):
         check = order_cross_check()
-        assert check.ok, check.to_text()
+        assert check.ok, check.errors()
         assert check.flows_checked > 0
         assert check.deliveries_checked > check.flows_checked
         # The oncache goldens exercise the cached datapath.
@@ -206,8 +218,8 @@ class TestOrderCrossCheck:
         }))
         check = order_cross_check([str(golden)])
         assert not check.ok
-        assert len(check.violations) == 1
-        name, flow, earlier, later, earlier_t, later_t = check.violations[0]
+        assert len(check.inversions) == 1
+        name, flow, earlier, later, earlier_t, later_t = check.inversions[0]
         assert (flow, earlier, later) == (7, 0, 1)
         assert later_t < earlier_t
 
@@ -224,44 +236,46 @@ class TestOrderCrossCheck:
         }))
         check = order_cross_check([str(golden)])
         assert not check.ok
-        assert ("socket", "fastpath") in check.fastpath_unknown
+        assert ("socket", "fastpath") in check.unknown_fastpath_edges
 
     def test_json_schema(self, tmp_path):
         check = order_cross_check()
-        payload = json.loads(check.to_json())
+        payload = json.loads(json.dumps(check.to_dict()))
         for key in (
             "ok",
             "trace_files",
             "flows_checked",
             "deliveries_checked",
-            "delivery_order_violations",
-            "fastpath_edges_observed",
-            "fastpath_edges_unknown_to_static_graph",
-            "fastpath_edges_unobserved",
+            "errors",
+            "warnings",
         ):
             assert key in payload
         assert payload["ok"] is True
 
 
 class TestUnifiedCheck:
-    """`repro check` runs every static gate in one pass."""
+    """`repro check` runs every rule family and the trace step in one pass."""
 
     def test_fixture_run_fails_order_only(self):
         report = run_check([str(FIXTURES)])
         assert not report.ok
         by_name = {step.name: step for step in report.steps}
-        assert set(by_name) == {"lint", "flow", "order", "san", "mypy"}
-        assert not by_name["order"].ok
-        assert by_name["flow"].ok
+        assert set(by_name) == {"rules", "trace", "mypy"}
+        assert not by_name["rules"].ok
+        assert by_name["trace"].ok
         # mypy is optional in this environment: ok or skipped, never
         # silently absent.
         assert by_name["mypy"].ok or not by_name["mypy"].skipped
+        # Every ORD rule fires; of the other families only san's
+        # immortal-map rule sees the ORD52x corpus's insert-only table.
+        rules = {f.rule for f in report.analysis.findings}
+        assert rules == set(ORDER_RULE_IDS) | {"OWN623"}
 
     def test_rule_filter_routes_to_owning_analyzer(self):
         report = run_check([str(FIXTURES)], rule_ids=["ORD521"])
-        by_name = {step.name: step for step in report.steps}
-        assert not by_name["order"].ok
-        assert by_name["lint"].ok and by_name["flow"].ok
+        assert not report.ok
+        assert report.analysis.rules_run == ["ORD521"]
+        assert {f.rule for f in report.analysis.findings} == {"ORD521"}
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
@@ -272,7 +286,7 @@ class TestUnifiedCheck:
         payload = json.loads(report.to_json())
         assert payload["ok"] is False
         assert [step["name"] for step in payload["steps"]] == [
-            "lint", "flow", "order", "san", "mypy",
+            "rules", "trace", "mypy",
         ]
         for step in payload["steps"]:
             assert set(step) == {"name", "ok", "skipped", "summary"}
@@ -280,33 +294,39 @@ class TestUnifiedCheck:
 
 class TestCli:
     def test_order_src_exits_zero(self, capsys):
-        assert main(["order", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+        code = main(["check", str(REPO_ROOT / "src"), *rule_flags(ORDER_RULE_IDS)])
+        assert code == 0
+        assert "check OK" in capsys.readouterr().out
 
     def test_order_fixtures_exits_one_with_json(self, capsys):
-        code = main(["order", str(FIXTURES), "--format", "json"])
+        code = main([
+            "check", str(FIXTURES), "--format", "json",
+            *rule_flags(ORDER_RULE_IDS),
+        ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts_by_rule"]["ORD511"] == 2
-        assert payload["counts_by_rule"]["ORD502"] == 2
+        assert payload["rules"]["counts_by_rule"]["ORD511"] == 2
+        assert payload["rules"]["counts_by_rule"]["ORD502"] == 2
 
     def test_unknown_rule_exits_two(self, capsys):
-        code = main(["order", str(FIXTURES), "--rule", "BOGUS99"])
+        code = main(["check", str(FIXTURES), "--rule", "BOGUS99"])
         assert code == 2
         assert "BOGUS99" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
-        assert main(["order", "--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ORDER_RULE_IDS:
             assert rule_id in out
 
     def test_trace_exits_zero_on_shipped_goldens(self, capsys):
-        assert main(["order", "--trace"]) == 0
-        assert "cross-check OK" in capsys.readouterr().out
+        assert main(["check", str(CLEAN_FILE), "--rule", "ORD511"]) == 0
+        assert "trace  ok" in capsys.readouterr().out
 
-    def test_trace_exits_one_on_reordered_golden(self, tmp_path, capsys):
+    def test_trace_exits_one_on_reordered_golden(
+        self, tmp_path, capsys, monkeypatch
+    ):
         golden = tmp_path / "reordered.json"
         golden.write_text(json.dumps({
             "traces": [
@@ -316,11 +336,17 @@ class TestCli:
                  "events": [[3.0, "deliver", "container", 1]]},
             ],
         }))
-        code = main(["order", "--trace", str(golden), "--format", "json"])
+        monkeypatch.setattr(
+            repro.validate.golden, "default_golden_dir", lambda: tmp_path
+        )
+        code = main([
+            "check", str(CLEAN_FILE), "--rule", "ORD511", "--format", "json",
+        ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert len(payload["delivery_order_violations"]) == 1
+        (error,) = payload["trace"]["errors"]
+        assert "msg 1 delivered" in error and "before msg 0" in error
 
     def test_check_fixtures_exits_one(self, capsys):
         assert main(["check", str(FIXTURES)]) == 1
@@ -330,3 +356,8 @@ class TestCli:
         assert main(["check", str(REPO_ROOT / "src"), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+        # Every family ran, the san rules included.
+        assert payload["rules"]["rules_run"] == [
+            rule.id for rules in FAMILIES.values() for rule in rules
+        ]
+        assert payload["rules"]["findings"] == []

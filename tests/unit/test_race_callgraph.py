@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import lint_paths, render_text
 from repro.analysis.lint.core import FileContext, module_name_for
 from repro.analysis.lint.rules_race import PerCpuRaceRule
+from repro.analysis.runner import analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 STAGES = REPO_ROOT / "src" / "repro" / "kernel" / "stages.py"
@@ -30,7 +30,7 @@ PERCPU_OWNER = (
 
 
 def race_findings(paths):
-    result = lint_paths([str(p) for p in paths])
+    result = analyze([str(p) for p in paths], rule_ids=["RACE301"])
     return result, [f for f in result.findings if f.rule == "RACE301"]
 
 
@@ -76,7 +76,7 @@ class TestSelfMethodResolution:
             "        self.schedule(dst_cpu)\n",
         )
         result, race = race_findings([path])
-        assert race == [], render_text(result)
+        assert race == [], result.to_text()
 
     def test_single_cpu_param_is_core_local(self, tmp_path):
         # One CPU identity means the function runs *on* that core — the
@@ -91,7 +91,7 @@ class TestSelfMethodResolution:
             "        mesh.data[cpu].append(skb)\n",
         )
         result, race = race_findings([path])
-        assert race == [], render_text(result)
+        assert race == [], result.to_text()
 
 
 class TestTransitionIndirection:
@@ -126,7 +126,7 @@ class TestTransitionIndirection:
 
     def test_mixed_module_pair_is_clean(self):
         result, race = race_findings([STAGES, SOFTIRQ])
-        assert race == [], render_text(result)
+        assert race == [], result.to_text()
 
 
 class TestDispatchArguments:

@@ -1,6 +1,6 @@
-"""Mutation tests: simsan must catch planted defects in the real code.
+"""Mutation tests: the san rules must catch planted defects in the real code.
 
-The acceptance bar for the pass is not "runs clean on src" (a vacuous
+The acceptance bar for the family is not "runs clean on src" (a vacuous
 analyzer does that too) — it is that seeding each canonical ownership
 bug into a *copy of the real module* yields exactly the expected OWN
 finding at the expected line:
@@ -18,13 +18,18 @@ unconditionally — strict by default.
 
 from pathlib import Path
 
-from repro.analysis.lint.report import render_text
-from repro.analysis.san import san_paths
+from repro.analysis.runner import FAMILIES, analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GRO = REPO_ROOT / "src" / "repro" / "kernel" / "gro.py"
 CLUSTER = REPO_ROOT / "src" / "repro" / "overlay" / "cluster.py"
 FLOWCACHE = REPO_ROOT / "src" / "repro" / "kernel" / "flowcache.py"
+
+SAN_RULE_IDS = [rule.id for rule in FAMILIES["san"]]
+
+
+def san_paths(paths):
+    return analyze(paths, rule_ids=SAN_RULE_IDS)
 
 
 def findings_for(path):
@@ -55,7 +60,7 @@ class TestCleanCopies:
             copy = tmp_path / source.name
             copy.write_text(source.read_text())
             result = san_paths([str(copy)])
-            assert result.ok, f"{source.name}:\n{render_text(result)}"
+            assert result.ok, f"{source.name}:\n{result.to_text()}"
 
 
 class TestPlantedDefects:

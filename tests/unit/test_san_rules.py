@@ -1,12 +1,12 @@
-"""Tests for the ``simsan`` ownership/lifetime pass.
+"""Tests for the san rule family (ownership/lifetimes).
 
-Mirrors the simlint/simflow/simorder fixture discipline: every seeded
-violation in ``tests/fixtures/san/`` carries a trailing ``# expect:
-RULE`` marker and the tests demand exact (file, line, rule) agreement —
-no extra findings, none missing. The clean twins (which deliberately
-mirror the real GRO/wire-codec/FlowTable idioms) and the whole in-tree
-source must produce zero findings, which is the pass's false-positive
-budget.
+Same fixture discipline as the other families: every seeded violation
+in ``tests/fixtures/san/`` carries a trailing ``# expect: RULE`` marker
+and the tests, running the san family's rules, demand exact (file,
+line, rule) agreement — no extra findings, none missing. The clean
+twins (which deliberately mirror the real GRO/wire-codec/FlowTable
+idioms) and the whole in-tree source must produce zero findings, which
+is the family's false-positive budget.
 """
 
 import json
@@ -16,18 +16,16 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.check import run_check
-from repro.analysis.lint.report import render_text
-from repro.analysis.san import (
-    SAN_RULE_IDS,
-    SAN_RULES,
-    san_cross_check,
-    san_paths,
-    san_rule_by_id,
-)
+from repro.analysis.runner import FAMILIES, analyze, rule_by_id
+from repro.analysis.trace import trace_check
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "san"
+CLEAN_FILE = FIXTURES / "own61x_clean.py"
+
+SAN_RULES = FAMILIES["san"]
+SAN_RULE_IDS = [rule.id for rule in SAN_RULES]
 
 MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
 
@@ -48,8 +46,18 @@ def expected_fixture_findings():
     return expected
 
 
-def actual_findings(paths, **kwargs):
-    result = san_paths([str(p) for p in paths], **kwargs)
+def rule_flags(rule_ids):
+    """``--rule`` arguments selecting ``rule_ids`` on the command line."""
+    return [arg for rule_id in rule_ids for arg in ("--rule", rule_id)]
+
+
+def san_cross_check(dynamic_sites=None):
+    """The trace step over the goldens and ``dynamic_sites``."""
+    return trace_check(sites=dynamic_sites)
+
+
+def actual_findings(paths, rule_ids=SAN_RULE_IDS):
+    result = analyze([str(p) for p in paths], rule_ids=rule_ids)
     return result, {
         (Path(f.path).name, f.line, f.rule) for f in result.findings
     }
@@ -70,7 +78,7 @@ class TestFixtureCorpus:
         clean = sorted(FIXTURES.glob("*_clean.py"))
         assert clean, "corpus is missing its clean twins"
         result, actual = actual_findings(clean)
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert actual == set()
 
     def test_findings_are_deterministic(self):
@@ -83,26 +91,28 @@ class TestSourceTreeIsClean:
     """Zero in-tree findings is the false-positive budget of the pass.
 
     The shard wire codec, GRO and the flowcache satisfy every OWN rule
-    with an **empty** baseline — no pragmas, no suppressions (see
+    with no baseline entry — no pragmas, no suppressions (see
     test_findings_baseline.py).
     """
 
     def test_src_owns_clean(self):
         result, _ = actual_findings([REPO_ROOT / "src"])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
         assert not result.suppressed
         assert result.files_checked > 50
 
 
 class TestRuleCatalogue:
     def test_registry_matches_rules(self):
-        assert tuple(r.id for r in SAN_RULES) == SAN_RULE_IDS
+        assert SAN_RULE_IDS == [
+            "OWN611", "OWN612", "OWN613", "OWN621", "OWN622", "OWN623",
+        ]
 
     def test_rule_by_id(self):
         for rule in SAN_RULES:
-            assert san_rule_by_id(rule.id) is rule
+            assert rule_by_id(rule.id) is rule
             assert rule.title and rule.rationale
-        assert san_rule_by_id("BOGUS99") is None
+        assert rule_by_id("BOGUS99") is None
 
     def test_single_rule_runs_alone(self):
         result, actual = actual_findings([FIXTURES], rule_ids=["OWN622"])
@@ -113,7 +123,7 @@ class TestRuleCatalogue:
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ValueError, match="BOGUS99"):
-            san_paths([str(FIXTURES)], rule_ids=["BOGUS99"])
+            analyze([str(FIXTURES)], rule_ids=["BOGUS99"])
 
 
 class TestOwnershipSemantics:
@@ -131,7 +141,7 @@ class TestOwnershipSemantics:
             "        table.invalidate(key)\n"
         )
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_store_xor_forward_stays_silent(self, tmp_path):
         # GRO's shape: held on one path, returned on the disjoint other.
@@ -144,7 +154,7 @@ class TestOwnershipSemantics:
             "    return skb\n"
         )
         result, _ = actual_findings([copy])
-        assert result.ok, render_text(result)
+        assert result.ok, result.to_text()
 
     def test_store_and_forward_is_flagged(self, tmp_path):
         copy = tmp_path / "retained.py"
@@ -175,91 +185,89 @@ class TestPragmaSuppression:
         assert result.suppressed[0].line == 27
 
     def test_san_ids_are_known_to_lint_meta_rules(self, tmp_path):
-        from repro.analysis.lint import lint_paths
-
         copy = tmp_path / "cross.py"
         copy.write_text("x = 1  # simlint: disable=OWN611\n")
-        result = lint_paths([str(copy)])
-        assert result.ok, render_text(result)
+        result = analyze([str(copy)], rule_ids=["SIM101"])
+        assert result.ok, result.to_text()
 
 
 class TestStaticDynamicCrossCheck:
     """Every site tag the runtime ledger reports must be in the static
     catalog — a tag the scan cannot find means an instrumentation call
-    built its site string at runtime."""
+    built its site string at runtime — and the probe must exercise every
+    catalogued site."""
 
     def test_probe_exercises_known_sites_only(self):
         check = san_cross_check()
-        assert check.ok, "\n".join(check.render())
+        assert check.ok, check.errors()
         assert len(check.static_sites) >= 7
         # The probe covers both kinds and every release path.
-        assert check.unexercised == [], check.unexercised
+        assert check.unexercised_sites == [], check.unexercised_sites
         for site in ("flowtable.evict", "outbox.emit", "world.inject"):
             assert site in check.dynamic_sites, site
 
     def test_unknown_dynamic_site_fails(self):
         check = san_cross_check(dynamic_sites=["outbox.emit", "bogus.site"])
         assert not check.ok
-        assert check.unknown == ["bogus.site"]
-        assert any("bogus.site" in line for line in check.render())
+        assert check.unknown_sites == ["bogus.site"]
+        assert any("bogus.site" in line for line in check.errors())
 
-    def test_unexercised_is_informational(self):
+    def test_unexercised_site_fails(self):
+        # An unexercised site is not an unknown one; it fails the step
+        # on its own account.
         check = san_cross_check(dynamic_sites=["outbox.emit"])
-        assert check.ok
-        assert "world.inject" in check.unexercised
+        assert check.unknown_sites == []
+        assert "world.inject" in check.unexercised_sites
+        assert not check.ok
 
 
 class TestUnifiedCheck:
-    """`repro check` runs the san gate alongside the other passes."""
+    """`repro check` runs the san rules alongside the other families."""
 
     def test_fixture_run_fails_san_only(self):
         report = run_check([str(FIXTURES)])
         assert not report.ok
         by_name = {step.name: step for step in report.steps}
-        assert set(by_name) == {"lint", "flow", "order", "san", "mypy"}
-        assert not by_name["san"].ok
-        assert by_name["lint"].ok
-        assert by_name["flow"].ok
-        assert by_name["order"].ok
+        assert set(by_name) == {"rules", "trace", "mypy"}
+        assert not by_name["rules"].ok
+        assert by_name["trace"].ok
+        assert {f.rule for f in report.analysis.findings} == set(SAN_RULE_IDS)
 
     def test_rule_filter_routes_to_owning_analyzer(self):
         report = run_check([str(FIXTURES)], rule_ids=["OWN621"])
-        by_name = {step.name: step for step in report.steps}
-        assert not by_name["san"].ok
-        assert by_name["lint"].ok and by_name["flow"].ok and by_name["order"].ok
+        assert not report.ok
+        assert {f.rule for f in report.analysis.findings} == {"OWN621"}
 
 
 class TestCli:
     def test_san_src_exits_zero(self, capsys):
-        assert main(["san", str(REPO_ROOT / "src")]) == 0
-        assert "clean" in capsys.readouterr().out
+        code = main(["check", str(REPO_ROOT / "src"), *rule_flags(SAN_RULE_IDS)])
+        assert code == 0
+        assert "check OK" in capsys.readouterr().out
 
     def test_san_fixtures_exits_one_with_json(self, capsys):
-        code = main(["san", str(FIXTURES), "--format", "json"])
+        code = main([
+            "check", str(FIXTURES), "--format", "json",
+            *rule_flags(SAN_RULE_IDS),
+        ])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["counts_by_rule"]["OWN621"] == 2
-        assert payload["counts_by_rule"]["OWN611"] == 4
+        assert payload["rules"]["counts_by_rule"]["OWN621"] == 2
+        assert payload["rules"]["counts_by_rule"]["OWN611"] == 4
 
     def test_unknown_rule_exits_two(self, capsys):
-        code = main(["san", str(FIXTURES), "--rule", "BOGUS99"])
+        code = main(["check", str(FIXTURES), "--rule", "BOGUS99"])
         assert code == 2
         assert "BOGUS99" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
-        assert main(["san", "--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in SAN_RULE_IDS:
             assert rule_id in out
 
     def test_trace_exits_zero(self, capsys):
-        assert main(["san", "--trace"]) == 0
+        assert main(["check", str(CLEAN_FILE), "--rule", "OWN611"]) == 0
         out = capsys.readouterr().out
-        assert "static sites" in out
-
-    def test_check_src_includes_san_step(self, capsys):
-        assert main(["check", str(REPO_ROOT / "src"), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert "san" in [step["name"] for step in payload["steps"]]
+        assert "sanitizer sites" in out

@@ -8,15 +8,15 @@ Three layers, mirroring the module's contract:
   and release at the sanctioned sites;
 * non-interference — a sanitized golden run produces **byte-identical**
   trace documents (the ledger never schedules, never reads the clock),
-  and every site it reports is in the static catalog ``repro san``
-  scans for.
+  and every site it reports is in the static catalog the trace step
+  of ``repro check`` scans for.
 """
 
 import os
 
 import pytest
 
-from repro.analysis.san.sancheck import san_cross_check
+from repro.analysis.trace import static_site_catalog
 from repro.kernel.flowcache import FlowTable
 from repro.overlay.cluster import run_cluster, udp_ring_spec
 from repro.validate.golden import (
@@ -202,8 +202,8 @@ class TestGoldenByteIdentity:
         with sanitizing() as ledger:
             run_cluster_golden_scenario(spec)
             report = ledger.report()
-        check = san_cross_check(dynamic_sites=report.sites())
-        assert check.ok, "\n".join(check.render())
+        unknown = report.sites() - static_site_catalog()
+        assert not unknown, sorted(unknown)
 
 
 class TestHarnessOutcome:
