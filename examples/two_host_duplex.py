@@ -42,7 +42,9 @@ def run_case(falcon):
     tx = TxStack(sender, link, CostModel(), overlay=True)
 
     container = receiver.launch_container("server")
-    flow = FlowKey.make(0x0B000001, container.private_ip, PROTO_UDP)
+    flow = FlowKey.make(
+        0x0B000001, container.private_ip, PROTO_UDP, flow_id=receiver.ctx.new_flow_id()
+    )
     latency = LatencyRecorder()
     receiver.stack.open_socket(
         flow, app_cpu=2, on_message=lambda s, skb, lat: latency.record(lat)

@@ -160,13 +160,13 @@ def trace_check(
     the site tags of a fresh :func:`dynamic_site_probe` run.
     """
     if trace_files is None:
-        from repro.validate.golden import default_golden_dir
+        from repro.validate.golden import FIGURE_DIGESTS, default_golden_dir
 
         golden_dir = default_golden_dir()
         trace_files = sorted(
             os.path.join(golden_dir, name)
             for name in os.listdir(golden_dir)
-            if name.endswith(".json")
+            if name.endswith(".json") and name != FIGURE_DIGESTS
         )
     result = TraceCheck(trace_files=list(trace_files))
     for path in result.trace_files:

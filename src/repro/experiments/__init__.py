@@ -1,27 +1,13 @@
-"""Experiment drivers — one module per figure of the paper.
+"""Experiment drivers — one module per figure.
 
-Every module exposes ``run(quick=False) -> ExperimentOutput``; the
-benchmark harness in ``benchmarks/`` regenerates each figure by calling
-it and printing the rows/series the paper reports. ``quick=True`` runs a
-reduced sweep (shorter windows, fewer points) for smoke tests.
-
-| Module                | Paper figure |
-|-----------------------|--------------|
-| fig02_motivation      | Fig 2 (a–d)  |
-| fig04_interrupts      | Fig 4        |
-| fig05_serialization   | Fig 5        |
-| fig06_flamegraph      | Fig 6        |
-| fig09_splitting       | Fig 9a       |
-| fig10_udp_stress      | Fig 10       |
-| fig11_cpu_util        | Fig 11       |
-| fig12_latency         | Fig 12       |
-| fig13_multiflow       | Fig 13       |
-| fig14_multicontainer  | Fig 14       |
-| fig15_threshold       | Fig 15       |
-| fig16_adaptability    | Fig 16       |
-| fig17_webserving      | Fig 17       |
-| fig18_datacaching     | Fig 18       |
-| fig19_overhead        | Fig 19       |
+Every module exposes ``run(quick=False) -> ExperimentOutput`` and is
+named after its figure (``fig10_udp_stress`` is the paper's Fig. 10;
+fig20 measures the sharded simulator itself and fig21 the ONCache flow
+cache). :data:`repro.experiments.run_all.FIGURES` lists them all, and
+``repro figures [--quick] [--only NAME,...]`` renders them under
+``results/``. The figure tier (``pytest -m slow tests/figures``) runs
+each in quick mode (shorter windows, fewer points), asserts its headline
+result and pins its numbers.
 """
 
 from repro.experiments.runner import ExperimentOutput, falcon_config, standard_modes

@@ -142,7 +142,3 @@ def run(quick: bool = False) -> ExperimentOutput:
     out.tables.append(table_d)
     out.series["latency"] = series_d
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -80,7 +80,3 @@ def run(quick: bool = False) -> ExperimentOutput:
     out.tables.append(table)
     out.series["interrupts"] = series
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -74,7 +74,3 @@ def run(quick: bool = False) -> ExperimentOutput:
         label: sum(result.cpu_util) for label, result in single.items()
     }
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -75,7 +75,3 @@ def run(quick: bool = False) -> ExperimentOutput:
     out.series["sockperf"] = grouped_sock
     out.series["memcached"] = grouped_mem
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -75,7 +75,3 @@ def run(quick: bool = False) -> ExperimentOutput:
         out.series[f"split_{label}"] = result.cpu_util[DRIVER_CPU]
     out.tables.append(table2)
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

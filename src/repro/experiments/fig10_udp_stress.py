@@ -62,7 +62,3 @@ def run(quick: bool = False) -> ExperimentOutput:
             out.tables.append(table)
             out.series[(kernel, bandwidth)] = series
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

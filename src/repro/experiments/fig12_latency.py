@@ -67,15 +67,18 @@ def run(quick: bool = False) -> ExperimentOutput:
     # throughput before packet drop occurs" — measure each mode's
     # capacity with a short stress probe, then hold it at 92% of that
     # with Poisson arrivals. (Driving far past saturation would only
-    # measure buffer depths: every queue pegs at its capacity.)
+    # measure buffer depths: every queue pegs at its capacity.) A tail
+    # this close to saturation needs the full window even in quick mode:
+    # a 5 ms window after a 2.5 ms probe reads Poisson luck.
     table_c = _table("(c) UDP 16 B, overloaded (92% of each case's maximum)")
+    dur_c = durations(False, 20.0, 8.0)
     for label, kwargs in standard_modes():
         probe = Experiment(**kwargs).run_udp_stress(
-            16, duration_ms=dur["duration_ms"] / 2, warmup_ms=dur["warmup_ms"]
+            16, duration_ms=dur_c["duration_ms"] / 2, warmup_ms=dur_c["warmup_ms"]
         )
         rate = probe.message_rate_pps * 0.92
         result = Experiment(**kwargs).run_udp_fixed(
-            16, rate_pps=rate, clients=3, poisson=True, **dur
+            16, rate_pps=rate, clients=3, poisson=True, **dur_c
         )
         _row(table_c, label, result.latency)
         series[("udp_over", label)] = result.latency
@@ -96,7 +99,3 @@ def run(quick: bool = False) -> ExperimentOutput:
 
     out.series.update(series)
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

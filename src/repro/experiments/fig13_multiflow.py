@@ -116,7 +116,3 @@ def run(quick: bool = False) -> ExperimentOutput:
         out.tables.append(table_tcp)
         out.series[("tcp", kernel)] = tcp_series
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -66,7 +66,3 @@ def run(quick: bool = False) -> ExperimentOutput:
         out.tables.append(table)
         out.series[load_label] = series
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

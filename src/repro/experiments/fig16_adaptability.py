@@ -58,7 +58,3 @@ def run(quick: bool = False) -> ExperimentOutput:
     out.series.update(series)
     out.series["gain"] = dynamic_mean / static_mean if static_mean else 0.0
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

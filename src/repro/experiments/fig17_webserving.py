@@ -67,7 +67,3 @@ def run(quick: bool = False) -> ExperimentOutput:
         results["Falcon"].total_ops,
     )
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

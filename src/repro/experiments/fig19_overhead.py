@@ -59,7 +59,3 @@ def run(quick: bool = False) -> ExperimentOutput:
     out.tables.extend([table_cpu, table_irq])
     out.series["by_rate"] = series
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -83,14 +83,7 @@ def run(quick: bool = False) -> ExperimentOutput:
             windows_run=result.windows_run,
             records_exchanged=result.records_exchanged,
             events=result.events_processed,
-            events_per_sec=round(eps, 1),
-            speedup=round(eps / base_eps, 3) if base_eps else 0.0,
         )
     out.tables.append(table)
     out.series["by_shards"] = series
-    out.series["host_cpus"] = cpus
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

@@ -176,7 +176,3 @@ def run(quick: bool = False) -> ExperimentOutput:
         out.tables.append(sweep_table)
         out.series[("sweep", capacity)] = sweep
     return out
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run().print()

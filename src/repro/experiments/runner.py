@@ -51,9 +51,6 @@ class ExperimentOutput:
         header = f"== {self.figure}: {self.title} =="
         return "\n\n".join([header] + [table.render() for table in self.tables])
 
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
-
 
 def durations(quick: bool, full_ms: float = 25.0, warm_ms: float = 10.0):
     """Scale measurement windows down for quick (smoke) runs."""

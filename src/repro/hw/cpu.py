@@ -21,13 +21,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from repro.metrics.cpuacct import CpuAccounting
+from repro.metrics.cpuacct import HARDIRQ, SOFTIRQ, USER, CpuAccounting
 from repro.sim.engine import Simulator
 
-#: Execution contexts in dispatch-priority order.
-HARDIRQ = 0
-SOFTIRQ = 1
-USER = 2
+__all__ = ["Cpu", "HARDIRQ", "SOFTIRQ", "USER"]
 
 _NUM_CONTEXTS = 3
 
@@ -49,7 +46,6 @@ class Cpu:
         "acct",
         "_queues",
         "_running",
-        "busy_us_total",
         "load",
         "_dispatch_scheduled",
         "monitor",
@@ -61,8 +57,6 @@ class Cpu:
         self.acct = acct
         self._queues: Tuple[Deque, ...] = tuple(deque() for _ in range(_NUM_CONTEXTS))
         self._running: Optional[tuple] = None
-        #: Cumulative busy time, used by the load tracker.
-        self.busy_us_total = 0.0
         #: Recent utilization in [0, 1]; refreshed by the kernel timer tick.
         #: This is the per-CPU load Algorithm 1 consults (``cpu.load``).
         self.load = 0.0
@@ -128,7 +122,6 @@ class Cpu:
             self.acct.charge(self.index, context, label, duration)
         if self.monitor is not None:
             self.monitor.on_cpu_start(self.index, self.sim.now, duration)
-        self.busy_us_total += duration
         self.sim.schedule(duration, self._complete, fn, args)
 
     def _complete(self, fn: Completion, args: tuple) -> None:

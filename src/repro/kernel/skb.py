@@ -22,7 +22,6 @@ message; ``segs`` counts how many wire packets a merged skb represents.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, Tuple
 
 from repro.kernel.hashing import flow_hash
@@ -31,14 +30,15 @@ from repro.kernel.hashing import flow_hash
 PROTO_UDP = 17
 PROTO_TCP = 6
 
-_flow_ids = itertools.count(1)
-
 
 class FlowKey:
     """A 5-tuple identifying a network flow, with its cached hash.
 
-    >>> a = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001)
-    >>> b = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001)
+    ``flow_id`` names the flow within its simulated world; runs draw it
+    from :meth:`repro.sim.context.SimContext.new_flow_id`.
+
+    >>> a = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001, flow_id=1)
+    >>> b = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001, flow_id=2)
     >>> a.hash == b.hash
     True
     """
@@ -52,6 +52,7 @@ class FlowKey:
         proto: int,
         sport: int,
         dport: int,
+        flow_id: int,
     ) -> None:
         self.src_ip = src_ip
         self.dst_ip = dst_ip
@@ -59,7 +60,7 @@ class FlowKey:
         self.sport = sport
         self.dport = dport
         self.hash = flow_hash(src_ip, dst_ip, proto, sport, dport)
-        self.flow_id = next(_flow_ids)
+        self.flow_id = flow_id
 
     @classmethod
     def make(
@@ -69,8 +70,10 @@ class FlowKey:
         proto: int = PROTO_UDP,
         sport: int = 10000,
         dport: int = 5001,
+        *,
+        flow_id: int,
     ) -> "FlowKey":
-        return cls(src_ip, dst_ip, proto, sport, dport)
+        return cls(src_ip, dst_ip, proto, sport, dport, flow_id)
 
     def tuple(self) -> Tuple[int, int, int, int, int]:
         return (self.src_ip, self.dst_ip, self.proto, self.sport, self.dport)

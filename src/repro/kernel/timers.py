@@ -38,7 +38,9 @@ class LoadTracker:
         self.tick_us = tick_us
         self.alpha = alpha
         self.timer_cpu = timer_cpu
-        self._prev_busy: List[float] = [cpu.busy_us_total for cpu in machine.cpus]
+        self._prev_busy: List[float] = [
+            machine.acct.busy_us(cpu.index) for cpu in machine.cpus
+        ]
         self._started = False
         self.ticks = 0
 
@@ -56,8 +58,9 @@ class LoadTracker:
             0, "do_timer", self.costs.do_timer.fixed
         )
         alpha = self.alpha
+        busy_us = machine.acct.busy_us
         for index, cpu in enumerate(machine.cpus):
-            busy = cpu.busy_us_total
+            busy = busy_us(index)
             instant = min((busy - self._prev_busy[index]) / self.tick_us, 1.0)
             self._prev_busy[index] = busy
             cpu.load = alpha * instant + (1.0 - alpha) * cpu.load

@@ -12,10 +12,9 @@ shard-equivalence suite demand byte-identical traces.
 Determinism over process boundaries requires two departures from the
 single-host :class:`~repro.workloads.sockperf.Testbed`:
 
-* flow ids are assigned from a fixed base (``FLOW_ID_BASE + flow
-  index``) instead of the process-global counter — worker processes
-  start from a fresh interpreter, and RNG stream names embed the flow
-  id;
+* a flow's id is its index in the spec plus one, not the next id of the
+  world: which endpoints a shard builds, and in what order, depends on
+  the layout, while RNG stream names and socket binding must not;
 * every host owns its own :class:`~repro.sim.context.SimContext`, RNG
   registry and overlay control plane, seeded from ``(spec.seed, host
   index)`` — hosts co-located in a shard share a simulator clock but no
@@ -44,10 +43,6 @@ from repro.sim.shard import CrossShardEvent, InlineShardHandle, ShardCoordinator
 from repro.validate.golden import SCHEMA_VERSION, TIME_PRECISION
 from repro.workloads.flows import TcpSender, UdpSender
 from repro.workloads.traffic import ConstantRate, Saturating
-
-#: Cluster flow ids live far above anything the process-global counter
-#: reaches, so deterministic ids can never collide with testbed flows.
-FLOW_ID_BASE = 1 << 20
 
 RECORD_SKB = "skb"
 RECORD_CREDIT = "credit"
@@ -449,18 +444,14 @@ class _ClusterHost:
 
 def _make_flow_key(spec: ClusterSpec, flow_index: int) -> FlowKey:
     flow = spec.flows[flow_index]
-    key = FlowKey(
+    return FlowKey(
         src_ip=host_ip(flow.src),
         dst_ip=container_ip(flow.dst),
         proto=PROTO_TCP if flow.kind == "tcp" else PROTO_UDP,
         sport=40_000 + flow_index,
         dport=5_000 + flow_index,
+        flow_id=flow_index + 1,
     )
-    # The process-global id counter differs between the parent and a
-    # fresh spawn worker; pin ids so RNG stream names and socket binding
-    # agree across every shard layout.
-    key.flow_id = FLOW_ID_BASE + flow_index
-    return key
 
 
 class ClusterWorld:

@@ -7,7 +7,6 @@ overlay pipeline of its host's :class:`~repro.kernel.stack.NetworkStack`.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey
@@ -15,8 +14,6 @@ from repro.kernel.sockets import MessageCallback, Socket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.host import Host
-
-_container_ids = itertools.count(1)
 
 
 class Container:
@@ -26,7 +23,6 @@ class Container:
         self.name = name
         self.private_ip = private_ip
         self.host = host
-        self.id = next(_container_ids)
         self._next_port = 5000
 
     def allocate_port(self) -> int:
@@ -49,7 +45,7 @@ class Container:
         """
         # The socket is created unbound; flows attach as clients connect.
         socket = self.host.stack.open_socket(
-            FlowKey(src_ip=0, dst_ip=self.private_ip, proto=proto, sport=0, dport=port),
+            FlowKey(0, self.private_ip, proto, 0, port, self.host.ctx.new_flow_id()),
             app_cpu=app_cpu,
             on_message=on_message,
             rmem_packets=rmem_packets,
@@ -66,7 +62,9 @@ class Container:
         proto: int = PROTO_UDP,
     ) -> FlowKey:
         """Bind a remote 5-tuple to a listening socket (a 'connection')."""
-        flow = FlowKey(src_ip, self.private_ip, proto, sport, dport)
+        flow = FlowKey(
+            src_ip, self.private_ip, proto, sport, dport, self.host.ctx.new_flow_id()
+        )
         self.host.stack.bind_flow(flow, socket)
         return flow
 

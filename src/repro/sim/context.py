@@ -79,6 +79,18 @@ class SimContext:
         """Named deterministic RNG stream (see :class:`RngRegistry`)."""
         return self.rng.stream(stream_name)
 
+    def new_flow_id(self) -> int:
+        """The next flow id of this simulated world: 1, 2, ... in
+        construction order.
+
+        The count lives on the simulator, so every context sharing it
+        (one per ``Host`` or ``Machine``) draws from one sequence: flows
+        of co-simulated hosts never share an id, and a run's ids do not
+        depend on what else ran in the process.
+        """
+        self.sim.flow_ids_issued += 1
+        return self.sim.flow_ids_issued
+
     # ------------------------------------------------------------------
     # Monitor / tracer fan-out
     # ------------------------------------------------------------------

@@ -51,6 +51,9 @@ class Simulator:
         self._seq: int = 0
         self._halted: bool = False
         self.events_processed: int = 0
+        #: Flow ids handed out so far in this simulated world (see
+        #: :meth:`repro.sim.context.SimContext.new_flow_id`).
+        self.flow_ids_issued: int = 0
         self._scheduler = HeapScheduler()
         #: Optional :class:`repro.validate.InvariantMonitor` hook. When
         #: None (the default) the event loop pays one attribute check per

@@ -16,10 +16,6 @@ regime is required to preserve:
   must not introduce reordering);
 * **identical application-level byte counts** — the two sides deliver
   the same messages with the same sizes, byte for byte.
-
-Workloads use constant-rate or closed-loop pacing only: Poisson arrival
-streams are named after the process-global flow counter and would differ
-between the two testbeds (see docs/architecture.md).
 """
 
 from __future__ import annotations

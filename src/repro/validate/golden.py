@@ -8,29 +8,32 @@ shows up as a readable diff instead of a silently shifted figure.
 
 Canonicalization rules (what makes two runs comparable):
 
-* flow ids are remapped to dense indexes in ascending creation order —
-  the raw ids come from a process-global counter and depend on what else
-  ran in the process;
+* flow ids are remapped to dense indexes in ascending creation order;
 * traces are sorted by (flow, msg); events keep their recorded order;
 * timestamps are rounded to a fixed precision so the JSON text is stable.
 
-Golden scenarios deliberately avoid Poisson pacing: sender RNG stream
-names incorporate the process-global flow counter (see
-docs/architecture.md), so only deterministic arrival processes give
-traces that are stable regardless of what ran earlier in the process.
+The same directory pins every figure's quick-mode numbers as one digest
+per figure (:func:`figure_digest`); the figure tier under
+``tests/figures`` checks them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import json
+import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 SCHEMA_VERSION = 1
 
 #: Decimal places kept on event timestamps (µs). The simulation is
 #: bit-deterministic; rounding only guards the JSON text representation.
 TIME_PRECISION = 6
+
+#: File in the golden directory mapping figure name -> series digest.
+FIGURE_DIGESTS = "figures.json"
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +69,50 @@ def write_golden(path: Path, doc: Dict) -> None:
 
 def load_golden(path: Path) -> Dict:
     return json.loads(Path(path).read_text())
+
+
+def canonical_series(value: Any) -> str:
+    """A figure's raw ``series`` as text: keys sorted, floats by ``repr``."""
+    if isinstance(value, dict):
+        items = sorted(
+            (canonical_series(key), canonical_series(item))
+            for key, item in value.items()
+        )
+        return "{" + ",".join(f"{key}:{item}" for key, item in items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(canonical_series(item) for item in value) + "]"
+    return repr(float(value)) if isinstance(value, float) else repr(value)
+
+
+def figure_digest(series: Dict[str, Any]) -> str:
+    """sha256 of :func:`canonical_series`: one ulp anywhere changes it."""
+    return hashlib.sha256(canonical_series(series).encode()).hexdigest()
+
+
+def python_version() -> str:
+    """The running interpreter as ``major.minor``."""
+    return "%d.%d" % sys.version_info[:2]
+
+
+def write_figure_digests(golden_dir: Path) -> None:
+    """Run every figure in quick mode and pin its series digest.
+
+    Floats are pinned exactly, and float ``sum`` differs between CPython
+    minor versions (3.12 compensates rounding), so the file records the
+    interpreter it was pinned under.
+    """
+    from repro.experiments.run_all import FIGURES
+
+    digests = {
+        name: figure_digest(
+            importlib.import_module(f"repro.experiments.{name}").run(quick=True).series
+        )
+        for name in FIGURES
+    }
+    write_golden(
+        Path(golden_dir) / FIGURE_DIGESTS,
+        {"python": python_version(), "digests": digests},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +314,6 @@ def run_golden_scenario(spec: Dict, duration_ms: float = 5.0, warmup_ms: float =
     tracer = PacketTracer(sample_every=10, max_messages=64)
     bed.stack.tracer = tracer
     if spec["proto"] == "udp":
-        # Constant-rate pacing: deterministic regardless of process state.
         bed.add_udp_flow(spec["message_size"], rate_pps=spec["rate_pps"])
     else:
         bed.add_tcp_flow(spec["message_size"], window_msgs=spec["window_msgs"])
@@ -346,9 +392,13 @@ def check_goldens(
 
     Returns ``{scenario name: [diff messages]}`` — empty lists mean a
     clean pass; a missing golden without ``regen`` is itself a failure.
+    ``regen`` also re-pins the figure digests (not compared here).
     """
     golden_dir = Path(golden_dir) if golden_dir is not None else default_golden_dir()
     results: Dict[str, List[str]] = {}
+    if regen and only is None:
+        write_figure_digests(golden_dir)
+        results["figures"] = []
     for spec in GOLDEN_SCENARIOS + CLUSTER_GOLDEN_SCENARIOS:
         name = spec["name"]
         if only is not None and name not in only:

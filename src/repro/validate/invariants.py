@@ -115,7 +115,7 @@ class InvariantMonitor:
         # counters, and each CPU.
         stack.ctx.attach_monitor(self)
         self._last_interrupts = machine.interrupts.snapshot()
-        self._last_busy_us = [cpu.busy_us_total for cpu in machine.cpus]
+        self._last_busy_us = [machine.acct.busy_us(cpu.index) for cpu in machine.cpus]
         self._audit_event = stack.sim.schedule(self.audit_interval_us, self._audit)
         return self
 
@@ -324,14 +324,15 @@ class InvariantMonitor:
                     f"{value} -> {current.get(kind, 0)}",
                 )
         self._last_interrupts = current
-        for index, cpu in enumerate(machine.cpus):
-            if cpu.busy_us_total + _TIME_EPS < self._last_busy_us[index]:
+        for index in range(len(machine.cpus)):
+            busy = machine.acct.busy_us(index)
+            if busy + _TIME_EPS < self._last_busy_us[index]:
                 self._fail(
                     "cpu-accounting",
                     f"core {index} cumulative busy time went backwards: "
-                    f"{self._last_busy_us[index]:.3f} -> {cpu.busy_us_total:.3f}",
+                    f"{self._last_busy_us[index]:.3f} -> {busy:.3f}",
                 )
-            self._last_busy_us[index] = cpu.busy_us_total
+            self._last_busy_us[index] = busy
         for sock in stack.sockets.sockets():
             if sock.queue_depth > sock.rmem_packets:
                 self._fail(

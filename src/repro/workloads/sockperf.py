@@ -196,7 +196,8 @@ class Testbed:
             self.network.resolve_host(dst_ip)
         else:
             dst_ip = self.host.host_ip
-        return FlowKey(src_ip, dst_ip, proto, sport, dport)
+        flow_id = self.host.ctx.new_flow_id()
+        return FlowKey(src_ip, dst_ip, proto, sport, dport, flow_id)
 
     def _open_socket(
         self,

@@ -5,6 +5,8 @@ regenerable) and the paper's "consistent across runs" claims; any use of
 unseeded randomness or dict-ordering luck breaks it.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import FalconConfig
@@ -53,6 +55,32 @@ def test_tcp_run_deterministic():
     assert fingerprint(run()) == fingerprint(run())
 
 
+def _poisson_run(use_falcon, flows):
+    """A traced Poisson-paced run: (canonical trace, full RunResult)."""
+    from repro.metrics.tracing import PacketTracer
+    from repro.validate import serialize_traces, trace_doc_to_json
+    from repro.workloads.sockperf import Testbed
+
+    bed = Testbed(mode="overlay", falcon=FalconConfig() if use_falcon else None)
+    tracer = PacketTracer(sample_every=7, max_messages=48)
+    bed.stack.tracer = tracer
+    for _ in range(flows):
+        bed.add_udp_flow(512, clients=2, rate_pps=80_000.0, poisson=True)
+    result = bed.run(warmup_ms=2.0, measure_ms=4.0)
+    return trace_doc_to_json(serialize_traces(tracer)), dataclasses.asdict(result)
+
+
+def test_run_order_does_not_matter():
+    """Scenario A, then a different scenario B, then A again in one
+    process: A's output depends only on its config and seed, even with
+    Poisson arrivals, whose RNG streams are named after flow ids."""
+    first = _poisson_run(use_falcon=True, flows=1)
+    _poisson_run(use_falcon=False, flows=3)
+    second = _poisson_run(use_falcon=True, flows=1)
+    assert first[0] == second[0], "canonical traces depend on run order"
+    assert first[1] == second[1], "RunResult depends on run order"
+
+
 def test_memcached_deterministic():
     from repro.workloads.memcached import run_memcached
 
@@ -85,8 +113,6 @@ def _traced_run(seed, use_falcon):
     )
     tracer = PacketTracer(sample_every=7, max_messages=48)
     bed.stack.tracer = tracer
-    # Constant-rate pacing: stable regardless of process history (the
-    # Poisson stream names depend on the process-global flow counter).
     bed.add_udp_flow(512, rate_pps=50_000.0)
     bed.run(warmup_ms=2.0, measure_ms=5.0)
     return (

@@ -48,7 +48,7 @@ def send_packets(sim, host, flow, count, size=100, interval=2.0):
 class TestHostPath:
     def test_end_to_end_delivery(self):
         sim, host = build("host")
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         got = []
         host.stack.open_socket(flow, app_cpu=2, on_message=lambda s, skb, lat: got.append(skb))
         send_packets(sim, host, flow, 20)
@@ -57,7 +57,7 @@ class TestHostPath:
 
     def test_messages_in_order(self):
         sim, host = build("host")
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         order = []
         host.stack.open_socket(
             flow, app_cpu=2, on_message=lambda s, skb, lat: order.append(skb.msg_id)
@@ -72,14 +72,14 @@ class TestHostPath:
 
     def test_unroutable_counted(self):
         sim, host = build("host")
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)  # no socket bound
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)  # no socket bound
         send_packets(sim, host, flow, 5)
         sim.run(until=10000.0)
         assert host.stack.unroutable_packets == 5
 
     def test_rps_moves_processing_off_irq_core(self):
         sim, host = build("host")
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         send_packets(sim, host, flow, 50, interval=0.5)
         sim.run(until=10000.0)
@@ -103,7 +103,7 @@ class TestOverlayPath:
     def test_end_to_end_delivery_and_decap(self):
         sim, host = build("overlay")
         container = host.launch_container("c")
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         got = []
         host.stack.open_socket(flow, app_cpu=2, on_message=lambda s, skb, lat: got.append(skb))
         send_packets(sim, host, flow, 10)
@@ -116,7 +116,7 @@ class TestOverlayPath:
         flow stack on the single RPS target core."""
         sim, host = build("overlay")
         container = host.launch_container("c")
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         send_packets(sim, host, flow, 50, interval=0.5)
         sim.run(until=10000.0)
@@ -129,7 +129,7 @@ class TestOverlayPath:
     def test_overlay_traverses_all_devices(self):
         sim, host = build("overlay")
         container = host.launch_container("c")
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         seen = []
         host.stack.open_socket(
             flow, app_cpu=2, on_message=lambda s, skb, lat: seen.append(skb.dev_ifindex)
@@ -145,9 +145,9 @@ class TestOverlayPath:
             sim, host = build(mode)
             if mode == "overlay":
                 container = host.launch_container("c")
-                flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+                flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
             else:
-                flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+                flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
             host.stack.open_socket(flow, app_cpu=2)
             send_packets(sim, host, flow, 100, interval=0.5)
             sim.run(until=10000.0)
@@ -161,9 +161,9 @@ class TestOverlayPath:
             sim, host = build(mode)
             if mode == "overlay":
                 container = host.launch_container("c")
-                flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+                flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
             else:
-                flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+                flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
             samples = []
             host.stack.open_socket(
                 flow, app_cpu=2, on_message=lambda s, skb, lat: samples.append(lat)
@@ -183,7 +183,7 @@ class TestFalconPath:
 
     def test_falcon_spreads_stages_across_cores(self):
         sim, host, container = self.make_falcon()
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         send_packets(sim, host, flow, 100, interval=0.5)
         sim.run(until=10000.0)
@@ -201,7 +201,7 @@ class TestFalconPath:
 
     def test_falcon_preserves_order(self):
         sim, host, container = self.make_falcon()
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         order = []
         host.stack.open_socket(
             flow, app_cpu=2, on_message=lambda s, skb, lat: order.append(skb.msg_id)
@@ -213,7 +213,7 @@ class TestFalconPath:
 
     def test_falcon_same_flow_same_stage_core_is_stable(self):
         sim, host, container = self.make_falcon(policy="static")
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         send_packets(sim, host, flow, 60, interval=0.5)
         sim.run(until=10000.0)
@@ -230,7 +230,7 @@ class TestFalconPath:
         sim, host = build("host", falcon=falcon)
         from repro.kernel.skb import PROTO_TCP
 
-        flow = FlowKey.make(1, host.host_ip, PROTO_TCP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_TCP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         for i in range(30):
             skb = Skb(
@@ -252,7 +252,7 @@ class TestFalconPath:
         sim, host = build("host", falcon=falcon)
         from repro.kernel.skb import PROTO_TCP
 
-        flow = FlowKey.make(1, host.host_ip, PROTO_TCP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_TCP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         for i in range(10):
             skb = Skb(
@@ -269,7 +269,7 @@ class TestFalconPath:
         # Saturate the falcon CPU loads so the gate trips immediately.
         for cpu in (3, 4, 5, 6):
             host.machine.cpus[cpu].load = 1.0
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(1, container.private_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         send_packets(sim, host, flow, 30, interval=5.0)
         sim.run(until=1000.0)  # short: before the load tracker decays

@@ -60,7 +60,7 @@ def test_tx_emits_exactly_the_fragments(message_size, proto, overlay):
     machine = Machine(sim, num_cpus=2)
     link = Link(sim, 100.0, propagation_us=0.5)
     tx = TxStack(machine, link, CostModel(), overlay=overlay)
-    flow = FlowKey.make(1, 2, proto)
+    flow = FlowKey.make(1, 2, proto, flow_id=1)
     frames = []
     tx.send_message(flow, message_size, app_cpu=0, deliver=frames.append)
     sim.run()

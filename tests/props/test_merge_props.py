@@ -39,7 +39,7 @@ def make_message(flow, msg_id, sizes):
 def test_defrag_conserves_bytes_any_arrival_order(messages, data):
     sim = Simulator()
     defrag = DefragEngine(sim)
-    flow = FlowKey.make(1, 2, PROTO_UDP)
+    flow = FlowKey.make(1, 2, PROTO_UDP, flow_id=1)
     all_frags = []
     expected = {}
     for msg_id, sizes in enumerate(messages):
@@ -64,7 +64,7 @@ def test_gro_conserves_bytes_with_random_flushes(sizes, data):
     """Segments arrive in order (TCP), but a flush may hit at any point;
     the emitted skbs must cover exactly the message bytes, in order."""
     gro = GroEngine()
-    flow = FlowKey.make(1, 2, PROTO_TCP)
+    flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
     segments = make_message(flow, 0, sizes)
     flush_points = data.draw(
         st.sets(st.integers(0, len(segments) - 1), max_size=len(segments))
@@ -91,7 +91,7 @@ def test_gro_conserves_bytes_with_random_flushes(sizes, data):
 )
 def test_gro_never_merges_across_flows(stream):
     """Interleaved segments from different flows must never co-merge."""
-    flows = [FlowKey.make(1, 2, PROTO_TCP, sport=i) for i in range(4)]
+    flows = [FlowKey.make(1, 2, PROTO_TCP, sport=i, flow_id=i + 1) for i in range(4)]
     counters = {}
     segments = []
     for flow_index, size in stream:

@@ -24,7 +24,7 @@ def make_machine(num_cpus=8):
 
 
 def make_skb(sport=1000):
-    return Skb(FlowKey.make(1, 2, sport=sport), size=100)
+    return Skb(FlowKey.make(1, 2, sport=sport, flow_id=sport), size=100)
 
 
 class TestConfig:

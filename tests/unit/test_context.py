@@ -147,3 +147,22 @@ def test_two_overlay_hosts_coexist_in_one_process():
     host_a.ctx.attach_monitor(monitor)
     assert host_b.ctx.monitor is None
     assert host_b.stack.softnet.monitor is None
+
+
+def test_flow_ids_unique_across_hosts_sharing_a_simulator():
+    """Ids belong to the simulated world: every Host and Machine on one
+    Simulator draws from one sequence, in construction order from 1."""
+    sim = Simulator()
+    flows = []
+    for name in ("a", "b"):
+        host = Host(sim, StackConfig(mode="overlay"), num_cpus=4, name=name)
+        container = host.launch_container("c")
+        socket = container.listen(5001, app_cpu=2)
+        for sport in (1000, 1001):
+            flows.append(container.connect_flow(socket, 0x0B000001, sport, 5001))
+    machine_id = Machine(sim, num_cpus=2).ctx.new_flow_id()
+    # Each listen() takes an id too: a:1, its flows 2 and 3; b:4, 5 and 6.
+    assert [flow.flow_id for flow in flows] == [2, 3, 5, 6]
+    assert machine_id == 7
+    # A second world starts over.
+    assert SimContext().new_flow_id() == 1

@@ -22,14 +22,14 @@ from repro.sim.engine import Simulator
 
 def udp_skb(size=1000, frag_count=1, frag_index=0):
     return Skb(
-        FlowKey.make(1, 2, PROTO_UDP), size=size,
+        FlowKey.make(1, 2, PROTO_UDP, flow_id=1), size=size,
         frag_count=frag_count, frag_index=frag_index,
     )
 
 
 def tcp_skb(size=1000, frag_count=1, frag_index=0):
     return Skb(
-        FlowKey.make(1, 2, PROTO_TCP), size=size,
+        FlowKey.make(1, 2, PROTO_TCP, flow_id=1), size=size,
         frag_count=frag_count, frag_index=frag_index,
     )
 

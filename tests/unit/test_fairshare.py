@@ -59,8 +59,8 @@ class TestBalancer:
         gold_part = set(balancer.partition_of("gold"))
         bronze_part = set(balancer.partition_of("bronze"))
         assert len(gold_part) == 3 and len(bronze_part) == 1
-        gold_flow = FlowKey.make(1, 2, sport=1)
-        bronze_flow = FlowKey.make(1, 2, sport=2)
+        gold_flow = FlowKey.make(1, 2, sport=1, flow_id=1)
+        bronze_flow = FlowKey.make(1, 2, sport=2, flow_id=2)
         balancer.assign_flow(gold_flow, "gold")
         balancer.assign_flow(bronze_flow, "bronze")
         for ifindex in range(2, 40):
@@ -74,7 +74,7 @@ class TestBalancer:
     def test_second_choice_stays_in_partition(self):
         machine, balancer = self.make()
         gold_part = balancer.partition_of("gold")
-        flow = FlowKey.make(1, 2, sport=7)
+        flow = FlowKey.make(1, 2, sport=7, flow_id=1)
         balancer.assign_flow(flow, "gold")
         for cpu in gold_part:
             machine.cpus[cpu].load = 0.99
@@ -84,7 +84,7 @@ class TestBalancer:
 
     def test_unassigned_flow_uses_full_set(self):
         machine, balancer = self.make()
-        flow = FlowKey.make(9, 9)
+        flow = FlowKey.make(9, 9, flow_id=1)
         pick = balancer.select(machine, [3, 4, 5, 6], flow.hash, 3)
         assert pick in (3, 4, 5, 6)
         assert balancer.unassigned_selections == 1
@@ -92,7 +92,7 @@ class TestBalancer:
     def test_assign_unknown_tenant_rejected(self):
         _machine, balancer = self.make()
         with pytest.raises(ConfigurationError):
-            balancer.assign_flow(FlowKey.make(1, 2), "silver")
+            balancer.assign_flow(FlowKey.make(1, 2, flow_id=1), "silver")
 
 
 class TestUseFairShare:

@@ -23,7 +23,9 @@ def key(n):
 
 
 def flow(n):
-    return FlowKey(src_ip=100 + n, dst_ip=200, proto=17, sport=5000 + n, dport=53)
+    return FlowKey(
+        src_ip=100 + n, dst_ip=200, proto=17, sport=5000 + n, dport=53, flow_id=n
+    )
 
 
 # ----------------------------------------------------------------------

@@ -24,16 +24,16 @@ def make_segments(flow, msg_id, count, size=1000, msg_size=None):
 class TestGro:
     def test_udp_passes_through(self):
         gro = GroEngine()
-        skb = Skb(FlowKey.make(1, 2, PROTO_UDP), size=100)
+        skb = Skb(FlowKey.make(1, 2, PROTO_UDP, flow_id=1), size=100)
         assert gro.feed(skb) is skb
 
     def test_single_segment_tcp_passes_through(self):
         gro = GroEngine()
-        skb = Skb(FlowKey.make(1, 2, PROTO_TCP), size=100)
+        skb = Skb(FlowKey.make(1, 2, PROTO_TCP, flow_id=1), size=100)
         assert gro.feed(skb) is skb
 
     def test_merges_full_message(self):
-        flow = FlowKey.make(1, 2, PROTO_TCP)
+        flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
         gro = GroEngine()
         segs = make_segments(flow, msg_id=0, count=3)
         assert gro.feed(segs[0]) is None
@@ -46,7 +46,7 @@ class TestGro:
         assert gro.held_count == 0
 
     def test_flush_releases_partials(self):
-        flow = FlowKey.make(1, 2, PROTO_TCP)
+        flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
         gro = GroEngine()
         segs = make_segments(flow, msg_id=0, count=3)
         gro.feed(segs[0])
@@ -57,8 +57,8 @@ class TestGro:
         assert gro.held_count == 0
 
     def test_interleaved_flows_do_not_merge(self):
-        flow_a = FlowKey.make(1, 2, PROTO_TCP, sport=1)
-        flow_b = FlowKey.make(1, 2, PROTO_TCP, sport=2)
+        flow_a = FlowKey.make(1, 2, PROTO_TCP, sport=1, flow_id=1)
+        flow_b = FlowKey.make(1, 2, PROTO_TCP, sport=2, flow_id=2)
         gro = GroEngine()
         a = make_segments(flow_a, 0, 2)
         b = make_segments(flow_b, 0, 2)
@@ -71,7 +71,7 @@ class TestGro:
         assert merged_a.size == merged_b.size == 2000
 
     def test_cluster_is_per_cpu(self):
-        flow = FlowKey.make(1, 2, PROTO_TCP)
+        flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
         cluster = GroCluster(num_cpus=2)
         segs = make_segments(flow, 0, 2)
         assert cluster.feed(segs[0], 0) is None
@@ -85,13 +85,13 @@ class TestDefrag:
     def test_unfragmented_passes_through(self):
         sim = Simulator()
         defrag = DefragEngine(sim)
-        skb = Skb(FlowKey.make(1, 2), size=100)
+        skb = Skb(FlowKey.make(1, 2, flow_id=1), size=100)
         assert defrag.feed(skb) is skb
 
     def test_reassembles_in_order(self):
         sim = Simulator()
         defrag = DefragEngine(sim)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         frags = make_segments(flow, msg_id=7, count=4, size=1400)
         results = [defrag.feed(f) for f in frags]
         assert results[:3] == [None, None, None]
@@ -105,7 +105,7 @@ class TestDefrag:
     def test_reassembles_out_of_order(self):
         sim = Simulator()
         defrag = DefragEngine(sim)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         frags = make_segments(flow, msg_id=1, count=3)
         assert defrag.feed(frags[2]) is None
         assert defrag.feed(frags[0]) is None
@@ -114,7 +114,7 @@ class TestDefrag:
     def test_incomplete_message_times_out(self):
         sim = Simulator()
         defrag = DefragEngine(sim, timeout_us=100.0)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         frags = make_segments(flow, msg_id=0, count=3)
         defrag.feed(frags[0])  # rest never arrive
         assert defrag.pending == 1
@@ -125,7 +125,7 @@ class TestDefrag:
     def test_concurrent_messages_kept_separate(self):
         sim = Simulator()
         defrag = DefragEngine(sim)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         a = make_segments(flow, msg_id=0, count=2)
         b = make_segments(flow, msg_id=1, count=2)
         assert defrag.feed(a[0]) is None

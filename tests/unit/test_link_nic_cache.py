@@ -60,7 +60,7 @@ class TestLink:
 
 
 def make_skb(flow=None, size=100):
-    flow = flow or FlowKey.make(1, 2)
+    flow = flow or FlowKey.make(1, 2, flow_id=1)
     return Skb(flow, size=size)
 
 
@@ -69,7 +69,7 @@ class TestNic:
         nic = Nic(num_queues=1, ring_capacity=8)
         irqs = []
         nic.irq_handler = irqs.append
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         for _ in range(5):
             nic.receive(make_skb(flow))
         # Only the first packet raises the interrupt; NAPI masks the rest.
@@ -80,7 +80,7 @@ class TestNic:
         nic = Nic(num_queues=1)
         irqs = []
         nic.irq_handler = irqs.append
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         nic.receive(make_skb(flow))
         queue = nic.queues[0]
         queue.ring.clear()
@@ -91,7 +91,7 @@ class TestNic:
     def test_ring_overflow_drops(self):
         nic = Nic(num_queues=1, ring_capacity=2)
         nic.irq_handler = lambda queue: None
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         results = [nic.receive(make_skb(flow)) for _ in range(4)]
         assert results == [True, True, False, False]
         assert nic.total_drops == 2
@@ -99,14 +99,14 @@ class TestNic:
     def test_rss_spreads_flows_by_hash(self):
         nic = Nic(num_queues=4)
         queues = {
-            nic.select_queue(FlowKey.make(1, 2, sport=sport).hash).index
+            nic.select_queue(FlowKey.make(1, 2, sport=sport, flow_id=sport).hash).index
             for sport in range(64)
         }
         assert len(queues) > 1
 
     def test_rss_same_flow_same_queue(self):
         nic = Nic(num_queues=4)
-        flow = FlowKey.make(9, 9)
+        flow = FlowKey.make(9, 9, flow_id=1)
         first = nic.select_queue(flow.hash)
         assert all(nic.select_queue(flow.hash) is first for _ in range(8))
 

@@ -12,7 +12,7 @@ from repro.workloads.sockperf import Testbed
 
 
 def make_skb(sport=1000):
-    return Skb(FlowKey.make(1, 2, sport=sport), size=64)
+    return Skb(FlowKey.make(1, 2, sport=sport, flow_id=sport), size=64)
 
 
 class TestRfsUnit:
@@ -51,7 +51,7 @@ class TestRfsInStack:
         host = Host(
             sim, StackConfig(mode="host", steering="rfs", rps_cpus=[1, 2]), num_cpus=8
         )
-        flow = FlowKey.make(1, host.host_ip)
+        flow = FlowKey.make(1, host.host_ip, flow_id=1)
         host.stack.open_socket(flow, app_cpu=5)
         assert host.stack.rps.get_rps_cpu(Skb(flow, size=16), 0) == 5
 
@@ -61,7 +61,7 @@ class TestRfsInStack:
         host = Host(
             sim, StackConfig(mode="host", steering="rfs", rps_cpus=[1, 2]), num_cpus=8
         )
-        flow = FlowKey.make(1, host.host_ip)
+        flow = FlowKey.make(1, host.host_ip, flow_id=1)
         host.stack.open_socket(flow, app_cpu=5)
         for index in range(30):
             skb = Skb(

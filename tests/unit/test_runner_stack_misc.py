@@ -137,7 +137,7 @@ class TestResponseChannel:
             machine, link, CostModel(), overlay=True,
             ack_stack=stack, ack_link=link,
         )
-        flow = FlowKey.make(1, 2, PROTO_TCP)
+        flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
         channel.respond(0, 24_000, lambda: None, flow=flow)
         sim.run()
         # 24 KB -> 17 segments -> 8 delayed ACKs.

@@ -12,25 +12,29 @@ from repro.kernel.costs import (
     udp_payload_per_fragment,
 )
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey, Skb
+from repro.sim.context import SimContext
 
 
 class TestFlowKey:
     def test_same_tuple_same_hash(self):
-        a = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001)
-        b = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001)
+        a = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001, flow_id=1)
+        b = FlowKey.make(1, 2, PROTO_UDP, 1000, 5001, flow_id=2)
         assert a.hash == b.hash
 
     def test_flow_ids_unique(self):
-        assert FlowKey.make(1, 2).flow_id != FlowKey.make(1, 2).flow_id
+        ctx = SimContext()
+        ids = [ctx.new_flow_id() for _ in range(3)]
+        assert ids == [1, 2, 3]
+        assert FlowKey.make(1, 2, flow_id=ids[0]).flow_id == 1
 
     def test_tuple_roundtrip(self):
-        flow = FlowKey(1, 2, PROTO_TCP, 3, 4)
+        flow = FlowKey(1, 2, PROTO_TCP, 3, 4, 1)
         assert flow.tuple() == (1, 2, PROTO_TCP, 3, 4)
 
 
 class TestSkb:
     def test_defaults(self):
-        skb = Skb(FlowKey.make(1, 2), size=100)
+        skb = Skb(FlowKey.make(1, 2, flow_id=1), size=100)
         assert skb.wire_size == 100
         assert skb.msg_size == 100
         assert skb.segs == 1
@@ -38,19 +42,19 @@ class TestSkb:
         assert skb.last_cpu is None
 
     def test_decapsulate_strips_overhead(self):
-        skb = Skb(FlowKey.make(1, 2), size=1000, encapsulated=True)
+        skb = Skb(FlowKey.make(1, 2, flow_id=1), size=1000, encapsulated=True)
         skb.decapsulate(VXLAN_OVERHEAD)
         assert skb.size == 950
         assert not skb.encapsulated
 
     def test_fragment_flags(self):
-        skb = Skb(FlowKey.make(1, 2), size=100, frag_index=2, frag_count=3)
+        skb = Skb(FlowKey.make(1, 2, flow_id=1), size=100, frag_index=2, frag_count=3)
         assert skb.is_fragment
         assert skb.is_last_fragment
 
     def test_is_tcp(self):
-        assert Skb(FlowKey.make(1, 2, PROTO_TCP), size=1).is_tcp
-        assert not Skb(FlowKey.make(1, 2, PROTO_UDP), size=1).is_tcp
+        assert Skb(FlowKey.make(1, 2, PROTO_TCP, flow_id=1), size=1).is_tcp
+        assert not Skb(FlowKey.make(1, 2, PROTO_UDP, flow_id=1), size=1).is_tcp
 
 
 class TestFuncCost:

@@ -24,7 +24,7 @@ def make_socket(on_message=None, rmem=4, app_cpu=0):
 
 
 def make_skb(flow=None, size=100, msg_id=0, msg_size=None):
-    flow = flow or FlowKey.make(1, 2)
+    flow = flow or FlowKey.make(1, 2, flow_id=1)
     return Skb(flow, size=size, msg_id=msg_id, msg_size=msg_size or size)
 
 
@@ -62,7 +62,7 @@ class TestSocket:
         sim, machine, sock = make_socket(
             on_message=lambda s, skb, lat: got.append(skb.msg_id)
         )
-        flow = FlowKey.make(1, 2, PROTO_TCP)
+        flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
         part1 = Skb(flow, size=2000, msg_id=5, msg_size=4096)
         part2 = Skb(flow, size=2096, msg_id=5, msg_size=4096)
         sock.enqueue(part1)
@@ -75,7 +75,7 @@ class TestSocket:
 
     def test_reorder_detection(self):
         sim, machine, sock = make_socket()
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         sock.enqueue(make_skb(flow=flow, msg_id=3))
         sim.run()
         sock.enqueue(make_skb(flow=flow, msg_id=1))
@@ -85,7 +85,7 @@ class TestSocket:
 
     def test_in_order_no_false_positive(self):
         sim, machine, sock = make_socket(rmem=64)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         for i in range(10):
             sock.enqueue(make_skb(flow=flow, msg_id=i))
         sim.run()
@@ -106,15 +106,15 @@ class TestSocketTable:
     def test_bind_and_lookup(self):
         table = SocketTable()
         sim, machine, sock = make_socket()
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         table.bind(flow, sock)
         assert table.lookup(flow) is sock
-        assert table.lookup(FlowKey.make(3, 4)) is None
+        assert table.lookup(FlowKey.make(3, 4, flow_id=2)) is None
 
     def test_multiple_flows_one_socket(self):
         table = SocketTable()
         _sim, _machine, sock = make_socket()
-        a, b = FlowKey.make(1, 2), FlowKey.make(3, 4)
+        a, b = FlowKey.make(1, 2, flow_id=1), FlowKey.make(3, 4, flow_id=2)
         table.bind(a, sock)
         table.bind(b, sock)
         assert table.sockets() == {sock}

@@ -49,7 +49,7 @@ def simple_stage(name="stage", cost=1.0, exit=None):
 
 
 def make_skb(sport=1):
-    return Skb(FlowKey.make(1, 2, sport=sport), size=100)
+    return Skb(FlowKey.make(1, 2, sport=sport, flow_id=sport), size=100)
 
 
 class TestBacklogEnqueue:
@@ -166,7 +166,7 @@ class TestNicAttach:
         stage, exit = simple_stage("pnic", cost=0.5)
         nic = Nic(num_queues=1, irq_cpus=[0])
         softnet.attach_nic(nic, stage)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         for i in range(5):
             nic.receive(Skb(flow, size=100, seq=i))
         sim.run()
@@ -178,7 +178,7 @@ class TestNicAttach:
         stage, exit = simple_stage("pnic", cost=0.5)
         nic = Nic(num_queues=1, irq_cpus=[0])
         softnet.attach_nic(nic, stage)
-        flow = FlowKey.make(1, 2)
+        flow = FlowKey.make(1, 2, flow_id=1)
         nic.receive(Skb(flow, size=100))
         sim.run()
         nic.receive(Skb(flow, size=100))
@@ -192,7 +192,7 @@ class TestNicAttach:
         nic = Nic(num_queues=2, irq_cpus=[0, 1])
         softnet.attach_nic(nic, stage)
         # Find flows hashing to each queue.
-        flows = [FlowKey.make(1, 2, sport=sport) for sport in range(32)]
+        flows = [FlowKey.make(1, 2, sport=sport, flow_id=sport) for sport in range(32)]
         for flow in flows:
             nic.receive(Skb(flow, size=64))
         sim.run()

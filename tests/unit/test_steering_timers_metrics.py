@@ -15,7 +15,7 @@ from repro.sim.engine import Simulator
 
 
 def make_skb(sport=1000):
-    return Skb(FlowKey.make(1, 2, sport=sport), size=64)
+    return Skb(FlowKey.make(1, 2, sport=sport, flow_id=sport), size=64)
 
 
 class TestRps:

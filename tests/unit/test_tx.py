@@ -27,7 +27,8 @@ class TestQdisc:
         qdisc = Qdisc(sim, link)
         out = []
         for index in range(5):
-            skb = Skb(FlowKey.make(1, 2), size=1250, wire_size=1250, seq=index)
+            flow = FlowKey.make(1, 2, flow_id=1)
+            skb = Skb(flow, size=1250, wire_size=1250, seq=index)
             qdisc.enqueue(skb, lambda s: out.append(s.seq))
         sim.run()
         assert out == [0, 1, 2, 3, 4]
@@ -38,7 +39,7 @@ class TestQdisc:
         link = Link(sim, 0.001, propagation_us=0.0)  # ~glacial link
         qdisc = Qdisc(sim, link, capacity_packets=3)
         accepted = [
-            qdisc.enqueue(Skb(FlowKey.make(1, 2), size=100), lambda s: None)
+            qdisc.enqueue(Skb(FlowKey.make(1, 2, flow_id=1), size=100), lambda s: None)
             for _ in range(6)
         ]
         # One frame is in flight immediately; three queue; the rest drop.
@@ -49,7 +50,7 @@ class TestQdisc:
 class TestTxStack:
     def test_sendmsg_charges_app_core(self):
         sim, machine, link, tx = make_env()
-        flow = FlowKey.make(1, 2, PROTO_UDP)
+        flow = FlowKey.make(1, 2, PROTO_UDP, flow_id=1)
         got = []
         tx.send_message(flow, 512, app_cpu=2, deliver=got.append)
         sim.run()
@@ -61,7 +62,7 @@ class TestTxStack:
         costs = {}
         for overlay in (False, True):
             sim, machine, link, tx = make_env(overlay=overlay)
-            flow = FlowKey.make(1, 2, PROTO_UDP)
+            flow = FlowKey.make(1, 2, PROTO_UDP, flow_id=1)
             tx.send_message(flow, 512, app_cpu=2, deliver=lambda s: None)
             sim.run()
             costs[overlay] = machine.acct.busy_us_label(2, "sendmsg")
@@ -69,7 +70,7 @@ class TestTxStack:
 
     def test_fragmentation_and_encap_on_wire(self):
         sim, machine, link, tx = make_env(overlay=True)
-        flow = FlowKey.make(1, 2, PROTO_UDP)
+        flow = FlowKey.make(1, 2, PROTO_UDP, flow_id=1)
         frames = []
         tx.send_message(flow, 4096, app_cpu=0, deliver=frames.append)
         sim.run()
@@ -80,7 +81,7 @@ class TestTxStack:
 
     def test_wire_seq_monotonic_across_messages(self):
         sim, machine, link, tx = make_env()
-        flow = FlowKey.make(1, 2, PROTO_TCP)
+        flow = FlowKey.make(1, 2, PROTO_TCP, flow_id=1)
         frames = []
         for msg_id in range(3):
             tx.send_message(
@@ -103,7 +104,9 @@ class TestTxStack:
         tx = TxStack(sender_machine, link, CostModel(), overlay=True)
 
         container = receiver.launch_container("c")
-        flow = FlowKey.make(1, container.private_ip, PROTO_UDP)
+        flow = FlowKey.make(
+            1, container.private_ip, PROTO_UDP, flow_id=receiver.ctx.new_flow_id()
+        )
         got = []
         receiver.stack.open_socket(
             flow, app_cpu=2, on_message=lambda s, skb, lat: got.append(skb)

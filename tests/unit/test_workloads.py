@@ -63,7 +63,7 @@ def make_rig(mode="host"):
 class TestUdpSender:
     def test_messages_reach_nic(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = UdpSender(
             sim, link, host.stack, flow, 64, CostModel(),
@@ -76,7 +76,7 @@ class TestUdpSender:
 
     def test_fragmented_message_produces_frames(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = UdpSender(
             sim, link, host.stack, flow, 65507, CostModel(),
@@ -88,7 +88,7 @@ class TestUdpSender:
 
     def test_stop_halts_sending(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = UdpSender(
             sim, link, host.stack, flow, 64, CostModel(),
@@ -103,7 +103,7 @@ class TestUdpSender:
 
     def test_until_bound_respected(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = UdpSender(
             sim, link, host.stack, flow, 64, CostModel(),
@@ -115,7 +115,7 @@ class TestUdpSender:
 
     def test_shared_state_keeps_msg_ids_unique(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         from repro.workloads.flows import FlowState
 
@@ -135,7 +135,7 @@ class TestUdpSender:
 
     def test_saturating_paced_by_tx_cost(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_UDP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = UdpSender(
             sim, link, host.stack, flow, 16, CostModel(),
@@ -150,7 +150,7 @@ class TestUdpSender:
 class TestTcpSender:
     def test_window_limits_inflight(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_TCP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_TCP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = TcpSender(
             sim, link, host.stack, flow, 4096, CostModel(),
@@ -164,7 +164,7 @@ class TestTcpSender:
 
     def test_credit_releases_window(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_TCP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_TCP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = TcpSender(
             sim, link, host.stack, flow, 4096, CostModel(),
@@ -179,7 +179,7 @@ class TestTcpSender:
 
     def test_invalid_window(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_TCP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_TCP, flow_id=1)
         with pytest.raises(ValueError):
             TcpSender(
                 sim, link, host.stack, flow, 64, CostModel(),
@@ -188,7 +188,7 @@ class TestTcpSender:
 
     def test_segments_sized_by_mss(self):
         sim, host, link = make_rig()
-        flow = FlowKey.make(1, host.host_ip, PROTO_TCP)
+        flow = FlowKey.make(1, host.host_ip, PROTO_TCP, flow_id=1)
         host.stack.open_socket(flow, app_cpu=2)
         sender = TcpSender(
             sim, link, host.stack, flow, 4096, CostModel(),
