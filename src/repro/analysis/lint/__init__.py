@@ -15,6 +15,8 @@ SIM101     no wall-clock reads (``time.time`` & co.)
 SIM102     all randomness via :class:`repro.sim.rng.RngRegistry` streams
 SIM103     no ``id()``/``hash()``-derived ordering
 SIM104     no set iteration feeding the event scheduler
+SIM105     no module-level mutable counters (``itertools.count``,
+           ``global``) in ``repro.{sim,kernel,overlay,workloads}``
 DES201     no real concurrency primitives in simulated code
 DES202     no blocking calls (sleep / I/O / subprocess) in simulated code
 DES203     service times are named :class:`~repro.kernel.costs.CostModel`

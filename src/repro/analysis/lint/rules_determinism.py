@@ -4,7 +4,8 @@ Two runs of the simulator with the same seed must be bit-identical:
 golden traces, the differential suite and the seed-matrix tests all rest
 on it. These rules ban the ways nondeterminism classically leaks into a
 DES — wall-clock reads, RNG that bypasses the seeded registry, object
-identity as an ordering key, and set iteration feeding the scheduler.
+identity as an ordering key, set iteration feeding the scheduler, and
+counters that outlive a run.
 """
 
 from __future__ import annotations
@@ -263,9 +264,53 @@ class SetIterationRule(Rule):
         return False
 
 
+class ModuleCounterRule(Rule):
+    """SIM105: module-level mutable counters in the simulated world."""
+
+    id = "SIM105"
+    title = "no module-level mutable counters"
+    rationale = (
+        "A module-level itertools.count() or a `global` rebinding carries "
+        "state from one run to the next in the same process, so ids and "
+        "results depend on what ran before. Per-run ids and counters "
+        "belong to the run's SimContext (e.g. new_flow_id())."
+    )
+    scope = ("repro.sim", "repro.kernel", "repro.overlay", "repro.workloads")
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        assert ctx.tree is not None
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Global):
+                yield self.finding(
+                    ctx, node,
+                    f"`global {', '.join(node.names)}` rebinds module state "
+                    "that outlives the run — keep it on the SimContext",
+                )
+            elif (
+                isinstance(node, ast.Call)
+                and ctx.resolve(node.func) == ("module", "itertools.count")
+                and not self._inside_function(ctx, node)
+            ):
+                yield self.finding(
+                    ctx, node,
+                    "module-level itertools.count() — its ids outlive the "
+                    "run; draw them from the SimContext",
+                )
+
+    @staticmethod
+    def _inside_function(ctx: FileContext, node: ast.AST) -> bool:
+        parent = ctx.parents.get(node)
+        while parent is not None:
+            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                return True
+            parent = ctx.parents.get(parent)
+        return False
+
+
 DETERMINISM_RULES = (
     WallClockRule(),
     UnseededRngRule(),
     IdentityOrderingRule(),
     SetIterationRule(),
+    ModuleCounterRule(),
 )

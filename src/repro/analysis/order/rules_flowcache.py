@@ -25,7 +25,7 @@ so the gate is enforced as a typestate over the fastpath call surface:
             graph, batch-dispatch arguments included).
 
 These mirror the runtime checks in ``repro.validate`` (the fastpath
-delivery ledger) and the differential REGIMES suite, but fire at review
+delivery ledger) and the differential suite's cache regimes, but fire at review
 time instead of under a lucky workload.
 """
 

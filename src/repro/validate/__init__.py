@@ -10,15 +10,12 @@ Any run can opt in::
 """
 
 from repro.validate.differential import (
-    DIFFERENTIAL_SCENARIOS,
     DiffReport,
-    DiffScenario,
     SideRecord,
     compare_sides,
     run_differential,
 )
 from repro.validate.golden import (
-    GOLDEN_SCENARIOS,
     check_goldens,
     default_golden_dir,
     diff_trace_docs,
@@ -33,6 +30,7 @@ from repro.validate.harness import (
     drain_to_quiescence,
     run_differential_suite,
     run_golden_suite,
+    run_invariant_scenario,
     run_invariant_suite,
     run_validation,
     sanitize_outcome,
@@ -57,10 +55,7 @@ from repro.validate.invariants import (
 )
 
 __all__ = [
-    "DIFFERENTIAL_SCENARIOS",
     "DiffReport",
-    "DiffScenario",
-    "GOLDEN_SCENARIOS",
     "InvariantMonitor",
     "InvariantViolation",
     "OwnershipLedger",
@@ -85,6 +80,7 @@ __all__ = [
     "run_differential_suite",
     "run_golden_scenario",
     "run_golden_suite",
+    "run_invariant_scenario",
     "run_invariant_suite",
     "run_validation",
     "sanitize_enabled",

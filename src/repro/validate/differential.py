@@ -3,10 +3,9 @@ semantics.
 
 Falcon changes *where* packets are processed; the flow cache changes
 *which stages* they traverse. Neither may change *what* happens to them.
-This module runs the same workload twice — one regime per side, by
-default vanilla RPS vs Falcon, but any pair from ``REGIMES`` (vanilla,
-falcon, oncache, oncache_falcon) — and asserts the properties every
-regime is required to preserve:
+This module runs one catalogue workload (:mod:`repro.scenarios`) once on
+its baseline regime and once per candidate regime, and asserts the
+properties every regime is required to preserve:
 
 * **message conservation** — every message the clients sent is delivered
   exactly once on both sides (the workloads are deliberately underloaded
@@ -21,19 +20,15 @@ regime is required to preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: One recorded delivery: (msg_id, msg_size) in completion order.
 Delivery = Tuple[int, int]
 
 
-#: Regime label -> (enable falcon, enable flow cache).
-REGIMES: Dict[str, Tuple[bool, bool]] = {
-    "vanilla": (False, False),
-    "falcon": (True, False),
-    "oncache": (False, True),
-    "oncache_falcon": (True, True),
-}
+#: Simulated time after the senders stop for in-flight tail messages to
+#: complete, so conservation is exact rather than modulo the cutoff.
+DRAIN_MS = 8.0
 
 
 @dataclass
@@ -58,30 +53,10 @@ class SideRecord:
 
 
 @dataclass
-class DiffScenario:
-    """One workload to run on both sides of the differential."""
+class DiffReport:
+    """One candidate regime compared against its workload's baseline."""
 
     name: str
-    proto: str = "udp"  # "udp" | "tcp"
-    message_size: int = 512
-    #: Per-flow constant offered rate (UDP); must stay under capacity.
-    rate_pps: float = 40_000.0
-    flows: int = 2
-    window_msgs: int = 16
-    duration_ms: float = 8.0
-    warmup_ms: float = 2.0
-    #: Extra simulated time for in-flight tail messages to complete.
-    drain_ms: float = 8.0
-    seed: int = 0
-    #: The two regimes to compare (labels from :data:`REGIMES`).
-    regimes: Tuple[str, str] = ("vanilla", "falcon")
-
-
-@dataclass
-class DiffReport:
-    """Outcome of one differential run."""
-
-    scenario: DiffScenario
     baseline: SideRecord
     candidate: SideRecord
     failures: List[str]
@@ -91,52 +66,35 @@ class DiffReport:
         return not self.failures
 
 
-def _run_side(scenario: DiffScenario, regime: str) -> SideRecord:
-    from repro.core.config import FalconConfig, FlowCacheConfig
-    from repro.workloads.sockperf import Testbed
+def _record_deliveries(socket, deliveries: List[Delivery]) -> None:
+    """Append ``(msg_id, msg_size)`` to ``deliveries`` on every completion."""
+    inner = socket.on_message
 
-    use_falcon, use_cache = REGIMES[regime]
-    falcon = FalconConfig() if use_falcon else None
-    flowcache = FlowCacheConfig() if use_cache else None
-    label = regime
-    bed = Testbed(
-        mode="overlay", falcon=falcon, flowcache=flowcache, seed=scenario.seed
-    )
-    record = SideRecord(label=label)
-    flow_keys = []
-    for index in range(scenario.flows):
+    def on_message(sock, skb, latency_us):
+        inner(sock, skb, latency_us)
+        deliveries.append((skb.msg_id, skb.msg_size))
+
+    socket.on_message = on_message
+
+
+def _run_side(name: str, regime: Optional[str] = None) -> SideRecord:
+    from repro import scenarios
+
+    entry = scenarios.SCENARIOS[name]
+    bed = scenarios.build(name, regime=regime)
+    record = SideRecord(label=regime or entry.regime)
+    # Flow index = creation order (flow ids count up per run).
+    flows = {sender.flow.flow_id: sender.flow for sender in bed.senders}
+    for index, flow in enumerate(flows.values()):
         record.deliveries[index] = []
-
-        def on_message(_socket, skb, _latency_us, index=index):
-            record.deliveries[index].append((skb.msg_id, skb.msg_size))
-
-        if scenario.proto == "udp":
-            flow = bed.add_udp_flow(
-                scenario.message_size,
-                rate_pps=scenario.rate_pps,
-                on_message=on_message,
-            )
-        else:
-            # Paced, not closed-loop: a saturating window would let the
-            # faster side send more messages and the byte counts would
-            # differ for throughput reasons, not correctness ones.
-            flow = bed.add_tcp_flow(
-                scenario.message_size,
-                window_msgs=scenario.window_msgs,
-                rate_pps=scenario.rate_pps,
-                on_message=on_message,
-            )
-        flow_keys.append(flow)
-    bed.run(warmup_ms=scenario.warmup_ms, measure_ms=scenario.duration_ms)
-    # Drain: senders have stopped; let in-flight tail messages complete so
-    # conservation is exact rather than modulo the cutoff.
-    end = bed.sim.now + scenario.drain_ms * 1000.0
-    bed.sim.run(until=end)
-    for index, flow in enumerate(flow_keys):
+        _record_deliveries(bed.stack.sockets.lookup(flow), record.deliveries[index])
+    bed.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms)
+    bed.sim.run(until=bed.sim.now + DRAIN_MS * 1000.0)
+    for index, flow_id in enumerate(flows):
         record.sent[index] = sum(
             sender.messages_sent
             for sender in bed.senders
-            if sender.flow.flow_id == flow.flow_id
+            if sender.flow.flow_id == flow_id
         )
     record.drops = {k: v for k, v in bed.stack.drop_counts().items() if v}
     record.reordered = sum(
@@ -207,60 +165,18 @@ def compare_sides(baseline: SideRecord, candidate: SideRecord) -> List[str]:
     return failures
 
 
-def run_differential(scenario: DiffScenario) -> DiffReport:
-    """Run ``scenario`` on both sides and compare."""
-    baseline = _run_side(scenario, scenario.regimes[0])
-    candidate = _run_side(scenario, scenario.regimes[1])
-    return DiffReport(
-        scenario=scenario,
-        baseline=baseline,
-        candidate=candidate,
-        failures=compare_sides(baseline, candidate),
-    )
-
-
-#: Scenarios `repro validate` runs by default.
-DIFFERENTIAL_SCENARIOS = (
-    DiffScenario(name="udp_fixed_small", proto="udp", message_size=512, rate_pps=40_000.0),
-    DiffScenario(
-        name="udp_fixed_fragmented",
-        proto="udp",
-        message_size=4096,
-        rate_pps=8_000.0,
-        flows=1,
-    ),
-    DiffScenario(
-        name="tcp_paced_4k",
-        proto="tcp",
-        message_size=4096,
-        rate_pps=10_000.0,
-        flows=1,
-        window_msgs=64,
-    ),
-    # The fast-path cache skips the slow device chain on hits; the
-    # ordering gate must keep delivery semantics identical to vanilla
-    # (same payload sets, same per-flow order, zero reorders).
-    DiffScenario(
-        name="udp_fixed_oncache",
-        proto="udp",
-        message_size=512,
-        rate_pps=40_000.0,
-        regimes=("vanilla", "oncache"),
-    ),
-    DiffScenario(
-        name="udp_fixed_oncache_falcon",
-        proto="udp",
-        message_size=512,
-        rate_pps=40_000.0,
-        regimes=("vanilla", "oncache_falcon"),
-    ),
-    DiffScenario(
-        name="tcp_paced_oncache",
-        proto="tcp",
-        message_size=4096,
-        rate_pps=10_000.0,
-        flows=1,
-        window_msgs=64,
-        regimes=("vanilla", "oncache"),
-    ),
-)
+def run_differential(name: str, candidates: Sequence[str]) -> List[DiffReport]:
+    """Run entry ``name`` once as the baseline, then once per candidate."""
+    baseline = _run_side(name)
+    reports = []
+    for regime in candidates:
+        candidate = _run_side(name, regime)
+        reports.append(
+            DiffReport(
+                name=f"{name}/{regime}",
+                baseline=baseline,
+                candidate=candidate,
+                failures=compare_sides(baseline, candidate),
+            )
+        )
+    return reports

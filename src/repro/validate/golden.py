@@ -23,6 +23,7 @@ import hashlib
 import importlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -34,6 +35,9 @@ TIME_PRECISION = 6
 
 #: File in the golden directory mapping figure name -> series digest.
 FIGURE_DIGESTS = "figures.json"
+
+#: Scenario fields only cluster entries use; single-host metas omit them.
+_CLUSTER_FIELDS = ("hosts", "rate2_pps", "flowcache_capacity", "churn")
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +185,7 @@ def diff_trace_docs(expected: Dict, actual: Dict, max_messages: int = 20) -> Lis
 
 
 # ----------------------------------------------------------------------
-# Golden scenarios (shipped configurations the harness pins down)
+# Golden runs (the catalogue's GOLDEN entries, see repro.scenarios)
 # ----------------------------------------------------------------------
 def default_golden_dir() -> Path:
     """tests/goldens at the repository root (falls back to the cwd)."""
@@ -192,201 +196,36 @@ def default_golden_dir() -> Path:
     return Path.cwd() / "tests" / "goldens"
 
 
-GOLDEN_SCENARIOS = (
-    {
-        "name": "udp_fixed_vanilla",
-        "falcon": False,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
-    {
-        "name": "udp_fixed_falcon",
-        "falcon": True,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
-    {
-        "name": "tcp_stream_falcon_split",
-        "falcon": True,
-        "split_gro": True,
-        "proto": "tcp",
-        "message_size": 4096,
-        "window_msgs": 16,
-    },
-    # The flow-cache (ONCache) datapath: paced rates so the ordering
-    # gate opens and the traces actually take the fastpath stage.
-    {
-        "name": "udp_fixed_oncache",
-        "falcon": False,
-        "flowcache": True,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
-    {
-        "name": "udp_fixed_oncache_falcon",
-        "falcon": True,
-        "flowcache": True,
-        "proto": "udp",
-        "message_size": 512,
-        "rate_pps": 60_000.0,
-    },
-)
+def run_golden_scenario(name: str) -> Dict:
+    """Run catalogue entry ``name`` traced; return its trace document.
 
-
-#: Multi-host scenarios run through the sharded engine's record path.
-#: Goldens are generated at shards=1 (the reference partition); the
-#: shard-equivalence suite then demands byte-identical documents from
-#: every other shard count, so these files pin down the cross-shard
-#: merge discipline as well as the pipeline itself.
-CLUSTER_GOLDEN_SCENARIOS = (
-    {
-        "name": "cluster_udp_ring_vanilla",
-        "kind": "cluster",
-        "proto": "udp",
-        "num_hosts": 4,
-        "message_size": 512,
-        "rate_pps": 40_000.0,
-        "falcon": False,
-    },
-    {
-        "name": "cluster_udp_ring_falcon",
-        "kind": "cluster",
-        "proto": "udp",
-        "num_hosts": 4,
-        "message_size": 512,
-        "rate_pps": 40_000.0,
-        "falcon": True,
-    },
-    {
-        "name": "cluster_tcp_ring",
-        "kind": "cluster",
-        "proto": "tcp",
-        "num_hosts": 3,
-        "message_size": 4096,
-        "window_msgs": 8,
-        "falcon": False,
-    },
-    # Full cache lifecycle under the sharded engine: two flows per host
-    # thrash a capacity-1 ingress table (miss → hit → evict), then
-    # mid-run churn on host 1 invalidates locally and sends RECORD_INVAL
-    # to its senders (across a shard boundary at shards > 1).
-    {
-        "name": "cluster_udp_ring_oncache_churn",
-        "kind": "cluster",
-        "proto": "udp2",
-        "num_hosts": 3,
-        "message_size": 512,
-        "rate_pps": 40_000.0,
-        "rate2_pps": 12_000.0,
-        "falcon": False,
-        "flowcache": True,
-        "flowcache_capacity": 1,
-        "churn": [[3500.0, 1]],
-    },
-)
-
-
-def run_golden_scenario(spec: Dict, duration_ms: float = 5.0, warmup_ms: float = 2.0) -> Dict:
-    """Run one golden scenario with a tracer attached; return its document."""
-    from repro.core.config import FalconConfig, FlowCacheConfig
+    A cluster entry runs at one shard; its document is independent of
+    the shard count by design (the shard-equivalence suite asserts it).
+    """
+    from repro import scenarios
     from repro.metrics.tracing import PacketTracer
-    from repro.workloads.sockperf import Testbed
+    from repro.overlay.cluster import run_cluster
 
-    if spec.get("kind") == "cluster":
-        return run_cluster_golden_scenario(spec)
-    falcon = None
-    if spec.get("falcon"):
-        falcon = FalconConfig(split_gro=bool(spec.get("split_gro")))
-    flowcache = None
-    if spec.get("flowcache"):
-        flowcache = FlowCacheConfig(
-            capacity=int(spec.get("flowcache_capacity", 128))
-        )
-    bed = Testbed(
-        mode="overlay",
-        falcon=falcon,
-        flowcache=flowcache,
-        seed=int(spec.get("seed", 0)),
-    )
+    entry = scenarios.SCENARIOS[name]
+    built = scenarios.build(name)
+    if entry.cluster:
+        doc = run_cluster(built).trace_doc
+        assert doc is not None  # cluster entries trace
+        doc["meta"]["name"] = name
+        return doc
     tracer = PacketTracer(sample_every=10, max_messages=64)
-    bed.stack.tracer = tracer
-    if spec["proto"] == "udp":
-        bed.add_udp_flow(spec["message_size"], rate_pps=spec["rate_pps"])
-    else:
-        bed.add_tcp_flow(spec["message_size"], window_msgs=spec["window_msgs"])
-    bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
-    meta = {key: spec[key] for key in sorted(spec)}
-    meta["duration_ms"] = duration_ms
-    meta["warmup_ms"] = warmup_ms
+    built.stack.tracer = tracer
+    built.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms)
+    meta = {
+        key: value
+        for key, value in asdict(entry).items()
+        if key not in _CLUSTER_FIELDS
+    }
     return serialize_traces(tracer, meta=meta)
 
 
-def cluster_spec_for(spec: Dict, shards_hint: int = 1):
-    """Build the ClusterSpec behind one cluster golden scenario."""
-    from repro.overlay.cluster import (
-        tcp_ring_spec,
-        udp_double_ring_spec,
-        udp_ring_spec,
-    )
-
-    common = dict(
-        num_hosts=int(spec["num_hosts"]),
-        falcon=bool(spec.get("falcon")),
-        seed=int(spec.get("seed", 0)),
-        trace=True,
-        warmup_us=2000.0,
-        duration_us=5000.0,
-    )
-    if spec.get("flowcache"):
-        common["flowcache"] = True
-        common["flowcache_capacity"] = int(spec.get("flowcache_capacity", 128))
-    if spec.get("churn"):
-        common["churn"] = tuple(
-            (float(time_us), int(h)) for time_us, h in spec["churn"]
-        )
-    if spec["proto"] == "udp":
-        return udp_ring_spec(
-            message_size=spec["message_size"],
-            rate_pps=spec["rate_pps"],
-            **common,
-        )
-    if spec["proto"] == "udp2":
-        return udp_double_ring_spec(
-            message_size=spec["message_size"],
-            rate_pps=spec["rate_pps"],
-            rate2_pps=spec["rate2_pps"],
-            **common,
-        )
-    return tcp_ring_spec(
-        message_size=spec["message_size"],
-        window_msgs=spec["window_msgs"],
-        **common,
-    )
-
-
-def run_cluster_golden_scenario(spec: Dict, shards: int = 1) -> Dict:
-    """Run one cluster scenario at ``shards`` shards; return its trace doc.
-
-    The document is independent of ``shards`` by design — that is the
-    sharded engine's core guarantee, and what the equivalence suite
-    asserts by diffing this output across shard counts.
-    """
-    from repro.overlay.cluster import run_cluster
-
-    result = run_cluster(cluster_spec_for(spec), shards=shards)
-    doc = result.trace_doc
-    assert doc is not None  # trace=True above
-    doc["meta"]["name"] = spec["name"]
-    return doc
-
-
 def check_goldens(
-    golden_dir: Optional[Path] = None,
-    regen: bool = False,
-    only: Optional[List[str]] = None,
+    golden_dir: Optional[Path] = None, regen: bool = False
 ) -> Dict[str, List[str]]:
     """Compare (or regenerate) every golden scenario.
 
@@ -394,16 +233,15 @@ def check_goldens(
     clean pass; a missing golden without ``regen`` is itself a failure.
     ``regen`` also re-pins the figure digests (not compared here).
     """
+    from repro import scenarios
+
     golden_dir = Path(golden_dir) if golden_dir is not None else default_golden_dir()
     results: Dict[str, List[str]] = {}
-    if regen and only is None:
+    if regen:
         write_figure_digests(golden_dir)
         results["figures"] = []
-    for spec in GOLDEN_SCENARIOS + CLUSTER_GOLDEN_SCENARIOS:
-        name = spec["name"]
-        if only is not None and name not in only:
-            continue
-        doc = run_golden_scenario(spec)
+    for name in scenarios.GOLDEN:
+        doc = run_golden_scenario(name)
         path = golden_dir / f"{name}.json"
         if regen:
             write_golden(path, doc)

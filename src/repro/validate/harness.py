@@ -1,25 +1,22 @@
 """The `repro validate` driver: invariants + differential + golden suites.
 
 Each suite returns :class:`SuiteOutcome` rows; the CLI prints them and
-exits non-zero when anything failed. The invariant suite runs monitored
-versions of the shipped experiment configurations (vanilla overlay,
-Falcon, GRO splitting, host mode, fragmented UDP) and finishes each run
-with a strict quiescent conservation check.
+exits non-zero when anything failed. Every run is a named entry of
+:mod:`repro.scenarios`: the invariant suite runs its ``INVARIANTS``
+(vanilla overlay, Falcon, GRO splitting, host mode, fragmented UDP)
+under the monitor and finishes each with a strict quiescent conservation
+check; the differential suite runs its ``DIFFERENTIAL`` cases and the
+golden suite its ``GOLDEN`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.validate.differential import DIFFERENTIAL_SCENARIOS, run_differential
+from repro.validate.differential import run_differential
 from repro.validate.golden import check_goldens
-from repro.validate.invariants import (
-    InvariantMonitor,
-    InvariantViolation,
-    corrupt_interrupt_counter,
-)
+from repro.validate.invariants import InvariantMonitor, InvariantViolation
 
 #: Simulated time slice used while draining a run to quiescence.
 _DRAIN_SLICE_US = 777.0
@@ -46,36 +43,6 @@ class SuiteOutcome:
 # ----------------------------------------------------------------------
 # Invariant suite
 # ----------------------------------------------------------------------
-#: (name, testbed kwargs, workload kwargs) — the shipped configurations.
-INVARIANT_SCENARIOS = (
-    (
-        "udp_stress_vanilla",
-        {"mode": "overlay", "falcon": None},
-        {"proto": "udp", "message_size": 16, "clients": 2},
-    ),
-    (
-        "udp_stress_falcon",
-        {"mode": "overlay", "falcon": "default"},
-        {"proto": "udp", "message_size": 16, "clients": 2},
-    ),
-    (
-        "udp_fragmented_falcon",
-        {"mode": "overlay", "falcon": "default"},
-        {"proto": "udp", "message_size": 4096, "rate_pps": 20_000.0},
-    ),
-    (
-        "tcp_stream_falcon_split",
-        {"mode": "overlay", "falcon": "split"},
-        {"proto": "tcp", "message_size": 4096, "window_msgs": 16},
-    ),
-    (
-        "udp_fixed_host",
-        {"mode": "host", "falcon": None},
-        {"proto": "udp", "message_size": 512, "rate_pps": 60_000.0},
-    ),
-)
-
-
 def drain_to_quiescence(monitor: InvariantMonitor) -> bool:
     """Run the sim in slices until the pipeline is idle (or give up).
 
@@ -90,47 +57,16 @@ def drain_to_quiescence(monitor: InvariantMonitor) -> bool:
     return monitor.pipeline_idle()
 
 
-def _run_invariant_scenario(name, bed_kwargs, load_kwargs, quick, inject) -> SuiteOutcome:
-    from repro.core.config import FalconConfig
-    from repro.workloads.sockperf import Testbed
+def run_invariant_scenario(name: str) -> SuiteOutcome:
+    """Run catalogue entry ``name`` monitored, then drain and audit it."""
+    from repro import scenarios
 
-    falcon_spec = bed_kwargs.get("falcon")
-    falcon = None
-    if falcon_spec == "default":
-        falcon = FalconConfig()
-    elif falcon_spec == "split":
-        falcon = FalconConfig(split_gro=True)
-    bed = Testbed(mode=bed_kwargs["mode"], falcon=falcon, seed=0)
-    monitor = InvariantMonitor()
-    monitor.attach(bed.stack)
-    duration_ms, warmup_ms = (4.0, 2.0) if quick else (10.0, 5.0)
+    entry = scenarios.SCENARIOS[name]
+    bed = scenarios.build(name)
+    monitor = InvariantMonitor().attach(bed.stack)
     details: List[str] = []
     try:
-        if load_kwargs["proto"] == "udp":
-            bed.add_udp_flow(
-                load_kwargs["message_size"],
-                clients=load_kwargs.get("clients", 1),
-                rate_pps=load_kwargs.get("rate_pps"),
-            )
-        else:
-            bed.add_tcp_flow(
-                load_kwargs["message_size"],
-                window_msgs=load_kwargs.get("window_msgs", 16),
-            )
-        if inject == "corrupt-counter":
-            # A deliberately corrupted counter mid-run: the next periodic
-            # audit must flag it, proving the monitor is actually looking.
-            bed.sim.schedule(
-                (warmup_ms + duration_ms / 2) * 1000.0,
-                corrupt_interrupt_counter,
-                bed.host.machine,
-            )
-        elif inject == "lost-packet":
-            bed.sim.schedule(
-                (warmup_ms + duration_ms / 2) * 1000.0,
-                lambda: setattr(monitor, "generated", monitor.generated - 50),
-            )
-        bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
+        bed.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms)
         if not drain_to_quiescence(monitor):
             details.append("pipeline failed to quiesce after the senders stopped")
         monitor.check_conservation(strict=True)
@@ -138,56 +74,38 @@ def _run_invariant_scenario(name, bed_kwargs, load_kwargs, quick, inject) -> Sui
         details.append(str(violation))
     finally:
         monitor.detach()
-    if not details:
+    ok = not details
+    if ok:
         details.append(
             f"{monitor.generated} packets conserved, {monitor.audits} audits, "
             f"{monitor.checks_passed} checks"
         )
-        return SuiteOutcome("invariants", name, True, details)
-    return SuiteOutcome("invariants", name, False, details)
+    return SuiteOutcome("invariants", name, ok, details)
 
 
-def run_invariant_suite(
-    quick: bool = False, inject: Optional[str] = None
-) -> List[SuiteOutcome]:
-    outcomes = []
-    for index, (name, bed_kwargs, load_kwargs) in enumerate(INVARIANT_SCENARIOS):
-        # An injected violation only needs to fire once to prove the
-        # monitors work; apply it to the first scenario.
-        scenario_inject = inject if index == 0 else None
-        outcomes.append(
-            _run_invariant_scenario(name, bed_kwargs, load_kwargs, quick, scenario_inject)
-        )
-    return outcomes
+def run_invariant_suite() -> List[SuiteOutcome]:
+    from repro import scenarios
+
+    return [run_invariant_scenario(name) for name in scenarios.INVARIANTS]
 
 
 # ----------------------------------------------------------------------
 # Differential suite
 # ----------------------------------------------------------------------
-def run_differential_suite(quick: bool = False) -> List[SuiteOutcome]:
+def run_differential_suite() -> List[SuiteOutcome]:
+    from repro import scenarios
+
     outcomes = []
-    for scenario in DIFFERENTIAL_SCENARIOS:
-        if quick:
-            scenario = type(scenario)(
-                **{
-                    **scenario.__dict__,
-                    "duration_ms": 4.0,
-                    "warmup_ms": 1.0,
-                    "drain_ms": 6.0,
-                }
-            )
-        report = run_differential(scenario)
-        if report.ok:
-            details = [
-                f"{scenario.regimes[0]} vs {scenario.regimes[1]}: both sides "
-                f"delivered {report.baseline.delivered_messages} messages "
-                f"({report.baseline.delivered_bytes} B) in identical "
-                "per-flow order"
+    for name, candidates in scenarios.DIFFERENTIAL:
+        for report in run_differential(name, candidates):
+            baseline = report.baseline
+            details = report.failures or [
+                f"{baseline.label} vs {report.candidate.label}: both sides "
+                f"delivered {baseline.delivered_messages} messages "
+                f"({baseline.delivered_bytes} B) in identical per-flow order"
             ]
-            outcomes.append(SuiteOutcome("differential", scenario.name, True, details))
-        else:
             outcomes.append(
-                SuiteOutcome("differential", scenario.name, False, report.failures)
+                SuiteOutcome("differential", report.name, report.ok, details)
             )
     return outcomes
 
@@ -195,18 +113,12 @@ def run_differential_suite(quick: bool = False) -> List[SuiteOutcome]:
 # ----------------------------------------------------------------------
 # Golden suite
 # ----------------------------------------------------------------------
-def run_golden_suite(
-    golden_dir: Optional[Path] = None, regen: bool = False
-) -> List[SuiteOutcome]:
-    results = check_goldens(golden_dir=golden_dir, regen=regen)
-    outcomes = []
-    for name, diffs in sorted(results.items()):
-        if diffs:
-            outcomes.append(SuiteOutcome("golden", name, False, diffs))
-        else:
-            detail = "golden regenerated" if regen else "trace matches golden"
-            outcomes.append(SuiteOutcome("golden", name, True, [detail]))
-    return outcomes
+def run_golden_suite(regen: bool = False) -> List[SuiteOutcome]:
+    detail = "golden regenerated" if regen else "trace matches golden"
+    return [
+        SuiteOutcome("golden", name, not diffs, diffs or [detail])
+        for name, diffs in sorted(check_goldens(regen=regen).items())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -233,19 +145,15 @@ def sanitize_outcome() -> Optional[SuiteOutcome]:
 # Entry point used by the CLI
 # ----------------------------------------------------------------------
 def run_validation(
-    suites: str = "all",
-    quick: bool = False,
-    regen_goldens: bool = False,
-    golden_dir: Optional[Path] = None,
-    inject: Optional[str] = None,
+    suites: str = "all", regen_goldens: bool = False
 ) -> List[SuiteOutcome]:
     outcomes: List[SuiteOutcome] = []
     if suites in ("all", "invariants"):
-        outcomes.extend(run_invariant_suite(quick=quick, inject=inject))
+        outcomes.extend(run_invariant_suite())
     if suites in ("all", "differential"):
-        outcomes.extend(run_differential_suite(quick=quick))
+        outcomes.extend(run_differential_suite())
     if suites in ("all", "golden"):
-        outcomes.extend(run_golden_suite(golden_dir=golden_dir, regen=regen_goldens))
+        outcomes.extend(run_golden_suite(regen=regen_goldens))
     sanitized = sanitize_outcome()
     if sanitized is not None:
         outcomes.append(sanitized)

@@ -354,8 +354,8 @@ def attach_monitor(stack, audit_interval_us: float = 500.0) -> InvariantMonitor:
 
 
 # ----------------------------------------------------------------------
-# Deliberate-violation fixtures (used by tests and `repro validate
-# --inject` to prove the monitors actually fire).
+# Deliberate-violation fixtures (the tests use them to prove the
+# monitors actually fire).
 # ----------------------------------------------------------------------
 def corrupt_interrupt_counter(machine, kind: str = NET_RX, amount: int = 1_000_000) -> None:
     """Silently decrement an interrupt counter, bypassing ``record()``.

@@ -3,26 +3,27 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import SCENARIOS
 
 
 class TestParser:
     def test_stress_defaults(self):
-        args = build_parser().parse_args(["stress"])
-        assert args.mode == "overlay"
-        assert args.size == 16
-        assert not args.falcon
+        args = build_parser().parse_args(["run", "udp_stress_vanilla"])
+        assert args.name == "udp_stress_vanilla"
+        assert args.seed == 0
+        assert args.shards is None
 
-    def test_fixed_requires_rate(self):
+    def test_unknown_name_lists_the_catalogue(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fixed"])
+            build_parser().parse_args(["run", "no_such_run"])
+        err = capsys.readouterr().err
+        assert all(name in err for name in SCENARIOS)
 
-    def test_falcon_flags(self):
-        args = build_parser().parse_args(
-            ["stress", "--falcon", "--falcon-cpus", "2,3", "--policy", "static"]
-        )
-        assert args.falcon
-        assert args.falcon_cpus == "2,3"
-        assert args.policy == "static"
+    def test_help_lists_the_catalogue(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in SCENARIOS)
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -31,38 +32,29 @@ class TestParser:
 
 class TestMain:
     def test_stress_runs(self, capsys):
-        code = main(
-            ["stress", "--duration-ms", "4", "--warmup-ms", "2", "--clients", "1"]
-        )
-        assert code == 0
+        assert main(["run", "udp_stress_vanilla"]) == 0
         out = capsys.readouterr().out
         assert "message rate" in out
         assert "busy cores" in out
 
     def test_fixed_runs_with_falcon(self, capsys):
-        code = main(
-            [
-                "fixed", "--rate", "50000", "--falcon",
-                "--duration-ms", "4", "--warmup-ms", "2",
-            ]
-        )
-        assert code == 0
+        assert main(["run", "udp_fixed_falcon", "--seed", "3"]) == 0
         assert "overlay+falcon" in capsys.readouterr().out
 
     def test_tcp_runs(self, capsys):
-        code = main(
-            ["tcp", "--size", "4096", "--duration-ms", "4", "--warmup-ms", "2"]
-        )
-        assert code == 0
+        assert main(["run", "tcp_stream_falcon_split"]) == 0
         assert "Gbps" in capsys.readouterr().out
 
-    def test_latency_compares_modes(self, capsys):
-        code = main(
-            ["latency", "--rate", "50000", "--duration-ms", "4", "--warmup-ms", "2"]
-        )
-        assert code == 0
+    def test_cluster_entry_prints_ring_totals(self, capsys):
+        assert main(["run", "cluster_udp_ring_vanilla"]) == 0
         out = capsys.readouterr().out
-        assert "host" in out and "overlay+falcon" in out
+        assert "1 shard(s) via inline" in out
+        assert "cross-shard records" in out
+        assert "host 3:" in out
+
+    def test_shards_rejected_on_single_host_entry(self, capsys):
+        assert main(["run", "udp_fixed_vanilla", "--shards", "2"]) == 2
+        assert "cluster entries only" in capsys.readouterr().err
 
     def test_figures_quick_subset(self, tmp_path, capsys):
         code = main(

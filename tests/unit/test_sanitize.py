@@ -19,13 +19,7 @@ import pytest
 from repro.analysis.trace import static_site_catalog
 from repro.kernel.flowcache import FlowTable
 from repro.overlay.cluster import run_cluster, udp_ring_spec
-from repro.validate.golden import (
-    CLUSTER_GOLDEN_SCENARIOS,
-    GOLDEN_SCENARIOS,
-    run_cluster_golden_scenario,
-    run_golden_scenario,
-    trace_doc_to_json,
-)
+from repro.validate.golden import run_golden_scenario, trace_doc_to_json
 from repro.validate.harness import sanitize_outcome
 from repro.validate.sanitize import (
     OwnershipLedger,
@@ -172,24 +166,20 @@ class TestGoldenByteIdentity:
     """The sanitizer must be a pure observer: traces are byte-identical
     with it on, and the run it watched reports no leaks."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [GOLDEN_SCENARIOS[0], GOLDEN_SCENARIOS[3]],
-        ids=lambda spec: spec["name"],
-    )
-    def test_host_golden_identical_and_leak_free(self, spec):
-        plain = trace_doc_to_json(run_golden_scenario(spec))
+    @pytest.mark.parametrize("name", ["udp_fixed_vanilla", "udp_fixed_oncache"])
+    def test_host_golden_identical_and_leak_free(self, name):
+        plain = trace_doc_to_json(run_golden_scenario(name))
         with sanitizing() as ledger:
-            sanitized = trace_doc_to_json(run_golden_scenario(spec))
+            sanitized = trace_doc_to_json(run_golden_scenario(name))
             report = ledger.report()
         assert sanitized == plain
         assert report.ok, report.render()
 
     def test_cluster_golden_identical_and_leak_free(self):
-        spec = CLUSTER_GOLDEN_SCENARIOS[3]  # oncache + churn: all kinds
-        plain = trace_doc_to_json(run_cluster_golden_scenario(spec))
+        name = "cluster_udp_ring_oncache_churn"  # exercises all kinds
+        plain = trace_doc_to_json(run_golden_scenario(name))
         with sanitizing() as ledger:
-            sanitized = trace_doc_to_json(run_cluster_golden_scenario(spec))
+            sanitized = trace_doc_to_json(run_golden_scenario(name))
             report = ledger.report()
         assert sanitized == plain
         assert report.ok, report.render()
@@ -198,9 +188,8 @@ class TestGoldenByteIdentity:
         assert report.acquired.get("outbox.emit", 0) > 0
 
     def test_golden_sites_are_in_the_static_catalog(self):
-        spec = CLUSTER_GOLDEN_SCENARIOS[3]
         with sanitizing() as ledger:
-            run_cluster_golden_scenario(spec)
+            run_golden_scenario("cluster_udp_ring_oncache_churn")
             report = ledger.report()
         unknown = report.sites() - static_site_catalog()
         assert not unknown, sorted(unknown)
