@@ -6,8 +6,8 @@ One run, three steps; the report fails if any step fails:
   pass over one parse of the paths, held to the suppressed-findings
   baseline ``tools/analysis_baseline.txt``
   (:mod:`repro.analysis.baseline`);
-* ``trace`` — the static↔dynamic cross-check of the golden traces and
-  the sanitizer sites (:mod:`repro.analysis.trace`);
+* ``trace`` — the static↔dynamic cross-check of the golden traces
+  (:mod:`repro.analysis.trace`; no simulation runs);
 * ``mypy`` — the ratcheted strict gate (``tools/typecheck.py``). mypy is
   an optional tool dependency: when it is not installed the step reports
   ``skipped`` and does not fail the run unless ``require_mypy`` is set

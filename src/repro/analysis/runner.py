@@ -12,7 +12,7 @@ flow     skb typestate against the stage order, time-unit taint     FLOW4xx
                                                                     TIME5xx
 order    partition invariance, cross-shard causality, flow-cache    ORD5xx
          ordering
-san      skb ownership transfer, flow-cache entry lifecycle         OWN6xx
+san      skb ownership transfer                                     OWN6xx
 =======  =========================================================  =====
 
 :func:`analyze` reads and parses each file once, runs every selected
@@ -47,7 +47,6 @@ from repro.analysis.lint.rules_race import RACE_RULES
 from repro.analysis.order.rules_causality import CAUSALITY_RULES
 from repro.analysis.order.rules_flowcache import FLOWCACHE_RULES
 from repro.analysis.order.rules_partition import PARTITION_RULES
-from repro.analysis.san.rules_cache import CACHE_RULES
 from repro.analysis.san.rules_skbown import SKBOWN_RULES
 
 #: Every rule, by family, in catalogue order.
@@ -55,7 +54,7 @@ FAMILIES: Dict[str, Tuple[Rule, ...]] = {
     "lint": DETERMINISM_RULES + DES_RULES + RACE_RULES,
     "flow": SKB_RULES + TIME_RULES,
     "order": PARTITION_RULES + CAUSALITY_RULES + FLOWCACHE_RULES,
-    "san": SKBOWN_RULES + CACHE_RULES,
+    "san": SKBOWN_RULES,
 }
 
 #: Every rule, in catalogue order.

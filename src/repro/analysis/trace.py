@@ -1,12 +1,12 @@
 """Static↔dynamic cross-check: the ``trace`` step of ``repro check``.
 
 The rules reason about a model of the running system: the stage graph
-derived by :func:`~repro.analysis.flow.stagespec.stage_order_spec` and
-the sanitizer's site tags. This step holds that model against what runs
-actually did. It replays the golden traces (``tests/goldens/*.json``,
-recorded by :mod:`repro.validate.golden` from
-:class:`~repro.metrics.tracing.PacketTracer` events) once, runs one
-small sanitized probe, and reports an **error** when:
+derived by :func:`~repro.analysis.flow.stagespec.stage_order_spec`. This
+step holds that model against what runs actually did. It replays the
+golden traces (``tests/goldens/*.json``, recorded by
+:mod:`repro.validate.golden` from
+:class:`~repro.metrics.tracing.PacketTracer` events) once, runs no
+simulation, and reports an **error** when:
 
 * a stage edge of a single-packet trace is missing from the static
   graph — the FLOW rules (and RACE301's call graph) would be reasoning
@@ -16,10 +16,7 @@ small sanitized probe, and reports an **error** when:
   matches reality;
 * within one flow, message *n+1* completes delivery before message *n* —
   the per-flow order ORD503/ORD52x guard statically was violated at
-  runtime;
-* a sanitizer site tag the probe reported is not a literal at an
-  instrumentation call in the repo's ``src`` (a runtime-built tag the
-  OWN rules cannot see), or a catalogued site was never exercised.
+  runtime.
 
 A static edge no golden exercises is a **warning**: dead modelling or
 missing trace coverage (host-mode edges are expected here while the
@@ -30,28 +27,15 @@ compared.
 
 from __future__ import annotations
 
-import ast
 import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.flow.stagespec import ALLOC, FREE, HARDIRQ, stage_order_spec
-from repro.analysis.lint.core import last_segment
-from repro.analysis.runner import iter_python_files
 
 #: The cached-datapath stage name FastPathTransition jumps through.
 FASTPATH_STAGE = "fastpath"
-
-#: The package whose instrumentation calls make the static site catalogue.
-_PACKAGE_DIR = str(Path(__file__).resolve().parents[1])
-
-#: Callee last-segments whose third positional argument is a site tag.
-_INSTRUMENTATION_CALLS = frozenset(("acquire", "release"))
-
-#: Argument index of the site tag in every instrumentation call.
-_SITE_ARG_INDEX = 2
 
 Edge = Tuple[str, str]
 
@@ -62,7 +46,7 @@ Inversion = Tuple[str, int, int, int, float, float]
 
 @dataclass
 class TraceCheck:
-    """Outcome of one replay of the goldens plus one sanitized probe."""
+    """Outcome of one replay of the goldens."""
 
     trace_files: List[str] = field(default_factory=list)
     #: Single-packet traces replayed for stage edges.
@@ -76,14 +60,10 @@ class TraceCheck:
     observed: Dict[Edge, int] = field(default_factory=dict)
     #: Edges touching the fastpath stage, over all traces.
     fastpath_observed: Dict[Edge, int] = field(default_factory=dict)
-    static_sites: List[str] = field(default_factory=list)
-    dynamic_sites: List[str] = field(default_factory=list)
     # Errors.
     missing_edges: List[Edge] = field(default_factory=list)
     unknown_fastpath_edges: List[Edge] = field(default_factory=list)
     inversions: List[Inversion] = field(default_factory=list)
-    unknown_sites: List[str] = field(default_factory=list)
-    unexercised_sites: List[str] = field(default_factory=list)
     # Warnings.
     unobserved_edges: List[Edge] = field(default_factory=list)
 
@@ -106,15 +86,6 @@ class TraceCheck:
             f"before msg {earlier} at {earlier_t}us"
             for name, flow, earlier, later, earlier_t, later_t in self.inversions
         )
-        lines.extend(
-            f"sanitizer site {site!r} is not in the static catalogue "
-            "(runtime-built tag or uninstrumented module?)"
-            for site in self.unknown_sites
-        )
-        lines.extend(
-            f"sanitizer site {site!r} was never exercised by the probe"
-            for site in self.unexercised_sites
-        )
         return lines
 
     def warnings(self) -> List[str]:
@@ -128,8 +99,7 @@ class TraceCheck:
             f"{self.traces_replayed} traces from {len(self.trace_files)} "
             f"goldens ({self.traces_skipped} multi-packet skipped), "
             f"{self.deliveries_checked} deliveries in {self.flows_checked} "
-            f"flows, {len(self.dynamic_sites)}/{len(self.static_sites)} "
-            "sanitizer sites"
+            "flows"
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -143,21 +113,15 @@ class TraceCheck:
             "observed_edges": {
                 f"{a}->{b}": count for (a, b), count in sorted(self.observed.items())
             },
-            "static_sites": self.static_sites,
-            "dynamic_sites": self.dynamic_sites,
             "errors": self.errors(),
             "warnings": self.warnings(),
         }
 
 
-def trace_check(
-    trace_files: Optional[Sequence[str]] = None,
-    sites: Optional[Iterable[str]] = None,
-) -> TraceCheck:
-    """Cross-check the static model against traces and sanitizer sites.
+def trace_check(trace_files: Optional[Sequence[str]] = None) -> TraceCheck:
+    """Cross-check the static stage graph against recorded traces.
 
-    ``trace_files`` defaults to every golden trace; ``sites`` defaults to
-    the site tags of a fresh :func:`dynamic_site_probe` run.
+    ``trace_files`` defaults to every golden trace.
     """
     if trace_files is None:
         from repro.validate.golden import FIGURE_DIGESTS, default_golden_dir
@@ -186,13 +150,6 @@ def trace_check(
     result.unobserved_edges = sorted(
         comparable - set(result.observed) - set(result.fastpath_observed)
     )
-
-    static = static_site_catalog()
-    dynamic = set(sites) if sites is not None else dynamic_site_probe()
-    result.static_sites = sorted(static)
-    result.dynamic_sites = sorted(dynamic)
-    result.unknown_sites = sorted(dynamic - static)
-    result.unexercised_sites = sorted(static - dynamic)
     return result
 
 
@@ -262,64 +219,3 @@ def _trace_edges(events: Sequence[Sequence[Any]]) -> Set[Edge]:
         if kind in ("exec", "deliver"):
             current = stage
     return edges
-
-
-def static_site_catalog() -> Set[str]:
-    """Every site-tag literal at an instrumentation call in the package.
-
-    Instrumentation calls are ``ledger.acquire(kind, identity, "tag")``
-    and ``ledger.release(kind, identity, "tag")``.
-    """
-    sites: Set[str] = set()
-    for path in iter_python_files([_PACKAGE_DIR]):
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # reported as LINT001 by the rules step
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if last_segment(node.func) not in _INSTRUMENTATION_CALLS:
-                continue
-            if len(node.args) <= _SITE_ARG_INDEX:
-                continue
-            site = node.args[_SITE_ARG_INDEX]
-            if isinstance(site, ast.Constant) and isinstance(site.value, str):
-                sites.add(site.value)
-    return sites
-
-
-def dynamic_site_probe() -> Set[str]:
-    """A small sanitized workout that exercises every sanitizer site.
-
-    Flow-table insert / evict / invalidate churn, and the cross-shard
-    record path of a two-host cluster ring with a churn event. Returns
-    the site tags the ledger saw.
-    """
-    from repro.kernel.flowcache import FlowTable
-    from repro.overlay.cluster import run_cluster, udp_ring_spec
-    from repro.validate.sanitize import sanitizing
-
-    with sanitizing() as ledger:
-        table = FlowTable(capacity=1)
-        table.insert((1, 2, 17, 1000, 2000))
-        table.insert((2, 3, 17, 1000, 2000))  # evicts the first
-        table.invalidate((2, 3, 17, 1000, 2000))
-        table.insert((3, 4, 17, 1000, 2000))
-        table.invalidate_ip(3)
-        table.insert((5, 6, 17, 1000, 2000))
-        table.invalidate_all()
-        spec = udp_ring_spec(
-            num_hosts=2,
-            message_size=256,
-            rate_pps=20_000.0,
-            warmup_us=200.0,
-            duration_us=800.0,
-            flowcache=True,
-            flowcache_capacity=1,
-            churn=((600.0, 1),),
-        )
-        run_cluster(spec, shards=1)
-        return ledger.report().sites()

@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check",
         help="run the static analyzer: every rule family (held to "
-        "tools/analysis_baseline.txt), the golden-trace and sanitizer "
-        "cross-check, and the mypy strict gate",
+        "tools/analysis_baseline.txt), the golden-trace cross-check, "
+        "and the mypy strict gate",
     )
     check.add_argument(
         "paths",

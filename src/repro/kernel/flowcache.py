@@ -36,9 +36,8 @@ Adding a population or lookup path elsewhere trips the analyzer.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import FlowCacheConfig
 from repro.kernel.costs import CostModel, VXLAN_OVERHEAD
@@ -66,7 +65,6 @@ class FlowTable:
         "evictions",
         "invalidations",
         "inserts",
-        "_san",
     )
 
     def __init__(self, capacity: int) -> None:
@@ -79,12 +77,6 @@ class FlowTable:
         self.evictions = 0
         self.invalidations = 0
         self.inserts = 0
-        #: Ownership ledger hook (REPRO_SANITIZE=1); None in normal runs.
-        self._san: Optional[Any] = None
-        if os.environ.get("REPRO_SANITIZE"):
-            from repro.validate.sanitize import current_ledger
-
-            self._san = current_ledger()
 
     # ------------------------------------------------------------------
     # Datapath decisions
@@ -124,15 +116,9 @@ class FlowTable:
             return
         self.inserts += 1
         self._entries[key] = 1
-        if self._san is not None:
-            self._san.acquire("flow_entry", (id(self), key), "flowtable.insert")
         while len(self._entries) > self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            if self._san is not None:
-                self._san.release(
-                    "flow_entry", (id(self), evicted), "flowtable.evict"
-                )
 
     def slow_done(self, key: TableKey, segs: int) -> None:
         """Release ``segs`` slow-path reservations for ``key``."""
@@ -148,10 +134,6 @@ class FlowTable:
     def invalidate(self, key: TableKey) -> bool:
         if self._entries.pop(key, None) is not None:
             self.invalidations += 1
-            if self._san is not None:
-                self._san.release(
-                    "flow_entry", (id(self), key), "flowtable.invalidate"
-                )
             return True
         return False
 
@@ -160,20 +142,11 @@ class FlowTable:
         stale = [key for key in self._entries if ip in (key[0], key[1])]
         for key in stale:
             del self._entries[key]
-            if self._san is not None:
-                self._san.release(
-                    "flow_entry", (id(self), key), "flowtable.invalidate_ip"
-                )
         self.invalidations += len(stale)
         return len(stale)
 
     def invalidate_all(self) -> int:
         count = len(self._entries)
-        if self._san is not None:
-            for key in self._entries:
-                self._san.release(
-                    "flow_entry", (id(self), key), "flowtable.invalidate_all"
-                )
         self._entries.clear()
         self.invalidations += count
         return count

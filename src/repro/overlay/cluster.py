@@ -24,7 +24,6 @@ single-host :class:`~repro.workloads.sockperf.Testbed`:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -280,21 +279,11 @@ class _HostOutbox:
         self.host_index = host_index
         self._seq = 0
         self.pending: List[CrossShardEvent] = []
-        #: Ownership ledger hook (REPRO_SANITIZE=1); None in normal runs.
-        self._san: Optional[Any] = None
-        if os.environ.get("REPRO_SANITIZE"):
-            from repro.validate.sanitize import current_ledger
-
-            self._san = current_ledger()
 
     def emit(self, time: float, kind: str, dst: int, payload: Tuple[Any, ...]) -> None:
         self.pending.append(
             CrossShardEvent(time, self.host_index, self._seq, kind, dst, payload)
         )
-        if self._san is not None:
-            self._san.acquire(
-                "record", (self.host_index, self._seq), "outbox.emit"
-            )
         self._seq += 1
 
     def drain(self) -> List[CrossShardEvent]:
@@ -461,12 +450,6 @@ class ClusterWorld:
         spec.validate()
         self.spec = spec
         self.sim = Simulator()
-        #: Ownership ledger hook (REPRO_SANITIZE=1); None in normal runs.
-        self._san: Optional[Any] = None
-        if os.environ.get("REPRO_SANITIZE"):
-            from repro.validate.sanitize import current_ledger
-
-            self._san = current_ledger()
         self._hosts = tuple(hosts)
         self.by_index: Dict[int, _ClusterHost] = {
             h: _ClusterHost(self.sim, spec, h) for h in self._hosts
@@ -612,12 +595,7 @@ class ClusterWorld:
         return produced
 
     def inject(self, records: Sequence[CrossShardEvent]) -> None:
-        san = self._san
         for record in records:
-            if san is not None:
-                # Delivery to the destination shard ends the record's
-                # flight; from here the payload lives in local events.
-                san.release("record", (record.src, record.seq), "world.inject")
             world_host = self.by_index.get(record.dst)
             if world_host is None:
                 raise ShardError(

@@ -33,17 +33,6 @@ from repro.validate.harness import (
     run_invariant_scenario,
     run_invariant_suite,
     run_validation,
-    sanitize_outcome,
-)
-from repro.validate.sanitize import (
-    SANITIZE_ENV_VAR,
-    OwnershipLedger,
-    SanitizeReport,
-    current_ledger,
-    install_ledger,
-    reset_ledger,
-    sanitize_enabled,
-    sanitizing,
 )
 from repro.validate.invariants import (
     TERMINAL_OUTCOMES,
@@ -58,9 +47,6 @@ __all__ = [
     "DiffReport",
     "InvariantMonitor",
     "InvariantViolation",
-    "OwnershipLedger",
-    "SANITIZE_ENV_VAR",
-    "SanitizeReport",
     "SideRecord",
     "SuiteOutcome",
     "TERMINAL_OUTCOMES",
@@ -69,13 +55,10 @@ __all__ = [
     "compare_sides",
     "corrupt_conservation_ledger",
     "corrupt_interrupt_counter",
-    "current_ledger",
     "default_golden_dir",
     "diff_trace_docs",
     "drain_to_quiescence",
-    "install_ledger",
     "load_golden",
-    "reset_ledger",
     "run_differential",
     "run_differential_suite",
     "run_golden_scenario",
@@ -83,9 +66,6 @@ __all__ = [
     "run_invariant_scenario",
     "run_invariant_suite",
     "run_validation",
-    "sanitize_enabled",
-    "sanitize_outcome",
-    "sanitizing",
     "serialize_traces",
     "trace_doc_to_json",
     "write_golden",

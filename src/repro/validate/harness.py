@@ -12,7 +12,7 @@ golden suite its ``GOLDEN`` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.validate.differential import run_differential
 from repro.validate.golden import check_goldens
@@ -122,26 +122,6 @@ def run_golden_suite(regen: bool = False) -> List[SuiteOutcome]:
 
 
 # ----------------------------------------------------------------------
-# Sanitizer verdict (REPRO_SANITIZE=1)
-# ----------------------------------------------------------------------
-def sanitize_outcome() -> Optional[SuiteOutcome]:
-    """One row summarizing the ownership ledger, if the sanitizer ran.
-
-    Returns None when ``REPRO_SANITIZE`` is off or no instrumented
-    object was ever constructed (nothing to report either way).
-    """
-    from repro.validate.sanitize import current_ledger, sanitize_enabled
-
-    if not sanitize_enabled():
-        return None
-    ledger = current_ledger()
-    if ledger is None:
-        return None
-    report = ledger.report()
-    return SuiteOutcome("sanitize", "ownership-ledger", report.ok, report.render())
-
-
-# ----------------------------------------------------------------------
 # Entry point used by the CLI
 # ----------------------------------------------------------------------
 def run_validation(
@@ -154,7 +134,4 @@ def run_validation(
         outcomes.extend(run_differential_suite())
     if suites in ("all", "golden"):
         outcomes.extend(run_golden_suite(regen=regen_goldens))
-    sanitized = sanitize_outcome()
-    if sanitized is not None:
-        outcomes.append(sanitized)
     return outcomes

@@ -1,0 +1,327 @@
+"""The mutation catalogue: planted bugs and the checks that catch them.
+
+Each :class:`Bug` is one small patch to a copy of a real module under
+``src/repro``. ``caught_by`` names every check that turns red on it:
+
+* a static rule id: ``repro check``'s rules, run on the mutated file;
+* ``golden``, ``invariants``, ``differential``: the validate suites, as
+  tier-1 runs them in ``tests/integration/test_scenarios.py``;
+* ``shard-eq``: ``tests/integration/test_shard_equivalence.py``;
+* ``module``: the unit and property tests of the mutated module
+  (:data:`MODULE_TESTS`).
+
+``tests/mutations/test_catalogue.py`` holds the table to the truth.
+Tier-1 checks every static catch at its exact line; the slow tier runs
+the dynamic checks on each planted copy in a subprocess. The table is
+the evidence that each check earns its place: a check whose every catch
+another check also makes is a candidate for deletion.
+
+Print the table as it appears in ``docs/architecture.md`` with
+``PYTHONPATH=src python tests/mutations/catalogue.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import FrozenSet, Iterable, List, Set, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: The dynamic checks, in table order.
+DYNAMIC = ("golden", "invariants", "differential", "shard-eq", "module")
+
+#: The suites every planted copy runs, whatever module it mutates.
+SUITES = (
+    "tests/integration/test_scenarios.py",
+    "tests/integration/test_shard_equivalence.py",
+)
+
+#: The ``module`` column: the unit and property tests of each module.
+MODULE_TESTS = {
+    "kernel/flowcache.py": (
+        "tests/unit/test_flowcache.py",
+        "tests/props/test_flowcache_props.py",
+    ),
+    "kernel/gro.py": (
+        "tests/unit/test_gro_defrag.py",
+        "tests/unit/test_device_steps.py",
+        "tests/props/test_merge_props.py",
+    ),
+    "kernel/skb.py": ("tests/unit/test_skb_costs.py",),
+    "overlay/cluster.py": (
+        "tests/unit/test_cluster.py",
+        "tests/integration/test_shard_faults.py",
+    ),
+    "sim/shard/coordinator.py": (
+        "tests/unit/test_shard_compaction.py",
+        "tests/props/test_shard_props.py",
+        "tests/integration/test_shard_faults.py",
+    ),
+}
+
+_RULE_ID = re.compile(r"[A-Z]+\d{3}")
+
+
+@dataclass(frozen=True)
+class Bug:
+    """One planted bug: replace ``old`` (exactly once) by ``new``."""
+
+    name: str
+    what: str
+    #: Module path relative to ``src/repro``.
+    path: str
+    old: str
+    new: str
+    caught_by: FrozenSet[str]
+    #: Text of the mutated line each static finding points at.
+    flag: str = ""
+
+    @property
+    def rules(self) -> List[str]:
+        return sorted(c for c in self.caught_by if _RULE_ID.fullmatch(c))
+
+
+BUGS: Tuple[Bug, ...] = (
+    Bug(
+        "flowtable_insert_duplicates",
+        "`FlowTable.insert` loses its `if key in self._entries` guard",
+        "kernel/flowcache.py",
+        "        if key in self._entries:\n"
+        "            self._entries.move_to_end(key)\n"
+        "            return\n"
+        "        self.inserts += 1\n",
+        "        self.inserts += 1\n",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "invalidate_all_keeps_entries",
+        "`invalidate_all` forgets `self._entries.clear()`",
+        "kernel/flowcache.py",
+        "        self._entries.clear()\n",
+        "",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "evict_mru",
+        "eviction pops the MRU entry (`popitem(last=True)`)",
+        "kernel/flowcache.py",
+        "popitem(last=False)",
+        "popitem(last=True)",
+        frozenset({"golden", "module"}),
+    ),
+    Bug(
+        "invalidate_uncounted",
+        "`invalidate` loses `self.invalidations += 1`",
+        "kernel/flowcache.py",
+        "            self.invalidations += 1\n",
+        "",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "access_inserts_at_lookup",
+        "`FlowTable.access` populates on a miss, bypassing the ordering gate",
+        "kernel/flowcache.py",
+        "        self.misses += 1\n"
+        "        self._slow_inflight[key] =",
+        "        self.misses += 1\n"
+        "        self.insert(key)\n"
+        "        self._slow_inflight[key] =",
+        frozenset({"ORD521", "golden", "module"}),
+        flag="self.insert(key)\n        self._slow_inflight",
+    ),
+    Bug(
+        "gro_store_and_forward",
+        "GRO holds a segment and forwards it too",
+        "kernel/gro.py",
+        "            self._held[key] = skb\n"
+        "            skb.segs = 1\n"
+        "            return None",
+        "            self._held[key] = skb\n"
+        "            skb.segs = 1\n"
+        "            return skb",
+        frozenset({"OWN612", "golden", "invariants", "differential", "module"}),
+        flag="            return skb\n        # Merge into the held skb.",
+    ),
+    Bug(
+        "module_flow_counter",
+        "a module-level `itertools.count` flow-id counter in `skb.py`",
+        "kernel/skb.py",
+        "from repro.kernel.hashing import flow_hash\n",
+        "import itertools\n\n"
+        "from repro.kernel.hashing import flow_hash\n\n"
+        "_flow_ids = itertools.count(1)\n",
+        frozenset({"SIM105"}),
+        flag="_flow_ids = itertools.count(1)",
+    ),
+    Bug(
+        "churn_emit_at_now",
+        "the churn `RECORD_INVAL` is emitted at bare `now`",
+        "overlay/cluster.py",
+        "                    self.sim.now + propagation,\n"
+        "                    RECORD_INVAL,",
+        "                    self.sim.now,\n"
+        "                    RECORD_INVAL,",
+        frozenset({"ORD511", "golden", "shard-eq"}),
+        flag="self.sim.now,",
+    ),
+    Bug(
+        "merge_key_shard_id",
+        "the outbox stamps records with a shard index, not the host index",
+        "overlay/cluster.py",
+        "CrossShardEvent(time, self.host_index, self._seq, kind, dst, payload)",
+        "CrossShardEvent(time, self.shard_index, self._seq, kind, dst, payload)",
+        frozenset({"ORD503", "golden", "shard-eq", "module"}),
+        flag="self.shard_index, self._seq",
+    ),
+    Bug(
+        "decode_skb_from_cache",
+        "`decode_skb` serves a cached object instead of a fresh one",
+        "overlay/cluster.py",
+        "    if len(payload) != 10:",
+        "    if payload in _DECODE_CACHE:\n"
+        "        skb_cached = _DECODE_CACHE[payload]\n"
+        "        return skb_cached\n"
+        "    if len(payload) != 10:",
+        frozenset({"OWN613", "golden", "shard-eq", "module"}),
+        flag="return skb_cached",
+    ),
+    Bug(
+        "outbox_seq_frozen",
+        "`_HostOutbox.emit` never advances `_seq`",
+        "overlay/cluster.py",
+        "        self._seq += 1\n",
+        "",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "coordinator_routes_twice",
+        "the coordinator routes each record twice",
+        "sim/shard/coordinator.py",
+        "                self._inbox[slot].append(record)\n",
+        "                self._inbox[slot].append(record)\n"
+        "                self._inbox[slot].append(record)\n",
+        frozenset({"golden"}),
+    ),
+    Bug(
+        "coordinator_drops_last_record",
+        "the coordinator drops each shard's last record",
+        "sim/shard/coordinator.py",
+        "            produced.extend(records)\n",
+        "            produced.extend(records[:-1])\n",
+        frozenset({"golden", "shard-eq", "module"}),
+    ),
+)
+
+
+def copy_src(root: Path) -> None:
+    """Copy the repo's ``src/`` to ``root / "src"``."""
+    shutil.copytree(
+        REPO_ROOT / "src", root / "src",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+
+
+def plant(bug: Bug, root: Path) -> Path:
+    """Copy ``src/`` under ``root``, apply ``bug``; return the mutated file."""
+    copy_src(root)
+    target = root / "src" / "repro" / bug.path
+    text = target.read_text()
+    assert text.count(bug.old) == 1, f"{bug.name}: anchor not unique: {bug.old!r}"
+    target.write_text(text.replace(bug.old, bug.new))
+    return target
+
+
+def line_of(path: Path, needle: str) -> int:
+    """1-based line at which ``needle`` (possibly multi-line) starts."""
+    text = path.read_text()
+    assert text.count(needle) == 1, f"{needle!r} is not unique in {path}"
+    return text[: text.index(needle)].count("\n") + 1
+
+
+def static_findings(path: Path) -> List[Tuple[int, str]]:
+    """``(line, rule)`` for every static finding on one file."""
+    from repro.analysis.runner import analyze
+
+    return [(f.line, f.rule) for f in analyze([str(path)]).findings]
+
+
+def column_of(nodeid: str) -> Set[str]:
+    """The dynamic check(s) a failed or erroring pytest node belongs to."""
+    path, _, test = nodeid.partition("::")
+    if path == SUITES[0]:
+        if not test:  # the module did not even import
+            return {"golden", "invariants", "differential"}
+        for prefix, column in (
+            ("test_golden", "golden"),
+            ("test_missing_golden", "golden"),
+            ("test_invariant", "invariants"),
+            ("test_differential", "differential"),
+        ):
+            if test.startswith(prefix):
+                return {column}
+        return {nodeid}  # an unexpected failure shows up by name
+    if path == SUITES[1]:
+        return {"shard-eq"}
+    return {"module"}
+
+
+def dynamic_catchers(
+    root: Path, module_tests: Iterable[str]
+) -> Tuple[Set[str], str]:
+    """Run the dynamic checks on the copy of ``src/`` under ``root``.
+
+    The tests, goldens and pytest config are copied beside it, so the
+    copy runs exactly the repo's checks: :data:`SUITES` plus
+    ``module_tests``. Returns the caught columns and pytest's output.
+    """
+    shutil.copytree(
+        REPO_ROOT / "tests", root / "tests",
+        ignore=shutil.ignore_patterns("__pycache__", "mutations"),
+    )
+    shutil.copy(REPO_ROOT / "pyproject.toml", root / "pyproject.toml")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "--tb=no", "-rfE", "--hypothesis-seed=0",
+            "--continue-on-collection-errors",
+            *SUITES, *module_tests,
+        ],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode in (0, 1), out
+    caught: Set[str] = set()
+    for line in out.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("FAILED", "ERROR"):
+            caught |= column_of(rest.split(" - ")[0].strip())
+    return caught, out
+
+
+def render_table() -> str:
+    """The catalogue as the markdown table in ``docs/architecture.md``."""
+    head = ["planted bug", "file", "static rules", *DYNAMIC]
+    lines = [
+        "| " + " | ".join(head) + " |",
+        "|" + "---|" * len(head),
+    ]
+    for bug in BUGS:
+        cells = [
+            f"`{bug.name}`: {bug.what}",
+            f"`{bug.path}`",
+            ", ".join(bug.rules) or "·",
+            *("caught" if c in bug.caught_by else "·" for c in DYNAMIC),
+        ]
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(render_table())

@@ -16,7 +16,6 @@ from repro.analysis.order.rules_causality import causality_findings
 from repro.analysis.order.rules_flowcache import flowcache_findings
 from repro.analysis.order.rules_partition import partition_findings
 from repro.analysis.runner import ALL_RULES
-from repro.analysis.san.rules_cache import cache_findings
 from repro.analysis.san.rules_skbown import skbown_findings
 
 FAMILY_ANALYSES = [
@@ -25,7 +24,6 @@ FAMILY_ANALYSES = [
     causality_findings,
     flowcache_findings,
     partition_findings,
-    cache_findings,
     skbown_findings,
 ]
 

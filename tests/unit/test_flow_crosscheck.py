@@ -4,22 +4,12 @@ import json
 from pathlib import Path
 
 import repro.validate.golden
-from repro.analysis.trace import (
-    _single_packet,
-    _trace_edges,
-    static_site_catalog,
-    trace_check,
-)
+from repro.analysis.trace import _single_packet, _trace_edges, trace_check
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 #: A small clean input, so the CLI tests exercise the trace step cheaply.
 CLEAN_FILE = REPO_ROOT / "tests" / "fixtures" / "flow" / "flow401_clean.py"
-
-
-def cross_check(paths=None):
-    """The trace step over ``paths``, with every sanitizer site exercised."""
-    return trace_check(paths, sites=static_site_catalog())
 
 
 def make_trace_file(tmp_path, events_lists, name="synthetic.json"):
@@ -85,7 +75,7 @@ class TestHelpers:
 
 class TestCrossCheck:
     def test_golden_traces_match_static_graph(self):
-        result = cross_check()
+        result = trace_check()
         assert result.ok, result.errors()
         assert result.traces_replayed > 0
         assert result.missing_edges == []
@@ -107,7 +97,7 @@ class TestCrossCheck:
                 [2.0, "exec", "pnic", 0],
             ]],
         )
-        result = cross_check([str(path)])
+        result = trace_check([str(path)])
         assert not result.ok
         assert ("socket", "pnic") in result.missing_edges
         assert any("socket->pnic" in error for error in result.errors())
@@ -124,7 +114,7 @@ class TestCrossCheck:
                 [3.0, "exec", "socket", 0],  # would be a bogus edge
             ]],
         )
-        result = cross_check([str(path)])
+        result = trace_check([str(path)])
         assert result.traces_skipped == 1
         assert result.traces_replayed == 0
         assert result.ok
@@ -137,7 +127,7 @@ class TestCrossCheck:
                 [2.0, "exec", "hoststack_outer", 1],
             ]],
         )
-        result = cross_check([str(path)])
+        result = trace_check([str(path)])
         assert result.ok
         assert result.unobserved_edges  # most static edges unexercised
         assert any("never observed" in w for w in result.warnings())

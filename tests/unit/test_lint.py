@@ -21,7 +21,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 SRC_TREE = REPO_ROOT / "src" / "repro"
 SOFTIRQ = SRC_TREE / "kernel" / "softirq.py"
-SKB = SRC_TREE / "kernel" / "skb.py"
 
 LINT_RULE_IDS = [rule.id for rule in FAMILIES["lint"]]
 
@@ -118,31 +117,6 @@ class TestRaceDetectorOnSoftirq:
         assert len(race) == 1
         assert [f.rule for f in result.findings] == ["RACE301"]
         assert "enqueue_backlog" in race[0].message
-
-
-class TestModuleCounterOnSkb:
-    """A process-global flow-id counter planted in skb.py must wake SIM105."""
-
-    def test_verbatim_copy_is_clean(self, tmp_path):
-        copy = tmp_path / "skb_copy.py"
-        copy.write_text(SKB.read_text())
-        result, _ = actual_findings([copy])
-        assert result.ok, result.to_text()
-
-    def test_planted_flow_counter_fires_sim105(self, tmp_path):
-        source = SKB.read_text()
-        imports, counter = "from typing import", "PROTO_TCP = 6\n"
-        assert source.count(imports) == source.count(counter) == 1, (
-            "skb.py changed shape"
-        )
-        planted = source.replace(imports, "import itertools\n" + imports).replace(
-            counter, counter + "_flow_ids = itertools.count(1)\n"
-        )
-        broken = tmp_path / "skb_broken.py"
-        broken.write_text(planted)
-        result, _ = actual_findings([broken])
-        assert [f.rule for f in result.findings] == ["SIM105"]
-        assert "itertools.count" in result.findings[0].message
 
 
 class TestRuleSelection:

@@ -18,7 +18,7 @@ import pytest
 import repro.validate.golden
 from repro.analysis.check import run_check
 from repro.analysis.runner import FAMILIES, analyze, rule_by_id
-from repro.analysis.trace import static_site_catalog, trace_check
+from repro.analysis.trace import trace_check
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -50,11 +50,6 @@ def expected_fixture_findings():
 def rule_flags(rule_ids):
     """``--rule`` arguments selecting ``rule_ids`` on the command line."""
     return [arg for rule_id in rule_ids for arg in ("--rule", rule_id)]
-
-
-def order_cross_check(paths=None):
-    """The trace step over ``paths``, with every sanitizer site exercised."""
-    return trace_check(paths, sites=static_site_catalog())
 
 
 def actual_findings(paths, rule_ids=ORDER_RULE_IDS):
@@ -199,7 +194,7 @@ class TestOrderCrossCheck:
     """Static↔dynamic: golden traces replayed against the ordering model."""
 
     def test_shipped_goldens_hold_the_ordering_model(self):
-        check = order_cross_check()
+        check = trace_check()
         assert check.ok, check.errors()
         assert check.flows_checked > 0
         assert check.deliveries_checked > check.flows_checked
@@ -216,7 +211,7 @@ class TestOrderCrossCheck:
                  "events": [[5.0, "deliver", "container", 2]]},
             ],
         }))
-        check = order_cross_check([str(golden)])
+        check = trace_check([str(golden)])
         assert not check.ok
         assert len(check.inversions) == 1
         name, flow, earlier, later, earlier_t, later_t = check.inversions[0]
@@ -234,12 +229,12 @@ class TestOrderCrossCheck:
                  ]},
             ],
         }))
-        check = order_cross_check([str(golden)])
+        check = trace_check([str(golden)])
         assert not check.ok
         assert ("socket", "fastpath") in check.unknown_fastpath_edges
 
     def test_json_schema(self, tmp_path):
-        check = order_cross_check()
+        check = trace_check()
         payload = json.loads(json.dumps(check.to_dict()))
         for key in (
             "ok",
@@ -266,10 +261,9 @@ class TestUnifiedCheck:
         # mypy is optional in this environment: ok or skipped, never
         # silently absent.
         assert by_name["mypy"].ok or not by_name["mypy"].skipped
-        # Every ORD rule fires; of the other families only san's
-        # immortal-map rule sees the ORD52x corpus's insert-only table.
+        # Every ORD rule fires, and no rule of another family does.
         rules = {f.rule for f in report.analysis.findings}
-        assert rules == set(ORDER_RULE_IDS) | {"OWN623"}
+        assert rules == set(ORDER_RULE_IDS)
 
     def test_rule_filter_routes_to_owning_analyzer(self):
         report = run_check([str(FIXTURES)], rule_ids=["ORD521"])
