@@ -1,7 +1,7 @@
 """The ``flow`` rule family: interprocedural dataflow and typestate.
 
-A CFG + worklist-fixpoint engine (:mod:`cfg`, :mod:`engine`), shared by
-the order and san families, carrying two analyses over the packet-stage
+A CFG + worklist-fixpoint engine (:mod:`cfg`, :mod:`engine`), shared
+with the san family, carrying two analyses over the packet-stage
 pipeline:
 
 * skb typestate against the stage order derived from the live

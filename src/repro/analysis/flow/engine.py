@@ -19,11 +19,12 @@ phantom report.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, List, Protocol, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Protocol, Tuple, TypeVar
 
 import ast
 
 from repro.analysis.flow.cfg import Cfg
+from repro.analysis.lint.core import last_segment
 
 S = TypeVar("S")
 
@@ -102,22 +103,6 @@ def walk_block(
             state = analysis.transfer(stmt, state)
 
 
-class SetLattice(Generic[S]):
-    """Helper mixin: join/compare for ``frozenset``-valued maps."""
-
-    @staticmethod
-    def join_maps(
-        a: Dict[str, frozenset], b: Dict[str, frozenset]
-    ) -> Dict[str, frozenset]:
-        if a == b:
-            return a
-        out: Dict[str, frozenset] = dict(a)
-        for key, value in b.items():
-            existing = out.get(key)
-            out[key] = value if existing is None else existing | value
-        return out
-
-
 def call_sites(stmt: ast.stmt) -> Iterator[Tuple[ast.Call, str]]:
     """Yield ``(call node, last name segment)`` for calls in a statement.
 
@@ -151,16 +136,7 @@ def call_sites(stmt: ast.stmt) -> Iterator[Tuple[ast.Call, str]]:
         ):
             continue
         if isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = last_segment(node.func)
             if name is not None:
                 yield node, name
         stack.extend(ast.iter_child_nodes(node))
-
-
-def _call_name(call: ast.Call) -> "str | None":
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None

@@ -146,7 +146,7 @@ class FileContext:
         for decorator in node.decorator_list:
             if not isinstance(decorator, ast.Call):
                 continue
-            name = _last_segment(decorator.func)
+            name = last_segment(decorator.func)
             if name != "lint_exempt":
                 continue
             found = True
@@ -323,17 +323,13 @@ class FamilyRule(Rule):
                 yield finding
 
 
-def _last_segment(node: ast.AST) -> Optional[str]:
+def last_segment(node: ast.AST) -> Optional[str]:
     """The final identifier of a call target (``a.b.c`` -> ``c``)."""
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def last_segment(node: ast.AST) -> Optional[str]:
-    return _last_segment(node)
 
 
 def walk_numeric_literals(node: ast.AST) -> Iterator[ast.Constant]:

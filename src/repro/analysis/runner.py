@@ -1,6 +1,6 @@
 """The analyzer: one rule catalogue and one runner for every rule family.
 
-Four families of rules share one pass over one parsed project:
+Three families of rules share one pass over one parsed project:
 
 =======  =========================================================  =====
 family   contract                                                   ids
@@ -10,8 +10,6 @@ lint     determinism, DES discipline, cross-core per-CPU races      SIM1xx
                                                                     RACE3xx
 flow     skb typestate against the stage order, time-unit taint     FLOW4xx
                                                                     TIME5xx
-order    partition invariance, cross-shard causality, flow-cache    ORD5xx
-         ordering
 san      skb ownership transfer                                     OWN6xx
 =======  =========================================================  =====
 
@@ -44,16 +42,12 @@ from repro.analysis.lint.core import (
 from repro.analysis.lint.rules_des import DES_RULES
 from repro.analysis.lint.rules_determinism import DETERMINISM_RULES
 from repro.analysis.lint.rules_race import RACE_RULES
-from repro.analysis.order.rules_causality import CAUSALITY_RULES
-from repro.analysis.order.rules_flowcache import FLOWCACHE_RULES
-from repro.analysis.order.rules_partition import PARTITION_RULES
 from repro.analysis.san.rules_skbown import SKBOWN_RULES
 
 #: Every rule, by family, in catalogue order.
 FAMILIES: Dict[str, Tuple[Rule, ...]] = {
     "lint": DETERMINISM_RULES + DES_RULES + RACE_RULES,
     "flow": SKB_RULES + TIME_RULES,
-    "order": PARTITION_RULES + CAUSALITY_RULES + FLOWCACHE_RULES,
     "san": SKBOWN_RULES,
 }
 

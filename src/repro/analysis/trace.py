@@ -12,11 +12,11 @@ simulation, and reports an **error** when:
   graph — the FLOW rules (and RACE301's call graph) would be reasoning
   about a pipeline that does not exist;
 * any trace takes an edge into or out of the ``fastpath`` stage that the
-  static graph lacks — the cache wiring the ORD52x rules model no longer
-  matches reality;
+  static graph lacks — the modelled cache wiring no longer matches
+  reality;
 * within one flow, message *n+1* completes delivery before message *n* —
-  the per-flow order ORD503/ORD52x guard statically was violated at
-  runtime.
+  the flow cache's ordering gate (:mod:`repro.kernel.flowcache`) failed
+  to keep per-flow delivery order.
 
 A static edge no golden exercises is a **warning**: dead modelling or
 missing trace coverage (host-mode edges are expected here while the

@@ -25,13 +25,13 @@ wire segments that took the fast path) so every pipeline exit —
 delivery, backlog drop, defrag timeout — can release exactly the slow
 reservations it retires.
 
-The gate's typestate is enforced statically by ``repro check``
-(ORD521-523): :meth:`FlowTable.access`, :meth:`FlowTable.insert`,
+:meth:`FlowTable.access`, :meth:`FlowTable.insert`,
 :meth:`FlowTable.hit_or_populate` and :meth:`FlowCache.delivered` are
-the *sanctioned* surface — the only places allowed to populate entries
-or serve a receive-side hit, precisely because they consult/maintain
-``_slow_inflight`` (or, for the TX table, are serialized per flow).
-Adding a population or lookup path elsewhere trips the analyzer.
+the only places that populate entries or serve a receive-side hit,
+because they consult or maintain ``_slow_inflight`` (or, for the TX
+table, are serialized per flow). The flow-cache unit and property tests
+and the churn golden trace pin the gate; a population or lookup path
+added elsewhere must keep them green.
 """
 
 from __future__ import annotations

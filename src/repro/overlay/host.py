@@ -57,13 +57,6 @@ class Host:
         self.containers[name] = container
         return container
 
-    def remove_container(self, name: str) -> None:
-        container = self.containers.pop(name, None)
-        if container is not None and self.stack.flowcache is not None:
-            # Container stop/migration: every cached flow touching its IP
-            # is stale — the veth peer and FDB entry are gone.
-            self.stack.flowcache.invalidate_ip(container.private_ip)
-
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------

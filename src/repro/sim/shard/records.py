@@ -20,11 +20,10 @@ simulator. ``src`` and ``dst`` are *global host indexes* (not shard
 indexes): the merge key must not change when the host→shard partition
 does, or N-shard runs could not be byte-identical to the 1-shard run.
 
-``repro check`` enforces the construction discipline statically
-(ORD513): a :class:`CrossShardEvent` may be built only here, in an
-``emit`` method (which owns the per-source seq counter), or in
-``from_wire`` (which re-validates every field) — an ad-hoc record
-anywhere else could duplicate or skip a seq and break the total order.
+A :class:`CrossShardEvent` is built only here, in an ``emit`` method
+(which owns the per-source seq counter), or in ``from_wire`` (which
+re-validates every field) — an ad-hoc record anywhere else could
+duplicate or skip a seq and break the total order.
 """
 
 from __future__ import annotations

@@ -7,13 +7,12 @@ payloads are plain tuples of primitives (see
 :mod:`repro.sim.shard.records`). Everything on the simulation side —
 coordinator, records, shard programs — stays pure DES code; the lint
 rules that ban concurrency primitives inside the simulated scope carve
-out exactly this module. The partition-invariance rules
-(ORD501-503) carve it out too, by the same reasoning: pids, pipe fds
-and poll timeouts are this module's *job*, and nothing here flows into
-simulated timestamps, seeds or payloads — the wire tuples it ships are
-constructed on the simulation side. Both carve-outs are declared on the
-rules themselves (``Rule.exempt``), not as pragmas, so the exemption is
-reviewed where the rule is defined and the baselines stay empty.
+out exactly this module: pids, pipe fds and poll timeouts are this
+module's *job*, and nothing here flows into simulated timestamps, seeds
+or payloads — the wire tuples it ships are constructed on the
+simulation side. The carve-out is declared on the rules themselves
+(``Rule.exempt``), not as pragmas, so the exemption is reviewed where
+the rule is defined and the baselines stay empty.
 
 Protocol (coordinator → worker):
 

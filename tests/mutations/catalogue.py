@@ -54,6 +54,7 @@ MODULE_TESTS = {
         "tests/props/test_merge_props.py",
     ),
     "kernel/skb.py": ("tests/unit/test_skb_costs.py",),
+    "kernel/softirq.py": ("tests/unit/test_softirq.py",),
     "overlay/cluster.py": (
         "tests/unit/test_cluster.py",
         "tests/integration/test_shard_faults.py",
@@ -132,8 +133,15 @@ BUGS: Tuple[Bug, ...] = (
         "        self.misses += 1\n"
         "        self.insert(key)\n"
         "        self._slow_inflight[key] =",
-        frozenset({"ORD521", "golden", "module"}),
-        flag="self.insert(key)\n        self._slow_inflight",
+        frozenset({"golden", "module"}),
+    ),
+    Bug(
+        "lookup_skips_ledger",
+        "`FlowTable.access` grants a hit while slow packets are in flight",
+        "kernel/flowcache.py",
+        "        if key in self._entries and not self._slow_inflight.get(key):\n",
+        "        if key in self._entries:\n",
+        frozenset({"module"}),
     ),
     Bug(
         "gro_store_and_forward",
@@ -160,6 +168,18 @@ BUGS: Tuple[Bug, ...] = (
         flag="_flow_ids = itertools.count(1)",
     ),
     Bug(
+        "softirq_enqueue_without_raise",
+        "`enqueue_backlog` queues a packet without raising NET_RX",
+        "kernel/softirq.py",
+        "        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
+        "",
+        frozenset({
+            "RACE301", "golden", "invariants", "differential", "shard-eq",
+            "module",
+        }),
+        flag="data = self.data[target_cpu]",
+    ),
+    Bug(
         "churn_emit_at_now",
         "the churn `RECORD_INVAL` is emitted at bare `now`",
         "overlay/cluster.py",
@@ -167,8 +187,39 @@ BUGS: Tuple[Bug, ...] = (
         "                    RECORD_INVAL,",
         "                    self.sim.now,\n"
         "                    RECORD_INVAL,",
-        frozenset({"ORD511", "golden", "shard-eq"}),
-        flag="self.sim.now,",
+        frozenset({"golden", "shard-eq"}),
+    ),
+    Bug(
+        "churn_skips_local_invalidation",
+        "`_churn` keeps the churned host's own cache entries",
+        "overlay/cluster.py",
+        "        if flowcache is not None:\n"
+        "            flowcache.invalidate_ip(container_ip(world_host.index))\n",
+        "",
+        frozenset({"golden", "shard-eq"}),
+    ),
+    Bug(
+        "window_open_skewed_by_shard",
+        "each shard opens its measurement windows late by its first host index",
+        "overlay/cluster.py",
+        "        for h in self._hosts:\n"
+        "            world_host = self.by_index[h]\n"
+        "            self.sim.schedule_at(spec.warmup_us, self._open_window, world_host)\n",
+        "        shard_id = self._hosts[0]\n"
+        "        for h in self._hosts:\n"
+        "            world_host = self.by_index[h]\n"
+        "            self.sim.schedule_at(\n"
+        "                spec.warmup_us + shard_id, self._open_window, world_host\n"
+        "            )\n",
+        frozenset({"shard-eq"}),
+    ),
+    Bug(
+        "credit_half_propagation",
+        "the TCP credit is emitted half a propagation delay out",
+        "overlay/cluster.py",
+        "sim.now + propagation, RECORD_CREDIT",
+        "sim.now + propagation / 2, RECORD_CREDIT",
+        frozenset({"golden", "shard-eq"}),
     ),
     Bug(
         "merge_key_shard_id",
@@ -176,8 +227,7 @@ BUGS: Tuple[Bug, ...] = (
         "overlay/cluster.py",
         "CrossShardEvent(time, self.host_index, self._seq, kind, dst, payload)",
         "CrossShardEvent(time, self.shard_index, self._seq, kind, dst, payload)",
-        frozenset({"ORD503", "golden", "shard-eq", "module"}),
-        flag="self.shard_index, self._seq",
+        frozenset({"golden", "shard-eq", "module"}),
     ),
     Bug(
         "decode_skb_from_cache",
@@ -215,6 +265,14 @@ BUGS: Tuple[Bug, ...] = (
         "            produced.extend(records)\n",
         "            produced.extend(records[:-1])\n",
         frozenset({"golden", "shard-eq", "module"}),
+    ),
+    Bug(
+        "coordinator_injects_foreign_program",
+        "the coordinator injects records straight into a shard's program",
+        "sim/shard/coordinator.py",
+        "                self._inbox[slot].append(record)\n",
+        "                self.handles[slot]._program.inject([record])\n",
+        frozenset({"shard-eq", "module"}),
     ),
 )
 

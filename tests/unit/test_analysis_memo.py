@@ -12,18 +12,12 @@ import pytest
 from repro.analysis.flow.rules_skb import typestate_findings
 from repro.analysis.flow.rules_time import unit_findings
 from repro.analysis.lint.core import FamilyRule, FileContext, Project
-from repro.analysis.order.rules_causality import causality_findings
-from repro.analysis.order.rules_flowcache import flowcache_findings
-from repro.analysis.order.rules_partition import partition_findings
 from repro.analysis.runner import ALL_RULES
 from repro.analysis.san.rules_skbown import skbown_findings
 
 FAMILY_ANALYSES = [
     typestate_findings,
     unit_findings,
-    causality_findings,
-    flowcache_findings,
-    partition_findings,
     skbown_findings,
 ]
 

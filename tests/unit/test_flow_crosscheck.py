@@ -1,4 +1,8 @@
-"""Tests for the stage-edge half of the ``trace`` step of ``repro check``."""
+"""Tests for the ``trace`` step of ``repro check``.
+
+It holds the golden traces against the static stage graph (stage edges
+and fastpath edges) and against per-flow delivery order.
+"""
 
 import json
 from pathlib import Path
@@ -131,6 +135,64 @@ class TestCrossCheck:
         assert result.ok
         assert result.unobserved_edges  # most static edges unexercised
         assert any("never observed" in w for w in result.warnings())
+
+
+class TestOrderCrossCheck:
+    """Golden traces replayed for per-flow order and fastpath edges."""
+
+    def test_shipped_goldens_hold_the_ordering_model(self):
+        check = trace_check()
+        assert check.ok, check.errors()
+        assert check.flows_checked > 0
+        assert check.deliveries_checked > check.flows_checked
+        # The oncache goldens exercise the cached datapath.
+        assert check.fastpath_observed
+
+    def test_reordered_delivery_is_detected(self, tmp_path):
+        golden = tmp_path / "reordered.json"
+        golden.write_text(json.dumps({
+            "traces": [
+                {"flow": 7, "msg": 0,
+                 "events": [[10.0, "deliver", "container", 2]]},
+                {"flow": 7, "msg": 1,
+                 "events": [[5.0, "deliver", "container", 2]]},
+            ],
+        }))
+        check = trace_check([str(golden)])
+        assert not check.ok
+        assert len(check.inversions) == 1
+        name, flow, earlier, later, earlier_t, later_t = check.inversions[0]
+        assert (flow, earlier, later) == (7, 0, 1)
+        assert later_t < earlier_t
+
+    def test_unknown_fastpath_edge_is_detected(self, tmp_path):
+        golden = tmp_path / "wired.json"
+        golden.write_text(json.dumps({
+            "traces": [
+                {"flow": 0, "msg": 0,
+                 "events": [
+                     [1.0, "exec", "socket", 0],
+                     [2.0, "exec", "fastpath", 0],
+                 ]},
+            ],
+        }))
+        check = trace_check([str(golden)])
+        assert not check.ok
+        assert ("socket", "fastpath") in check.unknown_fastpath_edges
+
+    def test_json_schema(self):
+        check = trace_check()
+        payload = json.loads(json.dumps(check.to_dict()))
+        for key in (
+            "ok",
+            "trace_files",
+            "flows_checked",
+            "deliveries_checked",
+            "errors",
+            "warnings",
+        ):
+            assert key in payload
+        assert payload["ok"] is True
 
 
 class TestCli:

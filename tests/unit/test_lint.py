@@ -19,16 +19,11 @@ from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
-SRC_TREE = REPO_ROOT / "src" / "repro"
-SOFTIRQ = SRC_TREE / "kernel" / "softirq.py"
 
 LINT_RULE_IDS = [rule.id for rule in FAMILIES["lint"]]
 
 #: Trailing marker naming the rule(s) a fixture line must trigger.
 MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
-
-#: The one serialization call whose removal must wake the race detector.
-SERIALIZATION_LINE = "self.raise_net_rx(target_cpu, napi, from_cpu)"
 
 
 def expected_fixture_findings():
@@ -90,33 +85,6 @@ class TestSourceTreeIsClean:
         result, actual = actual_findings([REPO_ROOT / "src"])
         assert result.ok, result.to_text()
         assert result.files_checked > 50
-
-
-class TestRaceDetectorOnSoftirq:
-    """Deleting one serialization call must wake RACE301 (on a copy)."""
-
-    def test_verbatim_copy_is_clean(self, tmp_path):
-        copy = tmp_path / "softirq_copy.py"
-        copy.write_text(SOFTIRQ.read_text())
-        result, _ = actual_findings([copy])
-        assert result.ok, result.to_text()
-
-    def test_removing_serialization_fires_race301(self, tmp_path):
-        lines = SOFTIRQ.read_text().splitlines(keepends=True)
-        stripped = [
-            line for line in lines if SERIALIZATION_LINE not in line
-        ]
-        assert len(stripped) == len(lines) - 1, (
-            "expected exactly one serialization call to strip; "
-            "softirq.py changed shape"
-        )
-        broken = tmp_path / "softirq_broken.py"
-        broken.write_text("".join(stripped))
-        result, _ = actual_findings([broken])
-        race = [f for f in result.findings if f.rule == "RACE301"]
-        assert len(race) == 1
-        assert [f.rule for f in result.findings] == ["RACE301"]
-        assert "enqueue_backlog" in race[0].message
 
 
 class TestRuleSelection:

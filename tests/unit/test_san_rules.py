@@ -185,6 +185,7 @@ class TestUnifiedCheck:
     def test_rule_filter_routes_to_owning_analyzer(self):
         report = run_check([str(FIXTURES)], rule_ids=["OWN613"])
         assert not report.ok
+        assert report.analysis.rules_run == ["OWN613"]
         assert {f.rule for f in report.analysis.findings} == {"OWN613"}
 
 
