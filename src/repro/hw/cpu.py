@@ -114,10 +114,7 @@ class Cpu:
         self._running = item
         if duration is None:
             # Multi-charge item: ``label`` is a list of (label, µs) pairs.
-            duration = 0.0
-            for sub_label, sub_duration in label:
-                self.acct.charge(self.index, context, sub_label, sub_duration)
-                duration += sub_duration
+            duration = self.acct.charge_items(self.index, context, label)
         else:
             self.acct.charge(self.index, context, label, duration)
         if self.monitor is not None:

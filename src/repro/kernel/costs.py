@@ -45,6 +45,15 @@ class FuncCost:
     fixed: float
     per_byte: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Checked once here: the softirq batch path charges step costs
+        # without a per-packet sign check.
+        if self.fixed < 0 or self.per_byte < 0:
+            raise ValueError(
+                f"FuncCost terms must be >= 0, got fixed={self.fixed}, "
+                f"per_byte={self.per_byte}"
+            )
+
     def cost(self, nbytes: int) -> float:
         return self.fixed + self.per_byte * nbytes
 

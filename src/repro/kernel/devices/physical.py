@@ -12,7 +12,7 @@ from typing import List, Optional
 from repro.kernel.costs import CostModel
 from repro.kernel.gro import GroCluster
 from repro.kernel.skb import Skb
-from repro.kernel.stages import Step, fixed_cost
+from repro.kernel.stages import Step
 
 
 def skb_alloc_step(costs: CostModel) -> Step:

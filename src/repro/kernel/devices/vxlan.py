@@ -29,7 +29,7 @@ def outer_stack_steps(costs: CostModel) -> List[Step]:
         Step.simple("process_backlog", costs.backlog_dequeue),
         Step.simple("ip_rcv", costs.ip_rcv),
         Step.simple("udp_rcv", costs.udp_rcv_outer),
-        Step("vxlan_rcv", lambda skb: costs.vxlan_rcv.cost(skb.size), decap),
+        Step.simple("vxlan_rcv", costs.vxlan_rcv, decap),
         Step.simple("netif_rx", costs.netif_rx),
     ]
 

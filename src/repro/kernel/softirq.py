@@ -351,8 +351,7 @@ class SoftirqNet:
             if tracer is not None and tracer.wants(skb):
                 tracer.record(skb, now, "exec", stage.name, cpu_index)
             multiplier = locality.multiplier(skb.last_cpu, cpu_index)
-            item_charges, out = stage.run_item(skb, cpu_index, multiplier)
-            charges.extend(item_charges)
+            out = stage.run_item(skb, cpu_index, multiplier, charges)
             if out is not None:
                 outputs.append((out, stage))
             if stage.flush is not None and stage not in touched_stages:

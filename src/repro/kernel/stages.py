@@ -36,32 +36,36 @@ Charge = Tuple[str, float]
 CostFn = Callable[[Skb], float]
 
 
-def fixed_cost(cost: FuncCost) -> CostFn:
-    """Adapt a :class:`FuncCost` (fixed + per-byte) into a step cost fn."""
-
-    def _cost(skb: Skb) -> float:
-        return cost.cost(skb.size)
-
-    return _cost
-
-
 class Step:
-    """One kernel function in a stage: a cost plus an optional effect."""
+    """One kernel function in a stage: a cost plus an optional effect.
 
-    __slots__ = ("name", "cost", "effect")
+    A step built by :meth:`simple` prices a packet at ``fixed + per_byte *
+    size`` µs, which :meth:`Stage.run_item` computes inline (``cost`` is
+    None). Only steps whose cost depends on more than the packet's size
+    (``l4_rcv``, ``napi_gro_receive``, ``ip_defrag``) keep a cost callable.
+    """
+
+    __slots__ = ("name", "cost", "fixed", "per_byte", "effect")
 
     def __init__(
-        self, name: str, cost: CostFn, effect: Optional[Effect] = None
+        self,
+        name: str,
+        cost: Optional[CostFn],
+        effect: Optional[Effect] = None,
+        fixed: float = 0.0,
+        per_byte: float = 0.0,
     ) -> None:
         self.name = name
         self.cost = cost
+        self.fixed = fixed
+        self.per_byte = per_byte
         self.effect = effect
 
     @classmethod
     def simple(
         cls, name: str, cost: FuncCost, effect: Optional[Effect] = None
     ) -> "Step":
-        return cls(name, fixed_cost(cost), effect)
+        return cls(name, None, effect, cost.fixed, cost.per_byte)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Step {self.name}>"
@@ -169,27 +173,35 @@ class Stage:
         self.flush = flush
 
     def run_item(
-        self, skb: Skb, cpu_index: int, locality_multiplier: float
-    ) -> Tuple[List[Charge], Optional[Skb]]:
+        self,
+        skb: Skb,
+        cpu_index: int,
+        locality_multiplier: float,
+        charges: List[Charge],
+    ) -> Optional[Skb]:
         """Execute the stage's steps for one packet.
 
-        Returns the per-function charges and the packet that should exit
-        the stage (None when an effect consumed it, e.g. a GRO merge in
-        progress). Charges are scaled by the locality multiplier, the cost
-        of touching packet data that was last written by another core.
+        Appends the per-function charges to ``charges`` (the softirq
+        batch's list) and returns the packet that should exit the stage
+        (None when an effect consumed it, e.g. a GRO merge in progress).
+        Charges are scaled by the locality multiplier, the cost of
+        touching packet data that was last written by another core.
         """
         skb.dev_ifindex = self.ifindex
-        charges: List[Charge] = []
         current: Optional[Skb] = skb
         for step in self.steps:
-            cost = step.cost(current) * locality_multiplier
+            cost_fn = step.cost
+            if cost_fn is None:
+                cost = (step.fixed + step.per_byte * current.size) * locality_multiplier
+            else:
+                cost = cost_fn(current) * locality_multiplier
             if cost > 0.0:
                 charges.append((step.name, cost))
             if step.effect is not None:
                 current = step.effect(current, cpu_index)
                 if current is None:
                     break
-        return charges, current
+        return current
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Stage {self.name} ifindex={self.ifindex}>"

@@ -10,7 +10,7 @@ Figures 5, 6, 9a, 11 and 19 of the paper do.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Execution contexts, ordered by dispatch priority (lower = higher prio).
 HARDIRQ = 0
@@ -35,6 +35,35 @@ class CpuAccounting:
         ckey = (cpu, context)
         self._by_context[ckey] = self._by_context.get(ckey, 0.0) + duration
         self._busy_by_cpu[cpu] = self._busy_by_cpu.get(cpu, 0.0) + duration
+
+    def charge_items(
+        self, cpu: int, context: int, charges: List[Tuple[str, float]]
+    ) -> float:
+        """Attribute one work item's ``(label, µs)`` pairs; return their sum.
+
+        The totals come out bit-identical to one :meth:`charge` per pair:
+        each pair is added to the per-label, per-context and per-CPU sums
+        in order. Adding the item's total once instead would reassociate
+        the float sums, and per-CPU busy time feeds ``cpu.load`` and so
+        Falcon's steering.
+        """
+        if not charges:
+            # Per-pair charging would insert no keys either.
+            return 0.0
+        by_label = self._by_label
+        ckey = (cpu, context)
+        context_us = self._by_context.get(ckey, 0.0)
+        busy = self._busy_by_cpu.get(cpu, 0.0)
+        total = 0.0
+        for label, duration in charges:
+            key = (cpu, label)
+            by_label[key] = by_label.get(key, 0.0) + duration
+            context_us += duration
+            busy += duration
+            total += duration
+        self._by_context[ckey] = context_us
+        self._busy_by_cpu[cpu] = busy
+        return total
 
     # ------------------------------------------------------------------
     # Queries

@@ -17,12 +17,16 @@ Design notes
   when popped. This keeps :meth:`Simulator.cancel` O(1); the queue
   compacts itself when dead entries dominate, so schedule-and-cancel
   workloads do not grow it without bound.
+* :meth:`Simulator.run` makes one scheduler call per event
+  (:meth:`~repro.sim.scheduler.HeapScheduler.pop_until`), and the heap
+  compares ``(time, seq)`` keys in C, never :class:`Event` objects.
 * The simulator never advances time backwards; scheduling with a negative
   delay raises :class:`~repro.sim.errors.SimulationError`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.sim.errors import SimulationError
@@ -108,14 +112,12 @@ class Simulator:
         if self._halted:
             raise SimulationError("simulator has been halted")
         processed = 0
-        scheduler = self._scheduler
+        pop_until = self._scheduler.pop_until
+        horizon = math.inf if until is None else until
         while True:
-            event = scheduler.peek()
+            event = pop_until(horizon)
             if event is None:
                 break
-            if until is not None and event.time > until:
-                break
-            scheduler.pop()
             if self.monitor is not None:
                 self.monitor.on_event(self.now, event.time)
             self.now = event.time

@@ -14,8 +14,9 @@ class Event:
     """A scheduled callback.
 
     Instances are returned by :meth:`~repro.sim.engine.Simulator.schedule`
-    and can be passed to :meth:`~repro.sim.engine.Simulator.cancel`. They
-    order by ``(time, seq)`` which is what the scheduler requires.
+    and can be passed to :meth:`~repro.sim.engine.Simulator.cancel`. The
+    scheduler orders them by ``(time, seq)``, which it queues beside each
+    event, so events themselves are never compared.
 
     The ``queued`` flag is engine bookkeeping, not part of the public
     surface: it tracks whether the event currently sits in the scheduler
@@ -33,11 +34,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.queued = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

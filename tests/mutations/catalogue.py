@@ -55,6 +55,7 @@ MODULE_TESTS = {
     ),
     "kernel/skb.py": ("tests/unit/test_skb_costs.py",),
     "kernel/softirq.py": ("tests/unit/test_softirq.py",),
+    "metrics/cpuacct.py": ("tests/unit/test_steering_timers_metrics.py",),
     "overlay/cluster.py": (
         "tests/unit/test_cluster.py",
         "tests/integration/test_shard_faults.py",
@@ -178,6 +179,19 @@ BUGS: Tuple[Bug, ...] = (
             "module",
         }),
         flag="data = self.data[target_cpu]",
+    ),
+    Bug(
+        "cpuacct_item_total_reassociated",
+        "`charge_items` adds the item total to per-CPU busy time after the loop",
+        "metrics/cpuacct.py",
+        "            busy += duration\n"
+        "            total += duration\n"
+        "        self._by_context[ckey] = context_us\n"
+        "        self._busy_by_cpu[cpu] = busy\n",
+        "            total += duration\n"
+        "        self._by_context[ckey] = context_us\n"
+        "        self._busy_by_cpu[cpu] = busy + total\n",
+        frozenset({"module"}),
     ),
     Bug(
         "churn_emit_at_now",

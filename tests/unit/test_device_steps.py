@@ -17,6 +17,7 @@ from repro.kernel.devices.vxlan import outer_stack_steps
 from repro.kernel.gro import GroCluster
 from repro.kernel.protocol import defrag_step, l4_rcv_step, stack_tail_steps
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey, Skb
+from repro.kernel.stages import Stage
 from repro.sim.engine import Simulator
 
 
@@ -32,6 +33,13 @@ def tcp_skb(size=1000, frag_count=1, frag_index=0):
         FlowKey.make(1, 2, PROTO_TCP, flow_id=1), size=size,
         frag_count=frag_count, frag_index=frag_index,
     )
+
+
+def charged(step, skb):
+    """The µs a stage charges for running ``step`` alone on ``skb``."""
+    charges = []
+    Stage("s", 0, [step], exit=None).run_item(skb, 0, 1.0, charges)
+    return charges[0][1]
 
 
 class TestDeviceRegistry:
@@ -88,9 +96,9 @@ class TestOverlaySteps:
 
     def test_bridge_and_veth_cost_scale_with_size(self):
         costs = CostModel()
-        assert bridge_step(costs).cost(udp_skb(size=9000)) > bridge_step(
-            costs
-        ).cost(udp_skb(size=100))
+        assert charged(bridge_step(costs), udp_skb(size=9000)) > charged(
+            bridge_step(costs), udp_skb(size=100)
+        )
         veth = veth_steps(costs)
         assert [s.name for s in veth] == ["veth_xmit", "netif_rx"]
 

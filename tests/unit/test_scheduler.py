@@ -49,6 +49,24 @@ def test_peek_returns_next_live_without_removing():
     assert sched.peek() is None
 
 
+def test_pop_until_pops_only_due_events():
+    sched = HeapScheduler()
+    dead = _event(1.0, 0)
+    due = _event(2.0, 1)
+    later = _event(3.0, 2)
+    for event in (dead, due, later):
+        sched.push(event)
+    dead.cancelled = True
+    sched.note_cancel(dead)
+    assert sched.pop_until(2.0) is due
+    assert not dead.queued and len(sched) == 1
+    # A live head past the horizon stays queued.
+    assert sched.pop_until(2.5) is None
+    assert later.queued and sched.peek() is later
+    assert sched.pop_until(3.0) is later
+    assert sched.pop_until(10.0) is None
+
+
 # ----------------------------------------------------------------------
 # Cancellation leak + compaction (the regression this PR fixes)
 # ----------------------------------------------------------------------

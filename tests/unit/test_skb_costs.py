@@ -62,6 +62,14 @@ class TestFuncCost:
         cost = FuncCost(1.0, 0.001)
         assert cost.cost(1000) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("fixed, per_byte", [(-0.1, 0.0), (0.3, -0.00001)])
+    def test_negative_terms_rejected(self, fixed, per_byte):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            FuncCost(fixed, per_byte)
+
+    def test_zero_cost_allowed(self):
+        assert FuncCost(0.0).cost(1500) == 0.0
+
 
 class TestCostModel:
     def test_kernel_presets_differ(self):

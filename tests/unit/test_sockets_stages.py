@@ -6,12 +6,7 @@ from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel, FuncCost
 from repro.kernel.skb import PROTO_TCP, FlowKey, Skb
 from repro.kernel.sockets import Socket, SocketTable
-from repro.kernel.stages import (
-    EnqueueTransition,
-    Stage,
-    Step,
-    fixed_cost,
-)
+from repro.kernel.stages import EnqueueTransition, Stage, Step
 from repro.sim.engine import Simulator
 
 
@@ -126,25 +121,28 @@ class TestStage:
             "s",
             2,
             [
-                Step("f1", fixed_cost(FuncCost(1.0))),
-                Step("f2", fixed_cost(FuncCost(2.0, 0.01))),
+                Step.simple("f1", FuncCost(1.0)),
+                Step.simple("f2", FuncCost(2.0, 0.01)),
             ],
             exit=None,
         )
         skb = make_skb(size=100)
-        charges, out = stage.run_item(skb, cpu_index=0, locality_multiplier=1.0)
+        charges = []
+        out = stage.run_item(skb, cpu_index=0, locality_multiplier=1.0, charges=charges)
         assert out is skb
         assert charges == [("f1", 1.0), ("f2", 3.0)]
         assert skb.dev_ifindex == 2
 
     def test_locality_multiplier_scales_charges(self):
-        stage = Stage("s", 2, [Step("f", fixed_cost(FuncCost(2.0)))], exit=None)
-        charges, _ = stage.run_item(make_skb(), 0, locality_multiplier=1.5)
+        stage = Stage("s", 2, [Step.simple("f", FuncCost(2.0))], exit=None)
+        charges = []
+        stage.run_item(make_skb(), 0, locality_multiplier=1.5, charges=charges)
         assert charges == [("f", 3.0)]
 
     def test_zero_cost_steps_not_charged(self):
-        stage = Stage("s", 2, [Step("free", lambda skb: 0.0)], exit=None)
-        charges, _ = stage.run_item(make_skb(), 0, 1.0)
+        stage = Stage("s", 2, [Step.simple("free", FuncCost(0.0))], exit=None)
+        charges = []
+        stage.run_item(make_skb(), 0, 1.0, charges)
         assert charges == []
 
     def test_effect_can_consume(self):
@@ -152,12 +150,13 @@ class TestStage:
             "s",
             2,
             [
-                Step("f1", lambda skb: 1.0, effect=lambda skb, cpu: None),
-                Step("f2", lambda skb: 5.0),
+                Step.simple("f1", FuncCost(1.0), effect=lambda skb, cpu: None),
+                Step.simple("f2", FuncCost(5.0)),
             ],
             exit=None,
         )
-        charges, out = stage.run_item(make_skb(), 0, 1.0)
+        charges = []
+        out = stage.run_item(make_skb(), 0, 1.0, charges)
         assert out is None
         assert charges == [("f1", 1.0)]  # f2 never ran
 
@@ -168,12 +167,15 @@ class TestStage:
             "s",
             2,
             [
-                Step("merge", lambda skb: 1.0, effect=lambda skb, cpu: replacement),
-                Step("after", lambda skb: 0.001 * skb.size),
+                Step.simple(
+                    "merge", FuncCost(1.0), effect=lambda skb, cpu: replacement
+                ),
+                Step.simple("after", FuncCost(0.0, 0.001)),
             ],
             exit=None,
         )
-        charges, out = stage.run_item(make_skb(size=1), 0, 1.0)
+        charges = []
+        out = stage.run_item(make_skb(size=1), 0, 1.0, charges)
         assert out is replacement
         assert charges[1] == ("after", pytest.approx(0.999))
 

@@ -1,8 +1,10 @@
 """Unit tests for RPS steering, the load tracker, and metrics plumbing."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.hw.cpu import SOFTIRQ, USER
+from repro.hw.cpu import HARDIRQ, SOFTIRQ, USER
 from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel
 from repro.kernel.skb import FlowKey, Skb
@@ -90,7 +92,57 @@ class TestLoadTracker:
         assert machine.average_load() == pytest.approx(0.3)
 
 
+#: Work items as ``(cpu, context, [(label, µs), ...])``; an empty charges
+#: list is allowed, and values carry enough digits for float sums to
+#: depend on their association.
+charged_items = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([HARDIRQ, SOFTIRQ, USER]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["skb_alloc", "ip_rcv", "udp_rcv", "netif_rx"]),
+                st.floats(min_value=0.0, max_value=5.0),
+            ),
+            max_size=6,
+        ),
+    ),
+    max_size=30,
+)
+
+
 class TestCpuAccounting:
+    @given(charged_items)
+    def test_charge_items_is_bit_exact_per_pair(self, items):
+        """One ``charge_items`` per work item equals one ``charge`` per pair
+        exactly (``==``, not approx), with the same key order."""
+        per_item, per_pair = CpuAccounting(), CpuAccounting()
+        for cpu, context, charges in items:
+            total = per_item.charge_items(cpu, context, charges)
+            expected = 0.0
+            for label, duration in charges:
+                per_pair.charge(cpu, context, label, duration)
+                expected += duration
+            assert total == expected
+        assert list(per_item.cpus()) == list(per_pair.cpus())
+        for cpu in range(3):
+            assert per_item.busy_us(cpu) == per_pair.busy_us(cpu)
+            for context in (HARDIRQ, SOFTIRQ, USER):
+                assert per_item.busy_us_context(cpu, context) == (
+                    per_pair.busy_us_context(cpu, context)
+                )
+            for label in ("skb_alloc", "ip_rcv", "udp_rcv", "netif_rx"):
+                assert per_item.busy_us_label(cpu, label) == (
+                    per_pair.busy_us_label(cpu, label)
+                )
+        assert list(per_item.total_by_label().items()) == list(
+            per_pair.total_by_label().items()
+        )
+        # The underlying dicts too, in insertion order.
+        assert [list(d.items()) for d in vars(per_item).values()] == [
+            list(d.items()) for d in vars(per_pair).values()
+        ]
+
     def test_window_utilization(self):
         acct = CpuAccounting()
         acct.charge(0, SOFTIRQ, "before", 100.0)
