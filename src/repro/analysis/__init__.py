@@ -8,12 +8,11 @@ Two halves:
   stage and the saturation packet rate, and estimates queueing latency.
   The cross-validation tests assert simulator and analysis agree, which
   protects both against silent calibration drift.
-* the static analyzer — three rule families (:mod:`~repro.analysis.lint`,
-  :mod:`~repro.analysis.flow`, :mod:`~repro.analysis.san`) enforcing the
-  simulator's determinism, DES-discipline, skb-typestate and ownership
-  contracts, one catalogue and runner (:mod:`~repro.analysis.runner`),
-  and ``repro check`` (:mod:`~repro.analysis.check`) as its one entry
-  point.
+* the static analyzer — two rule families (:mod:`~repro.analysis.lint`,
+  :mod:`~repro.analysis.san`) enforcing the simulator's determinism,
+  DES-discipline and ownership contracts, one catalogue and runner
+  (:mod:`~repro.analysis.runner`), and ``repro check``
+  (:mod:`~repro.analysis.check`) as its one entry point.
 """
 
 from repro.analysis.pipeline import (

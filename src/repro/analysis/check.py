@@ -1,13 +1,11 @@
 """``repro check``: the one entry point of the static analyzer.
 
-One run, three steps; the report fails if any step fails:
+One run, two steps; the report fails if any step fails:
 
 * ``rules`` — every rule family (:mod:`repro.analysis.runner`) in one
   pass over one parse of the paths, held to the suppressed-findings
   baseline ``tools/analysis_baseline.txt``
   (:mod:`repro.analysis.baseline`);
-* ``trace`` — the static↔dynamic cross-check of the golden traces
-  (:mod:`repro.analysis.trace`; no simulation runs);
 * ``mypy`` — the ratcheted strict gate (``tools/typecheck.py``). mypy is
   an optional tool dependency: when it is not installed the step reports
   ``skipped`` and does not fail the run unless ``require_mypy`` is set
@@ -26,7 +24,6 @@ from typing import List, Optional, Sequence
 
 from repro.analysis import baseline
 from repro.analysis.runner import AnalysisResult, analyze
-from repro.analysis.trace import TraceCheck, trace_check
 
 _TYPECHECK = Path(__file__).resolve().parents[3] / "tools" / "typecheck.py"
 
@@ -47,7 +44,6 @@ class CheckReport:
 
     analysis: AnalysisResult
     baseline_errors: List[str]
-    trace: TraceCheck
     steps: List[CheckStep] = field(default_factory=list)
 
     @property
@@ -57,8 +53,6 @@ class CheckReport:
     def to_text(self) -> str:
         lines = [str(finding) for finding in self.analysis.findings]
         lines.extend(f"baseline: {error}" for error in self.baseline_errors)
-        lines.extend(f"trace: ERROR: {error}" for error in self.trace.errors())
-        lines.extend(f"trace: warning: {w}" for w in self.trace.warnings())
         for step in self.steps:
             status = "SKIP" if step.skipped else "ok" if step.ok else "FAILED"
             lines.append(f"{step.name:<6} {status:<7} {step.summary}")
@@ -81,7 +75,6 @@ class CheckReport:
                 **self.analysis.to_dict(),
                 "baseline_errors": self.baseline_errors,
             },
-            "trace": self.trace.to_dict(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -120,7 +113,7 @@ def run_check(
     rule_ids: Optional[Sequence[str]] = None,
     write_baseline: bool = False,
 ) -> CheckReport:
-    """Run the rules, the baseline ratchet, the trace step and mypy.
+    """Run the rules, the baseline ratchet and mypy.
 
     ``write_baseline`` first rewrites the entries of the baseline this
     run covers from its own suppressions. Raises ``ValueError`` for an
@@ -135,8 +128,7 @@ def run_check(
             baseline.render_baseline(frozen), encoding="utf-8"
         )
     drift = baseline.check_baseline(analysis, frozen)
-    trace = trace_check()
-    report = CheckReport(analysis=analysis, baseline_errors=drift, trace=trace)
+    report = CheckReport(analysis=analysis, baseline_errors=drift)
     report.steps.append(
         CheckStep(
             name="rules",
@@ -144,9 +136,6 @@ def run_check(
             summary=analysis.summary()
             + (f"; {len(drift)} baseline error(s)" if drift else ""),
         )
-    )
-    report.steps.append(
-        CheckStep(name="trace", ok=trace.ok, summary=trace.summary())
     )
     report.steps.append(_mypy_step(require_mypy))
     return report

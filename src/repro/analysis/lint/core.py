@@ -7,10 +7,9 @@ each :class:`Rule`. Rules are AST visitors in spirit but receive whole
 files so that a rule can correlate nodes (e.g. "a set iteration whose
 body schedules events"); the race detector overrides
 :meth:`Rule.check_project` to see every file at once and build a
-cross-module call graph. The dataflow families (flow, order, san) report
-several rule ids from one walk over the project: their rules are
-:class:`FamilyRule` subclasses sharing that walk through
-:meth:`Project.memo`.
+cross-module call graph. The dataflow family (san) reports several rule
+ids from one walk over the project: its rules are :class:`FamilyRule`
+subclasses sharing that walk through :meth:`Project.memo`.
 
 Name resolution is deliberately conservative: a dotted call like
 ``np.random.default_rng(...)`` is only canonicalised to

@@ -1,6 +1,6 @@
 """The analyzer: one rule catalogue and one runner for every rule family.
 
-Three families of rules share one pass over one parsed project:
+Two families of rules share one pass over one parsed project:
 
 =======  =========================================================  =====
 family   contract                                                   ids
@@ -8,8 +8,6 @@ family   contract                                                   ids
 lint     determinism, DES discipline, cross-core per-CPU races      SIM1xx
                                                                     DES2xx
                                                                     RACE3xx
-flow     skb typestate against the stage order, time-unit taint     FLOW4xx
-                                                                    TIME5xx
 san      skb ownership transfer                                     OWN6xx
 =======  =========================================================  =====
 
@@ -27,8 +25,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.flow.rules_skb import SKB_RULES
-from repro.analysis.flow.rules_time import TIME_RULES
 from repro.analysis.lint.core import (
     META_RULE_ID,
     PARSE_RULE_ID,
@@ -47,7 +43,6 @@ from repro.analysis.san.rules_skbown import SKBOWN_RULES
 #: Every rule, by family, in catalogue order.
 FAMILIES: Dict[str, Tuple[Rule, ...]] = {
     "lint": DETERMINISM_RULES + DES_RULES + RACE_RULES,
-    "flow": SKB_RULES + TIME_RULES,
     "san": SKBOWN_RULES,
 }
 

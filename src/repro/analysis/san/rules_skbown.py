@@ -14,8 +14,8 @@ boundaries genuinely transfer ownership:
   container will replay an object the pipeline already moved on.
 
 ``OWN611``  use after relinquish: an skb passed to a wire-encode op is
-            used again in the same function (dataflow on the flow
-            family's CFG engine, must-violation discipline).
+            used again in the same function (dataflow on the family's
+            CFG engine, must-violation discipline).
 ``OWN612``  retain and forward: a path stores an skb into an
             attribute/container and then returns that same skb — a
             reference survives the stage transition alongside the
@@ -33,8 +33,6 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.flow.cfg import Cfg, build_cfg
-from repro.analysis.flow.engine import call_sites, fixpoint, walk_block
 from repro.analysis.lint.core import (
     FamilyRule,
     FileContext,
@@ -43,6 +41,8 @@ from repro.analysis.lint.core import (
     Rule,
     last_segment,
 )
+from repro.analysis.san.cfg import Cfg, build_cfg
+from repro.analysis.san.engine import call_sites, fixpoint, walk_block
 
 #: Abstract state for OWN611/OWN612: skb local -> ownership tokens
 #: (``owned``, ``relinquished``, or ``retained@<line>`` after the skb

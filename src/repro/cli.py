@@ -124,9 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the static analyzer: every rule family (held to "
-        "tools/analysis_baseline.txt), the golden-trace cross-check, "
-        "and the mypy strict gate",
+        help="run the static analyzer: the lint and san rule families "
+        "(held to tools/analysis_baseline.txt) and the mypy strict gate",
     )
     check.add_argument(
         "paths",

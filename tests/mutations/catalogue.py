@@ -55,6 +55,11 @@ MODULE_TESTS = {
     ),
     "kernel/skb.py": ("tests/unit/test_skb_costs.py",),
     "kernel/softirq.py": ("tests/unit/test_softirq.py",),
+    "kernel/stack.py": (
+        "tests/unit/test_flowcache.py",
+        "tests/integration/test_stack_paths.py",
+    ),
+    "kernel/stages.py": ("tests/unit/test_sockets_stages.py",),
     "metrics/cpuacct.py": ("tests/unit/test_steering_timers_metrics.py",),
     "overlay/cluster.py": (
         "tests/unit/test_cluster.py",
@@ -65,6 +70,7 @@ MODULE_TESTS = {
         "tests/props/test_shard_props.py",
         "tests/integration/test_shard_faults.py",
     ),
+    "workloads/sockperf.py": ("tests/unit/test_workloads.py",),
 }
 
 _RULE_ID = re.compile(r"[A-Z]+\d{3}")
@@ -181,6 +187,42 @@ BUGS: Tuple[Bug, ...] = (
         flag="data = self.data[target_cpu]",
     ),
     Bug(
+        "backlog_drop_uncounted",
+        "`enqueue_backlog` drops on overflow without `napi.drops += 1`",
+        "kernel/softirq.py",
+        "            napi.drops += 1\n",
+        "",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "backlog_drop_unreported",
+        "`enqueue_backlog` drops on overflow without telling the monitor",
+        "kernel/softirq.py",
+        "            if self.monitor is not None:\n"
+        "                self.monitor.on_terminal(skb, \"backlog_drop\")\n",
+        "",
+        frozenset({"invariants"}),
+    ),
+    Bug(
+        "fastpath_hits_reenter_vxlan",
+        "the `fastpath` stage enqueues cache hits to the vxlan stage, not the tail",
+        "kernel/stack.py",
+        "                    EnqueueTransition(\n"
+        "                        tail,\n",
+        "                    EnqueueTransition(\n"
+        "                        vxlan_stage,\n",
+        frozenset({"golden"}),
+    ),
+    Bug(
+        "socket_deliver_twice",
+        "`SocketDeliver.route` delivers each packet to its socket twice",
+        "kernel/stages.py",
+        "        stack.deliver_to_socket(skb, cpu_index)\n",
+        "        stack.deliver_to_socket(skb, cpu_index)\n"
+        "        stack.deliver_to_socket(skb, cpu_index)\n",
+        frozenset({"golden", "invariants", "differential"}),
+    ),
+    Bug(
         "cpuacct_item_total_reassociated",
         "`charge_items` adds the item total to per-CPU busy time after the loop",
         "metrics/cpuacct.py",
@@ -287,6 +329,14 @@ BUGS: Tuple[Bug, ...] = (
         "                self._inbox[slot].append(record)\n",
         "                self.handles[slot]._program.inject([record])\n",
         frozenset({"shard-eq", "module"}),
+    ),
+    Bug(
+        "sockperf_end_unconverted",
+        "`Testbed.run` adds the measure window in ms to a time in µs",
+        "workloads/sockperf.py",
+        "        end_us = warmup_us + measure_us\n",
+        "        end_us = warmup_us + measure_ms\n",
+        frozenset({"golden", "invariants"}),
     ),
 )
 

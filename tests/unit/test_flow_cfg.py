@@ -1,11 +1,11 @@
-"""Tests for the simflow CFG builder and worklist fixpoint engine."""
+"""Tests for the san family's CFG builder and worklist fixpoint engine."""
 
 import ast
 
 import pytest
 
-from repro.analysis.flow.cfg import build_cfg
-from repro.analysis.flow.engine import (
+from repro.analysis.san.cfg import build_cfg
+from repro.analysis.san.engine import (
     MAX_ITERATIONS,
     FixpointError,
     call_sites,

@@ -93,7 +93,7 @@ class TestRuleSelection:
         rules = {rule for _, _, rule in actual}
         # Meta findings (LINT000/LINT001) are always on.
         assert rules <= {"SIM101", "LINT000", "LINT001"}
-        assert ("sim101_bad.py", 7, "SIM101") in actual
+        assert ("sim101_bad.py", 13, "SIM101") in actual
         assert not any(rule == "DES201" for _, _, rule in actual)
 
     def test_unknown_rule_id_raises(self):
@@ -110,18 +110,18 @@ class TestReporters:
     def test_text_format(self):
         result, _ = actual_findings([FIXTURES / "sim101_bad.py"])
         text = result.to_text()
-        assert "sim101_bad.py:7:" in text
+        assert "sim101_bad.py:13:" in text
         assert "SIM101" in text
-        assert "1 finding" in text
+        assert "3 finding(s)" in text
 
     def test_json_format(self):
         result, _ = actual_findings([FIXTURES / "sim101_bad.py"])
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["ok"] is False
-        assert payload["counts_by_rule"] == {"SIM101": 1}
-        (finding,) = payload["findings"]
-        assert finding["rule"] == "SIM101"
-        assert finding["line"] == 7
+        assert payload["counts_by_rule"] == {"SIM101": 3}
+        assert [(f["rule"], f["line"]) for f in payload["findings"]] == [
+            ("SIM101", 13), ("SIM101", 18), ("SIM101", 22),
+        ]
 
 
 class TestCli:
