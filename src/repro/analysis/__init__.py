@@ -8,11 +8,10 @@ Two halves:
   stage and the saturation packet rate, and estimates queueing latency.
   The cross-validation tests assert simulator and analysis agree, which
   protects both against silent calibration drift.
-* the static analyzer — two rule families (:mod:`~repro.analysis.lint`,
-  :mod:`~repro.analysis.san`) enforcing the simulator's determinism,
-  DES-discipline and ownership contracts, one catalogue and runner
-  (:mod:`~repro.analysis.runner`), and ``repro check``
-  (:mod:`~repro.analysis.check`) as its one entry point.
+* the static analyzer — six rules (:mod:`~repro.analysis.lint`)
+  enforcing the simulator's determinism and DES-discipline contracts,
+  one catalogue and runner (:mod:`~repro.analysis.runner`), and
+  ``repro check`` (:mod:`~repro.analysis.check`) as its one entry point.
 """
 
 from repro.analysis.pipeline import (

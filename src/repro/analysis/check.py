@@ -2,10 +2,8 @@
 
 One run, two steps; the report fails if any step fails:
 
-* ``rules`` — every rule family (:mod:`repro.analysis.runner`) in one
-  pass over one parse of the paths, held to the suppressed-findings
-  baseline ``tools/analysis_baseline.txt``
-  (:mod:`repro.analysis.baseline`);
+* ``rules`` — every rule (:mod:`repro.analysis.runner`) in one pass
+  over one parse of the paths;
 * ``mypy`` — the ratcheted strict gate (``tools/typecheck.py``). mypy is
   an optional tool dependency: when it is not installed the step reports
   ``skipped`` and does not fail the run unless ``require_mypy`` is set
@@ -22,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis import baseline
 from repro.analysis.runner import AnalysisResult, analyze
 
 _TYPECHECK = Path(__file__).resolve().parents[3] / "tools" / "typecheck.py"
@@ -43,7 +40,6 @@ class CheckReport:
     """Outcome of one ``repro check`` run."""
 
     analysis: AnalysisResult
-    baseline_errors: List[str]
     steps: List[CheckStep] = field(default_factory=list)
 
     @property
@@ -52,7 +48,6 @@ class CheckReport:
 
     def to_text(self) -> str:
         lines = [str(finding) for finding in self.analysis.findings]
-        lines.extend(f"baseline: {error}" for error in self.baseline_errors)
         for step in self.steps:
             status = "SKIP" if step.skipped else "ok" if step.ok else "FAILED"
             lines.append(f"{step.name:<6} {status:<7} {step.summary}")
@@ -71,10 +66,7 @@ class CheckReport:
                 }
                 for step in self.steps
             ],
-            "rules": {
-                **self.analysis.to_dict(),
-                "baseline_errors": self.baseline_errors,
-            },
+            "rules": self.analysis.to_dict(),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -111,31 +103,16 @@ def run_check(
     paths: Sequence[str] = ("src",),
     require_mypy: bool = False,
     rule_ids: Optional[Sequence[str]] = None,
-    write_baseline: bool = False,
 ) -> CheckReport:
-    """Run the rules, the baseline ratchet and mypy.
+    """Run the rules and mypy.
 
-    ``write_baseline`` first rewrites the entries of the baseline this
-    run covers from its own suppressions. Raises ``ValueError`` for an
-    unknown rule id, a missing path, a run with no ``.py`` file or a
-    malformed baseline, and ``OSError`` when the baseline is unreadable.
+    Raises ``ValueError`` for an unknown rule id, a missing path or a
+    run with no ``.py`` file, and ``OSError`` when a file is unreadable.
     """
     analysis = analyze(paths, rule_ids=rule_ids)
-    frozen = baseline.load_baseline_file(baseline.BASELINE_PATH)
-    if write_baseline:
-        frozen = baseline.updated_baseline(analysis, frozen)
-        baseline.BASELINE_PATH.write_text(
-            baseline.render_baseline(frozen), encoding="utf-8"
-        )
-    drift = baseline.check_baseline(analysis, frozen)
-    report = CheckReport(analysis=analysis, baseline_errors=drift)
+    report = CheckReport(analysis=analysis)
     report.steps.append(
-        CheckStep(
-            name="rules",
-            ok=analysis.ok and not drift,
-            summary=analysis.summary()
-            + (f"; {len(drift)} baseline error(s)" if drift else ""),
-        )
+        CheckStep(name="rules", ok=analysis.ok, summary=analysis.summary())
     )
     report.steps.append(_mypy_step(require_mypy))
     return report

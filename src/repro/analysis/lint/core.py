@@ -1,15 +1,10 @@
-"""Core machinery shared by every rule family of the analyzer.
+"""Core machinery of the analyzer.
 
 The runner (:mod:`repro.analysis.runner`) parses every file once into a
 :class:`FileContext` (AST + import-alias tables + pragmas + exemption
-spans), bundles them into a :class:`Project`, and hands the project to
-each :class:`Rule`. Rules are AST visitors in spirit but receive whole
-files so that a rule can correlate nodes (e.g. "a set iteration whose
-body schedules events"); the race detector overrides
-:meth:`Rule.check_project` to see every file at once and build a
-cross-module call graph. The dataflow family (san) reports several rule
-ids from one walk over the project: its rules are :class:`FamilyRule`
-subclasses sharing that walk through :meth:`Project.memo`.
+spans) and hands each file to each :class:`Rule`. Rules are AST visitors
+in spirit but receive whole files, so that a rule can correlate nodes
+(e.g. "a numeric literal passed as a scheduling delay").
 
 Name resolution is deliberately conservative: a dotted call like
 ``np.random.default_rng(...)`` is only canonicalised to
@@ -22,18 +17,8 @@ keeps the rules free of the classic grep false positives.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.pragmas import RULE_ID_RE, FilePragmas, parse_pragmas
 
@@ -208,52 +193,11 @@ class FileContext:
                 return True
         return False
 
-    def functions(self) -> Iterator["ast.FunctionDef | ast.AsyncFunctionDef"]:
-        if self.tree is None:
-            return
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
-
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        current = self.parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.ClassDef):
-                return current
-            current = self.parents.get(current)
-        return None
-
-
-#: A family-wide analysis: every finding of every rule in one family.
-Analysis = Callable[["Project"], List[Finding]]
-
-
-@dataclass
-class Project:
-    """Every file handed to one analyzer run."""
-
-    files: List[FileContext] = field(default_factory=list)
-    _memo: Dict[Analysis, List[Finding]] = field(
-        default_factory=dict, init=False, repr=False
-    )
-
-    def memo(self, analysis: Analysis) -> List[Finding]:
-        """``analysis(self)``, computed once for this project.
-
-        The memo lives on the project, so its results die with it and
-        two projects can never be served each other's findings.
-        """
-        if analysis not in self._memo:
-            self._memo[analysis] = analysis(self)
-        return self._memo[analysis]
-
 
 class Rule:
-    """Base class for rules of every family.
+    """Base class for the rules.
 
-    Subclasses set the class attributes and implement
-    :meth:`check_file`; cross-module rules override
-    :meth:`check_project` instead (see also :class:`FamilyRule`).
+    Subclasses set the class attributes and implement :meth:`check_file`.
     """
 
     id: str = "LINT999"
@@ -286,12 +230,6 @@ class Rule:
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         return ()
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for ctx in project.files:
-            if ctx.tree is None or not self.applies_to(ctx.module):
-                continue
-            yield from self.check_file(ctx)
-
     def finding(self, ctx: FileContext, node: ast.AST, message: str) -> Finding:
         return Finding(
             path=ctx.path,
@@ -300,26 +238,6 @@ class Rule:
             rule=self.id,
             message=message,
         )
-
-
-class FamilyRule(Rule):
-    """One rule id of a family whose rules share a single analysis.
-
-    Every rule of a family is built with the family's analysis, which
-    runs once per project; each rule keeps the findings that carry its
-    id, in files inside its scope.
-    """
-
-    def __init__(self, analysis: Analysis) -> None:
-        self.analysis = analysis
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        modules = {ctx.path: ctx.module for ctx in project.files}
-        for finding in project.memo(self.analysis):
-            if finding.rule == self.id and self.applies_to(
-                modules.get(finding.path)
-            ):
-                yield finding
 
 
 def last_segment(node: ast.AST) -> Optional[str]:

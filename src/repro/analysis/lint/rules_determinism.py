@@ -2,16 +2,15 @@
 
 Two runs of the simulator with the same seed must be bit-identical:
 golden traces, the differential suite and the seed-matrix tests all rest
-on it. These rules ban the ways nondeterminism classically leaks into a
-DES — wall-clock reads, RNG that bypasses the seeded registry, object
-identity as an ordering key, set iteration feeding the scheduler, and
-counters that outlive a run.
+on it. These rules ban three ways nondeterminism leaks into a DES that
+no run-time check reliably sees: wall-clock reads, object identity as
+an ordering key, and counters that outlive a run.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, Set
 
 from repro.analysis.lint.core import (
     FileContext,
@@ -35,18 +34,6 @@ WALL_CLOCK_CALLS: Set[str] = {
     "datetime.datetime.utcnow",
     "datetime.datetime.today",
     "datetime.date.today",
-}
-
-#: Call names whose presence marks a loop body as feeding the event
-#: scheduler (the DES engine API plus the softirq raise/enqueue layer).
-SCHEDULING_CALLS: Set[str] = {
-    "schedule",
-    "schedule_at",
-    "submit",
-    "submit_multi",
-    "raise_net_rx",
-    "enqueue_backlog",
-    "enqueue_to_backlog",
 }
 
 #: Ordering helpers whose key function must be deterministic.
@@ -87,47 +74,6 @@ class WallClockRule(Rule):
                     ctx, node,
                     f"wall-clock call {name}() — use the simulation clock "
                     "(sim.now) or an explicitly @lint_exempt harness helper",
-                )
-
-
-class UnseededRngRule(Rule):
-    """SIM102: RNG that does not flow through the RngRegistry."""
-
-    id = "SIM102"
-    title = "all randomness via sim.rng.RngRegistry"
-    rationale = (
-        "Module-level random functions share hidden global state; "
-        "os.urandom/uuid4/secrets are nondeterministic by design. Every "
-        "draw must come from a named, seeded RngRegistry stream so that "
-        "perturbing one component cannot shift another's draws."
-    )
-
-    _BANNED_PREFIXES = ("random.", "numpy.random.", "secrets.")
-    _BANNED_EXACT = {
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "random",  # ``from random import random`` resolves to random.random
-    }
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        assert ctx.tree is not None
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = ctx.resolve(node.func)
-            if resolved is None or resolved[0] != "module":
-                continue
-            name = resolved[1]
-            if name in self._BANNED_EXACT or any(
-                name.startswith(prefix) or name == prefix[:-1]
-                for prefix in self._BANNED_PREFIXES
-            ):
-                yield self.finding(
-                    ctx, node,
-                    f"direct RNG call {name}() — draw from a named "
-                    "sim.rng.RngRegistry stream instead",
                 )
 
 
@@ -194,76 +140,6 @@ class IdentityOrderingRule(Rule):
                     )
 
 
-class SetIterationRule(Rule):
-    """SIM104: set iteration feeding event scheduling."""
-
-    id = "SIM104"
-    title = "no set iteration into the scheduler"
-    rationale = (
-        "Set iteration order depends on insertion history and (for str "
-        "keys) on PYTHONHASHSEED. Scheduling events while iterating a "
-        "set makes tie-breaking nondeterministic; iterate a list or "
-        "sorted() view instead."
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        assert ctx.tree is not None
-        for func in ctx.functions():
-            set_names = self._set_names(func)
-            for node in ast.walk(func):
-                if not isinstance(node, (ast.For, ast.AsyncFor)):
-                    continue
-                if not self._is_set_expr(node.iter, set_names):
-                    continue
-                if self._body_schedules(node.body):
-                    yield self.finding(
-                        ctx, node,
-                        "iterating a set while scheduling events — set "
-                        "order is not deterministic; use a list or "
-                        "sorted() with an explicit key",
-                    )
-
-    @staticmethod
-    def _set_names(func: ast.AST) -> Set[str]:
-        """Local names whose every assignment is a set expression."""
-        assigned: Dict[str, List[bool]] = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                value_is_set = SetIterationRule._is_set_literalish(node.value)
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        assigned.setdefault(target.id, []).append(value_is_set)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if isinstance(node.target, ast.Name):
-                    assigned.setdefault(node.target.id, []).append(
-                        SetIterationRule._is_set_literalish(node.value)
-                    )
-        return {name for name, flags in assigned.items() if flags and all(flags)}
-
-    @staticmethod
-    def _is_set_literalish(node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in ("set", "frozenset")
-        return False
-
-    @classmethod
-    def _is_set_expr(cls, node: ast.AST, set_names: Set[str]) -> bool:
-        if cls._is_set_literalish(node):
-            return True
-        return isinstance(node, ast.Name) and node.id in set_names
-
-    @staticmethod
-    def _body_schedules(body: Iterable[ast.stmt]) -> bool:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Call):
-                    if last_segment(node.func) in SCHEDULING_CALLS:
-                        return True
-        return False
-
-
 class ModuleCounterRule(Rule):
     """SIM105: module-level mutable counters in the simulated world."""
 
@@ -309,8 +185,6 @@ class ModuleCounterRule(Rule):
 
 DETERMINISM_RULES = (
     WallClockRule(),
-    UnseededRngRule(),
     IdentityOrderingRule(),
-    SetIterationRule(),
     ModuleCounterRule(),
 )

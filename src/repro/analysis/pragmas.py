@@ -1,13 +1,11 @@
 """Suppression pragmas for the static analyzer (``repro check``).
 
 The rules (:mod:`repro.analysis.runner`) enforce the simulator's
-determinism, DES-discipline, ordering and ownership contracts on every
-file. A handful of places legitimately step outside those contracts —
-the :class:`~repro.sim.rng.RngRegistry` has to construct the one
-``random.Random`` everyone else is banned from, and the experiment
-harness times *itself* with the wall clock. Those sites carry an
-explicit, greppable exemption rather than a rule carve-out, so every
-escape hatch is visible in the diff that introduces it.
+determinism and DES-discipline contracts on every file. A place that
+legitimately steps outside them — the experiment harness times *itself*
+with the wall clock — carries an explicit, greppable exemption rather
+than a rule carve-out, so every escape hatch is visible in the diff
+that introduces it.
 
 Three pragma forms, narrowest first:
 
@@ -24,7 +22,7 @@ Three pragma forms, narrowest first:
     ``reason`` keyword is mandatory — the linter reports a ``LINT000``
     finding for an exemption without one.
 
-``# simlint: disable-file=SIM102`` (a comment line anywhere in the file)
+``# simlint: disable-file=SIM103`` (a comment line anywhere in the file)
     Suppress the listed rule ids for the whole file.
 
 Pragmas naming an unknown rule id are themselves reported (``LINT000``)
@@ -47,7 +45,7 @@ PRAGMA_RE = re.compile(
 #: Wildcard accepted in a pragma id list: suppress every rule.
 ALL_RULES_WILDCARD = "all"
 
-#: Shape of a syntactically valid rule id (e.g. ``SIM101``, ``RACE301``).
+#: Shape of a syntactically valid rule id (e.g. ``SIM101``, ``DES203``).
 RULE_ID_RE = re.compile(r"^[A-Z]+[0-9]+$")
 
 #: Attribute set on functions by :func:`lint_exempt`; the linter also

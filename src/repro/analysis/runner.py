@@ -1,22 +1,15 @@
-"""The analyzer: one rule catalogue and one runner for every rule family.
+"""The analyzer: one rule catalogue and one runner.
 
-Two families of rules share one pass over one parsed project:
-
-=======  =========================================================  =====
-family   contract                                                   ids
-=======  =========================================================  =====
-lint     determinism, DES discipline, cross-core per-CPU races      SIM1xx
-                                                                    DES2xx
-                                                                    RACE3xx
-san      skb ownership transfer                                     OWN6xx
-=======  =========================================================  =====
+The rules guard two contracts of the simulated system: determinism
+(SIM1xx, :mod:`~repro.analysis.lint.rules_determinism`) and DES
+discipline (DES2xx, :mod:`~repro.analysis.lint.rules_des`).
 
 :func:`analyze` reads and parses each file once, runs every selected
-rule on the one :class:`~repro.analysis.lint.core.Project`, emits the
-meta findings (LINT000 malformed or unknown pragmas, LINT001 files that
-do not parse) once, and applies the ``# simlint:`` pragmas of
-:mod:`repro.analysis.pragmas`. ``repro check``
-(:mod:`repro.analysis.check`) is its command-line front end.
+rule on each file in its scope, emits the meta findings (LINT000
+malformed or unknown pragmas, LINT001 files that do not parse) once, and
+applies the ``# simlint:`` pragmas of :mod:`repro.analysis.pragmas`.
+``repro check`` (:mod:`repro.analysis.check`) is its command-line front
+end.
 """
 
 from __future__ import annotations
@@ -30,26 +23,15 @@ from repro.analysis.lint.core import (
     PARSE_RULE_ID,
     FileContext,
     Finding,
-    Project,
     Rule,
     meta_findings,
     module_name_for,
 )
 from repro.analysis.lint.rules_des import DES_RULES
 from repro.analysis.lint.rules_determinism import DETERMINISM_RULES
-from repro.analysis.lint.rules_race import RACE_RULES
-from repro.analysis.san.rules_skbown import SKBOWN_RULES
-
-#: Every rule, by family, in catalogue order.
-FAMILIES: Dict[str, Tuple[Rule, ...]] = {
-    "lint": DETERMINISM_RULES + DES_RULES + RACE_RULES,
-    "san": SKBOWN_RULES,
-}
 
 #: Every rule, in catalogue order.
-ALL_RULES: Tuple[Rule, ...] = tuple(
-    rule for rules in FAMILIES.values() for rule in rules
-)
+ALL_RULES: Tuple[Rule, ...] = DETERMINISM_RULES + DES_RULES
 
 #: Directory names never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "results"}
@@ -95,7 +77,7 @@ class AnalysisResult:
 
     findings: List[Finding] = field(default_factory=list)
     #: Findings silenced by a pragma/exemption — kept (not dropped) so
-    #: the baseline ratchet can freeze the suppression inventory.
+    #: the report can count and list them.
     suppressed: List[Finding] = field(default_factory=list)
     #: The files and directories the run was asked to analyze.
     paths: List[str] = field(default_factory=list)
@@ -176,11 +158,12 @@ def analyze(
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as handle:
             files.append(FileContext(path, handle.read(), module_name_for(path)))
-    project = Project(files=files)
 
     findings: List[Finding] = []
     for rule in selected:
-        findings.extend(rule.check_project(project))
+        for ctx in files:
+            if ctx.tree is not None and rule.applies_to(ctx.module):
+                findings.extend(rule.check_file(ctx))
     # Meta findings (parse errors, malformed pragmas) always run: a file
     # that cannot be parsed was not checked, and silence would be a lie.
     known_ids = [rule.id for rule in ALL_RULES]

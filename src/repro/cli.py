@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the static analyzer: the lint and san rule families "
-        "(held to tools/analysis_baseline.txt) and the mypy strict gate",
+        help="run the static analyzer: the determinism and DES rules "
+        "and the mypy strict gate",
     )
     check.add_argument(
         "paths",
@@ -145,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    check.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite tools/analysis_baseline.txt from this run's "
-        "suppressed findings",
     )
     check.add_argument(
         "--require-mypy",
@@ -187,22 +181,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "check":
         from repro.analysis.check import run_check
-        from repro.analysis.runner import FAMILIES
+        from repro.analysis.runner import ALL_RULES
 
         if args.list_rules:
-            for family, rules in FAMILIES.items():
-                for rule in rules:
-                    scope = ", ".join(rule.scope) if rule.scope else "all files"
-                    print(f"{rule.id}  [{family}] {rule.title}")
-                    print(f"    scope: {scope}")
-                    print(f"    {rule.rationale}")
+            for rule in ALL_RULES:
+                scope = ", ".join(rule.scope) if rule.scope else "all files"
+                print(f"{rule.id}  {rule.title}")
+                print(f"    scope: {scope}")
+                print(f"    {rule.rationale}")
             return 0
         try:
             report = run_check(
                 args.paths,
                 require_mypy=args.require_mypy,
                 rule_ids=args.rule,
-                write_baseline=args.write_baseline,
             )
         except (OSError, ValueError) as exc:
             print(f"repro check: {exc}", file=sys.stderr)

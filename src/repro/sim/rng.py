@@ -42,7 +42,7 @@ class RngRegistry:
         if stream is None:
             # The registry is the one sanctioned construction site for
             # Random instances; everyone else draws from named streams.
-            stream = random.Random(_derive_seed(self.seed, name))  # simlint: disable=SIM102
+            stream = random.Random(_derive_seed(self.seed, name))
             self._streams[name] = stream
         return stream
 

@@ -4,9 +4,8 @@ This file must lint clean: a line pragma, a file pragma and a
 ``@lint_exempt`` decorator each cover one would-be violation.
 """
 
-# simlint: disable-file=SIM102
+# simlint: disable-file=SIM103
 
-import random
 import time
 
 from repro.analysis.pragmas import lint_exempt
@@ -16,8 +15,8 @@ def host_timestamp():
     return time.time()  # simlint: disable=SIM101
 
 
-def salt():
-    return random.random()
+def drain(events):
+    return sorted(events, key=id)
 
 
 @lint_exempt("DES202", reason="fixture: demonstrates the decorator form")

@@ -7,6 +7,7 @@ Each :class:`Bug` is one small patch to a copy of a real module under
 * ``golden``, ``invariants``, ``differential``: the validate suites, as
   tier-1 runs them in ``tests/integration/test_scenarios.py``;
 * ``shard-eq``: ``tests/integration/test_shard_equivalence.py``;
+* ``determinism``: ``tests/integration/test_determinism.py``;
 * ``module``: the unit and property tests of the mutated module
   (:data:`MODULE_TESTS`).
 
@@ -34,16 +35,21 @@ from typing import FrozenSet, Iterable, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The dynamic checks, in table order.
-DYNAMIC = ("golden", "invariants", "differential", "shard-eq", "module")
+DYNAMIC = (
+    "golden", "invariants", "differential", "shard-eq", "determinism", "module",
+)
 
 #: The suites every planted copy runs, whatever module it mutates.
 SUITES = (
     "tests/integration/test_scenarios.py",
     "tests/integration/test_shard_equivalence.py",
+    "tests/integration/test_determinism.py",
 )
 
 #: The ``module`` column: the unit and property tests of each module.
 MODULE_TESTS = {
+    "core/fairshare.py": ("tests/unit/test_fairshare.py",),
+    "kernel/defrag.py": ("tests/unit/test_gro_defrag.py",),
     "kernel/flowcache.py": (
         "tests/unit/test_flowcache.py",
         "tests/props/test_flowcache_props.py",
@@ -65,12 +71,17 @@ MODULE_TESTS = {
         "tests/unit/test_cluster.py",
         "tests/integration/test_shard_faults.py",
     ),
+    "sim/engine.py": (
+        "tests/unit/test_engine.py",
+        "tests/unit/test_scheduler.py",
+    ),
     "sim/shard/coordinator.py": (
         "tests/unit/test_shard_compaction.py",
         "tests/props/test_shard_props.py",
         "tests/integration/test_shard_faults.py",
     ),
     "workloads/sockperf.py": ("tests/unit/test_workloads.py",),
+    "workloads/traffic.py": ("tests/unit/test_workloads.py",),
 }
 
 _RULE_ID = re.compile(r"[A-Z]+\d{3}")
@@ -96,6 +107,23 @@ class Bug:
 
 
 BUGS: Tuple[Bug, ...] = (
+    Bug(
+        "fairshare_id_tiebreak",
+        "`partition_cpus` breaks remainder ties by `id(n)`, not the name",
+        "core/fairshare.py",
+        "key=lambda n: (ideal[n] - counts[n], weights[n], n))",
+        "key=lambda n: (ideal[n] - counts[n], weights[n], id(n)))",
+        frozenset({"SIM103"}),
+        flag="        name = max(names, key=lambda n:",
+    ),
+    Bug(
+        "defrag_complete_keeps_entry",
+        "`DefragEngine.feed` returns a complete datagram but keeps its entry",
+        "kernel/defrag.py",
+        "        del self._table[key]\n",
+        "",
+        frozenset({"invariants", "module"}),
+    ),
     Bug(
         "flowtable_insert_duplicates",
         "`FlowTable.insert` loses its `if key in self._entries` guard",
@@ -160,8 +188,7 @@ BUGS: Tuple[Bug, ...] = (
         "            self._held[key] = skb\n"
         "            skb.segs = 1\n"
         "            return skb",
-        frozenset({"OWN612", "golden", "invariants", "differential", "module"}),
-        flag="            return skb\n        # Merge into the held skb.",
+        frozenset({"golden", "invariants", "differential", "module"}),
     ),
     Bug(
         "module_flow_counter",
@@ -181,10 +208,30 @@ BUGS: Tuple[Bug, ...] = (
         "        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
         "",
         frozenset({
-            "RACE301", "golden", "invariants", "differential", "shard-eq",
-            "module",
+            "golden", "invariants", "differential", "shard-eq", "module",
         }),
-        flag="data = self.data[target_cpu]",
+    ),
+    Bug(
+        "enqueue_peeks_remote_active",
+        "a cross-core `enqueue_backlog` raises NET_RX only if the target "
+        "core's `net_rx_active` is clear: a remote read with no IPI",
+        "kernel/softirq.py",
+        "        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
+        "        if from_cpu == target_cpu or not data.net_rx_active:\n"
+        "            self.raise_net_rx(target_cpu, napi, from_cpu)\n",
+        frozenset({"golden", "invariants", "module"}),
+    ),
+    Bug(
+        "softirq_entry_literal",
+        "`raise_net_rx` schedules the local kick after a literal `1.0` µs, "
+        "not `costs.softirq_entry_us`",
+        "kernel/softirq.py",
+        "            self.machine.sim.schedule(\n"
+        "                self.costs.softirq_entry_us, self._kick, cpu_index\n"
+        "            )\n",
+        "            self.machine.sim.schedule(1.0, self._kick, cpu_index)\n",
+        frozenset({"DES203"}),
+        flag="            self.machine.sim.schedule(1.0, self._kick, cpu_index)",
     ),
     Bug(
         "backlog_drop_uncounted",
@@ -202,6 +249,22 @@ BUGS: Tuple[Bug, ...] = (
         "                self.monitor.on_terminal(skb, \"backlog_drop\")\n",
         "",
         frozenset({"invariants"}),
+    ),
+    Bug(
+        "costs_override_file",
+        "`StackConfig.resolve_costs` loads `costs_override.json` from the "
+        "working directory when it exists",
+        "kernel/stack.py",
+        "    def resolve_costs(self) -> CostModel:\n",
+        "    def resolve_costs(self) -> CostModel:\n"
+        "        import json\n"
+        "        import os\n"
+        "\n"
+        "        if os.path.exists(\"costs_override.json\"):\n"
+        "            with open(\"costs_override.json\") as handle:\n"
+        "                return CostModel(**json.load(handle))\n",
+        frozenset({"DES202"}),
+        flag="            with open(\"costs_override.json\") as handle:",
     ),
     Bug(
         "fastpath_hits_reenter_vxlan",
@@ -287,15 +350,42 @@ BUGS: Tuple[Bug, ...] = (
     ),
     Bug(
         "decode_skb_from_cache",
-        "`decode_skb` serves a cached object instead of a fresh one",
+        "`decode_skb` serves a module-level cache keyed by flow index, so "
+        "every frame of a flow after the first is the same object",
         "overlay/cluster.py",
-        "    if len(payload) != 10:",
-        "    if payload in _DECODE_CACHE:\n"
-        "        skb_cached = _DECODE_CACHE[payload]\n"
-        "        return skb_cached\n"
-        "    if len(payload) != 10:",
-        frozenset({"OWN613", "golden", "shard-eq", "module"}),
-        flag="return skb_cached",
+        "class _HostOutbox:\n",
+        "_DECODE_CACHE = {}\n"
+        "_decode_fresh = decode_skb\n"
+        "\n"
+        "\n"
+        "def decode_skb(flow, payload):\n"
+        "    if payload[0] not in _DECODE_CACHE:\n"
+        "        _DECODE_CACHE[payload[0]] = _decode_fresh(flow, payload)\n"
+        "    return _DECODE_CACHE[payload[0]]\n"
+        "\n"
+        "\n"
+        "class _HostOutbox:\n",
+        frozenset({"golden", "shard-eq"}),
+    ),
+    Bug(
+        "udp_tx_reinject_after_encode",
+        "`ClusterUdpSender._transmit` also injects the skb it just encoded "
+        "into its own stack",
+        "overlay/cluster.py",
+        "            arrival, RECORD_SKB, self.dst_host, "
+        "encode_skb(self.flow_index, skb)\n"
+        "        )\n"
+        "\n"
+        "\n"
+        "class ClusterTcpSender",
+        "            arrival, RECORD_SKB, self.dst_host, "
+        "encode_skb(self.flow_index, skb)\n"
+        "        )\n"
+        "        self.stack.inject(skb)\n"
+        "\n"
+        "\n"
+        "class ClusterTcpSender",
+        frozenset({"golden"}),
     ),
     Bug(
         "outbox_seq_frozen",
@@ -304,6 +394,39 @@ BUGS: Tuple[Bug, ...] = (
         "        self._seq += 1\n",
         "",
         frozenset({"module"}),
+    ),
+    Bug(
+        "engine_cpu_budget",
+        "`Simulator.run` ends its loop once the process has used 600 s "
+        "of CPU time",
+        "sim/engine.py",
+        "            if self._halted:\n"
+        "                break\n"
+        "        self.events_processed += processed\n",
+        "            if self._halted:\n"
+        "                break\n"
+        "            import time\n"
+        "\n"
+        "            if time.process_time() > 600.0:\n"
+        "                break\n"
+        "        self.events_processed += processed\n",
+        frozenset({"SIM101"}),
+        flag="            if time.process_time() > 600.0:",
+    ),
+    Bug(
+        "engine_alarm_halt",
+        "`Simulator.run` arms a 600 s `signal.alarm` whose handler halts it",
+        "sim/engine.py",
+        "        processed = 0\n"
+        "        pop_until = self._scheduler.pop_until\n",
+        "        import signal\n"
+        "\n"
+        "        signal.signal(signal.SIGALRM, lambda signum, frame: self.halt())\n"
+        "        signal.alarm(600)\n"
+        "        processed = 0\n"
+        "        pop_until = self._scheduler.pop_until\n",
+        frozenset({"DES201"}),
+        flag="        import signal",
     ),
     Bug(
         "coordinator_routes_twice",
@@ -337,6 +460,15 @@ BUGS: Tuple[Bug, ...] = (
         "        end_us = warmup_us + measure_us\n",
         "        end_us = warmup_us + measure_ms\n",
         frozenset({"golden", "invariants"}),
+    ),
+    Bug(
+        "poisson_global_random",
+        "`PoissonRate.next_gap_us` draws from the global `random` module, "
+        "not the flow's stream",
+        "workloads/traffic.py",
+        "        return rng.expovariate(1.0 / self.mean_interval_us)\n",
+        "        return random.expovariate(1.0 / self.mean_interval_us)\n",
+        frozenset({"determinism"}),
     ),
 )
 
@@ -390,6 +522,8 @@ def column_of(nodeid: str) -> Set[str]:
         return {nodeid}  # an unexpected failure shows up by name
     if path == SUITES[1]:
         return {"shard-eq"}
+    if path == SUITES[2]:
+        return {"determinism"}
     return {"module"}
 
 

@@ -2,11 +2,14 @@
 
 Tier-1: every planted bug gets exactly the static findings its row
 claims, at the planted line, and no others; an unmutated copy of every
-planted module is clean. Slow tier: the dynamic checks run on each
-planted copy in a subprocess and catch exactly the row's columns.
+planted module is clean; every rule has a row that only it catches.
+Slow tier: the dynamic checks run on each planted copy in a subprocess
+and catch exactly the row's columns.
 """
 
 import pytest
+
+from repro.analysis.runner import ALL_RULES
 
 from catalogue import (
     BUGS,
@@ -33,6 +36,13 @@ def test_every_bug_has_a_catcher(bug):
     assert bug.caught_by, f"{bug.name} is caught by nothing"
     assert bug.caught_by <= set(DYNAMIC) | set(bug.rules)
     assert bool(bug.rules) == bool(bug.flag)
+
+
+@pytest.mark.parametrize("rule", [rule.id for rule in ALL_RULES])
+def test_every_rule_has_a_row_only_it_catches(rule):
+    assert any(bug.caught_by == {rule} for bug in BUGS), (
+        f"{rule} catches no planted bug that nothing else catches"
+    )
 
 
 @pytest.mark.parametrize("path", sorted({bug.path for bug in BUGS}))

@@ -1,19 +1,18 @@
 """Tests for ``repro check`` itself: its steps, its report and its exit codes.
 
-Each rule family's own tests (``test_lint``, ``test_san_rules``) drive
-``check`` with that family's rules selected; these run it as CI does,
-with every family at once.
+The rules' own tests (``test_lint``) drive ``check`` with rules
+selected; these run it as CI does, with every rule at once.
 """
 
 import json
 from pathlib import Path
 
 from repro.analysis.check import run_check
-from repro.analysis.runner import FAMILIES
+from repro.analysis.runner import ALL_RULES
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = REPO_ROOT / "tests" / "fixtures" / "san"
+FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 
 
 class TestUnifiedCheck:
@@ -37,22 +36,20 @@ class TestCli:
         assert main(["check", str(REPO_ROOT / "src"), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        # Every family ran.
-        assert payload["rules"]["rules_run"] == [
-            rule.id for rules in FAMILIES.values() for rule in rules
-        ]
+        # Every rule ran.
+        assert payload["rules"]["rules_run"] == [rule.id for rule in ALL_RULES]
         assert payload["rules"]["findings"] == []
 
     def test_json_reporter_includes_suppressed(self, tmp_path, capsys):
         copy = tmp_path / "supp.py"
         copy.write_text(
-            "def ship(self, skb):\n"
-            "    first = encode_skb(skb)\n"
-            "    return (first, encode_skb(skb))  # simlint: disable=OWN611\n"
+            "import time\n"
+            "\n"
+            "stamp = time.time()  # simlint: disable=SIM101\n"
         )
         assert main(["check", str(copy), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["rules"]["suppressed"] == [
-            {"path": str(copy), "line": 3, "rule": "OWN611"}
+            {"path": str(copy), "line": 3, "rule": "SIM101"}
         ]

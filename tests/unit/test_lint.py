@@ -1,10 +1,10 @@
-"""Tests for the lint rule family and the shared runner/pragma machinery.
+"""Tests for the analyzer's rules and the shared runner/pragma machinery.
 
 The fixture corpus under ``tests/fixtures/lint/`` carries one violation
 per rule id, each line marked with a trailing ``# expect: RULE`` comment;
-the tests run the lint family's rules over it, derive the expected
-finding set from those markers and demand exact (file, line, rule)
-agreement — no extra findings, none missing.
+the tests run the rules over it, derive the expected finding set from
+those markers and demand exact (file, line, rule) agreement — no extra
+findings, none missing.
 """
 
 import json
@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.pragmas import lint_exempt, parse_pragmas
-from repro.analysis.runner import ALL_RULES, FAMILIES, analyze, rule_by_id
+from repro.analysis.runner import ALL_RULES, analyze, rule_by_id
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
 
-LINT_RULE_IDS = [rule.id for rule in FAMILIES["lint"]]
+LINT_RULE_IDS = [rule.id for rule in ALL_RULES]
 
 #: Trailing marker naming the rule(s) a fixture line must trigger.
 MARKER_RE = re.compile(r"#\s*expect:\s*([A-Z0-9, ]+)")
@@ -138,7 +138,7 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["rules"]["counts_by_rule"]["RACE301"] == 1
+        assert payload["rules"]["counts_by_rule"]["DES203"] == 2
 
     def test_unknown_rule_exits_two(self, capsys):
         code = main(["check", str(FIXTURES), "--rule", "BOGUS99"])
@@ -169,10 +169,10 @@ class TestCli:
 class TestPragmas:
     def test_line_and_file_forms(self):
         pragmas = parse_pragmas(
-            "# simlint: disable-file=SIM102\n"
+            "# simlint: disable-file=SIM103\n"
             "x = 1  # simlint: disable=SIM101, DES202\n"
         )
-        assert pragmas.suppresses("SIM102", 99)
+        assert pragmas.suppresses("SIM103", 99)
         assert pragmas.suppresses("SIM101", 2)
         assert pragmas.suppresses("DES202", 2)
         assert not pragmas.suppresses("SIM101", 1)
@@ -180,7 +180,7 @@ class TestPragmas:
 
     def test_wildcard(self):
         pragmas = parse_pragmas("y = 2  # simlint: disable=all\n")
-        assert pragmas.suppresses("RACE301", 1)
+        assert pragmas.suppresses("DES203", 1)
 
     def test_malformed_ids_are_recorded(self):
         pragmas = parse_pragmas("z = 3  # simlint: disable=nope\n")
@@ -239,11 +239,11 @@ class TestPragmaBinding:
     def test_stacked_standalone_pragmas_accumulate(self):
         pragmas = parse_pragmas(
             "# simlint: disable=SIM101\n"
-            "# simlint: disable=SIM102\n"
+            "# simlint: disable=SIM103\n"
             "z = 3\n"
         )
         assert pragmas.suppresses("SIM101", 3)
-        assert pragmas.suppresses("SIM102", 3)
+        assert pragmas.suppresses("SIM103", 3)
 
     def test_trailing_pragma_still_binds_to_its_own_line(self):
         pragmas = parse_pragmas("w = 4  # simlint: disable=SIM101\n")
@@ -263,13 +263,13 @@ class TestPragmaBinding:
     def test_standalone_pragma_suppresses_through_the_runner(self, tmp_path):
         src = tmp_path / "mod.py"
         src.write_text(
-            "import random\n"
-            "# simlint: disable=SIM102\n"
-            "x = random.random()\n"
+            "import time\n"
+            "# simlint: disable=SIM101\n"
+            "x = time.time()\n"
         )
         result = analyze([str(src)])
         assert result.ok, result.to_text()
-        assert [f.rule for f in result.suppressed] == ["SIM102"]
+        assert [f.rule for f in result.suppressed] == ["SIM101"]
 
     def test_eof_pragma_is_reported_by_the_runner(self, tmp_path):
         src = tmp_path / "mod.py"
