@@ -18,7 +18,7 @@ against; Figure 16's experiment compares them.
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import Dict, List, Protocol, Tuple
 
 from repro.core.config import (
     POLICY_LEAST_LOADED,
@@ -78,22 +78,42 @@ class StaticHashBalancer:
 
 
 class TwoChoiceBalancer:
-    """The paper's policy: double hashing away from an overloaded core."""
+    """The paper's policy: double hashing away from an overloaded core.
+
+    Both choices are pure functions of ``skb_hash + ifindex`` and the CPU
+    set, so each sum's pair is computed once and cached, as ONCache
+    caches a per-flow decision. The cache belongs to one CPU set: a call
+    with a different set empties it first, so no stale entry is read.
+    """
 
     def __init__(self, load_threshold: float = 0.85) -> None:
         self.load_threshold = load_threshold
         self.second_choices = 0
+        #: ``skb_hash + ifindex`` -> (first choice, second choice).
+        self._choices: Dict[int, Tuple[int, int]] = {}
+        #: A copy of the CPU set the cached choices were computed for.
+        self._choices_cpus: List[int] = []
 
     def select(
         self, machine: Machine, cpus: List[int], skb_hash: int, ifindex: int
     ) -> int:
-        cpu = first_choice_cpu(cpus, skb_hash, ifindex)
-        if machine.cpus[cpu].load < self.load_threshold:
-            return cpu
+        if cpus != self._choices_cpus:
+            self._choices = {}
+            self._choices_cpus = list(cpus)
+        key = skb_hash + ifindex
+        choices = self._choices.get(key)
+        if choices is None:
+            choices = self._choices[key] = (
+                first_choice_cpu(cpus, skb_hash, ifindex),
+                second_choice_cpu(cpus, skb_hash, ifindex),
+            )
+        first, second = choices
+        if machine.cpus[first].load < self.load_threshold:
+            return first
         # Second choice: re-hash. Committed to even if it is also busy,
         # which keeps the mapping stable and avoids load fluctuations.
         self.second_choices += 1
-        return second_choice_cpu(cpus, skb_hash, ifindex)
+        return second
 
 
 class LeastLoadedBalancer:

@@ -13,12 +13,17 @@ stock overlay network.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from operator import attrgetter
+from typing import Callable, Dict, List
 
 from repro.core.balancing import make_balancer
 from repro.core.config import FalconConfig
+from repro.hw.cpu import Cpu
 from repro.hw.topology import Machine
 from repro.kernel.skb import Skb
+
+#: A core's recent load, read without a comprehension frame per call.
+_LOAD = attrgetter("load")
 
 
 class FalconSteering:
@@ -33,6 +38,8 @@ class FalconSteering:
         self.ctx = machine.ctx
         self.config = config
         self.balancer = make_balancer(config)
+        #: The Falcon set's cores, looked up once for the load gate.
+        self._falcon_cpus: List[Cpu] = [machine.cpus[index] for index in config.cpus]
         # --- statistics -------------------------------------------------
         #: Transitions steered by Falcon.
         self.steered = 0
@@ -53,15 +60,20 @@ class FalconSteering:
             return False
         if not self.config.threshold_enabled:
             return True
-        load = self.machine.average_load(self.config.cpus)
-        return load < self.config.load_threshold
+        # The mean as sum / len: the arithmetic the figure digests were
+        # pinned with, so the gate flips at exactly the same loads.
+        cpus = self._falcon_cpus
+        total: float = sum(map(_LOAD, cpus))
+        return total / len(cpus) < self.config.load_threshold
 
     def select_cpu(self, skb: Skb, ifindex: int, current_cpu: int) -> int:
         """The steering decision a stage-transition function makes.
 
         Returns the CPU whose backlog should receive the packet's next
         stage: a Falcon CPU when Falcon is active, the current CPU (the
-        vanilla ``netif_rx`` behaviour) otherwise.
+        vanilla ``netif_rx`` behaviour) otherwise. The balancer is read
+        from ``self`` on every call, because
+        :func:`repro.core.fairshare.use_fair_share` swaps it after build.
         """
         if not self.active():
             self.fallbacks += 1

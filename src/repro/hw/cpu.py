@@ -47,8 +47,8 @@ class Cpu:
         "_queues",
         "_running",
         "load",
-        "_dispatch_scheduled",
         "monitor",
+        "_on_complete",
     )
 
     def __init__(self, sim: Simulator, index: int, acct: CpuAccounting) -> None:
@@ -60,10 +60,11 @@ class Cpu:
         #: Recent utilization in [0, 1]; refreshed by the kernel timer tick.
         #: This is the per-CPU load Algorithm 1 consults (``cpu.load``).
         self.load = 0.0
-        self._dispatch_scheduled = False
         #: Optional :class:`repro.validate.InvariantMonitor` hook (None
         #: when validation is not attached — the common case).
         self.monitor = None
+        #: ``_complete`` bound once, not once per work item.
+        self._on_complete = self._complete
 
     # ------------------------------------------------------------------
     # Submission & dispatch
@@ -80,7 +81,8 @@ class Cpu:
         if duration < 0:
             raise ValueError(f"work duration must be >= 0, got {duration}")
         self._queues[context].append((label, duration, fn, args))
-        self._maybe_dispatch()
+        if self._running is None:
+            self._maybe_dispatch()
 
     def submit_multi(
         self,
@@ -97,29 +99,26 @@ class Cpu:
         their sum.
         """
         self._queues[context].append((charges, None, fn, args))
-        self._maybe_dispatch()
+        if self._running is None:
+            self._maybe_dispatch()
 
     def _maybe_dispatch(self) -> None:
-        if self._running is not None or self._dispatch_scheduled:
+        """Start the highest-priority queued item; the core must be idle."""
+        for context, queue in enumerate(self._queues):
+            if not queue:
+                continue
+            item = queue.popleft()
+            label, duration, fn, args = item
+            self._running = item
+            if duration is None:
+                # Multi-charge item: ``label`` is a list of (label, µs) pairs.
+                duration = self.acct.charge_items(self.index, context, label)
+            else:
+                self.acct.charge(self.index, context, label, duration)
+            if self.monitor is not None:
+                self.monitor.on_cpu_start(self.index, self.sim.now, duration)
+            self.sim.schedule(duration, self._on_complete, fn, args)
             return
-        for context in range(_NUM_CONTEXTS):
-            queue = self._queues[context]
-            if queue:
-                item = queue.popleft()
-                self._start(context, item)
-                return
-
-    def _start(self, context: int, item: tuple) -> None:
-        label, duration, fn, args = item
-        self._running = item
-        if duration is None:
-            # Multi-charge item: ``label`` is a list of (label, µs) pairs.
-            duration = self.acct.charge_items(self.index, context, label)
-        else:
-            self.acct.charge(self.index, context, label, duration)
-        if self.monitor is not None:
-            self.monitor.on_cpu_start(self.index, self.sim.now, duration)
-        self.sim.schedule(duration, self._complete, fn, args)
 
     def _complete(self, fn: Completion, args: tuple) -> None:
         self._running = None
@@ -127,7 +126,8 @@ class Cpu:
             self.monitor.on_cpu_complete(self.index, self.sim.now)
         if fn is not None:
             fn(*args)
-        self._maybe_dispatch()
+        if self._running is None:
+            self._maybe_dispatch()
 
     # ------------------------------------------------------------------
     # Introspection

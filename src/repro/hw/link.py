@@ -74,14 +74,14 @@ class Link:
         self.bytes_sent += nbytes
         return finish + self.propagation_us
 
-    def send(self, nbytes: int, deliver: Callable[[], Any]) -> float:
-        """Transmit a frame; call ``deliver`` when it fully arrives.
+    def send(self, nbytes: int, deliver: Callable[..., Any], *args: Any) -> float:
+        """Transmit a frame; call ``deliver(*args)`` when it fully arrives.
 
         Returns the arrival timestamp. Frames queue behind each other at
         the sender (FIFO), modelling the NIC's transmit serialization.
         """
         arrival = self.reserve(nbytes)
-        self.sim.schedule_at(arrival, deliver)
+        self.sim.schedule_at(arrival, deliver, *args)
         return arrival
 
     @property

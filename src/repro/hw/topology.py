@@ -66,11 +66,3 @@ class Machine:
     def loads(self) -> List[float]:
         """Recent per-core loads (refreshed by the kernel timer tick)."""
         return [cpu.load for cpu in self.cpus]
-
-    def average_load(self, cpu_indices: Optional[List[int]] = None) -> float:
-        """Mean recent load over a CPU subset (defaults to all cores)."""
-        if cpu_indices is None:
-            values = [cpu.load for cpu in self.cpus]
-        else:
-            values = [self.cpus[index].load for index in cpu_indices]
-        return sum(values) / len(values) if values else 0.0

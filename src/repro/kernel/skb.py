@@ -91,6 +91,7 @@ class Skb:
     __slots__ = (
         "flow",
         "hash",
+        "is_tcp",
         "size",
         "wire_size",
         "dev_ifindex",
@@ -124,6 +125,9 @@ class Skb:
     ) -> None:
         self.flow = flow
         self.hash = flow.hash
+        #: Read by several step costs per packet, so computed once here
+        #: (the flow, like its hash, never changes along the path).
+        self.is_tcp = flow.proto == PROTO_TCP
         #: Payload bytes currently carried (changes on decap/merge).
         self.size = size
         #: Bytes occupying the wire, including all framing/encap overhead.
@@ -153,10 +157,6 @@ class Skb:
         self.fastpath: Optional[int] = None
         #: Workload-specific payload (request objects etc.).
         self.meta = meta
-
-    @property
-    def is_tcp(self) -> bool:
-        return self.flow.proto == PROTO_TCP
 
     @property
     def is_fragment(self) -> bool:

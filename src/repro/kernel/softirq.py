@@ -70,10 +70,9 @@ class DriverNapi(Napi):
 
     def take(self, max_items: int) -> List[WorkItem]:
         ring = self.rx_queue.ring
-        items: List[WorkItem] = []
-        while ring and len(items) < max_items:
-            items.append((ring.popleft(), self.stage))
-        return items
+        popleft = ring.popleft
+        stage = self.stage
+        return [(popleft(), stage) for _ in range(min(max_items, len(ring)))]
 
     def has_work(self) -> bool:
         return bool(self.rx_queue.ring)
@@ -103,10 +102,8 @@ class BacklogNapi(Napi):
 
     def take(self, max_items: int) -> List[WorkItem]:
         queue = self.queue
-        items: List[WorkItem] = []
-        while queue and len(items) < max_items:
-            items.append(queue.popleft())
-        return items
+        popleft = queue.popleft
+        return [popleft() for _ in range(min(max_items, len(queue)))]
 
     def has_work(self) -> bool:
         return bool(self.queue)
@@ -268,7 +265,9 @@ class SoftirqNet:
         """
         data = self.data[target_cpu]
         skb.last_cpu = from_cpu
-        napi = data.queue_for(stage)
+        napi = data.queues.get(stage.name)
+        if napi is None:
+            napi = data.queue_for(stage)
         if from_cpu != target_cpu and len(napi.queue) >= napi.capacity:
             napi.drops += 1
             if self.flowcache is not None:
@@ -332,35 +331,31 @@ class SoftirqNet:
         items: List[WorkItem],
         budget_left: int,
     ) -> None:
-        locality = self.machine.locality
         data = self.data[cpu_index]
         charges: List[Tuple[str, float]] = []
         outputs: List[Tuple[Skb, Stage]] = []
-        touched_stages = []
-        first_stage = items[0][1]
-        self.stage_executions[first_stage.name] = (
-            self.stage_executions.get(first_stage.name, 0) + len(items)
+        stage = items[0][1]
+        self.stage_executions[stage.name] = (
+            self.stage_executions.get(stage.name, 0) + len(items)
         )
-        if first_stage.name != data.last_stage:
+        if stage.name != data.last_stage:
             # The core moves to a different device's softirq context.
             charges.append(("softirq_switch", self.costs.softirq_switch.fixed))
-            data.last_stage = first_stage.name
-        tracer = self.ctx.tracer
-        now = self.machine.sim.now
-        for skb, stage in items:
-            if tracer is not None and tracer.wants(skb):
-                tracer.record(skb, now, "exec", stage.name, cpu_index)
-            multiplier = locality.multiplier(skb.last_cpu, cpu_index)
-            out = stage.run_item(skb, cpu_index, multiplier, charges)
-            if out is not None:
-                outputs.append((out, stage))
-            if stage.flush is not None and stage not in touched_stages:
-                touched_stages.append(stage)
+            data.last_stage = stage.name
+        # One NAPI instance serves one stage, so the batch is one stage's.
+        stage.run_batch(
+            items,
+            cpu_index,
+            self.machine.locality,
+            charges,
+            outputs,
+            self.ctx.tracer,
+            self.machine.sim.now,
+        )
         # End-of-batch flush (GRO) once the source is drained.
-        if not napi.has_work():
-            for stage in touched_stages:
-                for flushed in stage.flush(cpu_index):
-                    outputs.append((flushed, stage))
+        if stage.flush is not None and not napi.has_work():
+            for flushed in stage.flush(cpu_index):
+                outputs.append((flushed, stage))
         cpu.submit_multi(
             SOFTIRQ, charges, self._after_batch, cpu_index, outputs, budget_left
         )

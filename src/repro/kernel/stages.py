@@ -20,10 +20,12 @@ replace it (merged super-packet continues down the pipe).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
+from repro.hw.cache import LocalityModel
 from repro.kernel.costs import FuncCost
 from repro.kernel.skb import Skb
+from repro.metrics.tracing import PacketTracer
 
 #: An effect runs when the step executes. It may return the same skb, a
 #: replacement (e.g. a merged super-packet), or None (consumed for now).
@@ -40,7 +42,7 @@ class Step:
     """One kernel function in a stage: a cost plus an optional effect.
 
     A step built by :meth:`simple` prices a packet at ``fixed + per_byte *
-    size`` µs, which :meth:`Stage.run_item` computes inline (``cost`` is
+    size`` µs, which :meth:`Stage.run_batch` computes inline (``cost`` is
     None). Only steps whose cost depends on more than the packet's size
     (``l4_rcv``, ``napi_gro_receive``, ``ip_defrag``) keep a cost callable.
     """
@@ -172,36 +174,62 @@ class Stage:
         #: Optional end-of-batch hook (GRO flush) returning held packets.
         self.flush = flush
 
-    def run_item(
+    def run_batch(
         self,
-        skb: Skb,
+        items: Sequence[Tuple[Skb, "Stage"]],
         cpu_index: int,
-        locality_multiplier: float,
+        locality: LocalityModel,
         charges: List[Charge],
-    ) -> Optional[Skb]:
-        """Execute the stage's steps for one packet.
+        outputs: List[Tuple[Skb, "Stage"]],
+        tracer: Optional[PacketTracer],
+        now: float,
+    ) -> None:
+        """Execute the stage's steps for every packet of one softirq batch.
 
-        Appends the per-function charges to ``charges`` (the softirq
-        batch's list) and returns the packet that should exit the stage
-        (None when an effect consumed it, e.g. a GRO merge in progress).
+        All ``items`` belong to this stage: one NAPI instance serves one
+        stage. Per packet, in batch order, the per-function charges are
+        appended to ``charges`` and the packet that exits the stage (the
+        input, or an effect's replacement) to ``outputs``; a packet an
+        effect consumed (e.g. a GRO merge in progress) exits nothing.
         Charges are scaled by the locality multiplier, the cost of
-        touching packet data that was last written by another core.
+        touching packet data last written by another core; it is looked
+        up again only when ``skb.last_cpu`` differs from the previous
+        packet's. With a tracer, each sampled packet gets one ``exec``
+        record at ``now``.
         """
-        skb.dev_ifindex = self.ifindex
-        current: Optional[Skb] = skb
-        for step in self.steps:
-            cost_fn = step.cost
-            if cost_fn is None:
-                cost = (step.fixed + step.per_byte * current.size) * locality_multiplier
-            else:
-                cost = cost_fn(current) * locality_multiplier
-            if cost > 0.0:
-                charges.append((step.name, cost))
-            if step.effect is not None:
-                current = step.effect(current, cpu_index)
-                if current is None:
-                    break
-        return current
+        if tracer is not None:
+            name = self.name
+            for skb, _stage in items:
+                if tracer.wants(skb):
+                    tracer.record(skb, now, "exec", name, cpu_index)
+        ifindex = self.ifindex
+        steps = self.steps
+        multiplier_of = locality.multiplier
+        add_charge = charges.append
+        # No core has index -1, so the first packet always looks it up.
+        prev_cpu: Optional[int] = -1
+        multiplier = 1.0
+        for skb, _stage in items:
+            skb.dev_ifindex = ifindex
+            last_cpu = skb.last_cpu
+            if last_cpu != prev_cpu:
+                multiplier = multiplier_of(last_cpu, cpu_index)
+                prev_cpu = last_cpu
+            current: Optional[Skb] = skb
+            for step in steps:
+                cost_fn = step.cost
+                if cost_fn is None:
+                    cost = (step.fixed + step.per_byte * current.size) * multiplier
+                else:
+                    cost = cost_fn(current) * multiplier
+                if cost > 0.0:
+                    add_charge((step.name, cost))
+                if step.effect is not None:
+                    current = step.effect(current, cpu_index)
+                    if current is None:
+                        break
+            if current is not None:
+                outputs.append((current, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Stage {self.name} ifindex={self.ifindex}>"

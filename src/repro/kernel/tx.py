@@ -65,7 +65,7 @@ class Qdisc:
         skb, deliver = self._queue.popleft()
         # The link's serialization is the pacing: hand the frame over and
         # drain the next one when this frame has left the NIC.
-        departure = self.link.send(skb.wire_size, lambda: deliver(skb))
+        departure = self.link.send(skb.wire_size, deliver, skb)
         self.sim.schedule_at(
             max(departure - self.link.propagation_us, self.sim.now),
             self._drain,

@@ -21,17 +21,32 @@ CONTEXT_NAMES = {HARDIRQ: "hardirq", SOFTIRQ: "softirq", USER: "user"}
 
 
 class CpuAccounting:
-    """Accumulates busy microseconds keyed by (cpu, label) and (cpu, context)."""
+    """Accumulates busy microseconds per (cpu, label) and per (cpu, context).
+
+    Labels are stored as one ``{label: µs}`` map per CPU, so the hot path
+    never builds a ``(cpu, label)`` key. ``_label_order`` lists each
+    ``(cpu, label)`` pair once, in the order it was first charged:
+    :meth:`total_by_label` walks it, so its sums are added in the same
+    order, and its keys come out in the same order, as a flat map keyed
+    by ``(cpu, label)`` would give.
+    """
 
     def __init__(self) -> None:
-        self._by_label: Dict[Tuple[int, str], float] = {}
+        self._by_label: Dict[int, Dict[str, float]] = {}
+        self._label_order: List[Tuple[int, str]] = []
         self._by_context: Dict[Tuple[int, int], float] = {}
         self._busy_by_cpu: Dict[int, float] = {}
 
     def charge(self, cpu: int, context: int, label: str, duration: float) -> None:
         """Attribute ``duration`` µs of busy time."""
-        key = (cpu, label)
-        self._by_label[key] = self._by_label.get(key, 0.0) + duration
+        labels = self._by_label.get(cpu)
+        if labels is None:
+            labels = self._by_label[cpu] = {}
+        value = labels.get(label)
+        if value is None:
+            self._label_order.append((cpu, label))
+            value = 0.0
+        labels[label] = value + duration
         ckey = (cpu, context)
         self._by_context[ckey] = self._by_context.get(ckey, 0.0) + duration
         self._busy_by_cpu[cpu] = self._busy_by_cpu.get(cpu, 0.0) + duration
@@ -50,14 +65,20 @@ class CpuAccounting:
         if not charges:
             # Per-pair charging would insert no keys either.
             return 0.0
-        by_label = self._by_label
+        labels = self._by_label.get(cpu)
+        if labels is None:
+            labels = self._by_label[cpu] = {}
         ckey = (cpu, context)
         context_us = self._by_context.get(ckey, 0.0)
         busy = self._busy_by_cpu.get(cpu, 0.0)
         total = 0.0
         for label, duration in charges:
-            key = (cpu, label)
-            by_label[key] = by_label.get(key, 0.0) + duration
+            try:
+                labels[label] += duration
+            except KeyError:
+                # First charge of this pair: start from 0.0 as charge does.
+                labels[label] = 0.0 + duration
+                self._label_order.append((cpu, label))
             context_us += duration
             busy += duration
             total += duration
@@ -72,16 +93,18 @@ class CpuAccounting:
         return self._busy_by_cpu.get(cpu, 0.0)
 
     def busy_us_label(self, cpu: int, label: str) -> float:
-        return self._by_label.get((cpu, label), 0.0)
+        labels = self._by_label.get(cpu)
+        return 0.0 if labels is None else labels.get(label, 0.0)
 
     def busy_us_context(self, cpu: int, context: int) -> float:
         return self._by_context.get((cpu, context), 0.0)
 
     def total_by_label(self) -> Dict[str, float]:
         """Busy µs per label summed over all CPUs (flamegraph view)."""
+        by_label = self._by_label
         totals: Dict[str, float] = {}
-        for (_cpu, label), value in self._by_label.items():
-            totals[label] = totals.get(label, 0.0) + value
+        for cpu, label in self._label_order:
+            totals[label] = totals.get(label, 0.0) + by_label[cpu][label]
         return totals
 
     def cpus(self) -> Iterable[int]:
@@ -90,7 +113,8 @@ class CpuAccounting:
     def snapshot(self) -> "CpuAccounting":
         """Deep copy for window-boundary bookkeeping."""
         copy = CpuAccounting()
-        copy._by_label = dict(self._by_label)
+        copy._by_label = {cpu: dict(labels) for cpu, labels in self._by_label.items()}
+        copy._label_order = list(self._label_order)
         copy._by_context = dict(self._by_context)
         copy._busy_by_cpu = dict(self._busy_by_cpu)
         return copy

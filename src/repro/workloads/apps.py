@@ -121,10 +121,7 @@ class ResponseChannel:
 
         def after_tx() -> None:
             self.responses_sent += 1
-            self.link.send(
-                nbytes + 88,
-                lambda: sim.schedule(self.client_rx_us, deliver),
-            )
+            self.link.send(nbytes + 88, sim.schedule, self.client_rx_us, deliver)
             if self.ack_stack is not None and flow is not None:
                 self._inject_acks(flow, nbytes)
 
@@ -155,4 +152,4 @@ class ResponseChannel:
 
     def _send_ack(self, link: Link, skb) -> None:
         stack = self.ack_stack
-        link.send(skb.wire_size, lambda: stack.inject(skb))
+        link.send(skb.wire_size, stack.inject, skb)

@@ -63,6 +63,16 @@ class BaseSender:
         self.rng = rng
         self.name = name
         self.overlay = stack.is_overlay
+        tcp = flow.proto == PROTO_TCP
+        inner_overhead = IP_HEADER + (TCP_HEADER if tcp else UDP_HEADER)
+        if self.overlay:
+            inner_overhead += VXLAN_OVERHEAD
+        #: The skb size of each wire packet of a message, split once here;
+        #: a non-positive ``message_size`` raises ValueError at build.
+        self._frame_sizes = tuple(
+            payload + inner_overhead
+            for payload in fragment_sizes(message_size, self.overlay, tcp=tcp)
+        )
         self.state = FlowState()
         self._tx_free = 0.0
         self.messages_sent = 0
@@ -78,11 +88,6 @@ class BaseSender:
         if self.stopped:
             return False
         return self.until_us is None or self.sim.now < self.until_us
-
-    def _fragment_payloads(self) -> tuple:
-        return fragment_sizes(
-            self.message_size, self.overlay, tcp=self.flow.proto == PROTO_TCP
-        )
 
     def _tx_cost_us(self, num_fragments: int) -> float:
         cached = False
@@ -104,37 +109,38 @@ class BaseSender:
     def _initiate_message(self, on_pushed: Optional[Callable] = None) -> float:
         """Start sending one message; returns the sender-completion time."""
         t_send = self.sim.now
-        payloads = self._fragment_payloads()
-        tx_done = max(self.sim.now, self._tx_free) + self._tx_cost_us(len(payloads))
+        tx_done = max(t_send, self._tx_free) + self._tx_cost_us(len(self._frame_sizes))
         self._tx_free = tx_done
-        self.sim.schedule_at(tx_done, self._push_message, t_send, payloads, on_pushed)
+        self.sim.schedule_at(tx_done, self._push_message, t_send, on_pushed)
         return tx_done
 
-    def _push_message(
-        self, t_send: float, payloads: tuple, on_pushed: Optional[Callable]
-    ) -> None:
+    def _push_message(self, t_send: float, on_pushed: Optional[Callable]) -> None:
         state = self.state
         msg_id = state.msg_counter
         state.msg_counter += 1
-        l4_header = TCP_HEADER if self.flow.proto == PROTO_TCP else UDP_HEADER
-        for index, payload in enumerate(payloads):
-            inner = payload + IP_HEADER + l4_header
-            size = inner + (VXLAN_OVERHEAD if self.overlay else 0)
+        flow = self.flow
+        message_size = self.message_size
+        overlay = self.overlay
+        frame_sizes = self._frame_sizes
+        frag_count = len(frame_sizes)
+        for index, size in enumerate(frame_sizes):
+            # Positional: flow, size, wire_size, msg_id, msg_size,
+            # frag_index, frag_count, seq, t_send, encapsulated.
             skb = Skb(
-                self.flow,
-                size=size,
-                wire_size=size + ETHERNET_OVERHEAD_BYTES,
-                msg_id=msg_id,
-                msg_size=self.message_size,
-                frag_index=index,
-                frag_count=len(payloads),
-                seq=state.seq_counter,
-                t_send=t_send,
-                encapsulated=self.overlay,
+                flow,
+                size,
+                size + ETHERNET_OVERHEAD_BYTES,
+                msg_id,
+                message_size,
+                index,
+                frag_count,
+                state.seq_counter,
+                t_send,
+                overlay,
             )
             state.seq_counter += 1
             self._transmit(skb)
-            self.frames_sent += 1
+        self.frames_sent += frag_count
         self.messages_sent += 1
         if on_pushed is not None:
             on_pushed(msg_id)
@@ -147,15 +153,7 @@ class BaseSender:
         through the cross-shard record path instead (the receiving host
         may live in another process).
         """
-        self.link.send(skb.wire_size, self._make_delivery(skb))
-
-    def _make_delivery(self, skb: Skb):
-        stack = self.stack
-
-        def deliver() -> None:
-            stack.inject(skb)
-
-        return deliver
+        self.link.send(skb.wire_size, self.stack.inject, skb)
 
 
 class UdpSender(BaseSender):

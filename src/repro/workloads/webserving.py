@@ -340,7 +340,7 @@ class WebServingScenario:
             encapsulated=self.bed.stack.is_overlay,
             meta=fetch,
         )
-        self.bed.link.send(request.wire_size, lambda: self.bed.stack.inject(request))
+        self.bed.link.send(request.wire_size, self.bed.stack.inject, request)
         self.bed.sim.schedule(self.rto_us, self._attempt_asset, fetch)
 
     def _asset_at_client(self, fetch: _AssetFetch) -> None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.cache import LocalityModel
 from repro.kernel.costs import VXLAN_OVERHEAD, CostModel
 from repro.kernel.defrag import DefragEngine
 from repro.kernel.devices.base import ALL_DEVICES, VETH
@@ -37,8 +38,9 @@ def tcp_skb(size=1000, frag_count=1, frag_index=0):
 
 def charged(step, skb):
     """The µs a stage charges for running ``step`` alone on ``skb``."""
+    stage = Stage("s", 0, [step], exit=None)
     charges = []
-    Stage("s", 0, [step], exit=None).run_item(skb, 0, 1.0, charges)
+    stage.run_batch([(skb, stage)], 0, LocalityModel(), charges, [], None, 0.0)
     return charges[0][1]
 
 

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.hw.cache import LocalityModel
 from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel, FuncCost
 from repro.kernel.skb import PROTO_TCP, FlowKey, Skb
 from repro.kernel.sockets import Socket, SocketTable
 from repro.kernel.stages import EnqueueTransition, Stage, Step
+from repro.metrics.tracing import PacketTracer
 from repro.sim.engine import Simulator
 
 
@@ -115,8 +117,19 @@ class TestSocketTable:
         assert table.sockets() == {sock}
 
 
+def run_one(stage, skb, cpu_index=0, locality=None):
+    """Run ``stage`` on a batch of one; return (exiting skb or None, charges)."""
+    charges, outputs = [], []
+    stage.run_batch(
+        [(skb, stage)], cpu_index, locality or LocalityModel(), charges, outputs,
+        None, 0.0,
+    )
+    assert all(out_stage is stage for _out, out_stage in outputs)
+    return (outputs[0][0] if outputs else None), charges
+
+
 class TestStage:
-    def test_run_item_charges_each_step(self):
+    def test_run_batch_charges_each_step(self):
         stage = Stage(
             "s",
             2,
@@ -127,22 +140,21 @@ class TestStage:
             exit=None,
         )
         skb = make_skb(size=100)
-        charges = []
-        out = stage.run_item(skb, cpu_index=0, locality_multiplier=1.0, charges=charges)
+        out, charges = run_one(stage, skb)
         assert out is skb
         assert charges == [("f1", 1.0), ("f2", 3.0)]
         assert skb.dev_ifindex == 2
 
     def test_locality_multiplier_scales_charges(self):
         stage = Stage("s", 2, [Step.simple("f", FuncCost(2.0))], exit=None)
-        charges = []
-        stage.run_item(make_skb(), 0, locality_multiplier=1.5, charges=charges)
+        skb = make_skb()
+        skb.last_cpu = 1  # last touched on another core
+        _out, charges = run_one(stage, skb, 0, LocalityModel(cross_core=1.5))
         assert charges == [("f", 3.0)]
 
     def test_zero_cost_steps_not_charged(self):
         stage = Stage("s", 2, [Step.simple("free", FuncCost(0.0))], exit=None)
-        charges = []
-        stage.run_item(make_skb(), 0, 1.0, charges)
+        _out, charges = run_one(stage, make_skb())
         assert charges == []
 
     def test_effect_can_consume(self):
@@ -155,8 +167,7 @@ class TestStage:
             ],
             exit=None,
         )
-        charges = []
-        out = stage.run_item(make_skb(), 0, 1.0, charges)
+        out, charges = run_one(stage, make_skb())
         assert out is None
         assert charges == [("f1", 1.0)]  # f2 never ran
 
@@ -174,10 +185,22 @@ class TestStage:
             ],
             exit=None,
         )
-        charges = []
-        out = stage.run_item(make_skb(size=1), 0, 1.0, charges)
+        out, charges = run_one(stage, make_skb(size=1))
         assert out is replacement
         assert charges[1] == ("after", pytest.approx(0.999))
+
+    def test_run_batch_records_one_exec_per_sampled_skb(self):
+        stage = Stage("s", 2, [Step.simple("f", FuncCost(1.0))], exit=None)
+        flow = FlowKey.make(1, 2, flow_id=1)
+        skbs = [make_skb(flow, msg_id=msg_id) for msg_id in range(4)]
+        tracer = PacketTracer(sample_every=2)
+        stage.run_batch(
+            [(skb, stage) for skb in skbs], 3, LocalityModel(), [], [], tracer, 7.0
+        )
+        assert [
+            (trace.msg_id, [(e.time_us, e.kind, e.stage, e.cpu) for e in trace.events])
+            for trace in tracer.traces(complete_only=False)
+        ] == [(0, [(7.0, "exec", "s", 3)]), (2, [(7.0, "exec", "s", 3)])]
 
     def test_enqueue_transition_uses_selector(self):
         routed = []

@@ -83,14 +83,6 @@ class TestLoadTracker:
         with pytest.raises(ValueError):
             LoadTracker(machine, CostModel(), alpha=0.0)
 
-    def test_average_load_over_subset(self):
-        sim = Simulator()
-        machine = Machine(sim, num_cpus=4)
-        machine.cpus[2].load = 0.8
-        machine.cpus[3].load = 0.4
-        assert machine.average_load([2, 3]) == pytest.approx(0.6)
-        assert machine.average_load() == pytest.approx(0.3)
-
 
 #: Work items as ``(cpu, context, [(label, µs), ...])``; an empty charges
 #: list is allowed, and values carry enough digits for float sums to
@@ -109,6 +101,20 @@ charged_items = st.lists(
     ),
     max_size=30,
 )
+
+
+def stored_views(acct):
+    """Each attribute of ``acct`` as nested ``(key, value)`` lists, so that
+    ``==`` compares values and key order at every level."""
+
+    def ordered(value):
+        if isinstance(value, dict):
+            return [(key, ordered(item)) for key, item in value.items()]
+        if isinstance(value, list):
+            return [ordered(item) for item in value]
+        return value
+
+    return [(name, ordered(value)) for name, value in vars(acct).items()]
 
 
 class TestCpuAccounting:
@@ -138,10 +144,16 @@ class TestCpuAccounting:
         assert list(per_item.total_by_label().items()) == list(
             per_pair.total_by_label().items()
         )
-        # The underlying dicts too, in insertion order.
-        assert [list(d.items()) for d in vars(per_item).values()] == [
-            list(d.items()) for d in vars(per_pair).values()
-        ]
+        # Every stored view too, in insertion order (nested maps included).
+        assert stored_views(per_item) == stored_views(per_pair)
+        # A snapshot stores the same views and totals, and is a copy.
+        copy = per_item.snapshot()
+        assert stored_views(copy) == stored_views(per_item)
+        assert list(copy.total_by_label().items()) == list(
+            per_item.total_by_label().items()
+        )
+        copy.charge(0, SOFTIRQ, "after_snapshot", 1.0)
+        assert stored_views(per_item) == stored_views(per_pair)
 
     def test_window_utilization(self):
         acct = CpuAccounting()

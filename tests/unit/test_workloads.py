@@ -86,6 +86,24 @@ class TestUdpSender:
         sim.run(until=2000.0)
         assert sender.frames_sent == sender.messages_sent * 45
 
+    @pytest.mark.parametrize(
+        "sender_cls, extra",
+        [(UdpSender, {"process": Saturating()}), (TcpSender, {})],
+    )
+    @pytest.mark.parametrize("message_size", [0, -1])
+    def test_bad_message_size_rejected_at_build(
+        self, sender_cls, extra, message_size
+    ):
+        sim, host, link = make_rig()
+        flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
+        pending = sim.pending()
+        with pytest.raises(ValueError, match="message size must be positive"):
+            sender_cls(
+                sim, link, host.stack, flow, message_size, CostModel(),
+                random.Random(0), **extra,
+            )
+        assert sim.pending() == pending  # raised before anything was scheduled
+
     def test_stop_halts_sending(self):
         sim, host, link = make_rig()
         flow = FlowKey.make(1, host.host_ip, PROTO_UDP, flow_id=1)
