@@ -35,7 +35,7 @@ def main() -> None:
             falcon=falcon,
             receiving_cpus=list(RECEIVE_CORES),
             rate_per_flow=120_000.0,
-            duration_ms=25,
+            measure_ms=25,
             warmup_ms=10,
         )
         util = sum(result.cpu_util[cpu] for cpu in RECEIVE_CORES) / len(

@@ -9,7 +9,7 @@ serialized softirqs and Falcon's pipeline), and the latency spectrum.
 Run:  python examples/quickstart.py
 """
 
-from repro import Experiment, FalconConfig
+from repro import FalconConfig, Testbed
 from repro.metrics.report import Table
 
 
@@ -26,9 +26,9 @@ def main() -> None:
     )
     host_rate = None
     for name, kwargs in cases:
-        result = Experiment(**kwargs).run_udp_stress(
-            message_size=16, duration_ms=20, warmup_ms=10
-        )
+        bed = Testbed(**kwargs)
+        bed.add_udp_flow(16, clients=3)  # three saturating sender threads
+        result = bed.run(warmup_ms=10, measure_ms=20)
         if host_rate is None:
             host_rate = result.message_rate_pps
         busy = [

@@ -13,15 +13,14 @@ Run:  python examples/web_tier.py
 
 from repro.core.config import FalconConfig
 from repro.metrics.report import Table
-from repro.workloads.webserving import OPERATIONS, run_webserving
+from repro.workloads.webserving import OPERATIONS, WebServingScenario
 
 
 def main() -> None:
     results = {}
     for name, falcon in (("Con", None), ("Falcon", FalconConfig())):
-        results[name] = run_webserving(
-            users=200, falcon=falcon, duration_ms=30, warmup_ms=15
-        )
+        scenario = WebServingScenario(users=200, falcon=falcon)
+        results[name] = scenario.run(measure_ms=30, warmup_ms=15)
 
     table = Table(
         ["operation", "Con op/min", "Falcon op/min", "Con resp ms",

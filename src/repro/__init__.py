@@ -8,10 +8,11 @@ evaluation on a discrete-event model of the kernel's receive pipeline.
 
 Quickstart
 ----------
->>> from repro import Experiment, FalconConfig
->>> exp = Experiment(mode="overlay", falcon=FalconConfig(cpus=[1, 3, 4, 5]))
->>> result = exp.run_udp_stress(message_size=16, duration_ms=5)
->>> result.packet_rate_pps > 0
+>>> from repro import FalconConfig, Testbed
+>>> bed = Testbed(mode="overlay", falcon=FalconConfig(cpus=[1, 3, 4, 5]))
+>>> flow = bed.add_udp_flow(16, clients=3)
+>>> result = bed.run(warmup_ms=10, measure_ms=5)
+>>> result.message_rate_pps > 0
 True
 
 See ``examples/quickstart.py`` for a guided tour and DESIGN.md for the
@@ -26,13 +27,12 @@ from repro.kernel.stack import NetworkStack, StackConfig
 from repro.overlay.host import Host
 from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CostModel",
-    "Experiment",
     "FalconConfig",
     "FalconSteering",
     "FlowCacheConfig",
@@ -43,5 +43,6 @@ __all__ = [
     "Simulator",
     "Skb",
     "StackConfig",
+    "Testbed",
     "__version__",
 ]

@@ -36,7 +36,7 @@ class FalconConfig:
     #: FALCON_LOAD_THRESHOLD. Falcon is bypassed when the average load of
     #: the Falcon CPU set is at or above this fraction (Algorithm 1 line 6).
     load_threshold: float = 0.85
-    #: ``None`` means "always on" — the ablation of Figure 15.
+    #: ``False`` means "always on" — the ablation of Figure 15.
     threshold_enabled: bool = True
     #: Balancing policy: two_choice (paper), static (first choice only),
     #: or least_loaded (an aggressive strawman for ablation).

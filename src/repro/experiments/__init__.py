@@ -1,4 +1,4 @@
-"""Experiment drivers — one module per figure.
+"""Figure drivers — one module per figure.
 
 Every module exposes ``run(quick=False) -> ExperimentOutput`` and is
 named after its figure (``fig10_udp_stress`` is the paper's Fig. 10;
@@ -10,6 +10,6 @@ each in quick mode (shorter windows, fewer points), asserts its headline
 result and pins its numbers.
 """
 
-from repro.experiments.runner import ExperimentOutput, falcon_config, standard_modes
+from repro.experiments.runner import ExperimentOutput, standard_modes
 
-__all__ = ["ExperimentOutput", "falcon_config", "standard_modes"]
+__all__ = ["ExperimentOutput", "standard_modes"]

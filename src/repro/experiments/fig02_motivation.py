@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
-from repro.workloads.multiflow import run_multiflow_udp
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed, udp_plateau
 
 _SIZES_B = (16, 256, 1024, 1400)
 
@@ -41,18 +40,18 @@ def run(quick: bool = False) -> ExperimentOutput:
         for proto in ("udp", "tcp"):
             values = {}
             for label, kwargs in cases:
-                exp = Experiment(bandwidth_gbps=bandwidth, **kwargs)
                 if proto == "udp":
-                    result = exp.run_udp_plateau(
+                    result = udp_plateau(
                         65507,
-                        duration_ms=dur["duration_ms"],
-                        warmup_ms=dur["warmup_ms"],
                         iterations=4 if quick else 8,
+                        bandwidth_gbps=bandwidth,
+                        **kwargs,
+                        **dur,
                     )
                 else:
-                    result = exp.run_tcp_stream(
-                        65507, window_msgs=16, **dur
-                    )
+                    bed = Testbed(bandwidth_gbps=bandwidth, **kwargs)
+                    bed.add_tcp_flow(65507, window_msgs=16)
+                    result = bed.run(**dur)
                 values[label] = result.goodput_gbps
             ratio = values["Con"] / values["Host"] if values["Host"] else 0.0
             table_a.add_row(
@@ -72,8 +71,9 @@ def run(quick: bool = False) -> ExperimentOutput:
     for size in sizes:
         values = {}
         for label, kwargs in cases:
-            result = Experiment(**kwargs).run_udp_stress(size, **dur)
-            values[label] = result.message_rate_pps
+            bed = Testbed(**kwargs)
+            bed.add_udp_flow(size, clients=3)
+            values[label] = bed.run(**dur).message_rate_pps
         table_b.add_row(
             size,
             values["Host"] / 1e3,
@@ -98,15 +98,14 @@ def run(quick: bool = False) -> ExperimentOutput:
     for flows, cores in ratios:
         values = {}
         for label, kwargs in cases:
-            result = run_multiflow_udp(
-                flows,
-                message_size=1024,
-                rate_per_flow=150_000.0,
+            bed = Testbed(
                 rps_cpus=list(range(1, cores + 1)),
+                app_cpus=list(range(10, 16)),
                 **kwargs,
-                **dur,
             )
-            values[label] = result.message_rate_pps
+            for _ in range(flows):
+                bed.add_udp_flow(1024, rate_pps=150_000.0)
+            values[label] = bed.run(**dur).message_rate_pps
         table_c.add_row(
             f"{flows}:{cores}",
             values["Host"] / 1e3,
@@ -126,12 +125,12 @@ def run(quick: bool = False) -> ExperimentOutput:
     for proto in ("udp", "tcp"):
         values = {}
         for label, kwargs in cases:
-            exp = Experiment(**kwargs)
+            bed = Testbed(**kwargs)
             if proto == "udp":
-                result = exp.run_udp_fixed(16, rate_pps=250_000, poisson=True, **dur)
+                bed.add_udp_flow(16, rate_pps=250_000, poisson=True)
             else:
-                result = exp.run_tcp_fixed(4096, rate_pps=60_000, **dur)
-            values[label] = result.avg_latency_us
+                bed.add_tcp_flow(4096, window_msgs=64, rate_pps=60_000)
+            values[label] = bed.run(**dur).avg_latency_us
         table_d.add_row(
             proto,
             values["Host"],

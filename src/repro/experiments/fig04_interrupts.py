@@ -42,7 +42,7 @@ def run(quick: bool = False) -> ExperimentOutput:
     for label, mode in (("Host", "host"), ("Con", "overlay")):
         bed = Testbed(mode=mode)
         bed.add_udp_flow(16, clients=1, rate_pps=rate)
-        result = bed.run(warmup_ms=dur["warmup_ms"], measure_ms=dur["duration_ms"])
+        result = bed.run(**dur)
         results[label] = result
         executions[label] = (result.stage_executions, mode)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
-from repro.workloads.multiflow import run_multiflow_udp
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 CORES_SHOWN = 8
 
@@ -37,7 +36,9 @@ def run(quick: bool = False) -> ExperimentOutput:
     )
     single = {}
     for label, kwargs in (("Host", dict(mode="host")), ("Con", dict(mode="overlay"))):
-        result = Experiment(**kwargs).run_udp_fixed(16, rate_pps=250_000, **dur)
+        bed = Testbed(**kwargs)
+        bed.add_udp_flow(16, rate_pps=250_000)
+        result = bed.run(**dur)
         _add_rows(table_single, label, result)
         single[label] = result
     out.tables.append(table_single)
@@ -50,14 +51,10 @@ def run(quick: bool = False) -> ExperimentOutput:
     )
     multi = {}
     for label, kwargs in (("Host", dict(mode="host")), ("Con", dict(mode="overlay"))):
-        result = run_multiflow_udp(
-            flows,
-            message_size=16,
-            rate_per_flow=120_000.0,
-            rps_cpus=list(range(1, 9)),
-            **kwargs,
-            **dur,
-        )
+        bed = Testbed(rps_cpus=list(range(1, 9)), app_cpus=list(range(10, 16)), **kwargs)
+        for _ in range(flows):
+            bed.add_udp_flow(16, rate_pps=120_000.0)
+        result = bed.run(**dur)
         _add_rows(table_multi, label, result)
         multi[label] = result
     out.tables.append(table_multi)

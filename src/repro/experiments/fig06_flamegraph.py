@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
 from repro.workloads.memcached import MemcachedScenario
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 TOP_N = 10
 
@@ -38,13 +38,11 @@ def run(quick: bool = False) -> ExperimentOutput:
     out = ExperimentOutput("Figure 6", "Flamegraph CPU shares: sockperf vs memcached")
     dur = durations(quick, 25.0, 10.0)
 
-    sockperf = Experiment(mode="overlay").run_udp_fixed(
-        16, rate_pps=300_000, **dur
-    )
+    bed = Testbed(mode="overlay")
+    bed.add_udp_flow(16, rate_pps=300_000)
+    sockperf = bed.run(**dur)
     scenario = MemcachedScenario(clients=8, mode="overlay")
-    memcached_result = scenario.run(
-        duration_ms=dur["duration_ms"], warmup_ms=dur["warmup_ms"]
-    )
+    scenario.run(**dur)
     memcached_shares = scenario.bed.window.cpu.label_shares()
 
     table = Table(

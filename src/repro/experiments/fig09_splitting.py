@@ -8,9 +8,10 @@ GRO splitting worthwhile.
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentOutput, durations, falcon_config
+from repro.core.config import FalconConfig
+from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 DRIVER_CPU = 0
 
@@ -20,25 +21,21 @@ def run(quick: bool = False) -> ExperimentOutput:
     dur = durations(quick, 20.0, 10.0)
 
     # Reference case: closed-loop TCP 4 KB saturates the driver core.
-    tcp4k = Experiment(mode="host").run_tcp_stream(4096, window_msgs=64, **dur)
+    bed = Testbed(mode="host")
+    bed.add_tcp_flow(4096, window_msgs=64)
+    tcp4k = bed.run(**dur)
     matched_rate = tcp4k.message_rate_pps
     # Comparison cases at the *same message rate*: neither GRO-light
     # workload saturates the first stage (Section 4.2: "such a case does
     # not exist under UDP or TCP with small packets").
+    tcp1k = Testbed(mode="host")
+    tcp1k.add_tcp_flow(1024, window_msgs=256, rate_pps=matched_rate)
+    udp4k = Testbed(mode="host")
+    udp4k.add_udp_flow(4096, clients=3, rate_pps=matched_rate)
     cases = [
         ("TCP 4KB", tcp4k),
-        (
-            "TCP 1KB",
-            Experiment(mode="host").run_tcp_fixed(
-                1024, rate_pps=matched_rate, window_msgs=256, **dur
-            ),
-        ),
-        (
-            "UDP 4KB",
-            Experiment(mode="host").run_udp_fixed(
-                4096, rate_pps=matched_rate, clients=3, **dur
-            ),
-        ),
+        ("TCP 1KB", tcp1k.run(**dur)),
+        ("UDP 4KB", udp4k.run(**dur)),
     ]
     table = Table(
         ["workload", "driver-core util %", "skb_alloc %", "napi_gro %"],
@@ -64,11 +61,11 @@ def run(quick: bool = False) -> ExperimentOutput:
     )
     for label, falcon in (
         ("vanilla", None),
-        ("GRO-split", falcon_config(split_gro=True)),
+        ("GRO-split", FalconConfig(split_gro=True)),
     ):
-        result = Experiment(mode="host", falcon=falcon).run_tcp_stream(
-            4096, window_msgs=64, **dur
-        )
+        bed = Testbed(mode="host", falcon=falcon)
+        bed.add_tcp_flow(4096, window_msgs=64)
+        result = bed.run(**dur)
         table2.add_row(
             label, result.message_rate_pps / 1e3, result.cpu_util[DRIVER_CPU] * 100
         )

@@ -10,22 +10,18 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations, standard_modes
 from repro.metrics.report import Table
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed, udp_plateau
 
 FULL_SIZES = (16, 256, 1024, 1400, 4096, 65507)
 QUICK_SIZES = (16, 1400)
 
 
 def _run_case(kwargs, size, dur, quick):
-    exp = Experiment(**kwargs)
     if size > 1400:  # fragmented: use the plateau-search methodology
-        return exp.run_udp_plateau(
-            size,
-            duration_ms=dur["duration_ms"],
-            warmup_ms=dur["warmup_ms"],
-            iterations=4 if quick else 8,
-        )
-    return exp.run_udp_stress(size, **dur)
+        return udp_plateau(size, iterations=4 if quick else 8, **kwargs, **dur)
+    bed = Testbed(**kwargs)
+    bed.add_udp_flow(size, clients=3)
+    return bed.run(**dur)
 
 
 def run(quick: bool = False) -> ExperimentOutput:

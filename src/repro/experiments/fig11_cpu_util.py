@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations, standard_modes
 from repro.metrics.report import Table
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 CORES_SHOWN = 8
 
@@ -27,7 +27,9 @@ def run(quick: bool = False) -> ExperimentOutput:
     )
     series = {}
     for label, kwargs in standard_modes():
-        result = Experiment(**kwargs).run_udp_stress(16, **dur)
+        bed = Testbed(**kwargs)
+        bed.add_udp_flow(16, clients=3)
+        result = bed.run(**dur)
         used = []
         for cpu in range(CORES_SHOWN):
             util = result.cpu_util[cpu]

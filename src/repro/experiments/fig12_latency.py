@@ -9,14 +9,10 @@ and approaches native latency.
 
 from __future__ import annotations
 
-from repro.experiments.runner import (
-    ExperimentOutput,
-    durations,
-    falcon_config,
-    standard_modes,
-)
+from repro.core.config import FalconConfig
+from repro.experiments.runner import ExperimentOutput, durations, standard_modes
 from repro.metrics.report import Table
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 PCTS = ("avg", "p90", "p99", "p99.9")
 
@@ -37,9 +33,9 @@ def run(quick: bool = False) -> ExperimentOutput:
     # (a) underloaded UDP: Poisson at ~75% of the vanilla overlay capacity.
     table_a = _table("(a) UDP 16 B, underloaded (Poisson 300 kpps)")
     for label, kwargs in standard_modes():
-        result = Experiment(**kwargs).run_udp_fixed(
-            16, rate_pps=300_000, poisson=True, **dur
-        )
+        bed = Testbed(**kwargs)
+        bed.add_udp_flow(16, rate_pps=300_000, poisson=True)
+        result = bed.run(**dur)
         _row(table_a, label, result.latency)
         series[("udp_under", label)] = result.latency
     out.tables.append(table_a)
@@ -52,13 +48,13 @@ def run(quick: bool = False) -> ExperimentOutput:
     cases_b = standard_modes() + [
         (
             "Falcon+split",
-            dict(mode="overlay", falcon=falcon_config(split_gro=True)),
+            dict(mode="overlay", falcon=FalconConfig(split_gro=True)),
         )
     ]
     for label, kwargs in cases_b:
-        result = Experiment(**kwargs).run_tcp_fixed(
-            4096, rate_pps=60_000, poisson=True, **dur
-        )
+        bed = Testbed(**kwargs)
+        bed.add_tcp_flow(4096, window_msgs=64, rate_pps=60_000, poisson=True)
+        result = bed.run(**dur)
         _row(table_b, label, result.latency)
         series[("tcp_under", label)] = result.latency
     out.tables.append(table_b)
@@ -73,13 +69,14 @@ def run(quick: bool = False) -> ExperimentOutput:
     table_c = _table("(c) UDP 16 B, overloaded (92% of each case's maximum)")
     dur_c = durations(False, 20.0, 8.0)
     for label, kwargs in standard_modes():
-        probe = Experiment(**kwargs).run_udp_stress(
-            16, duration_ms=dur_c["duration_ms"] / 2, warmup_ms=dur_c["warmup_ms"]
-        )
-        rate = probe.message_rate_pps * 0.92
-        result = Experiment(**kwargs).run_udp_fixed(
-            16, rate_pps=rate, clients=3, poisson=True, **dur_c
-        )
+        probe = Testbed(**kwargs)
+        probe.add_udp_flow(16, clients=3)
+        capacity = probe.run(
+            warmup_ms=dur_c["warmup_ms"], measure_ms=dur_c["measure_ms"] / 2
+        ).message_rate_pps
+        bed = Testbed(**kwargs)
+        bed.add_udp_flow(16, clients=3, rate_pps=capacity * 0.92, poisson=True)
+        result = bed.run(**dur_c)
         _row(table_c, label, result.latency)
         series[("udp_over", label)] = result.latency
     out.tables.append(table_c)
@@ -90,9 +87,9 @@ def run(quick: bool = False) -> ExperimentOutput:
     # maximum; at the vanilla maximum the comparison is the same).
     table_d = _table("(d) TCP 4 KB, overloaded (240 kmsg/s, window 256)")
     for label, kwargs in standard_modes():
-        result = Experiment(**kwargs).run_tcp_fixed(
-            4096, rate_pps=240_000, window_msgs=256, poisson=True, **dur
-        )
+        bed = Testbed(**kwargs)
+        bed.add_tcp_flow(4096, window_msgs=256, rate_pps=240_000, poisson=True)
+        result = bed.run(**dur)
         _row(table_d, label, result.latency)
         series[("tcp_over", label)] = result.latency
     out.tables.append(table_d)

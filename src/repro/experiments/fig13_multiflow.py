@@ -10,9 +10,10 @@ Host+ beating Host by up to 56% and Falcon beating even Host by up to
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentOutput, durations, falcon_config
+from repro.core.config import FalconConfig
+from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
-from repro.workloads.multiflow import run_multiflow_tcp, run_multiflow_udp
+from repro.workloads.sockperf import Testbed
 
 FULL_FLOWS = (1, 2, 4, 6, 8)
 QUICK_FLOWS = (2, 4)
@@ -41,19 +42,13 @@ def run(quick: bool = False) -> ExperimentOutput:
             cases = [
                 ("Host", dict(mode="host")),
                 ("Con", dict(mode="overlay")),
-                ("Falcon", dict(mode="overlay", falcon=falcon_config(cpus=FALCON_CPUS))),
+                ("Falcon", dict(mode="overlay", falcon=FalconConfig(cpus=FALCON_CPUS))),
             ]
             for label, kwargs in cases:
-                result = run_multiflow_udp(
-                    flows,
-                    message_size=16,
-                    rps_cpus=RPS,
-                    app_cpus=APPS,
-                    kernel=kernel,
-                    **kwargs,
-                    **dur,
-                )
-                values[label] = result.message_rate_pps
+                bed = Testbed(rps_cpus=RPS, app_cpus=APPS, kernel=kernel, **kwargs)
+                for _ in range(flows):
+                    bed.add_udp_flow(16)
+                values[label] = bed.run(**dur).message_rate_pps
             table_udp.add_row(
                 flows,
                 values["Host"] / 1e3,
@@ -80,7 +75,7 @@ def run(quick: bool = False) -> ExperimentOutput:
                     "Host+",
                     dict(
                         mode="host",
-                        falcon=falcon_config(cpus=FALCON_CPUS, split_gro=True),
+                        falcon=FalconConfig(cpus=FALCON_CPUS, split_gro=True),
                     ),
                 ),
                 ("Con", dict(mode="overlay")),
@@ -88,22 +83,15 @@ def run(quick: bool = False) -> ExperimentOutput:
                     "Falcon",
                     dict(
                         mode="overlay",
-                        falcon=falcon_config(cpus=FALCON_CPUS, split_gro=True),
+                        falcon=FalconConfig(cpus=FALCON_CPUS, split_gro=True),
                     ),
                 ),
             ]
             for label, kwargs in cases:
-                result = run_multiflow_tcp(
-                    flows,
-                    message_size=4096,
-                    rps_cpus=RPS,
-                    app_cpus=APPS,
-                    window_msgs=64,
-                    kernel=kernel,
-                    **kwargs,
-                    **dur,
-                )
-                values[label] = result.message_rate_pps
+                bed = Testbed(rps_cpus=RPS, app_cpus=APPS, kernel=kernel, **kwargs)
+                for _ in range(flows):
+                    bed.add_tcp_flow(4096, window_msgs=64)
+                values[label] = bed.run(**dur).message_rate_pps
             table_tcp.add_row(
                 flows,
                 values["Host"] / 1e3,

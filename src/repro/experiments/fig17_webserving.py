@@ -7,22 +7,18 @@ operations per minute, average response time, and average delay time
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentOutput, durations, falcon_config
+from repro.core.config import FalconConfig
+from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
-from repro.workloads.webserving import OPERATIONS, run_webserving
+from repro.workloads.webserving import OPERATIONS, WebServingScenario
 
 
 def run(quick: bool = False) -> ExperimentOutput:
     out = ExperimentOutput("Figure 17", "Web serving (CloudSuite) with 200 users")
     dur = durations(quick, 30.0, 15.0)
     results = {}
-    for label, falcon in (("Con", None), ("Falcon", falcon_config())):
-        results[label] = run_webserving(
-            users=200,
-            falcon=falcon,
-            duration_ms=dur["duration_ms"],
-            warmup_ms=dur["warmup_ms"],
-        )
+    for label, falcon in (("Con", None), ("Falcon", FalconConfig())):
+        results[label] = WebServingScenario(users=200, falcon=falcon).run(**dur)
 
     table_ops = Table(
         ["operation", "Con op/min", "Falcon op/min", "gain %"],

@@ -8,9 +8,10 @@ tail latency by ~51%/53%.
 
 from __future__ import annotations
 
-from repro.experiments.runner import ExperimentOutput, durations, falcon_config
+from repro.core.config import FalconConfig
+from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
-from repro.workloads.memcached import run_memcached
+from repro.workloads.memcached import MemcachedScenario
 
 CLIENTS_FULL = (1, 10)
 CLIENTS_QUICK = (10,)
@@ -27,13 +28,9 @@ def run(quick: bool = False) -> ExperimentOutput:
     series = {}
     for clients in clients_list:
         results = {}
-        for label, falcon in (("Con", None), ("Falcon", falcon_config())):
-            results[label] = run_memcached(
-                clients,
-                falcon=falcon,
-                duration_ms=dur["duration_ms"],
-                warmup_ms=dur["warmup_ms"],
-            )
+        for label, falcon in (("Con", None), ("Falcon", FalconConfig())):
+            scenario = MemcachedScenario(clients=clients, falcon=falcon)
+            results[label] = scenario.run(**dur)
         for metric in ("avg", "p99"):
             con = results["Con"].latency[metric]
             fal = results["Falcon"].latency[metric]

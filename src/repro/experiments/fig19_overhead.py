@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations, standard_modes
 from repro.metrics.report import Table
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
 RATES_FULL = (100_000, 200_000, 300_000, 400_000)
 RATES_QUICK = (200_000,)
@@ -35,9 +35,9 @@ def run(quick: bool = False) -> ExperimentOutput:
         usage = {}
         raises = {}
         for label, kwargs in standard_modes():
-            result = Experiment(**kwargs).run_udp_fixed(
-                16, rate_pps=float(rate), **dur
-            )
+            bed = Testbed(**kwargs)
+            bed.add_udp_flow(16, rate_pps=float(rate))
+            result = bed.run(**dur)
             usage[label] = sum(result.cpu_util)
             raises[label] = result.softirq_handler_runs / (
                 result.duration_us * 1e-6

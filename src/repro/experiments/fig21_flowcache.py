@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.core.config import FlowCacheConfig
-from repro.experiments.runner import ExperimentOutput, durations, falcon_config
+from repro.core.config import FalconConfig, FlowCacheConfig
+from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
 from repro.workloads.sockperf import RunResult, Testbed
 from repro.workloads.traffic import ConstantRate, HotspotSchedule
@@ -58,7 +58,7 @@ REGIMES: Tuple[Tuple[str, bool, bool], ...] = (
 def _bed(use_falcon: bool, use_cache: bool, capacity: int, seed: int) -> Testbed:
     return Testbed(
         mode="overlay",
-        falcon=falcon_config(cpus=FALCON_CPUS) if use_falcon else None,
+        falcon=FalconConfig(cpus=FALCON_CPUS) if use_falcon else None,
         flowcache=FlowCacheConfig(capacity=capacity) if use_cache else None,
         rps_cpus=RPS,
         app_cpus=APPS,
@@ -72,7 +72,7 @@ def run_ramp_regime(
     flows: int = STRESS_FLOWS,
     capacity: int = 128,
     warmup_ms: float = 12.0,
-    duration_ms: float = 15.0,
+    measure_ms: float = 15.0,
     seed: int = 3,
 ) -> RunResult:
     """One regime under the warm-then-stress ramp workload."""
@@ -82,14 +82,14 @@ def run_ramp_regime(
             [(0.0, WARM_RATE_PPS), (warmup_ms * 1000.0, STRESS_RATE_PPS)]
         )
         bed.add_udp_flow(MESSAGE_SIZE, clients=1, process=schedule)
-    return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
+    return bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
 
 
 def run_sweep_point(
     flows: int,
     capacity: int,
     warmup_ms: float,
-    duration_ms: float,
+    measure_ms: float,
     seed: int = 0,
 ) -> RunResult:
     """One (flow count, capacity) point of the paced hit-rate sweep."""
@@ -98,7 +98,7 @@ def run_sweep_point(
         bed.add_udp_flow(
             MESSAGE_SIZE, clients=1, process=ConstantRate(SWEEP_RATE_PPS)
         )
-    return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
+    return bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
 
 
 def run(quick: bool = False) -> ExperimentOutput:
@@ -117,12 +117,7 @@ def run(quick: bool = False) -> ExperimentOutput:
     )
     regimes: Dict[str, Dict[str, float]] = {}
     for label, use_falcon, use_cache in REGIMES:
-        result = run_ramp_regime(
-            use_falcon,
-            use_cache,
-            warmup_ms=dur["warmup_ms"],
-            duration_ms=dur["duration_ms"],
-        )
+        result = run_ramp_regime(use_falcon, use_cache, **dur)
         delivered = max(result.messages_delivered, 1)
         fast_frac = min(result.fastpath_deliveries / delivered, 1.0)
         table.add_row(
@@ -156,12 +151,7 @@ def run(quick: bool = False) -> ExperimentOutput:
         )
         sweep: Dict[int, Dict[str, float]] = {}
         for flows in flows_list:
-            result = run_sweep_point(
-                flows,
-                capacity,
-                warmup_ms=sweep_dur["warmup_ms"],
-                duration_ms=sweep_dur["duration_ms"],
-            )
+            result = run_sweep_point(flows, capacity, **sweep_dur)
             sweep_table.add_row(
                 flows,
                 result.message_rate_pps / 1e3,

@@ -263,6 +263,11 @@ class SoftirqNet:
         re-injects into itself find the queue freshly emptied. Cross-CPU
         enqueues check the backlog limit and drop on overflow.
         """
+        tracer = self.ctx.tracer
+        if tracer is not None and tracer.wants(skb):
+            tracer.record(
+                skb, self.machine.sim.now, "enqueue", stage.name, target_cpu
+            )
         data = self.data[target_cpu]
         skb.last_cpu = from_cpu
         napi = data.queues.get(stage.name)

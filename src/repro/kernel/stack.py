@@ -187,6 +187,9 @@ class NetworkStack:
             backlog_capacity=config.backlog_capacity,
         )
         self.softnet.flowcache = self.flowcache
+        #: StackPort entry of the stage transitions: the softnet's own
+        #: method, so a routed packet pays one call.
+        self.enqueue_backlog = self.softnet.enqueue_backlog
 
         # --- sockets ---------------------------------------------------------
         self.sockets = SocketTable()
@@ -377,16 +380,9 @@ class NetworkStack:
         self.stages["pnic"] = driver
 
     # ------------------------------------------------------------------
-    # StackPort interface (used by stage transitions)
+    # StackPort interface (used by stage transitions; ``enqueue_backlog``
+    # is bound to the softnet in ``__init__``)
     # ------------------------------------------------------------------
-    def enqueue_backlog(
-        self, target_cpu: int, skb: Skb, stage: Stage, from_cpu: int
-    ) -> None:
-        tracer = self.ctx.tracer
-        if tracer is not None and tracer.wants(skb):
-            tracer.record(skb, self.sim.now, "enqueue", stage.name, target_cpu)
-        self.softnet.enqueue_backlog(target_cpu, skb, stage, from_cpu)
-
     def deliver_to_socket(self, skb: Skb, cpu_index: int) -> None:
         tracer = self.ctx.tracer
         monitor = self._monitor

@@ -9,7 +9,7 @@ reports: per-core CPU utilization broken down by kernel function
 
 from repro.metrics.cpuacct import CpuAccounting, CpuWindow
 from repro.metrics.counters import InterruptCounters
-from repro.metrics.meters import MeasurementWindow, ThroughputProbe
+from repro.metrics.meters import MeasurementWindow
 from repro.metrics.report import Table, format_table
 from repro.metrics.tracing import PacketTracer
 
@@ -18,7 +18,6 @@ __all__ = [
     "CpuWindow",
     "InterruptCounters",
     "MeasurementWindow",
-    "ThroughputProbe",
     "PacketTracer",
     "Table",
     "format_table",

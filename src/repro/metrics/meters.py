@@ -29,7 +29,6 @@ class MeasurementWindow:
         self._softirq_raises_at_open = 0
         self._handler_runs_at_open = 0
         self._stage_execs_at_open: Dict[str, int] = {}
-        self._delivered_at_open = 0
         self.opened = False
         self.closed = False
 
@@ -42,7 +41,6 @@ class MeasurementWindow:
         self._softirq_raises_at_open = self.stack.softnet.softirq_raises
         self._handler_runs_at_open = self.stack.softnet.handler_runs
         self._stage_execs_at_open = dict(self.stack.softnet.stage_executions)
-        self._delivered_at_open = self.stack.delivered_packets
         self.rate.open_window(now)
         self.opened = True
 
@@ -88,24 +86,3 @@ class MeasurementWindow:
             for name in current
         }
 
-    def delivered_delta(self) -> int:
-        return self.stack.delivered_packets - self._delivered_at_open
-
-
-class ThroughputProbe:
-    """Finds a workload's saturation throughput by overload driving.
-
-    The paper's stress methodology: "we kept increasing the sending rate
-    until received packet rate plateaued and packet drop occurred". With
-    bounded queues, driving well above capacity and measuring the
-    steady-state delivered rate yields the same plateau in one run; this
-    class exists to document and centralize that methodology.
-    """
-
-    def __init__(self, overdrive_factor: float = 3.0) -> None:
-        if overdrive_factor < 1.0:
-            raise ValueError("overdrive factor must be >= 1")
-        self.overdrive_factor = overdrive_factor
-
-    def offered_rate(self, estimated_capacity_pps: float) -> float:
-        return estimated_capacity_pps * self.overdrive_factor

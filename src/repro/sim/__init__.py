@@ -17,14 +17,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import HeapScheduler
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    RateMeter,
-    TimeWeightedValue,
-    WelfordAccumulator,
-)
+from repro.sim.stats import Counter, LatencyRecorder, RateMeter
 
 __all__ = [
     "NS",
@@ -38,9 +31,6 @@ __all__ = [
     "RngRegistry",
     "HeapScheduler",
     "Counter",
-    "Histogram",
     "LatencyRecorder",
     "RateMeter",
-    "TimeWeightedValue",
-    "WelfordAccumulator",
 ]

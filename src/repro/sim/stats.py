@@ -7,7 +7,6 @@ to numpy arrays afterwards.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -47,33 +46,6 @@ class Counter:
         return f"Counter({self._counts!r})"
 
 
-class WelfordAccumulator:
-    """Streaming mean/variance (Welford's algorithm)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-
 class LatencyRecorder:
     """Stores raw latency samples and answers percentile queries.
 
@@ -85,12 +57,17 @@ class LatencyRecorder:
     def __init__(self) -> None:
         self._samples: List[float] = []
         self._sorted: Optional[List[float]] = None
-        self._welford = WelfordAccumulator()
+        # Running mean and sum of squared deviations (Welford's algorithm).
+        self._mean = 0.0
+        self._m2 = 0.0
 
     def record(self, value: float) -> None:
-        self._samples.append(value)
+        samples = self._samples
+        samples.append(value)
         self._sorted = None
-        self._welford.add(value)
+        delta = value - self._mean
+        self._mean += delta / len(samples)
+        self._m2 += delta * (value - self._mean)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -101,11 +78,12 @@ class LatencyRecorder:
 
     @property
     def mean(self) -> float:
-        return self._welford.mean
+        return self._mean
 
     @property
     def stdev(self) -> float:
-        return self._welford.stdev
+        count = len(self._samples)
+        return math.sqrt(self._m2 / (count - 1)) if count > 1 else 0.0
 
     def percentile(self, pct: float) -> float:
         """Exact percentile using the nearest-rank method.
@@ -186,79 +164,3 @@ class RateMeter:
             return 0.0
         return self.bytes * 8 / (window * 1e-6) / 1e9
 
-
-class TimeWeightedValue:
-    """Integral of a piecewise-constant signal (e.g. queue depth, busy flag).
-
-    ``update`` must be called with non-decreasing timestamps; the average
-    over a window is the integral divided by elapsed time.
-    """
-
-    def __init__(self, now: float = 0.0, value: float = 0.0) -> None:
-        self._last_time = now
-        self._value = value
-        self._integral = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def update(self, now: float, value: float) -> None:
-        if now < self._last_time:
-            raise ValueError("time went backwards in TimeWeightedValue.update")
-        self._integral += self._value * (now - self._last_time)
-        self._last_time = now
-        self._value = value
-
-    def integral_at(self, now: float) -> float:
-        """Integral up to ``now`` without mutating state."""
-        return self._integral + self._value * (now - self._last_time)
-
-    def mean(self, start: float, end: float, start_integral: float = 0.0) -> float:
-        """Average value between ``start`` and ``end``.
-
-        ``start_integral`` should be ``integral_at(start)`` captured when
-        the window opened.
-        """
-        if end <= start:
-            return 0.0
-        return (self.integral_at(end) - start_integral) / (end - start)
-
-
-class Histogram:
-    """Log-scale latency histogram with fixed bucket boundaries.
-
-    Used for cheap high-volume recording where exact percentiles are not
-    needed (e.g. per-device queueing delays).
-    """
-
-    def __init__(self, bounds: Optional[List[float]] = None) -> None:
-        if bounds is None:
-            # 1µs .. ~1s in half-decade steps.
-            bounds = [10 ** (exp / 2.0) for exp in range(0, 13)]
-        if sorted(bounds) != list(bounds):
-            raise ValueError("histogram bounds must be sorted ascending")
-        self.bounds = bounds
-        self.buckets = [0] * (len(bounds) + 1)
-        self.total = 0
-
-    def record(self, value: float) -> None:
-        index = bisect.bisect_left(self.bounds, value)
-        self.buckets[index] += 1
-        self.total += 1
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile (upper bound of the containing bucket)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.total == 0:
-            return 0.0
-        target = q * self.total
-        running = 0
-        for index, count in enumerate(self.buckets):
-            running += count
-            if running >= target:
-                if index >= len(self.bounds):
-                    return self.bounds[-1]
-                return self.bounds[index]
-        return self.bounds[-1]

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.config import FalconConfig
-from repro.sim.clock import MS
 from repro.sim.stats import LatencyRecorder
 from repro.workloads.apps import ResponseChannel, WorkerPool
 from repro.workloads.sockperf import Testbed
@@ -87,7 +86,6 @@ class MemcachedScenario:
         )
         self.latency = LatencyRecorder()
         self.completed = 0
-        self._measuring = False
         self._rng = machine.rng.stream("memcached")
         self._flows = []
         self._worker_cpus = worker_cpus
@@ -125,54 +123,27 @@ class MemcachedScenario:
         self.pool.submit(self.service_us, respond)
 
     def _at_client(self, t_request: float) -> None:
-        now = self.bed.sim.now
-        if self._measuring:
-            self.latency.record(now - t_request)
+        window = self.bed.window
+        if window.opened and not window.closed:
+            self.latency.record(self.bed.sim.now - t_request)
             self.completed += 1
         # Closed loop: think, then the TcpSender window credit (already
         # granted at socket delivery) lets the next request flow.
 
     # ------------------------------------------------------------------
     def run(
-        self, duration_ms: float = 30.0, warmup_ms: float = 15.0
+        self, measure_ms: float = 30.0, warmup_ms: float = 15.0
     ) -> MemcachedResult:
-        end_us = (warmup_ms + duration_ms) * MS
         for sender in self.bed.senders:
             sender.ack_delay_us = self.think_time_us
-            sender.start(until_us=end_us)
-        self.bed.sim.run(until=warmup_ms * MS)
-        self.bed.window.open()
-        self._measuring = True
-        self.bed.sim.run(until=end_us)
-        self.bed.window.close()
-        self._measuring = False
-        machine = self.bed.host.machine
-        window = self.bed.window
+        result = self.bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
         return MemcachedResult(
             clients=self.clients,
-            mode=(
-                f"{self.bed.mode}+falcon"
-                if self.bed.stack.falcon and self.bed.stack.falcon.config.enabled
-                else self.bed.mode
-            ),
+            mode=result.mode,
             requests_completed=self.completed,
-            throughput_rps=self.completed / (duration_ms * 1e-3),
+            throughput_rps=self.completed / (measure_ms * 1e-3),
             latency=self.latency.summary(),
-            cpu_util=[
-                window.cpu.utilization(i) for i in range(machine.num_cpus)
-            ],
+            cpu_util=result.cpu_util,
             server_pool_peak_queue=self.pool.peak_queue,
         )
 
-
-def run_memcached(
-    clients: int,
-    mode: str = "overlay",
-    falcon: Optional[FalconConfig] = None,
-    duration_ms: float = 30.0,
-    warmup_ms: float = 15.0,
-    seed: int = 0,
-) -> MemcachedResult:
-    """Convenience wrapper for the Figure 18 sweep."""
-    scenario = MemcachedScenario(clients=clients, mode=mode, falcon=falcon, seed=seed)
-    return scenario.run(duration_ms=duration_ms, warmup_ms=warmup_ms)

@@ -1,12 +1,8 @@
-"""Multi-flow and multi-container scenarios (Figures 2c, 13, 14, 16).
+"""Multi-container and hotspot scenarios (Figures 14, 15, 16).
 
-These wrap :class:`~repro.workloads.sockperf.Testbed` with the flow/core
-layouts the paper's multi-flow experiments use:
+These build a :class:`~repro.workloads.sockperf.Testbed` with the
+flow/core layouts of two of the paper's multi-flow experiments:
 
-* **multi-flow** — N flows into one container, RSS/RPS spreading them
-  over a CPU set, optionally with dedicated idle ``FALCON_CPUS``
-  (Figure 13) or a constrained RPS set giving a 4:1 flow-to-core ratio
-  (Figure 2c);
 * **multi-container busy system** — one flow per container, the
   receiving CPUs limited to six cores that double as ``FALCON_CPUS``, so
   Falcon must scavenge idle cycles (Figure 14);
@@ -16,73 +12,12 @@ layouts the paper's multi-flow experiments use:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import List, Optional
 
-from repro.core.config import FalconConfig, FlowCacheConfig
+from repro.core.config import FalconConfig
 from repro.workloads.sockperf import RunResult, Testbed
 from repro.workloads.traffic import HotspotSchedule
-
-
-def run_multiflow_udp(
-    flows: int,
-    message_size: int = 16,
-    mode: str = "overlay",
-    falcon: Optional[FalconConfig] = None,
-    flowcache: Optional[FlowCacheConfig] = None,
-    rps_cpus: Optional[List[int]] = None,
-    app_cpus: Optional[List[int]] = None,
-    rate_per_flow: Optional[float] = None,
-    kernel: str = "4.19",
-    bandwidth_gbps: float = 100.0,
-    duration_ms: float = 20.0,
-    warmup_ms: float = 10.0,
-    seed: int = 0,
-) -> RunResult:
-    """N UDP flows, one client each (the paper's multi-flow UDP setup)."""
-    bed = Testbed(
-        mode=mode,
-        falcon=falcon,
-        flowcache=flowcache,
-        kernel=kernel,
-        bandwidth_gbps=bandwidth_gbps,
-        rps_cpus=rps_cpus if rps_cpus is not None else [1, 2],
-        app_cpus=app_cpus or list(range(10, 16)),
-        seed=seed,
-    )
-    for _ in range(flows):
-        bed.add_udp_flow(message_size, clients=1, rate_pps=rate_per_flow)
-    return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
-
-
-def run_multiflow_tcp(
-    flows: int,
-    message_size: int = 4096,
-    mode: str = "overlay",
-    falcon: Optional[FalconConfig] = None,
-    flowcache: Optional[FlowCacheConfig] = None,
-    rps_cpus: Optional[List[int]] = None,
-    app_cpus: Optional[List[int]] = None,
-    window_msgs: int = 32,
-    kernel: str = "4.19",
-    bandwidth_gbps: float = 100.0,
-    duration_ms: float = 20.0,
-    warmup_ms: float = 10.0,
-    seed: int = 0,
-) -> RunResult:
-    """N closed-loop TCP flows (Figure 13 c/d)."""
-    bed = Testbed(
-        mode=mode,
-        falcon=falcon,
-        flowcache=flowcache,
-        kernel=kernel,
-        bandwidth_gbps=bandwidth_gbps,
-        rps_cpus=rps_cpus if rps_cpus is not None else [1, 2],
-        app_cpus=app_cpus or list(range(10, 16)),
-        seed=seed,
-    )
-    for _ in range(flows):
-        bed.add_tcp_flow(message_size, window_msgs=window_msgs)
-    return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
 
 
 def run_multicontainer(
@@ -93,7 +28,7 @@ def run_multicontainer(
     receiving_cpus: Optional[List[int]] = None,
     rate_per_flow: Optional[float] = None,
     window_msgs: int = 32,
-    duration_ms: float = 20.0,
+    measure_ms: float = 20.0,
     warmup_ms: float = 10.0,
     seed: int = 0,
 ) -> RunResult:
@@ -106,7 +41,7 @@ def run_multicontainer(
     """
     receiving = receiving_cpus or [1, 2, 3, 4, 5, 6]
     if falcon is not None:
-        falcon.cpus = list(receiving)
+        falcon = dataclasses.replace(falcon, cpus=list(receiving))
     bed = Testbed(
         mode="overlay",
         falcon=falcon,
@@ -131,7 +66,7 @@ def run_multicontainer(
             bed.add_tcp_flow(
                 message_size, window_msgs=window_msgs, container=container
             )
-    return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
+    return bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
 
 
 def run_hotspot(
@@ -143,7 +78,7 @@ def run_hotspot(
     burst_clients: int = 3,
     burst_flow: int = 0,
     burst_at_ms: float = 10.0,
-    duration_ms: float = 25.0,
+    measure_ms: float = 25.0,
     warmup_ms: float = 8.0,
     seed: int = 0,
 ) -> RunResult:
@@ -176,4 +111,4 @@ def run_hotspot(
             )
         else:
             bed.add_udp_flow(message_size, clients=1, rate_pps=base_rate)
-    return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
+    return bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)

@@ -1,11 +1,14 @@
-"""sockperf-style micro-benchmark harness and the top-level Experiment API.
+"""sockperf-style micro-benchmark harness: :class:`Testbed` and :func:`udp_plateau`.
 
 This module is the reproduction's equivalent of the paper's sockperf
-test rig: it builds a two-machine testbed (a fully-simulated receiving
-server plus sender clients over a serializing link), runs UDP stress /
-fixed-rate / TCP streaming scenarios, and returns a :class:`RunResult`
-with every quantity the paper's figures report — packet rate, goodput,
+test rig and the one way to build and run a single-host experiment:
+a :class:`Testbed` is a two-machine testbed (a fully-simulated receiving
+server plus sender clients over a serializing link). Add UDP flows
+(stress, fixed-rate, Poisson) or TCP flows (streaming, paced) to it,
+then ``run(warmup_ms=, measure_ms=)`` returns a :class:`RunResult` with
+every quantity the paper's figures report — packet rate, goodput,
 latency percentiles, per-core utilization, interrupt counts, drops.
+:func:`udp_plateau` is the plateau search for fragmented messages.
 
 Three network modes mirror the paper's comparison cases (Section 6):
 
@@ -16,12 +19,12 @@ Three network modes mirror the paper's comparison cases (Section 6):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import FalconConfig, FlowCacheConfig
 from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey
-from repro.kernel.stack import MODE_HOST, MODE_OVERLAY, StackConfig
+from repro.kernel.stack import MODE_OVERLAY, StackConfig
 from repro.metrics.meters import MeasurementWindow
 from repro.overlay.host import Host
 from repro.overlay.network import OverlayNetwork
@@ -78,11 +81,6 @@ class RunResult:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
-    # Convenience aliases used throughout the experiments.
-    @property
-    def packet_rate_pps(self) -> float:
-        return self.message_rate_pps
-
     @property
     def avg_latency_us(self) -> float:
         return self.latency.get("avg", 0.0)
@@ -105,15 +103,11 @@ class Testbed:
         flowcache: Optional[FlowCacheConfig] = None,
         kernel: str = "4.19",
         bandwidth_gbps: float = 100.0,
-        num_cpus: int = 20,
         irq_cpus: Optional[List[int]] = None,
         rps_cpus: Optional[List[int]] = None,
         steering: str = "rps",
         app_cpus: Optional[List[int]] = None,
         gro: bool = True,
-        batch_max: int = 16,
-        backlog_capacity: int = 1000,
-        rmem_packets: int = 4096,
         seed: int = 0,
     ) -> None:
         self.sim = Simulator()
@@ -128,11 +122,8 @@ class Testbed:
             falcon=falcon,
             flowcache=flowcache,
             gro_enabled=gro,
-            batch_max=batch_max,
-            backlog_capacity=backlog_capacity,
-            rmem_packets=rmem_packets,
         )
-        self.host = Host(self.sim, config, num_cpus=num_cpus, name="server", seed=seed)
+        self.host = Host(self.sim, config, name="server", seed=seed)
         self.stack = self.host.stack
         self.link = self.host.attach_ingress(bandwidth_gbps)
         self.app_cpus = app_cpus or [2]
@@ -396,121 +387,47 @@ class Testbed:
         )
 
 
-class Experiment:
-    """Convenience front door: one scenario per method call.
+def udp_plateau(
+    message_size: int,
+    clients: int = 3,
+    loss_target: float = 0.03,
+    warmup_ms: float = 5.0,
+    measure_ms: float = 10.0,
+    iterations: int = 8,
+    **testbed_kwargs,
+) -> RunResult:
+    """The paper's stress methodology for fragmented messages.
 
-    >>> from repro.core.config import FalconConfig
-    >>> exp = Experiment(mode="overlay", falcon=FalconConfig(cpus=[1, 3, 4, 5]))
-    >>> result = exp.run_udp_stress(message_size=16, duration_ms=4, warmup_ms=2)
-    >>> result.messages_delivered > 0
-    True
+    "We kept increasing the sending rate until received packet rate
+    plateaued and packet drop occurred." For messages that fit in one
+    MTU, saturating clients measure the plateau directly (dropping a
+    wire packet drops exactly one message). For fragmented messages a
+    random fragment drop kills a whole message, so sustained overload
+    collapses goodput; this instead binary-searches the highest offered
+    rate whose message loss stays under ``loss_target``. Each probe is a
+    fresh ``Testbed(**testbed_kwargs)``.
     """
 
-    def __init__(self, **testbed_kwargs) -> None:
-        self.testbed_kwargs = testbed_kwargs
+    def probe(rate_pps: Optional[float]) -> RunResult:
+        bed = Testbed(**testbed_kwargs)
+        bed.add_udp_flow(message_size, clients=clients, rate_pps=rate_pps)
+        return bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
 
-    def _build(self) -> Testbed:
-        return Testbed(**self.testbed_kwargs)
-
-    def run_udp_stress(
-        self,
-        message_size: int,
-        clients: int = 3,
-        duration_ms: float = 25.0,
-        warmup_ms: float = 10.0,
-    ) -> RunResult:
-        """UDP single-flow stress: clients saturate one flow (Figure 10)."""
-        bed = self._build()
-        bed.add_udp_flow(message_size, clients=clients)
-        return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
-
-    def run_udp_fixed(
-        self,
-        message_size: int,
-        rate_pps: float,
-        clients: int = 1,
-        poisson: bool = False,
-        duration_ms: float = 25.0,
-        warmup_ms: float = 10.0,
-    ) -> RunResult:
-        """UDP single flow at a fixed offered rate (Figures 5, 12a, 19)."""
-        bed = self._build()
-        bed.add_udp_flow(message_size, clients=clients, rate_pps=rate_pps, poisson=poisson)
-        return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
-
-    def run_tcp_stream(
-        self,
-        message_size: int,
-        window_msgs: int = 16,
-        duration_ms: float = 25.0,
-        warmup_ms: float = 10.0,
-    ) -> RunResult:
-        """Closed-loop TCP single flow at full tilt (Figures 9a, 12d)."""
-        bed = self._build()
-        bed.add_tcp_flow(message_size, window_msgs=window_msgs)
-        return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
-
-    def run_udp_plateau(
-        self,
-        message_size: int,
-        clients: int = 3,
-        loss_target: float = 0.03,
-        duration_ms: float = 10.0,
-        warmup_ms: float = 5.0,
-        iterations: int = 8,
-    ) -> RunResult:
-        """The paper's stress methodology for fragmented messages.
-
-        "We kept increasing the sending rate until received packet rate
-        plateaued and packet drop occurred." For messages that fit in one
-        MTU, saturating clients measure the plateau directly (dropping a
-        wire packet drops exactly one message). For fragmented messages a
-        random fragment drop kills a whole message, so sustained overload
-        collapses goodput; this method instead binary-searches the highest
-        offered rate whose message loss stays under ``loss_target``.
-        """
-        stress = self.run_udp_stress(
-            message_size, clients=clients, duration_ms=duration_ms, warmup_ms=warmup_ms
-        )
-        if stress.offered_pps <= 0:
-            return stress
-        if stress.message_rate_pps >= stress.offered_pps * (1.0 - loss_target):
-            return stress  # sender-bound: the plateau is the sender limit
-        lo, hi = 0.0, stress.offered_pps
-        best: Optional[RunResult] = None
-        for _ in range(iterations):
-            rate = (lo + hi) / 2.0
-            result = self.run_udp_fixed(
-                message_size,
-                rate_pps=rate,
-                clients=clients,
-                duration_ms=duration_ms,
-                warmup_ms=warmup_ms,
-            )
-            delivered = result.message_rate_pps
-            if delivered >= rate * (1.0 - loss_target):
-                if best is None or delivered > best.message_rate_pps:
-                    best = result
-                lo = rate
-            else:
-                hi = rate
-        return best if best is not None else stress
-
-    def run_tcp_fixed(
-        self,
-        message_size: int,
-        rate_pps: float,
-        window_msgs: int = 64,
-        poisson: bool = False,
-        duration_ms: float = 25.0,
-        warmup_ms: float = 10.0,
-    ) -> RunResult:
-        """Paced TCP single flow (underloaded latency, Figure 12b)."""
-        bed = self._build()
-        bed.add_tcp_flow(
-            message_size,
-            window_msgs=window_msgs,
-            rate_pps=rate_pps,
-            poisson=poisson,
-        )
-        return bed.run(warmup_ms=warmup_ms, measure_ms=duration_ms)
+    stress = probe(None)
+    if stress.offered_pps <= 0:
+        return stress
+    if stress.message_rate_pps >= stress.offered_pps * (1.0 - loss_target):
+        return stress  # sender-bound: the plateau is the sender limit
+    lo, hi = 0.0, stress.offered_pps
+    best: Optional[RunResult] = None
+    for _ in range(iterations):
+        rate = (lo + hi) / 2.0
+        result = probe(rate)
+        delivered = result.message_rate_pps
+        if delivered >= rate * (1.0 - loss_target):
+            if best is None or delivered > best.message_rate_pps:
+                best = result
+            lo = rate
+        else:
+            hi = rate
+    return best if best is not None else stress

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional
 
 from repro.core.config import FalconConfig
 from repro.kernel.skb import PROTO_TCP, Skb
-from repro.sim.clock import MS
 from repro.sim.stats import LatencyRecorder
 from repro.workloads.apps import ResponseChannel, WorkerPool
 from repro.workloads.sockperf import Testbed
@@ -145,14 +144,14 @@ class OpStats:
 class WebServingResult:
     users: int
     mode: str
-    duration_ms: float
+    measure_ms: float
     per_op: Dict[str, OpStats]
     total_ops: int
     cpu_util: List[float]
 
     def ops_per_minute(self, op_name: str) -> float:
         stats = self.per_op[op_name]
-        return stats.completed / (self.duration_ms / 60_000.0)
+        return stats.completed / (self.measure_ms / 60_000.0)
 
     def avg_response_ms(self, op_name: str) -> float:
         return self.per_op[op_name].response.mean / 1000.0
@@ -208,7 +207,6 @@ class WebServingScenario:
             ack_link=self.bed.link,
         )
         self._rng = machine.rng.stream("webserving")
-        self._measuring = False
         self.stats: Dict[str, OpStats] = {op.name: OpStats() for op in OPERATIONS}
         self._ops_by_cumweight = self._build_cdf()
         self._sessions: Dict[int, dict] = {}
@@ -321,7 +319,7 @@ class WebServingScenario:
         if fetch.attempts >= self.max_attempts:
             if not fetch.page.failed:
                 fetch.page.failed = True
-                if self._measuring:
+                if self._measuring():
                     self.stats[fetch.page.op.name].failed += 1
                 self._release_user(fetch.page)
             return
@@ -354,6 +352,10 @@ class WebServingScenario:
         if page.pending == 0:
             self._complete(page)
 
+    def _measuring(self) -> bool:
+        window = self.bed.window
+        return window.opened and not window.closed
+
     def _release_user(self, page: _PageLoad) -> None:
         """Page over (rendered or abandoned): think, then the next op."""
         sender = self.bed.sender_for(page.session["main_flow"])
@@ -362,7 +364,7 @@ class WebServingScenario:
 
     def _complete(self, page: _PageLoad) -> None:
         self._release_user(page)
-        if not self._measuring or page.failed:
+        if not self._measuring() or page.failed:
             return
         response_us = self.bed.sim.now - page.t_start
         stats = self.stats[page.op.name]
@@ -372,44 +374,16 @@ class WebServingScenario:
 
     # ------------------------------------------------------------------
     def run(
-        self, duration_ms: float = 40.0, warmup_ms: float = 20.0
+        self, measure_ms: float = 40.0, warmup_ms: float = 20.0
     ) -> WebServingResult:
-        end_us = (warmup_ms + duration_ms) * MS
         for sender in self.bed.senders:
             sender.ack_delay_us = self.think_time_us
-            sender.start(until_us=end_us)
-        self.bed.sim.run(until=warmup_ms * MS)
-        self.bed.window.open()
-        self._measuring = True
-        self.bed.sim.run(until=end_us)
-        self.bed.window.close()
-        self._measuring = False
-        machine = self.bed.host.machine
+        result = self.bed.run(warmup_ms=warmup_ms, measure_ms=measure_ms)
         return WebServingResult(
             users=self.users,
-            mode=(
-                f"{self.bed.mode}+falcon"
-                if self.bed.stack.falcon and self.bed.stack.falcon.config.enabled
-                else self.bed.mode
-            ),
-            duration_ms=duration_ms,
+            mode=result.mode,
+            measure_ms=measure_ms,
             per_op=self.stats,
             total_ops=sum(s.completed for s in self.stats.values()),
-            cpu_util=[
-                self.bed.window.cpu.utilization(i)
-                for i in range(machine.num_cpus)
-            ],
+            cpu_util=result.cpu_util,
         )
-
-
-def run_webserving(
-    users: int = 200,
-    mode: str = "overlay",
-    falcon: Optional[FalconConfig] = None,
-    duration_ms: float = 40.0,
-    warmup_ms: float = 20.0,
-    seed: int = 0,
-) -> WebServingResult:
-    """Convenience wrapper for the Figure 17 comparison."""
-    scenario = WebServingScenario(users=users, mode=mode, falcon=falcon, seed=seed)
-    return scenario.run(duration_ms=duration_ms, warmup_ms=warmup_ms)

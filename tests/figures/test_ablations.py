@@ -18,7 +18,7 @@ from repro.hw.cache import LocalityModel
 from repro.kernel.costs import FuncCost
 from repro.kernel.stack import NetworkStack
 from repro.sim.stats import LatencyRecorder
-from repro.workloads.sockperf import Experiment, Testbed
+from repro.workloads.sockperf import Testbed
 
 pytestmark = pytest.mark.slow
 
@@ -78,12 +78,15 @@ def test_numa_placement_of_falcon_cpus():
 def test_stage_stacking_returns_diminish():
     """Footnote 1 of Section 4.1: with one Falcon CPU both overlay stages
     stack on it; with more they pipeline, up to one core per stage."""
-    dur = dict(warmup_ms=4, duration_ms=8)
-    vanilla = Experiment(mode="overlay").run_udp_stress(16, **dur).message_rate_pps
+
+    def stress(falcon):
+        bed = Testbed(mode="overlay", falcon=falcon)
+        bed.add_udp_flow(16, clients=3)
+        return bed.run(**RUN).message_rate_pps
+
+    vanilla = stress(None)
     rates = {
-        len(cpus): Experiment(mode="overlay", falcon=FalconConfig(cpus=cpus))
-        .run_udp_stress(16, **dur)
-        .message_rate_pps
+        len(cpus): stress(FalconConfig(cpus=cpus))
         for cpus in ([3], [3, 4, 5, 6], [3, 4, 5, 6, 7, 8, 9, 10])
     }
     # One dedicated Falcon core already helps (both stages leave the RPS

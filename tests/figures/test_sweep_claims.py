@@ -11,15 +11,10 @@ import pytest
 
 from repro.core.config import FalconConfig
 from repro.experiments import fig13_multiflow, fig15_threshold, fig17_webserving
-from repro.experiments.runner import durations, falcon_config
-from repro.workloads.memcached import run_memcached
-from repro.workloads.multiflow import (
-    run_hotspot,
-    run_multicontainer,
-    run_multiflow_tcp,
-    run_multiflow_udp,
-)
-from repro.workloads.sockperf import Experiment
+from repro.experiments.runner import durations
+from repro.workloads.memcached import MemcachedScenario
+from repro.workloads.multiflow import run_hotspot, run_multicontainer
+from repro.workloads.sockperf import Testbed, udp_plateau
 
 pytestmark = pytest.mark.slow
 
@@ -37,9 +32,9 @@ def test_fig02a_overlay_gap_is_smaller_on_a_slow_link():
 
     def ratio(bandwidth):
         return con_over_host(
-            lambda **mode: Experiment(bandwidth_gbps=bandwidth, **mode)
-            .run_udp_plateau(65507, iterations=4, **QUICK)
-            .goodput_gbps
+            lambda **mode: udp_plateau(
+                65507, iterations=4, bandwidth_gbps=bandwidth, **mode, **QUICK
+            ).goodput_gbps
         )
 
     ratio_100 = ratio(100.0)
@@ -51,17 +46,14 @@ def test_fig02c_overlay_loss_grows_with_flow_to_core_ratio():
     """Fig. 2(c): steering collisions multiply with the flow:core ratio,
     and each collision hurts the costlier overlay flows more."""
 
+    def rate(flows, **mode):
+        bed = Testbed(rps_cpus=[1, 2, 3, 4], app_cpus=list(range(10, 16)), **mode)
+        for _ in range(flows):
+            bed.add_udp_flow(1024, rate_pps=150_000.0)
+        return bed.run(**QUICK).message_rate_pps
+
     def ratio(flows):
-        return con_over_host(
-            lambda **mode: run_multiflow_udp(
-                flows,
-                message_size=1024,
-                rate_per_flow=150_000.0,
-                rps_cpus=[1, 2, 3, 4],
-                **mode,
-                **QUICK,
-            ).message_rate_pps
-        )
+        return con_over_host(lambda **mode: rate(flows, **mode))
 
     assert ratio(16) < ratio(4)
 
@@ -69,26 +61,34 @@ def test_fig02c_overlay_loss_grows_with_flow_to_core_ratio():
 def test_fig13_falcon_wins_on_kernel_5_4():
     """Fig. 13(b, d): the kernel-4.19 results carry over to kernel 5.4."""
     dur = durations(True, 15.0, 8.0)
-    layout = dict(
-        rps_cpus=fig13_multiflow.RPS, app_cpus=fig13_multiflow.APPS, kernel="5.4", **dur
-    )
     cpus = fig13_multiflow.FALCON_CPUS
+
+    def rate(flows, proto, **mode):
+        bed = Testbed(
+            rps_cpus=fig13_multiflow.RPS,
+            app_cpus=fig13_multiflow.APPS,
+            kernel="5.4",
+            **mode,
+        )
+        for _ in range(flows):
+            if proto == "udp":
+                bed.add_udp_flow(16)
+            else:
+                bed.add_tcp_flow(4096, window_msgs=64)
+        return bed.run(**dur).message_rate_pps
+
     for flows in fig13_multiflow.QUICK_FLOWS:
         udp = {
-            label: run_multiflow_udp(
-                flows, message_size=16, **kwargs, **layout
-            ).message_rate_pps
+            label: rate(flows, "udp", **kwargs)
             for label, kwargs in (
                 ("Con", dict(mode="overlay")),
-                ("Falcon", dict(mode="overlay", falcon=falcon_config(cpus=cpus))),
+                ("Falcon", dict(mode="overlay", falcon=FalconConfig(cpus=cpus))),
             )
         }
         assert udp["Falcon"] > udp["Con"], flows
-        split = falcon_config(cpus=cpus, split_gro=True)
+        split = FalconConfig(cpus=cpus, split_gro=True)
         tcp = {
-            label: run_multiflow_tcp(
-                flows, message_size=4096, window_msgs=64, **kwargs, **layout
-            ).message_rate_pps
+            label: rate(flows, "tcp", **kwargs)
             for label, kwargs in (
                 ("Host", dict(mode="host")),
                 ("Host+", dict(mode="host", falcon=split)),
@@ -130,7 +130,7 @@ def test_fig16_two_choice_beats_static_across_seeds():
     paper reports ~18% for UDP), and static hashing never reorders."""
     runs = {
         policy: [
-            run_hotspot(policy, seed=seed, duration_ms=8, warmup_ms=4, burst_at_ms=2)
+            run_hotspot(policy, seed=seed, measure_ms=8, warmup_ms=4, burst_at_ms=2)
             for seed in (0, 1, 2, 3)
         ]
         for policy in ("static", "two_choice")
@@ -162,7 +162,7 @@ def test_fig18_one_client_tail_is_no_worse():
     changes the tail only slightly (the paper: ~7% better)."""
     dur = durations(True, 25.0, 12.0)
     p99 = {
-        label: run_memcached(1, falcon=falcon, **dur).latency["p99"]
-        for label, falcon in (("Con", None), ("Falcon", falcon_config()))
+        label: MemcachedScenario(clients=1, falcon=falcon).run(**dur).latency["p99"]
+        for label, falcon in (("Con", None), ("Falcon", FalconConfig()))
     }
     assert p99["Falcon"] < 1.1 * p99["Con"]

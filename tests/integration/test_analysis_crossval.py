@@ -12,9 +12,9 @@ from repro.analysis import PipelineModel, mm1_waiting_time_us, predict_capacity_
 from repro.core.config import FalconConfig
 from repro.kernel.costs import CostModel
 from repro.kernel.skb import PROTO_UDP
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
-FAST = dict(duration_ms=10.0, warmup_ms=5.0)
+FAST = dict(warmup_ms=5.0, measure_ms=10.0)
 
 
 class TestFormulas:
@@ -56,7 +56,9 @@ class TestCrossValidation:
         kwargs = {"mode": "host"} if mode == "host" else {"mode": "overlay"}
         if mode == "falcon":
             kwargs["falcon"] = FalconConfig()
-        measured = Experiment(**kwargs).run_udp_stress(16, clients=4, **FAST)
+        bed = Testbed(**kwargs)
+        bed.add_udp_flow(16, clients=4)
+        measured = bed.run(**FAST)
         ratio = measured.message_rate_pps / predicted
         assert 0.75 < ratio < 1.25, (mode, predicted, measured.message_rate_pps)
 
@@ -68,9 +70,9 @@ class TestCrossValidation:
         capacity = model.capacity_pps("overlay")
         rate = 0.6 * capacity
         predicted = model.latency_us("overlay", rate)
-        measured = Experiment(mode="overlay").run_udp_fixed(
-            16, rate_pps=rate, poisson=True, **FAST
-        )
+        bed = Testbed(mode="overlay")
+        bed.add_udp_flow(16, rate_pps=rate, poisson=True)
+        measured = bed.run(**FAST)
         # The simulated number includes sender + wire + wakeup constants
         # the queueing model ignores; compare within a loose band.
         assert predicted < measured.avg_latency_us < predicted * 6 + 30

@@ -6,12 +6,8 @@ from repro.core.config import FalconConfig
 from repro.hw.topology import Machine
 from repro.sim.engine import Simulator
 from repro.workloads.apps import ResponseChannel, WorkerPool
-from repro.workloads.memcached import MemcachedScenario, run_memcached
-from repro.workloads.webserving import (
-    OPERATIONS,
-    WebServingScenario,
-    run_webserving,
-)
+from repro.workloads.memcached import MemcachedScenario
+from repro.workloads.webserving import OPERATIONS, WebServingScenario
 
 
 class TestWorkerPool:
@@ -58,7 +54,7 @@ class TestWorkerPool:
 
 class TestMemcached:
     def test_requests_flow_end_to_end(self):
-        result = run_memcached(2, duration_ms=6, warmup_ms=4)
+        result = MemcachedScenario(clients=2).run(measure_ms=6, warmup_ms=4)
         assert result.requests_completed > 0
         assert result.latency["avg"] > 0
         assert result.throughput_rps == pytest.approx(
@@ -66,39 +62,41 @@ class TestMemcached:
         )
 
     def test_latency_grows_with_clients(self):
-        small = run_memcached(1, duration_ms=8, warmup_ms=4)
-        large = run_memcached(10, duration_ms=8, warmup_ms=4)
+        small = MemcachedScenario(clients=1).run(measure_ms=8, warmup_ms=4)
+        large = MemcachedScenario(clients=10).run(measure_ms=8, warmup_ms=4)
         assert large.throughput_rps > small.throughput_rps
         assert large.latency["p99"] > small.latency["p99"]
 
     def test_falcon_reduces_latency_under_load(self):
-        con = run_memcached(10, duration_ms=8, warmup_ms=6)
-        falcon = run_memcached(
-            10, falcon=FalconConfig(), duration_ms=8, warmup_ms=6
+        con = MemcachedScenario(clients=10).run(measure_ms=8, warmup_ms=6)
+        falcon = MemcachedScenario(clients=10, falcon=FalconConfig()).run(
+            measure_ms=8, warmup_ms=6
         )
         assert falcon.latency["avg"] < con.latency["avg"]
 
     def test_acks_ride_the_stack(self):
         scenario = MemcachedScenario(clients=2)
-        scenario.run(duration_ms=6, warmup_ms=3)
+        scenario.run(measure_ms=6, warmup_ms=3)
         assert scenario.channel.acks_injected > 0
         assert scenario.bed.stack.control_packets > 0
 
     def test_mode_label(self):
-        result = run_memcached(1, falcon=FalconConfig(), duration_ms=4, warmup_ms=2)
+        result = MemcachedScenario(clients=1, falcon=FalconConfig()).run(
+            measure_ms=4, warmup_ms=2
+        )
         assert result.mode == "overlay+falcon"
 
 
 class TestWebServing:
     def test_pages_complete(self):
-        result = run_webserving(users=40, duration_ms=10, warmup_ms=6)
+        result = WebServingScenario(users=40).run(measure_ms=10, warmup_ms=6)
         assert result.total_ops > 0
         # Stats exist for the op mix actually drawn.
         drawn = [name for name, s in result.per_op.items() if s.completed]
         assert drawn
 
     def test_ops_report_response_and_delay(self):
-        result = run_webserving(users=40, duration_ms=10, warmup_ms=6)
+        result = WebServingScenario(users=40).run(measure_ms=10, warmup_ms=6)
         for op in OPERATIONS:
             stats = result.per_op[op.name]
             if stats.completed:
@@ -111,13 +109,13 @@ class TestWebServing:
 
     def test_asset_retransmission_state(self):
         scenario = WebServingScenario(users=40)
-        result = scenario.run(duration_ms=10, warmup_ms=6)
+        result = scenario.run(measure_ms=10, warmup_ms=6)
         # Assets were fetched (far more packets than dynamic requests).
         assert scenario.channel.responses_sent > result.total_ops
 
     def test_falcon_increases_total_ops(self):
-        con = run_webserving(users=150, duration_ms=12, warmup_ms=8)
-        falcon = run_webserving(
-            users=150, falcon=FalconConfig(), duration_ms=12, warmup_ms=8
+        con = WebServingScenario(users=150).run(measure_ms=12, warmup_ms=8)
+        falcon = WebServingScenario(users=150, falcon=FalconConfig()).run(
+            measure_ms=12, warmup_ms=8
         )
         assert falcon.total_ops > con.total_ops

@@ -10,14 +10,15 @@ import dataclasses
 import pytest
 
 from repro.core.config import FalconConfig
-from repro.workloads.sockperf import Experiment
+from repro.workloads.sockperf import Testbed
 
-FAST = dict(duration_ms=6.0, warmup_ms=3.0)
+FAST = dict(warmup_ms=3.0, measure_ms=6.0)
 
 
 def run_once(seed=0):
-    exp = Experiment(mode="overlay", falcon=FalconConfig(), seed=seed)
-    return exp.run_udp_stress(16, **FAST)
+    bed = Testbed(mode="overlay", falcon=FalconConfig(), seed=seed)
+    bed.add_udp_flow(16, clients=3)
+    return bed.run(**FAST)
 
 
 def fingerprint(result):
@@ -49,8 +50,9 @@ def test_different_seed_different_flows():
 
 def test_tcp_run_deterministic():
     def run():
-        exp = Experiment(mode="overlay", falcon=FalconConfig(split_gro=True))
-        return exp.run_tcp_stream(4096, window_msgs=16, **FAST)
+        bed = Testbed(mode="overlay", falcon=FalconConfig(split_gro=True))
+        bed.add_tcp_flow(4096, window_msgs=16)
+        return bed.run(**FAST)
 
     assert fingerprint(run()) == fingerprint(run())
 
@@ -59,7 +61,6 @@ def _poisson_run(use_falcon, flows):
     """A traced Poisson-paced run: (canonical trace, full RunResult)."""
     from repro.metrics.tracing import PacketTracer
     from repro.validate import serialize_traces, trace_doc_to_json
-    from repro.workloads.sockperf import Testbed
 
     bed = Testbed(mode="overlay", falcon=FalconConfig() if use_falcon else None)
     tracer = PacketTracer(sample_every=7, max_messages=48)
@@ -82,10 +83,10 @@ def test_run_order_does_not_matter():
 
 
 def test_memcached_deterministic():
-    from repro.workloads.memcached import run_memcached
+    from repro.workloads.memcached import MemcachedScenario
 
-    first = run_memcached(2, duration_ms=5, warmup_ms=3)
-    second = run_memcached(2, duration_ms=5, warmup_ms=3)
+    first = MemcachedScenario(clients=2).run(measure_ms=5, warmup_ms=3)
+    second = MemcachedScenario(clients=2).run(measure_ms=5, warmup_ms=3)
     assert first.requests_completed == second.requests_completed
     assert first.latency["p99"] == second.latency["p99"]
 
@@ -104,7 +105,6 @@ MATRIX_SEEDS = [0, 1, 2, 3, 4]
 def _traced_run(seed, use_falcon):
     from repro.metrics.tracing import PacketTracer
     from repro.validate import serialize_traces, trace_doc_to_json
-    from repro.workloads.sockperf import Testbed
 
     bed = Testbed(
         mode="overlay",

@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.fig21_flowcache import run_ramp_regime
 
 WARMUP_MS = 3.0
-DURATION_MS = 6.0
+MEASURE_MS = 6.0
 SEED = 3
 
 
@@ -33,7 +33,7 @@ def regimes():
             use_falcon,
             use_cache,
             warmup_ms=WARMUP_MS,
-            duration_ms=DURATION_MS,
+            measure_ms=MEASURE_MS,
             seed=SEED,
         )
     return out

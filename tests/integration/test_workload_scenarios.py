@@ -3,41 +3,63 @@
 import pytest
 
 from repro.core.config import FalconConfig
-from repro.workloads.multiflow import (
-    run_hotspot,
-    run_multicontainer,
-    run_multiflow_tcp,
-    run_multiflow_udp,
-)
-from repro.workloads.sockperf import Experiment, Testbed
+from repro.workloads.multiflow import run_hotspot, run_multicontainer
+from repro.workloads.sockperf import Testbed, udp_plateau
 
-FAST = dict(duration_ms=6.0, warmup_ms=3.0)
+FAST = dict(warmup_ms=3.0, measure_ms=6.0)
+
+#: The multi-flow layout of Figures 2c, 5 and 13: flows steered over
+#: two RPS cores, applications on cores 10-15.
+MULTIFLOW = dict(rps_cpus=[1, 2], app_cpus=list(range(10, 16)))
+
+
+def stress(message_size, **testbed_kwargs):
+    """Single-flow UDP stress: three saturating clients (Figure 10)."""
+    bed = Testbed(**testbed_kwargs)
+    bed.add_udp_flow(message_size, clients=3)
+    return bed.run(**FAST)
 
 
 class TestMultiflow:
     def test_udp_flows_all_deliver(self):
-        result = run_multiflow_udp(4, message_size=64, rate_per_flow=20_000, **FAST)
-        expected = 4 * 20_000 * FAST["duration_ms"] * 1e-3
+        bed = Testbed(**MULTIFLOW)
+        for _ in range(4):
+            bed.add_udp_flow(64, rate_pps=20_000)
+        result = bed.run(**FAST)
+        expected = 4 * 20_000 * FAST["measure_ms"] * 1e-3
         assert result.messages_delivered == pytest.approx(expected, rel=0.1)
 
     def test_tcp_flows_all_deliver(self):
-        result = run_multiflow_tcp(3, message_size=4096, window_msgs=4, **FAST)
+        bed = Testbed(**MULTIFLOW)
+        for _ in range(3):
+            bed.add_tcp_flow(4096, window_msgs=4)
+        result = bed.run(**FAST)
         assert result.messages_delivered > 0
         assert result.reordered_messages == 0
 
     def test_falcon_improves_colliding_flows(self):
         """With more saturating flows than steering cores, Falcon must
         beat the vanilla overlay (the Figure 13 situation)."""
-        kwargs = dict(flows=4, message_size=16, rps_cpus=[1], **FAST)
-        con = run_multiflow_udp(**kwargs)
-        falcon = run_multiflow_udp(
-            falcon=FalconConfig(cpus=[3, 4, 5, 6]), **kwargs
-        )
-        assert falcon.message_rate_pps > 1.1 * con.message_rate_pps
+
+        def rate(falcon):
+            bed = Testbed(falcon=falcon, rps_cpus=[1], app_cpus=list(range(10, 16)))
+            for _ in range(4):
+                bed.add_udp_flow(16)
+            return bed.run(**FAST).message_rate_pps
+
+        assert rate(FalconConfig(cpus=[3, 4, 5, 6])) > 1.1 * rate(None)
 
     def test_multicontainer_creates_one_container_per_flow(self):
         result = run_multicontainer(5, rate_per_flow=10_000, **FAST)
         assert result.messages_delivered > 0
+
+    def test_multicontainer_leaves_the_callers_config_alone(self):
+        falcon = FalconConfig()
+        result = run_multicontainer(
+            2, falcon=falcon, receiving_cpus=[1, 2, 3], rate_per_flow=10_000, **FAST
+        )
+        assert result.mode == "overlay+falcon"
+        assert falcon == FalconConfig()
 
     def test_multicontainer_requires_overlay(self):
         # Containers imply overlay mode; the testbed enforces it.
@@ -56,7 +78,7 @@ class TestMultiflow:
 
 class TestExperimentApi:
     def test_stress_returns_complete_result(self):
-        result = Experiment(mode="overlay").run_udp_stress(16, **FAST)
+        result = stress(16, mode="overlay")
         assert result.mode == "overlay"
         assert result.message_rate_pps > 0
         assert len(result.cpu_util) == 20
@@ -64,37 +86,30 @@ class TestExperimentApi:
         assert result.softirq_raises > 0
 
     def test_mode_label_includes_falcon(self):
-        result = Experiment(
-            mode="overlay", falcon=FalconConfig()
-        ).run_udp_stress(16, **FAST)
+        result = stress(16, mode="overlay", falcon=FalconConfig())
         assert result.mode == "overlay+falcon"
 
     def test_plateau_not_above_stress_for_small_messages(self):
-        exp = Experiment(mode="host")
-        stress = exp.run_udp_stress(64, **FAST)
-        plateau = exp.run_udp_plateau(
-            64, duration_ms=6.0, warmup_ms=3.0, iterations=3
-        )
-        assert plateau.message_rate_pps <= stress.offered_pps * 1.05
+        saturated = stress(64, mode="host")
+        plateau = udp_plateau(64, iterations=3, mode="host", **FAST)
+        assert plateau.message_rate_pps <= saturated.offered_pps * 1.05
 
     def test_kernel_5_4_runs(self):
-        result = Experiment(mode="overlay", kernel="5.4").run_udp_stress(16, **FAST)
+        result = stress(16, mode="overlay", kernel="5.4")
         assert result.message_rate_pps > 0
 
     def test_seed_changes_flow_placement(self):
         rates = set()
         for seed in (0, 1):
-            result = Experiment(mode="overlay", seed=seed).run_udp_stress(
-                16, **FAST
-            )
+            result = stress(16, mode="overlay", seed=seed)
             rates.add(round(result.message_rate_pps))
         # Different seeds draw different flow hashes; results are close
         # but generally not byte-identical.
         assert len(rates) >= 1  # sanity; strict inequality is hash luck
 
     def test_gro_disabled_still_works(self):
-        result = Experiment(mode="overlay", gro=False).run_tcp_stream(
-            4096, window_msgs=8, **FAST
-        )
+        bed = Testbed(mode="overlay", gro=False)
+        bed.add_tcp_flow(4096, window_msgs=8)
+        result = bed.run(**FAST)
         assert result.messages_delivered > 0
         assert result.reordered_messages == 0

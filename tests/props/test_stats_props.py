@@ -5,7 +5,7 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import LatencyRecorder, RateMeter, WelfordAccumulator
+from repro.sim.stats import LatencyRecorder, RateMeter
 
 finite_floats = st.floats(
     min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -44,13 +44,13 @@ def test_percentile_bounded_by_extremes(samples):
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
 def test_welford_matches_direct_computation(samples):
-    acc = WelfordAccumulator()
+    rec = LatencyRecorder()
     for value in samples:
-        acc.add(value)
+        rec.record(value)
     mean = sum(samples) / len(samples)
     var = sum((v - mean) ** 2 for v in samples) / (len(samples) - 1)
-    assert acc.mean == pytest_approx(mean)
-    assert acc.variance == pytest_approx(var, rel=1e-6, abs=1e-6)
+    assert rec.mean == pytest_approx(mean)
+    assert rec.stdev**2 == pytest_approx(var, rel=1e-6, abs=1e-6)
 
 
 def pytest_approx(value, rel=1e-9, abs=1e-9):

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core.config import FalconConfig
-from repro.experiments.runner import (
-    ExperimentOutput,
-    durations,
-    falcon_config,
-    standard_modes,
-)
+from repro.experiments.runner import ExperimentOutput, durations, standard_modes
 from repro.hw.topology import Machine
 from repro.kernel.stack import MODE_HOST, MODE_OVERLAY, NetworkStack, StackConfig
 from repro.metrics.report import Table
@@ -25,22 +20,14 @@ class TestRunner:
         labels = [label for label, _kw in standard_modes()]
         assert labels == ["Host", "Con", "Falcon"]
 
-    def test_standard_modes_without_host(self):
-        labels = [label for label, _kw in standard_modes(include_host=False)]
-        assert labels == ["Con", "Falcon"]
-
-    def test_falcon_overrides_forwarded(self):
-        modes = dict(standard_modes(falcon_overrides=dict(split_gro=True)))
-        assert modes["Falcon"]["falcon"].split_gro
-
     def test_falcon_config_defaults(self):
-        config = falcon_config()
-        assert config.cpus == [3, 4, 5, 6]
+        # The figures' Falcon cases rely on the micro-benchmark CPU set.
+        assert FalconConfig().cpus == [3, 4, 5, 6]
 
     def test_durations_quick_scales_down(self):
         full = durations(False, 20.0, 10.0)
         quick = durations(True, 20.0, 10.0)
-        assert quick["duration_ms"] < full["duration_ms"]
+        assert quick["measure_ms"] < full["measure_ms"]
         assert quick["warmup_ms"] < full["warmup_ms"]
 
     def test_experiment_output_render(self):

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import (
-    Counter,
-    Histogram,
-    LatencyRecorder,
-    RateMeter,
-    TimeWeightedValue,
-    WelfordAccumulator,
-)
+from repro.sim.stats import Counter, LatencyRecorder, RateMeter
 
 
 class TestCounter:
@@ -37,17 +30,19 @@ class TestCounter:
 
 
 class TestWelford:
+    """LatencyRecorder keeps a running mean and variance (Welford)."""
+
     def test_mean_and_variance(self):
-        acc = WelfordAccumulator()
+        rec = LatencyRecorder()
         for value in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            acc.add(value)
-        assert acc.mean == pytest.approx(5.0)
-        assert acc.variance == pytest.approx(32.0 / 7.0)
+            rec.record(value)
+        assert rec.mean == pytest.approx(5.0)
+        assert rec.stdev**2 == pytest.approx(32.0 / 7.0)
 
     def test_empty(self):
-        acc = WelfordAccumulator()
-        assert acc.mean == 0.0
-        assert acc.variance == 0.0
+        rec = LatencyRecorder()
+        assert rec.mean == 0.0
+        assert rec.stdev == 0.0
 
 
 class TestLatencyRecorder:
@@ -117,39 +112,3 @@ class TestRateMeter:
         assert meter.rate_per_sec() == 0.0
         assert meter.gbps() == 0.0
 
-
-class TestTimeWeighted:
-    def test_mean_of_step_signal(self):
-        sig = TimeWeightedValue(now=0.0, value=0.0)
-        start_integral = sig.integral_at(0.0)
-        sig.update(10.0, 4.0)  # 0 until t=10
-        sig.update(20.0, 0.0)  # 4 from 10..20
-        assert sig.mean(0.0, 20.0, start_integral) == pytest.approx(2.0)
-
-    def test_time_backwards_rejected(self):
-        sig = TimeWeightedValue(now=5.0)
-        with pytest.raises(ValueError):
-            sig.update(4.0, 1.0)
-
-
-class TestHistogram:
-    def test_quantile_upper_bound(self):
-        hist = Histogram(bounds=[1.0, 10.0, 100.0])
-        for _ in range(90):
-            hist.record(5.0)
-        for _ in range(10):
-            hist.record(50.0)
-        assert hist.quantile(0.5) == 10.0
-        assert hist.quantile(0.99) == 100.0
-
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(bounds=[10.0, 1.0])
-
-    def test_empty_quantile(self):
-        assert Histogram().quantile(0.5) == 0.0
-
-    def test_quantile_range_checked(self):
-        hist = Histogram()
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
