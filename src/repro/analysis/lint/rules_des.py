@@ -200,8 +200,8 @@ class MagicServiceTimeRule(Rule):
         ``sim.schedule(delay, fn, *payload)`` / ``schedule_at(time, ...)``
         carry it first; ``Cpu.submit(context, label, duration, fn,
         *payload)`` third (falling back to first for pool-style
-        ``submit(duration, done)``); ``Cpu.submit_multi(context, charges,
-        fn, *payload)`` second. Payload/callback arguments are never
+        ``submit(duration, done)``); ``Cpu.submit_multi(context, names,
+        costs, fn, *payload)`` third. Payload/callback arguments are never
         scanned — integers are legitimate event arguments there.
         """
         if name in ("schedule", "schedule_at"):
@@ -209,7 +209,7 @@ class MagicServiceTimeRule(Rule):
         if name == "submit":
             return node.args[2:3] if len(node.args) >= 3 else node.args[:1]
         if name == "submit_multi":
-            return node.args[1:2]
+            return node.args[2:3]
         return ()
 
 

@@ -85,7 +85,7 @@ class IdentityOrderingRule(Rule):
     rationale = (
         "id() is a heap address and object.__hash__ derives from it; "
         "ordering by either changes run to run. Ties in event ordering "
-        "must break on explicit sequence numbers (engine.Event.seq)."
+        "must break on explicit sequence numbers (the engine's heap-entry seq)."
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:

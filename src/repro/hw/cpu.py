@@ -19,7 +19,7 @@ fast.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.metrics.cpuacct import HARDIRQ, SOFTIRQ, USER, CpuAccounting
 from repro.sim.engine import Simulator
@@ -87,38 +87,44 @@ class Cpu:
     def submit_multi(
         self,
         context: int,
-        charges: "list[Tuple[str, float]]",
+        names: List[str],
+        costs: List[float],
         fn: Completion = None,
         *args: Any,
     ) -> None:
         """Queue one work item whose busy time is split across labels.
 
         A batch of packets processed in one softirq round touches several
-        kernel functions; ``charges`` is a list of ``(label, µs)`` pairs
-        that are attributed individually while the core stays busy for
-        their sum.
+        kernel functions; ``names[i]`` is charged ``costs[i]`` µs while
+        the core stays busy for their sum. ``costs`` must be a ``list``:
+        that is how the dispatcher tells a multi-charge item.
         """
-        self._queues[context].append((charges, None, fn, args))
+        self._queues[context].append((names, costs, fn, args))
         if self._running is None:
             self._maybe_dispatch()
 
     def _maybe_dispatch(self) -> None:
         """Start the highest-priority queued item; the core must be idle."""
-        for context, queue in enumerate(self._queues):
-            if not queue:
-                continue
-            item = queue.popleft()
-            label, duration, fn, args = item
-            self._running = item
-            if duration is None:
-                # Multi-charge item: ``label`` is a list of (label, µs) pairs.
-                duration = self.acct.charge_items(self.index, context, label)
-            else:
-                self.acct.charge(self.index, context, label, duration)
-            if self.monitor is not None:
-                self.monitor.on_cpu_start(self.index, self.sim.now, duration)
-            self.sim.schedule(duration, self._on_complete, fn, args)
+        hardirq, softirq, user = self._queues
+        if hardirq:
+            context, queue = HARDIRQ, hardirq
+        elif softirq:
+            context, queue = SOFTIRQ, softirq
+        elif user:
+            context, queue = USER, user
+        else:
             return
+        item = queue.popleft()
+        label, duration, fn, args = item
+        self._running = item
+        if duration.__class__ is list:
+            # Multi-charge item: ``label`` names, ``duration`` prices.
+            duration = self.acct.charge_items(self.index, context, label, duration)
+        else:
+            self.acct.charge(self.index, context, label, duration)
+        if self.monitor is not None:
+            self.monitor.on_cpu_start(self.index, self.sim.now, duration)
+        self.sim.schedule(duration, self._on_complete, fn, args)
 
     def _complete(self, fn: Completion, args: tuple) -> None:
         self._running = None

@@ -79,9 +79,18 @@ class Link:
 
         Returns the arrival timestamp. Frames queue behind each other at
         the sender (FIFO), modelling the NIC's transmit serialization.
+        Books the wire exactly as :meth:`reserve` does, inline.
         """
-        arrival = self.reserve(nbytes)
-        self.sim.schedule_at(arrival, deliver, *args)
+        sim = self.sim
+        now = sim.now
+        next_free = self._next_free
+        start = now if now >= next_free else next_free
+        finish = start + nbytes * 8.0 / (self.bandwidth_gbps * 1e3)
+        self._next_free = finish
+        self.frames_sent += 1
+        self.bytes_sent += nbytes
+        arrival = finish + self.propagation_us
+        sim.schedule_at(arrival, deliver, *args)
         return arrival
 
     @property

@@ -37,10 +37,6 @@ class RxQueue:
     def __len__(self) -> int:
         return len(self.ring)
 
-    @property
-    def full(self) -> bool:
-        return len(self.ring) >= self.capacity
-
 
 class Nic:
     """A physical NIC with ``num_queues`` receive queues.
@@ -80,12 +76,17 @@ class Nic:
         return self.queues[flow_hash % len(self.queues)]
 
     def receive(self, skb: Any) -> bool:
-        """A frame arrived from the wire. Returns False if it was dropped."""
-        queue = self.select_queue(skb.hash)
-        if queue.full:
+        """A frame arrived from the wire. Returns False if it was dropped.
+
+        The queue is picked as :meth:`select_queue` picks it, inline.
+        """
+        queues = self.queues
+        queue = queues[skb.hash % len(queues)]
+        ring = queue.ring
+        if len(ring) >= queue.capacity:
             queue.drops += 1
             return False
-        queue.ring.append(skb)
+        ring.append(skb)
         self.rx_packets += 1
         self.rx_bytes += skb.wire_size
         if not queue.napi_scheduled:

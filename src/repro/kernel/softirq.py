@@ -21,34 +21,34 @@ per NIC interrupt.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.hw.cpu import SOFTIRQ
 from repro.hw.nic import Nic, RxQueue
 from repro.hw.topology import Machine
 from repro.kernel.costs import CostModel
 from repro.kernel.skb import Skb
-from repro.kernel.stages import Stage
+from repro.kernel.stages import Selector, Stage
 from repro.metrics.counters import HARDIRQ as IRQ_HARD
 from repro.metrics.counters import NET_RX, RES
 
-#: One queued unit of deferred work: a packet plus the stage that will
-#: process it when its softirq runs.
-WorkItem = Tuple[Skb, Stage]
-
-
 class Napi:
-    """Base NAPI instance: a pollable packet source."""
+    """Base NAPI instance: a pollable packet source feeding one stage.
 
-    __slots__ = ("label", "weight", "scheduled")
+    Every packet a NAPI instance yields is processed by ``stage``, so its
+    queue holds bare skbs.
+    """
 
-    def __init__(self, label: str, weight: int = 64) -> None:
+    __slots__ = ("label", "weight", "scheduled", "stage")
+
+    def __init__(self, label: str, stage: Stage, weight: int = 64) -> None:
         self.label = label
         self.weight = weight
+        self.stage = stage
         #: True while on some core's poll list.
         self.scheduled = False
 
-    def take(self, max_items: int) -> List[WorkItem]:
+    def take(self, max_items: int) -> List[Skb]:
         raise NotImplementedError
 
     def has_work(self) -> bool:
@@ -61,18 +61,16 @@ class Napi:
 class DriverNapi(Napi):
     """NAPI instance of one physical-NIC receive queue."""
 
-    __slots__ = ("rx_queue", "stage")
+    __slots__ = ("rx_queue",)
 
     def __init__(self, rx_queue: RxQueue, stage: Stage, weight: int = 64) -> None:
-        super().__init__(label="mlx5e_napi_poll", weight=weight)
+        super().__init__("mlx5e_napi_poll", stage, weight)
         self.rx_queue = rx_queue
-        self.stage = stage
 
-    def take(self, max_items: int) -> List[WorkItem]:
+    def take(self, max_items: int) -> List[Skb]:
         ring = self.rx_queue.ring
         popleft = ring.popleft
-        stage = self.stage
-        return [(popleft(), stage) for _ in range(min(max_items, len(ring)))]
+        return [popleft() for _ in range(min(max_items, len(ring)))]
 
     def has_work(self) -> bool:
         return bool(self.rx_queue.ring)
@@ -83,24 +81,24 @@ class DriverNapi(Napi):
 
 
 class BacklogNapi(Napi):
-    """The per-CPU backlog (``input_pkt_queue`` + ``process_backlog``)."""
+    """One stage's per-CPU backlog (``input_pkt_queue`` + ``process_backlog``)."""
 
     __slots__ = ("queue", "capacity", "drops")
 
-    def __init__(self, capacity: int = 1000, weight: int = 64) -> None:
-        super().__init__(label="process_backlog", weight=weight)
-        self.queue: Deque[WorkItem] = deque()
+    def __init__(self, stage: Stage, capacity: int = 1000, weight: int = 64) -> None:
+        super().__init__(f"process_backlog[{stage.name}]", stage, weight)
+        self.queue: Deque[Skb] = deque()
         self.capacity = capacity
         self.drops = 0
 
-    def enqueue(self, skb: Skb, stage: Stage) -> bool:
+    def enqueue(self, skb: Skb) -> bool:
         if len(self.queue) >= self.capacity:
             self.drops += 1
             return False
-        self.queue.append((skb, stage))
+        self.queue.append(skb)
         return True
 
-    def take(self, max_items: int) -> List[WorkItem]:
+    def take(self, max_items: int) -> List[Skb]:
         queue = self.queue
         popleft = queue.popleft
         return [popleft() for _ in range(min(max_items, len(queue)))]
@@ -142,8 +140,7 @@ class SoftNetData:
     def queue_for(self, stage: Stage) -> BacklogNapi:
         napi = self.queues.get(stage.name)
         if napi is None:
-            napi = BacklogNapi(capacity=self.capacity, weight=self.weight)
-            napi.label = f"process_backlog[{stage.name}]"
+            napi = BacklogNapi(stage, capacity=self.capacity, weight=self.weight)
             self.queues[stage.name] = napi
         return napi
 
@@ -254,34 +251,48 @@ class SoftirqNet:
             )
 
     def enqueue_backlog(
-        self, target_cpu: int, skb: Skb, stage: Stage, from_cpu: int
+        self,
+        skbs: Sequence[Skb],
+        stage: Stage,
+        selector: Selector,
+        from_cpu: int,
     ) -> None:
-        """``enqueue_to_backlog``: queue a continuation and raise NET_RX.
+        """``enqueue_to_backlog``: queue a batch's continuations, raise NET_RX.
 
-        Same-CPU enqueues are always admitted — ``process_backlog``
-        splices ``input_pkt_queue`` before processing, so packets a core
-        re-injects into itself find the queue freshly emptied. Cross-CPU
-        enqueues check the backlog limit and drop on overflow.
+        For each packet, in order: ``selector(skb, from_cpu)`` picks the
+        target core, then the packet is queued for ``stage`` there and
+        NET_RX is raised. Same-CPU enqueues are always admitted —
+        ``process_backlog`` splices ``input_pkt_queue`` before processing,
+        so packets a core re-injects into itself find the queue freshly
+        emptied. Cross-CPU enqueues check the backlog limit and drop on
+        overflow. A raise on a NAPI that is already scheduled while the
+        target's softirq chain is active changes nothing but the demand
+        counter, so only that counter is bumped.
         """
         tracer = self.ctx.tracer
-        if tracer is not None and tracer.wants(skb):
-            tracer.record(
-                skb, self.machine.sim.now, "enqueue", stage.name, target_cpu
-            )
-        data = self.data[target_cpu]
-        skb.last_cpu = from_cpu
-        napi = data.queues.get(stage.name)
-        if napi is None:
-            napi = data.queue_for(stage)
-        if from_cpu != target_cpu and len(napi.queue) >= napi.capacity:
-            napi.drops += 1
-            if self.flowcache is not None:
-                self.flowcache.packet_terminated(skb)
-            if self.monitor is not None:
-                self.monitor.on_terminal(skb, "backlog_drop")
-            return
-        napi.queue.append((skb, stage))
-        self.raise_net_rx(target_cpu, napi, from_cpu)
+        name = stage.name
+        data_of = self.data
+        for skb in skbs:
+            target_cpu = selector(skb, from_cpu)
+            if tracer is not None and tracer.wants(skb):
+                tracer.record(skb, self.machine.sim.now, "enqueue", name, target_cpu)
+            data = data_of[target_cpu]
+            skb.last_cpu = from_cpu
+            napi = data.queues.get(name)
+            if napi is None:
+                napi = data.queue_for(stage)
+            if from_cpu != target_cpu and len(napi.queue) >= napi.capacity:
+                napi.drops += 1
+                if self.flowcache is not None:
+                    self.flowcache.packet_terminated(skb)
+                if self.monitor is not None:
+                    self.monitor.on_terminal(skb, "backlog_drop")
+                continue
+            napi.queue.append(skb)
+            if napi.scheduled and data.net_rx_active:
+                self.softirq_raises += 1
+                continue
+            self.raise_net_rx(target_cpu, napi, from_cpu)
 
     # ------------------------------------------------------------------
     # net_rx_action
@@ -313,8 +324,8 @@ class SoftirqNet:
                 self._kick(cpu_index)
                 return
             napi = data.poll_list.popleft()
-            items = napi.take(min(napi.weight, budget_left, self.batch_max))
-            if not items:
+            skbs = napi.take(min(napi.weight, budget_left, self.batch_max))
+            if not skbs:
                 napi.scheduled = False
                 napi.on_complete()
                 continue
@@ -325,7 +336,7 @@ class SoftirqNet:
             else:
                 napi.scheduled = False
                 napi.on_complete()
-            self._run_batch(cpu, cpu_index, napi, items, budget_left - len(items))
+            self._run_batch(cpu, cpu_index, napi, skbs, budget_left - len(skbs))
             return
 
     def _run_batch(
@@ -333,46 +344,55 @@ class SoftirqNet:
         cpu,
         cpu_index: int,
         napi: Napi,
-        items: List[WorkItem],
+        skbs: List[Skb],
         budget_left: int,
     ) -> None:
         data = self.data[cpu_index]
-        charges: List[Tuple[str, float]] = []
-        outputs: List[Tuple[Skb, Stage]] = []
-        stage = items[0][1]
+        names: List[str] = []
+        costs: List[float] = []
+        outputs: List[Skb] = []
+        stage = napi.stage
         self.stage_executions[stage.name] = (
-            self.stage_executions.get(stage.name, 0) + len(items)
+            self.stage_executions.get(stage.name, 0) + len(skbs)
         )
         if stage.name != data.last_stage:
             # The core moves to a different device's softirq context.
-            charges.append(("softirq_switch", self.costs.softirq_switch.fixed))
+            names.append("softirq_switch")
+            costs.append(self.costs.softirq_switch.fixed)
             data.last_stage = stage.name
-        # One NAPI instance serves one stage, so the batch is one stage's.
         stage.run_batch(
-            items,
+            skbs,
             cpu_index,
             self.machine.locality,
-            charges,
+            names,
+            costs,
             outputs,
             self.ctx.tracer,
             self.machine.sim.now,
         )
         # End-of-batch flush (GRO) once the source is drained.
         if stage.flush is not None and not napi.has_work():
-            for flushed in stage.flush(cpu_index):
-                outputs.append((flushed, stage))
+            outputs.extend(stage.flush(cpu_index))
         cpu.submit_multi(
-            SOFTIRQ, charges, self._after_batch, cpu_index, outputs, budget_left
+            SOFTIRQ,
+            names,
+            costs,
+            self._after_batch,
+            cpu_index,
+            stage,
+            outputs,
+            budget_left,
         )
 
     def _after_batch(
         self,
         cpu_index: int,
-        outputs: List[Tuple[Skb, Stage]],
+        stage: Stage,
+        outputs: List[Skb],
         budget_left: int,
     ) -> None:
-        for skb, stage in outputs:
-            stage.exit.route(skb, cpu_index, self.stack)
+        if outputs:
+            stage.exit.route(outputs, cpu_index, self.stack)
         self._poll_round(cpu_index, budget_left)
 
     # ------------------------------------------------------------------

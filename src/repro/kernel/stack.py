@@ -188,7 +188,7 @@ class NetworkStack:
         )
         self.softnet.flowcache = self.flowcache
         #: StackPort entry of the stage transitions: the softnet's own
-        #: method, so a routed packet pays one call.
+        #: method, so a routed batch pays one call.
         self.enqueue_backlog = self.softnet.enqueue_backlog
 
         # --- sockets ---------------------------------------------------------

@@ -20,7 +20,7 @@ replace it (merged super-packet continues down the pipe).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence
 
 from repro.hw.cache import LocalityModel
 from repro.kernel.costs import FuncCost
@@ -31,11 +31,11 @@ from repro.metrics.tracing import PacketTracer
 #: replacement (e.g. a merged super-packet), or None (consumed for now).
 Effect = Callable[[Skb, int], Optional[Skb]]
 
-#: A charge is (function label, busy µs) attributed to the executing core.
-Charge = Tuple[str, float]
-
 #: A step's cost function: skb -> µs (costs may depend on size and protocol).
 CostFn = Callable[[Skb], float]
+
+#: A steering policy: ``(skb, current cpu) -> target cpu``.
+Selector = Callable[[Skb, int], int]
 
 
 class Step:
@@ -77,47 +77,53 @@ class StackPort(Protocol):
     """The slice of NetworkStack the transitions need (avoids an import cycle)."""
 
     def enqueue_backlog(
-        self, target_cpu: int, skb: Skb, stage: "Stage", from_cpu: int
+        self, skbs: Sequence[Skb], stage: "Stage", selector: Selector, from_cpu: int
     ) -> None: ...
 
     def deliver_to_socket(self, skb: Skb, cpu_index: int) -> None: ...
 
 
 class Transition:
-    """Routes a packet out of a stage. Subclasses decide the target."""
+    """Routes the packets a softirq batch leaves a stage with.
 
-    def route(self, skb: Skb, cpu_index: int, stack: StackPort) -> None:
+    Subclasses decide the target. ``route`` takes the whole batch, in
+    order, so a batch pays one call.
+    """
+
+    def route(self, skbs: Sequence[Skb], cpu_index: int, stack: StackPort) -> None:
         raise NotImplementedError
 
 
 class EnqueueTransition(Transition):
-    """Enqueue to a (possibly remote) per-CPU backlog and raise a softirq.
+    """Enqueue to (possibly remote) per-CPU backlogs and raise softirqs.
 
     ``selector(skb, cpu_index) -> target cpu`` encapsulates the steering
     policy: RPS steering, Falcon's ``get_falcon_cpu``, or the vanilla
-    behaviour of staying on the current core.
+    behaviour of staying on the current core. The softnet applies it to
+    each packet in turn.
     """
 
     def __init__(
         self,
         next_stage: "Stage",
-        selector: Callable[[Skb, int], int],
+        selector: Selector,
         name: str = "netif_rx",
     ) -> None:
         self.next_stage = next_stage
         self.selector = selector
         self.name = name
 
-    def route(self, skb: Skb, cpu_index: int, stack: StackPort) -> None:
-        target = self.selector(skb, cpu_index)
-        stack.enqueue_backlog(target, skb, self.next_stage, from_cpu=cpu_index)
+    def route(self, skbs: Sequence[Skb], cpu_index: int, stack: StackPort) -> None:
+        stack.enqueue_backlog(skbs, self.next_stage, self.selector, cpu_index)
 
 
 class SocketDeliver(Transition):
-    """Terminal transition: hand the packet to its destination socket."""
+    """Terminal transition: hand each packet to its destination socket."""
 
-    def route(self, skb: Skb, cpu_index: int, stack: StackPort) -> None:
-        stack.deliver_to_socket(skb, cpu_index)
+    def route(self, skbs: Sequence[Skb], cpu_index: int, stack: StackPort) -> None:
+        deliver = stack.deliver_to_socket
+        for skb in skbs:
+            deliver(skb, cpu_index)
 
 
 class FlowCachePort(Protocol):
@@ -134,6 +140,8 @@ class FastPathTransition(Transition):
     container tail directly); a miss routes via ``miss`` (the unchanged
     slow device chain). The cache stamps ``skb.fastpath`` with the
     verdict so downstream exit hooks can settle the ordering-gate ledger.
+    Each lookup has side effects, so the decision is made, and the packet
+    routed, one packet at a time, in batch order.
     """
 
     def __init__(
@@ -148,11 +156,13 @@ class FastPathTransition(Transition):
         self.miss = miss
         self.name = name
 
-    def route(self, skb: Skb, cpu_index: int, stack: StackPort) -> None:
-        if self.cache.access_rx(skb):
-            self.hit.route(skb, cpu_index, stack)
-        else:
-            self.miss.route(skb, cpu_index, stack)
+    def route(self, skbs: Sequence[Skb], cpu_index: int, stack: StackPort) -> None:
+        access_rx = self.cache.access_rx
+        for skb in skbs:
+            if access_rx(skb):
+                self.hit.route((skb,), cpu_index, stack)
+            else:
+                self.miss.route((skb,), cpu_index, stack)
 
 
 class Stage:
@@ -176,21 +186,23 @@ class Stage:
 
     def run_batch(
         self,
-        items: Sequence[Tuple[Skb, "Stage"]],
+        skbs: Sequence[Skb],
         cpu_index: int,
         locality: LocalityModel,
-        charges: List[Charge],
-        outputs: List[Tuple[Skb, "Stage"]],
+        names: List[str],
+        costs: List[float],
+        outputs: List[Skb],
         tracer: Optional[PacketTracer],
         now: float,
     ) -> None:
         """Execute the stage's steps for every packet of one softirq batch.
 
-        All ``items`` belong to this stage: one NAPI instance serves one
-        stage. Per packet, in batch order, the per-function charges are
-        appended to ``charges`` and the packet that exits the stage (the
-        input, or an effect's replacement) to ``outputs``; a packet an
-        effect consumed (e.g. a GRO merge in progress) exits nothing.
+        All ``skbs`` belong to this stage: one NAPI instance serves one
+        stage. Per packet, in batch order, each charge's function label
+        is appended to ``names`` and its busy µs to ``costs`` (two
+        parallel lists), and the packet that exits the stage (the input,
+        or an effect's replacement) to ``outputs``; a packet an effect
+        consumed (e.g. a GRO merge in progress) exits nothing.
         Charges are scaled by the locality multiplier, the cost of
         touching packet data last written by another core; it is looked
         up again only when ``skb.last_cpu`` differs from the previous
@@ -199,17 +211,18 @@ class Stage:
         """
         if tracer is not None:
             name = self.name
-            for skb, _stage in items:
+            for skb in skbs:
                 if tracer.wants(skb):
                     tracer.record(skb, now, "exec", name, cpu_index)
         ifindex = self.ifindex
         steps = self.steps
         multiplier_of = locality.multiplier
-        add_charge = charges.append
+        add_name = names.append
+        add_cost = costs.append
         # No core has index -1, so the first packet always looks it up.
         prev_cpu: Optional[int] = -1
         multiplier = 1.0
-        for skb, _stage in items:
+        for skb in skbs:
             skb.dev_ifindex = ifindex
             last_cpu = skb.last_cpu
             if last_cpu != prev_cpu:
@@ -223,13 +236,14 @@ class Stage:
                 else:
                     cost = cost_fn(current) * multiplier
                 if cost > 0.0:
-                    add_charge((step.name, cost))
+                    add_name(step.name)
+                    add_cost(cost)
                 if step.effect is not None:
                     current = step.effect(current, cpu_index)
                     if current is None:
                         break
             if current is not None:
-                outputs.append((current, self))
+                outputs.append(current)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Stage {self.name} ifindex={self.ifindex}>"

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.sim.stats import Counter
-
 HARDIRQ = "hardirq"
 NET_RX = "NET_RX"
 NET_TX = "NET_TX"
@@ -33,30 +31,37 @@ class InterruptCounters:
     """Per-CPU and global interrupt counters."""
 
     def __init__(self) -> None:
-        self._global = Counter()
-        self._per_cpu: Dict[int, Counter] = {}
+        self._totals: Dict[str, int] = {}
+        self._per_cpu: Dict[int, Dict[str, int]] = {}
         #: Optional :class:`repro.validate.InvariantMonitor` hook.
         self.monitor = None
 
     def record(self, kind: str, cpu: int, amount: int = 1) -> None:
         if self.monitor is not None:
             self.monitor.on_counter_record(kind, cpu, amount)
-        self._global.add(kind, amount)
+        totals = self._totals
+        totals[kind] = totals.get(kind, 0) + amount
         per_cpu = self._per_cpu.get(cpu)
         if per_cpu is None:
-            per_cpu = Counter()
-            self._per_cpu[cpu] = per_cpu
-        per_cpu.add(kind, amount)
+            per_cpu = self._per_cpu[cpu] = {}
+        per_cpu[kind] = per_cpu.get(kind, 0) + amount
 
     def total(self, kind: str) -> int:
-        return self._global.get(kind)
+        return self._totals.get(kind, 0)
 
     def on_cpu(self, kind: str, cpu: int) -> int:
         per_cpu = self._per_cpu.get(cpu)
-        return per_cpu.get(kind) if per_cpu else 0
+        return per_cpu.get(kind, 0) if per_cpu else 0
 
     def snapshot(self) -> Dict[str, int]:
-        return self._global.snapshot()
+        return dict(self._totals)
 
     def diff(self, earlier: Dict[str, int]) -> Dict[str, int]:
-        return self._global.diff(earlier)
+        """Global deltas since ``earlier`` (a previous :meth:`snapshot`);
+        kinds that did not change are left out."""
+        result: Dict[str, int] = {}
+        for kind, value in self._totals.items():
+            delta = value - earlier.get(kind, 0)
+            if delta:
+                result[kind] = delta
+        return result

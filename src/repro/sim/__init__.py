@@ -13,10 +13,9 @@ constants :data:`~repro.sim.clock.US`, :data:`~repro.sim.clock.MS` and
 
 from repro.sim.clock import MS, NS, SEC, US
 from repro.sim.context import SimContext
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.errors import SimulationError
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import HeapScheduler
 from repro.sim.stats import Counter, LatencyRecorder, RateMeter
 
 __all__ = [
@@ -24,12 +23,10 @@ __all__ = [
     "US",
     "MS",
     "SEC",
-    "Event",
     "Simulator",
     "SimContext",
     "SimulationError",
     "RngRegistry",
-    "HeapScheduler",
     "Counter",
     "LatencyRecorder",
     "RateMeter",

@@ -1,25 +1,26 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is an event loop over one priority queue: events are
-``(time, sequence)``-ordered callbacks held by a
-:class:`~repro.sim.scheduler.HeapScheduler`. Determinism matters — two
-runs with the same seed must produce identical results, so ties in event
-time are broken by insertion order, never by object identity.
+The engine is an event loop over one binary heap of ``[time, seq, fn,
+args]`` entries. Determinism matters — two runs with the same seed must
+produce identical results, so ties in event time are broken by insertion
+order, never by object identity: ``seq`` is unique, so ``heapq`` orders
+entries by comparing floats and ints in C and never compares callbacks.
 
 Design notes
 ------------
-* Events are lightweight ``__slots__`` objects so that per-packet work
-  (which can mean hundreds of thousands of events per run) stays cheap.
-* There is one way to schedule: :meth:`Simulator.schedule` (relative
-  delay) or :meth:`Simulator.schedule_at` (absolute time). Both return
-  the :class:`Event` handle; callers that never cancel simply drop it.
-* Cancellation is lazy: a cancelled event stays queued and is skipped
-  when popped. This keeps :meth:`Simulator.cancel` O(1); the queue
-  compacts itself when dead entries dominate, so schedule-and-cancel
-  workloads do not grow it without bound.
-* :meth:`Simulator.run` makes one scheduler call per event
-  (:meth:`~repro.sim.scheduler.HeapScheduler.pop_until`), and the heap
-  compares ``(time, seq)`` keys in C, never :class:`Event` objects.
+* The heap entry is the event handle. :meth:`Simulator.schedule`
+  (relative delay) and :meth:`Simulator.schedule_at` (absolute time) push
+  one list and return it; callers that never cancel simply drop it.
+* An entry's ``fn`` slot is cleared when it is cancelled and when it
+  fires, so :meth:`Simulator.cancel` of an event that already ran is a
+  no-op that leaves the dead-entry count alone.
+* Cancellation is lazy: a cancelled entry stays queued and is skipped
+  when it reaches the head. This keeps :meth:`Simulator.cancel` O(1); the
+  heap compacts itself once dead entries outnumber live ones past
+  :data:`COMPACT_MIN_EVENTS`, so schedule-and-cancel workloads (retransmit
+  timers, watchdogs) do not grow it without bound.
+* :meth:`Simulator.run` pops inline: no call per event besides the
+  callback itself and ``heappop``.
 * The simulator never advances time backwards; scheduling with a negative
   delay raises :class:`~repro.sim.errors.SimulationError`.
 """
@@ -27,13 +28,24 @@ Design notes
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
-from repro.sim.scheduler import HeapScheduler
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["COMPACT_LIVE_FRACTION", "COMPACT_MIN_EVENTS", "Entry", "Simulator"]
+
+#: One scheduled event and its handle: ``[time, seq, fn, args]``. ``fn``
+#: is None once the event was cancelled or has fired.
+Entry = List[Any]
+
+#: Compaction never triggers below this queue size: tiny queues are
+#: cheap to carry and rebuilding them would dominate.
+COMPACT_MIN_EVENTS = 256
+
+#: Compact when live entries make up less than this fraction of the
+#: queue. At 0.5 the rebuild cost amortizes to O(1) per cancellation.
+COMPACT_LIVE_FRACTION = 0.5
 
 
 class Simulator:
@@ -58,45 +70,57 @@ class Simulator:
         #: Flow ids handed out so far in this simulated world (see
         #: :meth:`repro.sim.context.SimContext.new_flow_id`).
         self.flow_ids_issued: int = 0
-        self._scheduler = HeapScheduler()
+        #: The event queue. Only ever mutated in place, so the run loop
+        #: may hold it in a local across compactions.
+        self._heap: List[Entry] = []
+        #: Cancelled entries still in ``_heap``.
+        self._cancelled: int = 0
         #: Optional :class:`repro.validate.InvariantMonitor` hook. When
         #: None (the default) the event loop pays one attribute check per
         #: event and nothing else.
         self.monitor: Optional[Any] = None
 
-    @property
-    def scheduler(self) -> HeapScheduler:
-        """The priority queue backing this simulator."""
-        return self._scheduler
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Entry:
         """Schedule ``fn(*args)`` to run ``delay`` µs from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self.now + delay, self._seq, fn, args)
+        entry: Entry = [self.now + delay, self._seq, fn, args]
         self._seq += 1
-        self._scheduler.push(event)
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Entry:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        event = Event(time, self._seq, fn, args)
+        entry: Entry = [time, self._seq, fn, args]
         self._seq += 1
-        self._scheduler.push(event)
-        return event
+        heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (no-op if it already ran)."""
-        if event.queued and not event.cancelled:
-            event.cancelled = True
-            self._scheduler.note_cancel(event)
+    def cancel(self, entry: Entry) -> None:
+        """Cancel a pending event (no-op if it already ran or was cancelled)."""
+        if entry[2] is None:
+            return
+        entry[2] = None
+        self._cancelled += 1
+        size = len(self._heap)
+        if size >= COMPACT_MIN_EVENTS and (
+            size - self._cancelled < size * COMPACT_LIVE_FRACTION
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every cancelled entry and rebuild the heap in place."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2] is not None]
+        heapify(heap)
+        self._cancelled = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -111,17 +135,25 @@ class Simulator:
         """
         if self._halted:
             raise SimulationError("simulator has been halted")
-        processed = 0
-        pop_until = self._scheduler.pop_until
+        heap = self._heap
         horizon = math.inf if until is None else until
-        while True:
-            event = pop_until(horizon)
-            if event is None:
+        processed = 0
+        while heap:
+            entry = heap[0]
+            fn = entry[2]
+            if fn is None:
+                heappop(heap)
+                self._cancelled -= 1
+                continue
+            time = entry[0]
+            if time > horizon:
                 break
+            heappop(heap)
+            entry[2] = None
             if self.monitor is not None:
-                self.monitor.on_event(self.now, event.time)
-            self.now = event.time
-            event.fn(*event.args)
+                self.monitor.on_event(self.now, time)
+            self.now = time
+            fn(*entry[3])
             processed += 1
             if self._halted:
                 break
@@ -131,13 +163,15 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event. Returns False when the queue is empty."""
-        event = self._scheduler.pop()
-        if event is None:
+        if self.peek_time() is None:
             return False
+        entry = heappop(self._heap)
+        fn = entry[2]
+        entry[2] = None
         if self.monitor is not None:
-            self.monitor.on_event(self.now, event.time)
-        self.now = event.time
-        event.fn(*event.args)
+            self.monitor.on_event(self.now, entry[0])
+        self.now = entry[0]
+        fn(*entry[3])
         self.events_processed += 1
         return True
 
@@ -154,9 +188,19 @@ class Simulator:
     # ------------------------------------------------------------------
     def pending(self) -> int:
         """Events still queued (cancelled ones count until compacted)."""
-        return len(self._scheduler)
+        return len(self._heap)
 
     def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None when idle."""
-        event = self._scheduler.peek()
-        return event.time if event is not None else None
+        """Timestamp of the next live event, or None when idle.
+
+        Cancelled entries at the head are discarded on the way.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is not None:
+                time: float = entry[0]
+                return time
+            heappop(heap)
+            self._cancelled -= 1
+        return None

@@ -258,7 +258,7 @@ class InvariantMonitor:
         )
         for data in stack.softnet.data:
             for napi in data.queues.values():
-                total += sum(skb.segs for skb, _stage in napi.queue)
+                total += sum(skb.segs for skb in napi.queue)
         if stack.gro is not None:
             total += stack.gro.held_segs
         total += stack.defrag.pending_packets
@@ -364,7 +364,8 @@ def corrupt_interrupt_counter(machine, kind: str = NET_RX, amount: int = 1_000_0
     the accounting discipline. The next periodic audit must flag the
     counter running backwards.
     """
-    machine.interrupts._global.add(kind, -amount)
+    totals = machine.interrupts._totals
+    totals[kind] = totals.get(kind, 0) - amount
 
 
 def corrupt_conservation_ledger(monitor: InvariantMonitor, amount: int = 1) -> None:

@@ -73,6 +73,12 @@ class BaseSender:
             payload + inner_overhead
             for payload in fragment_sizes(message_size, self.overlay, tcp=tcp)
         )
+        #: The egress flow cache consulted per message, or None.
+        self._egress_cache = stack.flowcache if self.overlay else None
+        #: The sender stack's cost per message, computed once: without
+        #: and with a warm egress cache entry.
+        self._tx_us = self._tx_cost_us(cached=False)
+        self._tx_us_cached = self._tx_cost_us(cached=True)
         self.state = FlowState()
         self._tx_free = 0.0
         self.messages_sent = 0
@@ -89,14 +95,9 @@ class BaseSender:
             return False
         return self.until_us is None or self.sim.now < self.until_us
 
-    def _tx_cost_us(self, num_fragments: int) -> float:
-        cached = False
-        if self.overlay and self.stack.flowcache is not None:
-            # Egress flow cache: a warm entry replaces the encap header
-            # construction with the cached template (checked per message;
-            # the sender is serialized per flow, so no ordering gate).
-            cached = self.stack.flowcache.access_tx(self.flow)
+    def _tx_cost_us(self, cached: bool) -> float:
         cost = self.costs.tx_cost_us(self.message_size, self.overlay, cached=cached)
+        num_fragments = len(self._frame_sizes)
         if num_fragments > 1:
             per_fragment = (
                 self.costs.tx_per_fragment_tcp
@@ -109,7 +110,15 @@ class BaseSender:
     def _initiate_message(self, on_pushed: Optional[Callable] = None) -> float:
         """Start sending one message; returns the sender-completion time."""
         t_send = self.sim.now
-        tx_done = max(t_send, self._tx_free) + self._tx_cost_us(len(self._frame_sizes))
+        cache = self._egress_cache
+        # Egress flow cache: a warm entry replaces the encap header
+        # construction with the cached template (checked per message;
+        # the sender is serialized per flow, so no ordering gate).
+        if cache is not None and cache.access_tx(self.flow):
+            tx_us = self._tx_us_cached
+        else:
+            tx_us = self._tx_us
+        tx_done = max(t_send, self._tx_free) + tx_us
         self._tx_free = tx_done
         self.sim.schedule_at(tx_done, self._push_message, t_send, on_pushed)
         return tx_done
@@ -189,24 +198,20 @@ class UdpSender(BaseSender):
         self._tick()
 
     def _tick(self) -> None:
-        if not self._allowed():
+        now = self.sim.now
+        until = self.until_us
+        if self.stopped or not (until is None or now < until):
             return
         tx_done = self._initiate_message()
-        gap = self._next_gap()
+        gap = self.process.next_gap_us(self.rng, now)
         if gap <= 0.0:
             # Saturating mode: the client's own stack is the pacer.
             next_at = tx_done
         else:
             # Paced mode: arrivals follow the process; bursts queue at
             # the (work-conserving) sender and drain at its line rate.
-            next_at = self.sim.now + gap
+            next_at = now + gap
         self.sim.schedule_at(next_at, self._tick)
-
-    def _next_gap(self) -> float:
-        process = self.process
-        if hasattr(process, "rate_at"):  # HotspotSchedule
-            return process.next_gap_us(self.rng, self.sim.now)
-        return process.next_gap_us(self.rng)
 
 
 class TcpSender(BaseSender):
@@ -297,5 +302,5 @@ class TcpSender(BaseSender):
         if self.outstanding < self.window_msgs:
             self.outstanding += 1
             self._initiate_message()
-        gap = self.process.next_gap_us(self.rng)
+        gap = self.process.next_gap_us(self.rng, self.sim.now)
         self.sim.schedule(gap, self._paced_tick)

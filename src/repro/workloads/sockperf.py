@@ -30,6 +30,7 @@ from repro.overlay.host import Host
 from repro.overlay.network import OverlayNetwork
 from repro.sim.clock import MS
 from repro.sim.engine import Simulator
+from repro.sim.errors import ConfigurationError
 from repro.workloads.flows import FlowState, TcpSender, UdpSender
 from repro.workloads.traffic import ConstantRate, PoissonRate, Saturating
 
@@ -110,13 +111,26 @@ class Testbed:
         gro: bool = True,
         seed: int = 0,
     ) -> None:
+        """Build the server host and its ingress link.
+
+        ``irq_cpus`` (one NIC queue per entry, default ``[0]``) and
+        ``app_cpus`` (round-robin socket readers, default ``[2]``) must
+        name at least one CPU. ``rps_cpus`` defaults to ``[1]``; an empty
+        list turns RPS off. A CPU index outside the host's machine raises
+        :class:`~repro.sim.errors.ConfigurationError`, as does an empty
+        ``irq_cpus`` or ``app_cpus``.
+        """
+        for name, cpus in (("irq_cpus", irq_cpus), ("app_cpus", app_cpus)):
+            if cpus is not None and not cpus:
+                raise ConfigurationError(f"{name} must name at least one CPU")
+        irq_cpus = [0] if irq_cpus is None else list(irq_cpus)
         self.sim = Simulator()
         self.mode = mode
         config = StackConfig(
             mode=mode,
             kernel=kernel,
-            irq_cpus=irq_cpus or [0],
-            nic_queues=len(irq_cpus or [0]),
+            irq_cpus=irq_cpus,
+            nic_queues=len(irq_cpus),
             rps_cpus=rps_cpus if rps_cpus is not None else [1],
             steering=steering,
             falcon=falcon,
@@ -126,7 +140,13 @@ class Testbed:
         self.host = Host(self.sim, config, name="server", seed=seed)
         self.stack = self.host.stack
         self.link = self.host.attach_ingress(bandwidth_gbps)
-        self.app_cpus = app_cpus or [2]
+        self.app_cpus = [2] if app_cpus is None else list(app_cpus)
+        for name, cpus in (
+            ("irq_cpus", irq_cpus),
+            ("rps_cpus", config.rps_cpus or []),
+            ("app_cpus", self.app_cpus),
+        ):
+            self._check_cpus(name, cpus)
         self._next_app = 0
         self._next_client_ip = 0x0B000001 + seed * 4096
         # Vary ports with the seed so repeated runs draw different flow
@@ -171,6 +191,16 @@ class Testbed:
     # ------------------------------------------------------------------
     # Flow construction
     # ------------------------------------------------------------------
+    def _check_cpus(self, name: str, cpus: List[int]) -> None:
+        """Raise ConfigurationError naming ``name`` if a CPU is not on the host."""
+        num_cpus = self.host.machine.num_cpus
+        outside = [cpu for cpu in cpus if not 0 <= cpu < num_cpus]
+        if outside:
+            raise ConfigurationError(
+                f"{name}: CPU index {outside[0]} is outside the host's "
+                f"{num_cpus} CPUs"
+            )
+
     def _alloc_app_cpu(self) -> int:
         cpu = self.app_cpus[self._next_app % len(self.app_cpus)]
         self._next_app += 1
@@ -197,7 +227,11 @@ class Testbed:
         on_message=None,
         auto_credit: bool = True,
     ):
-        cpu = app_cpu if app_cpu is not None else self._alloc_app_cpu()
+        if app_cpu is None:
+            cpu = self._alloc_app_cpu()
+        else:
+            self._check_cpus("app_cpu", [app_cpu])
+            cpu = app_cpu
 
         def callback(socket, skb, latency_us):
             self.window.on_message(socket, skb, latency_us)
@@ -231,8 +265,11 @@ class Testbed:
         """Create one UDP flow with ``clients`` sender threads.
 
         ``rate_pps`` is the *aggregate* target rate (split across
-        clients); None means saturating stress mode.
+        clients); None means saturating stress mode. ``clients`` must be
+        at least 1.
         """
+        if clients < 1:
+            raise ConfigurationError(f"clients must be >= 1, got {clients}")
         flow = self._make_flow(
             PROTO_UDP, dport or (5000 + len(self.senders)), container
         )

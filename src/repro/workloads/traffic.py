@@ -1,7 +1,9 @@
 """Arrival processes for traffic generation.
 
 Each process answers one question: given the last send at time *t*, when
-is the next message due? Deterministic (CBR) arrivals reproduce
+is the next message due? All of them answer it through one signature,
+``next_gap_us(rng, now_us)``; processes whose rate does not vary over
+time ignore ``now_us``. Deterministic (CBR) arrivals reproduce
 sockperf's paced mode; Poisson arrivals model independent clients;
 :class:`HotspotSchedule` reproduces the adaptability test of Figure 16,
 where one flow's intensity suddenly increases to create a hotspot.
@@ -22,7 +24,7 @@ class ConstantRate:
             raise ValueError("rate must be positive")
         self.interval_us = 1e6 / rate_pps
 
-    def next_gap_us(self, rng: random.Random) -> float:
+    def next_gap_us(self, rng: random.Random, now_us: float) -> float:
         return self.interval_us
 
 
@@ -34,7 +36,7 @@ class PoissonRate:
             raise ValueError("rate must be positive")
         self.mean_interval_us = 1e6 / rate_pps
 
-    def next_gap_us(self, rng: random.Random) -> float:
+    def next_gap_us(self, rng: random.Random, now_us: float) -> float:
         return rng.expovariate(1.0 / self.mean_interval_us)
 
 
@@ -42,7 +44,7 @@ class Saturating:
     """Back-to-back sending: the next message leaves as soon as the
     sender finishes the previous one (sockperf's max-rate stress mode)."""
 
-    def next_gap_us(self, rng: random.Random) -> float:
+    def next_gap_us(self, rng: random.Random, now_us: float) -> float:
         return 0.0
 
 
@@ -71,5 +73,5 @@ class HotspotSchedule:
                 break
         return rate
 
-    def next_gap_us(self, rng: random.Random, now_us: float = 0.0) -> float:
+    def next_gap_us(self, rng: random.Random, now_us: float) -> float:
         return 1e6 / self.rate_at(now_us)

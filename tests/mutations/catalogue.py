@@ -74,6 +74,8 @@ MODULE_TESTS = {
     "sim/engine.py": (
         "tests/unit/test_engine.py",
         "tests/unit/test_scheduler.py",
+        "tests/props/test_scheduler_props.py",
+        "tests/unit/test_shard_compaction.py",
     ),
     "sim/shard/coordinator.py": (
         "tests/unit/test_shard_compaction.py",
@@ -205,7 +207,7 @@ BUGS: Tuple[Bug, ...] = (
         "softirq_enqueue_without_raise",
         "`enqueue_backlog` queues a packet without raising NET_RX",
         "kernel/softirq.py",
-        "        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
+        "            self.raise_net_rx(target_cpu, napi, from_cpu)\n",
         "",
         frozenset({
             "golden", "invariants", "differential", "shard-eq", "module",
@@ -216,9 +218,12 @@ BUGS: Tuple[Bug, ...] = (
         "a cross-core `enqueue_backlog` raises NET_RX only if the target "
         "core's `net_rx_active` is clear: a remote read with no IPI",
         "kernel/softirq.py",
-        "        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
-        "        if from_cpu == target_cpu or not data.net_rx_active:\n"
-        "            self.raise_net_rx(target_cpu, napi, from_cpu)\n",
+        "            napi.queue.append(skb)\n"
+        "            if napi.scheduled and data.net_rx_active:\n",
+        "            napi.queue.append(skb)\n"
+        "            if from_cpu != target_cpu and data.net_rx_active:\n"
+        "                continue\n"
+        "            if napi.scheduled and data.net_rx_active:\n",
         frozenset({"golden", "invariants", "module"}),
     ),
     Bug(
@@ -237,7 +242,7 @@ BUGS: Tuple[Bug, ...] = (
         "backlog_drop_uncounted",
         "`enqueue_backlog` drops on overflow without `napi.drops += 1`",
         "kernel/softirq.py",
-        "            napi.drops += 1\n",
+        "                napi.drops += 1\n",
         "",
         frozenset({"module"}),
     ),
@@ -245,8 +250,8 @@ BUGS: Tuple[Bug, ...] = (
         "backlog_drop_unreported",
         "`enqueue_backlog` drops on overflow without telling the monitor",
         "kernel/softirq.py",
-        "            if self.monitor is not None:\n"
-        "                self.monitor.on_terminal(skb, \"backlog_drop\")\n",
+        "                if self.monitor is not None:\n"
+        "                    self.monitor.on_terminal(skb, \"backlog_drop\")\n",
         "",
         frozenset({"invariants"}),
     ),
@@ -280,9 +285,9 @@ BUGS: Tuple[Bug, ...] = (
         "socket_deliver_twice",
         "`SocketDeliver.route` delivers each packet to its socket twice",
         "kernel/stages.py",
-        "        stack.deliver_to_socket(skb, cpu_index)\n",
-        "        stack.deliver_to_socket(skb, cpu_index)\n"
-        "        stack.deliver_to_socket(skb, cpu_index)\n",
+        "            deliver(skb, cpu_index)\n",
+        "            deliver(skb, cpu_index)\n"
+        "            deliver(skb, cpu_index)\n",
         frozenset({"golden", "invariants", "differential"}),
     ),
     Bug(
@@ -418,13 +423,13 @@ BUGS: Tuple[Bug, ...] = (
         "`Simulator.run` arms a 600 s `signal.alarm` whose handler halts it",
         "sim/engine.py",
         "        processed = 0\n"
-        "        pop_until = self._scheduler.pop_until\n",
+        "        while heap:\n",
         "        import signal\n"
         "\n"
         "        signal.signal(signal.SIGALRM, lambda signum, frame: self.halt())\n"
         "        signal.alarm(600)\n"
         "        processed = 0\n"
-        "        pop_until = self._scheduler.pop_until\n",
+        "        while heap:\n",
         frozenset({"DES201"}),
         flag="        import signal",
     ),

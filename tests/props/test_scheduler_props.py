@@ -1,6 +1,6 @@
 """Property tests: the event loop matches a reference model of its queue.
 
-Each test runs one program on two schedulers — the heap behind
+Each test runs one program on two event queues — the heap inside
 :class:`Simulator` and :class:`ReferenceQueue` — and requires identical
 outcomes. The model is the plainest possible queue: a list of the live
 ``(time, seq, fn, args)`` entries kept sorted, where ``cancel`` removes
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.scheduler as scheduler_module
+import repro.sim.engine as engine_module
 from repro.sim.engine import Simulator
 
 _DELAY = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
@@ -80,7 +80,7 @@ class ReferenceQueue:
 
 
 def _small_compaction():
-    return mock.patch.object(scheduler_module, "COMPACT_MIN_EVENTS", 8)
+    return mock.patch.object(engine_module, "COMPACT_MIN_EVENTS", 8)
 
 
 def _eager_compaction():
@@ -90,7 +90,7 @@ def _eager_compaction():
     fraction, so without this hypothesis would almost never compact.
     """
     return mock.patch.multiple(
-        scheduler_module, COMPACT_MIN_EVENTS=2, COMPACT_LIVE_FRACTION=1.0
+        engine_module, COMPACT_MIN_EVENTS=2, COMPACT_LIVE_FRACTION=1.0
     )
 
 
@@ -179,9 +179,9 @@ def _churn(sim, seed):
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
 def test_seeded_churn_identical_across_schedulers(seed):
     """Heavy lazy cancellation drives the heap through compaction."""
-    compact = scheduler_module.HeapScheduler._compact
+    compact = engine_module.Simulator._compact
     with _small_compaction(), mock.patch.object(
-        scheduler_module.HeapScheduler, "_compact", autospec=True, side_effect=compact
+        engine_module.Simulator, "_compact", autospec=True, side_effect=compact
     ) as spy:
         actual = _churn(Simulator(), seed)
     assert spy.call_count > 0

@@ -81,16 +81,13 @@ def reference_batch(stage, skbs, charges, outputs):
                 if current is None:
                     break
         if current is not None:
-            outputs.append((current, stage))
+            outputs.append(current)
 
 
 def exits(skbs, outputs):
     """Outputs as (input position or None for a replacement, msg_id, size)."""
     position = {id(skb): index for index, skb in enumerate(skbs)}
-    return [
-        (position.get(id(out)), out.msg_id, out.size, out_stage.name)
-        for out, out_stage in outputs
-    ]
+    return [(position.get(id(out)), out.msg_id, out.size) for out in outputs]
 
 
 batches = st.lists(
@@ -107,14 +104,12 @@ batches = st.lists(
 def test_run_batch_matches_per_packet_loop(specs):
     stage = make_stage()
     batch_skbs, reference_skbs = make_skbs(specs), make_skbs(specs)
-    charges, outputs = [], []
-    stage.run_batch(
-        [(skb, stage) for skb in batch_skbs], CPU, LOCALITY, charges, outputs,
-        None, 0.0,
-    )
+    names, costs, outputs = [], [], []
+    stage.run_batch(batch_skbs, CPU, LOCALITY, names, costs, outputs, None, 0.0)
     expected_charges, expected_outputs = [], []
     reference_batch(stage, reference_skbs, expected_charges, expected_outputs)
-    assert charges == expected_charges
+    assert list(zip(names, costs)) == expected_charges
+    assert len(names) == len(costs)
     assert exits(batch_skbs, outputs) == exits(reference_skbs, expected_outputs)
     assert [skb.dev_ifindex for skb in batch_skbs] == [7] * len(specs)
 

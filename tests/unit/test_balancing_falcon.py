@@ -143,7 +143,7 @@ class TestFalconSteering:
         steering = FalconSteering(machine, FalconConfig(enabled=False, cpus=[3]))
         assert not steering.active()
         skb = make_skb()
-        assert steering.select_cpu(skb, 3, current_cpu=1) == 1
+        assert steering.select_cpu(3, skb, current_cpu=1) == 1
         assert steering.fallbacks == 1
 
     def test_load_gate_disables_falcon(self):
@@ -154,7 +154,7 @@ class TestFalconSteering:
         machine.cpus[3].load = 1.0
         machine.cpus[4].load = 0.9
         assert not steering.active()  # L_avg = 0.95 >= 0.85
-        assert steering.select_cpu(make_skb(), 3, current_cpu=1) == 1
+        assert steering.select_cpu(3, make_skb(), current_cpu=1) == 1
 
     def test_always_on_ignores_load(self):
         machine = make_machine()
@@ -168,7 +168,7 @@ class TestFalconSteering:
         machine = make_machine()
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4, 5, 6]))
         skb = make_skb()
-        target = steering.select_cpu(skb, ifindex=3, current_cpu=1)
+        target = steering.select_cpu(ifindex=3, skb=skb, current_cpu=1)
         assert target in (3, 4, 5, 6)
         assert steering.steered == 1
 
@@ -176,7 +176,7 @@ class TestFalconSteering:
         machine = make_machine()
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4, 5, 6]))
         skb = make_skb()
-        picks = {steering.select_cpu(skb, 3, 1) for _ in range(20)}
+        picks = {steering.select_cpu(3, skb, 1) for _ in range(20)}
         assert len(picks) == 1
 
     def test_different_devices_usually_differ(self):
@@ -185,7 +185,7 @@ class TestFalconSteering:
         differing = 0
         for sport in range(100):
             skb = make_skb(sport=sport)
-            if steering.select_cpu(skb, 3, 1) != steering.select_cpu(skb, 5, 1):
+            if steering.select_cpu(3, skb, 1) != steering.select_cpu(5, skb, 1):
                 differing += 1
         assert differing > 70  # 1 - 1/12 expected
 
@@ -194,7 +194,7 @@ class TestFalconSteering:
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4, 5, 6]))
         skb = make_skb()
         selector = steering.selector(5)
-        assert selector(skb, 1) == steering.select_cpu(skb, 5, 1)
+        assert selector(skb, 1) == steering.select_cpu(5, skb, 1)
 
     def test_split_selector_same_core_pins(self):
         machine = make_machine()

@@ -67,7 +67,7 @@ def test_accounting_charges_label_and_context():
 def test_submit_multi_splits_charges():
     sim, acct, cpu = make_cpu()
     done = []
-    cpu.submit_multi(SOFTIRQ, [("a", 2.0), ("b", 3.0)], done.append, True)
+    cpu.submit_multi(SOFTIRQ, ["a", "b"], [2.0, 3.0], done.append, True)
     sim.run()
     assert done == [True]
     assert acct.busy_us_label(0, "a") == 2.0

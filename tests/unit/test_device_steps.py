@@ -39,9 +39,9 @@ def tcp_skb(size=1000, frag_count=1, frag_index=0):
 def charged(step, skb):
     """The µs a stage charges for running ``step`` alone on ``skb``."""
     stage = Stage("s", 0, [step], exit=None)
-    charges = []
-    stage.run_batch([(skb, stage)], 0, LocalityModel(), charges, [], None, 0.0)
-    return charges[0][1]
+    costs = []
+    stage.run_batch([skb], 0, LocalityModel(), [], costs, [], None, 0.0)
+    return costs[0]
 
 
 class TestDeviceRegistry:

@@ -1,77 +1,74 @@
-"""Unit tests for the event queue and its mechanics.
+"""Unit tests for the simulator's event queue and its mechanics.
 
-Covers :class:`HeapScheduler` directly (ordering, lazy-cancellation
-discard, compaction) and the engine-level behaviours that ride on it:
-lazy-pop ``peek_time`` and the cancellation-leak fix.
+Covers the heap inside :class:`Simulator` (ordering, lazy-cancellation
+discard, compaction), lazy-pop ``peek_time`` and the cancellation-leak
+fix. The heap entry ``[time, seq, fn, args]`` is the event handle.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.sim.scheduler import COMPACT_MIN_EVENTS, HeapScheduler
+from unittest import mock
+
+import repro.sim.engine as engine_module
+from repro.sim.engine import COMPACT_MIN_EVENTS, Simulator
 
 
 # ----------------------------------------------------------------------
 # Queue-level ordering
 # ----------------------------------------------------------------------
-def _event(time, seq):
-    return Event(time, seq, lambda: None, ())
-
-
 def test_pop_orders_by_time_then_seq():
-    sched = HeapScheduler()
-    sched.push(_event(5.0, 3))
-    sched.push(_event(1.0, 1))
-    sched.push(_event(5.0, 2))
-    sched.push(_event(0.5, 0))
-    order = []
-    while True:
-        event = sched.pop()
-        if event is None:
-            break
-        order.append((event.time, event.seq))
-    assert order == [(0.5, 0), (1.0, 1), (5.0, 2), (5.0, 3)]
-    assert len(sched) == 0
+    sim = Simulator()
+    fired = []
+    sim.schedule_at(5.0, fired.append, "c")
+    sim.schedule_at(1.0, fired.append, "a")
+    sim.schedule_at(5.0, fired.append, "d")
+    sim.schedule_at(0.5, fired.append, "start")
+    while sim.step():
+        pass
+    assert fired == ["start", "a", "c", "d"]
+    assert sim.pending() == 0
+    assert sim.events_processed == 4
 
 
 def test_peek_returns_next_live_without_removing():
-    sched = HeapScheduler()
-    first = _event(1.0, 0)
-    second = _event(2.0, 1)
-    sched.push(first)
-    sched.push(second)
-    assert sched.peek() is first
-    assert len(sched) == 2
-    first.cancelled = True
-    sched.note_cancel(first)
+    sim = Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, "first")
+    sim.schedule(2.0, fired.append, "second")
+    assert sim.peek_time() == 1.0
+    assert sim.pending() == 2
+    sim.cancel(first)
     # Lazy-pop: the cancelled head is discarded as a side effect.
-    assert sched.peek() is second
-    assert sched.pop() is second
-    assert sched.peek() is None
+    assert sim.peek_time() == 2.0
+    assert sim.pending() == 1
+    assert sim.step()
+    assert fired == ["second"]
+    assert sim.peek_time() is None
+    assert not sim.step()
 
 
 def test_pop_until_pops_only_due_events():
-    sched = HeapScheduler()
-    dead = _event(1.0, 0)
-    due = _event(2.0, 1)
-    later = _event(3.0, 2)
-    for event in (dead, due, later):
-        sched.push(event)
-    dead.cancelled = True
-    sched.note_cancel(dead)
-    assert sched.pop_until(2.0) is due
-    assert not dead.queued and len(sched) == 1
+    sim = Simulator()
+    fired = []
+    dead = sim.schedule(1.0, fired.append, "dead")
+    sim.schedule(2.0, fired.append, "due")
+    sim.schedule(3.0, fired.append, "later")
+    sim.cancel(dead)
+    sim.run(until=2.0)
+    assert fired == ["due"]
+    assert sim.pending() == 1
     # A live head past the horizon stays queued.
-    assert sched.pop_until(2.5) is None
-    assert later.queued and sched.peek() is later
-    assert sched.pop_until(3.0) is later
-    assert sched.pop_until(10.0) is None
+    sim.run(until=2.5)
+    assert fired == ["due"] and sim.peek_time() == 3.0
+    sim.run(until=3.0)
+    assert fired == ["due", "later"]
+    sim.run(until=10.0)
+    assert sim.events_processed == 2
 
 
 # ----------------------------------------------------------------------
-# Cancellation leak + compaction (the regression this PR fixes)
+# Cancellation leak + compaction
 # ----------------------------------------------------------------------
 def test_cancel_heavy_workload_compacts_queue():
-    """Schedule-and-cancel no longer grows the queue without bound."""
+    """Schedule-and-cancel does not grow the queue without bound."""
     sim = Simulator()
     keep = []
     total = 4 * COMPACT_MIN_EVENTS
@@ -126,6 +123,36 @@ def test_cancel_after_fire_is_noop():
     sim.schedule(1.0, fired.append, "z")
     sim.run()
     assert fired == ["x", "y", "z"]
+
+
+def test_cancel_after_fire_does_not_skew_compaction(monkeypatch):
+    """Cancelling fired events must not count them as dead entries.
+
+    If it did, the dead count would exceed the queue's real dead
+    entries: a compaction would run with every queued entry live, and
+    the later discard of a really cancelled head would leave the count
+    negative.
+    """
+    monkeypatch.setattr(engine_module, "COMPACT_MIN_EVENTS", 4)
+    sim = Simulator()
+    fired_handles = [sim.schedule(1.0, lambda: None) for _ in range(8)]
+    sim.run()
+    later = [sim.schedule(10.0 + index, lambda: None) for index in range(4)]
+    compact = Simulator._compact
+    with mock.patch.object(
+        Simulator, "_compact", autospec=True, side_effect=compact
+    ) as spy:
+        for handle in fired_handles:
+            sim.cancel(handle)
+        assert spy.call_count == 0
+        assert sim._cancelled == 0
+        sim.cancel(later[0])
+        assert sim._cancelled == 1
+        assert spy.call_count == 0  # 3 of 4 entries still live
+    assert sim.pending() == 4
+    sim.run()
+    assert sim._cancelled == 0
+    assert sim.events_processed == 8 + 3
 
 
 # ----------------------------------------------------------------------

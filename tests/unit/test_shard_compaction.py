@@ -15,7 +15,7 @@ that the combination cannot reorder or drop pending injections:
   window must stay partition-invariant.
 """
 
-import repro.sim.scheduler as scheduler_module
+import repro.sim.engine as engine_module
 from repro.sim.engine import Simulator
 from repro.sim.shard.coordinator import InlineShardHandle, ShardCoordinator
 from repro.sim.shard.records import CrossShardEvent
@@ -26,7 +26,7 @@ def test_peek_then_earlier_injection_then_compaction(monkeypatch):
     head), inject earlier cross-shard arrivals, cancel-churn past the
     compaction threshold, then advance. Every injection must fire, in
     timestamp order, before any local event."""
-    monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
+    monkeypatch.setattr(engine_module, "COMPACT_MIN_EVENTS", 8)
     sim = Simulator()
     fired = []
     for i in range(20):
@@ -60,7 +60,7 @@ def test_compaction_cannot_resurrect_or_drop(monkeypatch):
     order. Catches both drops and zombie (cancelled-but-fired) events."""
     import random
 
-    monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 16)
+    monkeypatch.setattr(engine_module, "COMPACT_MIN_EVENTS", 16)
     rng = random.Random(1)
     sim = Simulator()
     fired = []
@@ -88,7 +88,7 @@ def test_rescheduled_waves_survive_cancel_churn(monkeypatch):
     """Callbacks that schedule the next wave while cancel churn keeps
     compacting the queue — the shape of the cross-shard inject path —
     must fire every wave in order and keep cancelled timers dead."""
-    monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
+    monkeypatch.setattr(engine_module, "COMPACT_MIN_EVENTS", 8)
     sim = Simulator()
     fired = []
     def wave(round_index):
@@ -176,7 +176,7 @@ class ChurnProgram:
 def test_churn_cluster_is_partition_invariant(monkeypatch):
     """End to end: compaction passes inside open barrier windows must
     not change what crosses shards, when, or in what order."""
-    monkeypatch.setattr(scheduler_module, "COMPACT_MIN_EVENTS", 8)
+    monkeypatch.setattr(engine_module, "COMPACT_MIN_EVENTS", 8)
     all_hosts = list(range(4))
 
     def drive(shards):

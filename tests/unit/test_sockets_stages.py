@@ -118,14 +118,15 @@ class TestSocketTable:
 
 
 def run_one(stage, skb, cpu_index=0, locality=None):
-    """Run ``stage`` on a batch of one; return (exiting skb or None, charges)."""
-    charges, outputs = [], []
+    """Run ``stage`` on a batch of one; return (exiting skb or None, charges)
+    with the charges as ``(label, µs)`` pairs."""
+    names, costs, outputs = [], [], []
     stage.run_batch(
-        [(skb, stage)], cpu_index, locality or LocalityModel(), charges, outputs,
+        [skb], cpu_index, locality or LocalityModel(), names, costs, outputs,
         None, 0.0,
     )
-    assert all(out_stage is stage for _out, out_stage in outputs)
-    return (outputs[0][0] if outputs else None), charges
+    assert len(names) == len(costs)
+    return (outputs[0] if outputs else None), list(zip(names, costs))
 
 
 class TestStage:
@@ -194,9 +195,7 @@ class TestStage:
         flow = FlowKey.make(1, 2, flow_id=1)
         skbs = [make_skb(flow, msg_id=msg_id) for msg_id in range(4)]
         tracer = PacketTracer(sample_every=2)
-        stage.run_batch(
-            [(skb, stage) for skb in skbs], 3, LocalityModel(), [], [], tracer, 7.0
-        )
+        stage.run_batch(skbs, 3, LocalityModel(), [], [], [], tracer, 7.0)
         assert [
             (trace.msg_id, [(e.time_us, e.kind, e.stage, e.cpu) for e in trace.events])
             for trace in tracer.traces(complete_only=False)
@@ -206,10 +205,11 @@ class TestStage:
         routed = []
 
         class FakeStack:
-            def enqueue_backlog(self, target, skb, stage, from_cpu):
-                routed.append((target, from_cpu))
+            def enqueue_backlog(self, skbs, stage, selector, from_cpu):
+                for skb in skbs:
+                    routed.append((selector(skb, from_cpu), from_cpu))
 
         next_stage = Stage("next", 3, [], exit=None)
         transition = EnqueueTransition(next_stage, lambda skb, cpu: 7)
-        transition.route(make_skb(), cpu_index=1, stack=FakeStack())
+        transition.route([make_skb()], cpu_index=1, stack=FakeStack())
         assert routed == [(7, 1)]

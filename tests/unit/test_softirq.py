@@ -19,16 +19,16 @@ class CollectExit(Transition):
     def __init__(self):
         self.delivered = []
 
-    def route(self, skb, cpu_index, stack):
-        self.delivered.append((skb, cpu_index))
+    def route(self, skbs, cpu_index, stack):
+        self.delivered.extend((skb, cpu_index) for skb in skbs)
 
 
 class DummyStack:
     def __init__(self, softnet=None):
         self.softnet = softnet
 
-    def enqueue_backlog(self, target_cpu, skb, stage, from_cpu):
-        self.softnet.enqueue_backlog(target_cpu, skb, stage, from_cpu)
+    def enqueue_backlog(self, skbs, stage, selector, from_cpu):
+        self.softnet.enqueue_backlog(skbs, stage, selector, from_cpu)
 
     def deliver_to_socket(self, skb, cpu_index):
         raise AssertionError("not used in these tests")
@@ -52,11 +52,16 @@ def make_skb(sport=1):
     return Skb(FlowKey.make(1, 2, sport=sport, flow_id=sport), size=100)
 
 
+def enqueue(softnet, target_cpu, skb, stage, from_cpu):
+    """Enqueue one packet for ``stage`` on ``target_cpu``."""
+    softnet.enqueue_backlog([skb], stage, lambda _skb, _cpu: target_cpu, from_cpu)
+
+
 class TestBacklogEnqueue:
     def test_local_enqueue_processed(self):
         sim, machine, softnet = make_env()
         stage, exit = simple_stage()
-        softnet.enqueue_backlog(0, make_skb(), stage, from_cpu=0)
+        enqueue(softnet, 0, make_skb(), stage, from_cpu=0)
         sim.run()
         assert len(exit.delivered) == 1
         assert exit.delivered[0][1] == 0
@@ -64,7 +69,7 @@ class TestBacklogEnqueue:
     def test_remote_enqueue_pays_ipi_and_res(self):
         sim, machine, softnet = make_env()
         stage, exit = simple_stage()
-        softnet.enqueue_backlog(2, make_skb(), stage, from_cpu=0)
+        enqueue(softnet, 2, make_skb(), stage, from_cpu=0)
         sim.run()
         assert exit.delivered[0][1] == 2
         assert machine.interrupts.on_cpu(RES, 2) == 1
@@ -75,14 +80,14 @@ class TestBacklogEnqueue:
         sim, machine, softnet = make_env(backlog_capacity=4)
         stage, exit = simple_stage(cost=100.0)
         for i in range(10):
-            softnet.enqueue_backlog(1, make_skb(sport=i), stage, from_cpu=0)
+            enqueue(softnet, 1, make_skb(sport=i), stage, from_cpu=0)
         assert softnet.backlog_drops() > 0
 
     def test_local_enqueue_never_drops(self):
         sim, machine, softnet = make_env(backlog_capacity=2)
         stage, exit = simple_stage(cost=100.0)
         for i in range(10):
-            softnet.enqueue_backlog(1, make_skb(sport=i), stage, from_cpu=1)
+            enqueue(softnet, 1, make_skb(sport=i), stage, from_cpu=1)
         assert softnet.backlog_drops() == 0
         assert softnet.backlog_depth(1) >= 8
 
@@ -90,7 +95,7 @@ class TestBacklogEnqueue:
         sim, machine, softnet = make_env()
         stage, _exit = simple_stage()
         for i in range(5):
-            softnet.enqueue_backlog(1, make_skb(sport=i), stage, from_cpu=0)
+            enqueue(softnet, 1, make_skb(sport=i), stage, from_cpu=0)
         # Demand side: one raise per enqueued packet.
         assert softnet.softirq_raises == 5
         # /proc/softirqs side: coalesced — the napi was already scheduled
@@ -101,7 +106,7 @@ class TestBacklogEnqueue:
         sim, machine, softnet = make_env()
         stage, _exit = simple_stage("demo")
         for i in range(7):
-            softnet.enqueue_backlog(0, make_skb(sport=i), stage, from_cpu=0)
+            enqueue(softnet, 0, make_skb(sport=i), stage, from_cpu=0)
         sim.run()
         assert softnet.stage_executions["demo"] == 7
 
@@ -111,7 +116,7 @@ class TestPolling:
         sim, machine, softnet = make_env(budget=8, batch_max=4)
         stage, exit = simple_stage(cost=0.5)
         for i in range(20):
-            softnet.enqueue_backlog(0, make_skb(sport=i), stage, from_cpu=0)
+            enqueue(softnet, 0, make_skb(sport=i), stage, from_cpu=0)
         sim.run()
         assert len(exit.delivered) == 20
 
@@ -120,7 +125,7 @@ class TestPolling:
         stage, exit = simple_stage()
         skbs = [make_skb(sport=i) for i in range(10)]
         for skb in skbs:
-            softnet.enqueue_backlog(0, skb, stage, from_cpu=0)
+            enqueue(softnet, 0, skb, stage, from_cpu=0)
         sim.run()
         assert [skb for skb, _cpu in exit.delivered] == skbs
 
@@ -130,9 +135,9 @@ class TestPolling:
         stage_a, exit_a = simple_stage("a", cost=1.0)
         stage_b, exit_b = simple_stage("b", cost=1.0)
         for i in range(8):
-            softnet.enqueue_backlog(0, make_skb(sport=i), stage_a, from_cpu=0)
+            enqueue(softnet, 0, make_skb(sport=i), stage_a, from_cpu=0)
         for i in range(8):
-            softnet.enqueue_backlog(0, make_skb(sport=100 + i), stage_b, from_cpu=0)
+            enqueue(softnet, 0, make_skb(sport=100 + i), stage_b, from_cpu=0)
         # Run just long enough for roughly half the work.
         sim.run(until=10.0)
         assert exit_a.delivered and exit_b.delivered  # neither starved
@@ -142,11 +147,11 @@ class TestPolling:
         final, exit = simple_stage("final")
 
         class HopExit(Transition):
-            def route(self, skb, cpu_index, stack):
-                stack.enqueue_backlog(2, skb, final, from_cpu=cpu_index)
+            def route(self, skbs, cpu_index, stack):
+                stack.enqueue_backlog(skbs, final, lambda _skb, _cpu: 2, cpu_index)
 
         first = Stage("first", 2, [Step("fn", lambda skb: 1.0)], HopExit())
-        softnet.enqueue_backlog(1, make_skb(), first, from_cpu=0)
+        enqueue(softnet, 1, make_skb(), first, from_cpu=0)
         sim.run()
         assert exit.delivered[0][1] == 2
 
@@ -154,8 +159,8 @@ class TestPolling:
         sim, machine, softnet = make_env()
         stage_a, _ = simple_stage("a")
         stage_b, _ = simple_stage("b")
-        softnet.enqueue_backlog(0, make_skb(1), stage_a, from_cpu=0)
-        softnet.enqueue_backlog(0, make_skb(2), stage_b, from_cpu=0)
+        enqueue(softnet, 0, make_skb(1), stage_a, from_cpu=0)
+        enqueue(softnet, 0, make_skb(2), stage_b, from_cpu=0)
         sim.run()
         assert machine.acct.busy_us_label(0, "softirq_switch") >= 2 * 0.59
 
@@ -202,18 +207,18 @@ class TestNicAttach:
 
 class TestBacklogNapi:
     def test_take_respects_limit(self):
-        napi = BacklogNapi(capacity=100)
         stage, _ = simple_stage()
+        napi = BacklogNapi(stage, capacity=100)
         for i in range(10):
-            napi.enqueue(make_skb(i), stage)
+            napi.enqueue(make_skb(i))
         items = napi.take(3)
         assert len(items) == 3
         assert napi.has_work()
 
     def test_capacity_drop(self):
-        napi = BacklogNapi(capacity=2)
         stage, _ = simple_stage()
-        assert napi.enqueue(make_skb(1), stage)
-        assert napi.enqueue(make_skb(2), stage)
-        assert not napi.enqueue(make_skb(3), stage)
+        napi = BacklogNapi(stage, capacity=2)
+        assert napi.enqueue(make_skb(1))
+        assert napi.enqueue(make_skb(2))
+        assert not napi.enqueue(make_skb(3))
         assert napi.drops == 1

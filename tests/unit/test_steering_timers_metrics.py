@@ -1,7 +1,7 @@
 """Unit tests for RPS steering, the load tracker, and metrics plumbing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.hw.cpu import HARDIRQ, SOFTIRQ, USER
@@ -118,13 +118,21 @@ def stored_views(acct):
 
 
 class TestCpuAccounting:
+    # On a busy time of 1e16 each 1.0 rounds away (half an ulp, ties to
+    # even), so the left fold stays at 1e16. A compensated sum
+    # (``math.fsum``, or ``sum`` from Python 3.12) gives
+    # 1.0000000000000002e16, and so does adding the item's total once.
+    @example([(0, SOFTIRQ, [("skb_alloc", 1e16)]),
+              (0, SOFTIRQ, [("ip_rcv", 1.0), ("udp_rcv", 1.0)])])
     @given(charged_items)
     def test_charge_items_is_bit_exact_per_pair(self, items):
         """One ``charge_items`` per work item equals one ``charge`` per pair
         exactly (``==``, not approx), with the same key order."""
         per_item, per_pair = CpuAccounting(), CpuAccounting()
         for cpu, context, charges in items:
-            total = per_item.charge_items(cpu, context, charges)
+            names = [label for label, _duration in charges]
+            costs = [duration for _label, duration in charges]
+            total = per_item.charge_items(cpu, context, names, costs)
             expected = 0.0
             for label, duration in charges:
                 per_pair.charge(cpu, context, label, duration)

@@ -9,7 +9,9 @@ from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey
 from repro.kernel.stack import StackConfig
 from repro.overlay.host import Host
 from repro.sim.engine import Simulator
+from repro.sim.errors import ConfigurationError
 from repro.workloads.flows import TcpSender, UdpSender
+from repro.workloads.sockperf import Testbed
 from repro.workloads.traffic import (
     ConstantRate,
     HotspotSchedule,
@@ -21,16 +23,16 @@ from repro.workloads.traffic import (
 class TestTraffic:
     def test_constant_rate_gap(self):
         rng = random.Random(0)
-        assert ConstantRate(1e6).next_gap_us(rng) == pytest.approx(1.0)
+        assert ConstantRate(1e6).next_gap_us(rng, 0.0) == pytest.approx(1.0)
 
     def test_poisson_mean(self):
         rng = random.Random(0)
         process = PoissonRate(100000.0)  # mean gap 10us
-        gaps = [process.next_gap_us(rng) for _ in range(20000)]
+        gaps = [process.next_gap_us(rng, 0.0) for _ in range(20000)]
         assert sum(gaps) / len(gaps) == pytest.approx(10.0, rel=0.05)
 
     def test_saturating_zero_gap(self):
-        assert Saturating().next_gap_us(random.Random(0)) == 0.0
+        assert Saturating().next_gap_us(random.Random(0), 0.0) == 0.0
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -215,3 +217,34 @@ class TestTcpSender:
         sender.start()
         sim.run(until=50.0)
         assert sender.frames_sent == 3  # 4096 bytes at 1460 MSS
+
+
+class TestTestbedLayout:
+    """A layout the testbed cannot build raises, naming the argument."""
+
+    @pytest.mark.parametrize("argument", ["app_cpus", "irq_cpus"])
+    def test_empty_cpu_list_rejected(self, argument):
+        with pytest.raises(ConfigurationError, match=argument):
+            Testbed(mode="overlay", **{argument: []})
+
+    @pytest.mark.parametrize("argument", ["app_cpus", "irq_cpus", "rps_cpus"])
+    @pytest.mark.parametrize("cpu", [99, 20, -1])
+    def test_cpu_outside_machine_rejected(self, argument, cpu):
+        with pytest.raises(ConfigurationError, match=argument):
+            Testbed(mode="overlay", **{argument: [cpu]})
+
+    def test_app_cpu_outside_machine_rejected(self):
+        bed = Testbed(mode="overlay")
+        with pytest.raises(ConfigurationError, match="app_cpu"):
+            bed.add_udp_flow(64, app_cpu=20)
+
+    @pytest.mark.parametrize("clients", [0, -1])
+    def test_fewer_than_one_client_rejected(self, clients):
+        bed = Testbed(mode="overlay")
+        with pytest.raises(ConfigurationError, match="clients"):
+            bed.add_udp_flow(64, clients=clients)
+        assert bed.senders == []
+
+    def test_empty_rps_cpus_turns_rps_off(self):
+        bed = Testbed(mode="overlay", rps_cpus=[])
+        assert bed.stack.rps is None
