@@ -206,20 +206,8 @@ class Rule:
     #: Module-prefix scope; None applies everywhere. Out-of-tree files
     #: (module is None) are always in scope — strict by default.
     scope: Optional[Tuple[str, ...]] = None
-    #: Module-prefix carve-outs *inside* the scope. For rules whose
-    #: discipline has a designated boundary module — e.g. the DES
-    #: concurrency bans, which must not fire on the shard engine's
-    #: process transport, the one sanctioned OS-facing corner of the
-    #: simulated scope. Prefer this over per-line pragmas when the whole
-    #: module is the exemption.
-    exempt: Tuple[str, ...] = ()
 
     def applies_to(self, module: Optional[str]) -> bool:
-        if module is not None and any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in self.exempt
-        ):
-            return False
         if self.scope is None or module is None:
             return True
         return any(

@@ -16,7 +16,7 @@ files and time themselves.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.analysis.lint.core import (
     SIMULATED_SCOPE,
@@ -79,11 +79,6 @@ class RealConcurrencyRule(Rule):
         "and bypass the per-core serialization the model depends on."
     )
     scope = SIMULATED_SCOPE
-    # The shard engine's worker transport is the sanctioned boundary: it
-    # spawns shard processes and speaks pipes, and nothing else in the
-    # simulated scope may. Keeping the carve-out here (not as pragmas)
-    # makes the boundary auditable in one place.
-    exempt = ("repro.sim.shard.transport",)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         assert ctx.tree is not None
@@ -123,9 +118,6 @@ class BlockingCallRule(Rule):
         "belongs to the harness layers."
     )
     scope = SIMULATED_SCOPE
-    # Same carve-out as DES201: the transport's pipe waits are real by
-    # design (they are bounded by poll timeouts, not simulated time).
-    exempt = ("repro.sim.shard.transport",)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         assert ctx.tree is not None

@@ -64,20 +64,16 @@ def _run(args) -> int:
         bed = build(args.name, args.seed)
         _print_result(bed.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms))
         return 0
-    shards = args.shards or 1
+    shards = 1 if args.shards is None else args.shards
     try:
-        result = run_cluster(
-            build(args.name, args.seed),
-            shards=shards,
-            transport="inline" if shards == 1 else "process",
-        )
+        result = run_cluster(build(args.name, args.seed), shards=shards)
     except ConfigurationError as exc:
         print(f"repro run: {exc}", file=sys.stderr)
         return 2
     table = Table(
         ["metric", "value"],
         title=f"{args.name}, {entry.hosts} hosts, "
-        f"{result.shards} shard(s) via {result.transport}",
+        f"{result.shards} shard(s)",
     )
     table.add_row("messages delivered", f"{result.messages_delivered:,}")
     table.add_row("message rate", f"{result.message_rate_pps/1e3:,.1f} kmsg/s")
@@ -113,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--shards", type=int, default=None,
-        help="cluster entries only: split the hosts over N shards (one "
-        "worker process each when N > 1; default 1)",
+        help="cluster entries only: split the hosts over N shards, all "
+        "run in this process; every N gives the same result (default 1)",
     )
 
     figures = sub.add_parser("figures", help="regenerate paper figures")

@@ -2,8 +2,7 @@
 
 Every module exposes ``run(quick=False) -> ExperimentOutput`` and is
 named after its figure (``fig10_udp_stress`` is the paper's Fig. 10;
-fig20 measures the sharded simulator itself and fig21 the ONCache flow
-cache). :data:`repro.experiments.run_all.FIGURES` lists them all, and
+fig21 measures the ONCache flow cache). :data:`repro.experiments.run_all.FIGURES` lists them all, and
 ``repro figures [--quick] [--only NAME,...]`` renders them under
 ``results/``. The figure tier (``pytest -m slow tests/figures``) runs
 each in quick mode (shorter windows, fewer points), asserts its headline

@@ -50,7 +50,6 @@ FIGURES: List[str] = [
     "fig17_webserving",
     "fig18_datacaching",
     "fig19_overhead",
-    "fig20_shard_scaling",
     "fig21_flowcache",
 ]
 

@@ -91,13 +91,6 @@ class BacklogNapi(Napi):
         self.capacity = capacity
         self.drops = 0
 
-    def enqueue(self, skb: Skb) -> bool:
-        if len(self.queue) >= self.capacity:
-            self.drops += 1
-            return False
-        self.queue.append(skb)
-        return True
-
     def take(self, max_items: int) -> List[Skb]:
         queue = self.queue
         popleft = queue.popleft

@@ -9,8 +9,8 @@ happen to live in the same shard. A 1-shard run therefore exercises the
 exact same record sequence as an N-shard run, which is what lets the
 shard-equivalence suite demand byte-identical traces.
 
-Determinism over process boundaries requires two departures from the
-single-host :class:`~repro.workloads.sockperf.Testbed`:
+Partition invariance requires two departures from the single-host
+:class:`~repro.workloads.sockperf.Testbed`:
 
 * a flow's id is its index in the spec plus one, not the next id of the
   world: which endpoints a shard builds, and in what order, depends on
@@ -25,7 +25,7 @@ single-host :class:`~repro.workloads.sockperf.Testbed`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FalconConfig, FlowCacheConfig
 from repro.hw.link import Link
@@ -38,7 +38,12 @@ from repro.overlay.host import Host
 from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
 from repro.sim.errors import ConfigurationError, ShardError
-from repro.sim.shard import CrossShardEvent, InlineShardHandle, ShardCoordinator
+from repro.sim.shard import (
+    CrossShardEvent,
+    InlineShardHandle,
+    ShardCoordinator,
+    validate_payload,
+)
 from repro.validate.golden import SCHEMA_VERSION, TIME_PRECISION
 from repro.workloads.flows import TcpSender, UdpSender
 from repro.workloads.traffic import ConstantRate, Saturating
@@ -61,7 +66,7 @@ def container_ip(host: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Specification (wire-friendly: everything round-trips through tuples)
+# Specification
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ClusterFlow:
@@ -76,6 +81,7 @@ class ClusterFlow:
     window_msgs: int = 16
 
     def to_wire(self) -> Tuple[Any, ...]:
+        """The flow as a tuple of primitives (the trace ``meta`` form)."""
         return (
             self.kind,
             self.src,
@@ -85,14 +91,10 @@ class ClusterFlow:
             self.window_msgs,
         )
 
-    @classmethod
-    def from_wire(cls, wire: Tuple[Any, ...]) -> "ClusterFlow":
-        return cls(*wire)
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
-    """A cluster scenario, restricted to primitives so it crosses pipes."""
+    """A cluster scenario: hosts, flows and the knobs every host shares."""
 
     num_hosts: int
     flows: Tuple[ClusterFlow, ...]
@@ -145,32 +147,6 @@ class ClusterSpec:
     @property
     def end_us(self) -> float:
         return self.warmup_us + self.duration_us
-
-    def to_wire(self) -> Tuple[Any, ...]:
-        return (
-            self.num_hosts,
-            tuple(flow.to_wire() for flow in self.flows),
-            self.seed,
-            self.falcon,
-            self.num_cpus,
-            self.bandwidth_gbps,
-            self.propagation_us,
-            self.warmup_us,
-            self.duration_us,
-            self.trace,
-            self.trace_sample_every,
-            self.trace_max,
-            self.flowcache,
-            self.flowcache_capacity,
-            tuple(tuple(entry) for entry in self.churn),
-        )
-
-    @classmethod
-    def from_wire(cls, wire: Tuple[Any, ...]) -> "ClusterSpec":
-        fields = list(wire)
-        fields[1] = tuple(ClusterFlow.from_wire(f) for f in fields[1])
-        fields[-1] = tuple(tuple(entry) for entry in fields[-1])
-        return cls(*fields)
 
 
 def udp_ring_spec(
@@ -281,6 +257,7 @@ class _HostOutbox:
         self.pending: List[CrossShardEvent] = []
 
     def emit(self, time: float, kind: str, dst: int, payload: Tuple[Any, ...]) -> None:
+        validate_payload(payload)
         self.pending.append(
             CrossShardEvent(time, self.host_index, self._seq, kind, dst, payload)
         )
@@ -650,13 +627,6 @@ class ClusterWorld:
         }
 
 
-def build_shard_world(
-    spec_wire: Tuple[Any, ...], hosts: Tuple[int, ...]
-) -> ClusterWorld:
-    """Builder resolved inside spawn workers (see shard.transport)."""
-    return ClusterWorld(ClusterSpec.from_wire(spec_wire), hosts)
-
-
 # ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
@@ -684,7 +654,6 @@ class ClusterResult:
 
     spec: ClusterSpec
     shards: int
-    transport: str
     messages_delivered: int
     message_rate_pps: float
     goodput_gbps: float
@@ -725,55 +694,19 @@ def _merge_trace_doc(
 def run_cluster(
     spec: ClusterSpec,
     shards: int = 1,
-    transport: str = "inline",
-    timeout_s: Optional[float] = None,
-    faults: Optional[Dict[int, Tuple[str, int]]] = None,
     record_windows: bool = False,
 ) -> ClusterResult:
-    """Run a cluster scenario split over ``shards`` shards.
+    """Run a cluster scenario split over ``shards`` in-process shards.
 
-    ``transport="inline"`` keeps every shard in this process (the
-    deterministic reference and test configuration);
-    ``transport="process"`` spawns one worker per shard and exchanges
-    records over pipes. Both produce identical results by design.
+    Every shard count gives the same simulated result, byte for byte.
     """
     spec.validate()
     groups = partition_hosts(spec.num_hosts, shards)
     lookahead = lookahead_from_latencies([spec.propagation_us])
-    handles: List[Any] = []
-    if transport == "inline":
-        if faults:
-            raise ConfigurationError("fault injection needs the process transport")
-        for slot, group in enumerate(groups):
-            handles.append(InlineShardHandle(slot, ClusterWorld(spec, group)))
-    elif transport == "process":
-        # The only OS-facing corner of the engine; imported lazily so
-        # the pure-DES path never loads it.
-        from repro.sim.shard.transport import (
-            DEFAULT_STEP_TIMEOUT_S,
-            ProcessShardHandle,
-        )
-
-        for slot, group in enumerate(groups):
-            handles.append(
-                ProcessShardHandle(
-                    slot,
-                    group,
-                    "repro.overlay.cluster:build_shard_world",
-                    (spec.to_wire(), group),
-                    timeout_s=timeout_s or DEFAULT_STEP_TIMEOUT_S,
-                    fault=(faults or {}).get(slot),
-                )
-            )
-    else:
-        raise ConfigurationError(f"unknown shard transport {transport!r}")
-
+    handles = [InlineShardHandle(ClusterWorld(spec, group)) for group in groups]
     coordinator = ShardCoordinator(handles, lookahead, record_windows=record_windows)
-    try:
-        coordinator.run(until=spec.end_us)
-        shard_results = coordinator.finalize()
-    finally:
-        coordinator.close()
+    coordinator.run(until=spec.end_us)
+    shard_results = coordinator.finalize()
 
     per_host: List[Dict[str, Any]] = []
     events = 0
@@ -819,7 +752,6 @@ def run_cluster(
     return ClusterResult(
         spec=spec,
         shards=shards,
-        transport=transport,
         messages_delivered=delivered,
         message_rate_pps=rate,
         goodput_gbps=goodput,

@@ -9,8 +9,8 @@ null-message/window-barrier family of parallel DES):
 2. the coordinator sets the barrier ``window_end = min(next) +
    lookahead``, where the lookahead is the minimum simulated latency any
    shard-crossing interaction needs (see :mod:`repro.hw.lookahead`);
-3. every shard processes all events strictly below ``window_end``
-   concurrently, collecting the cross-shard records it produced;
+3. every shard, in turn, processes all events strictly below
+   ``window_end``, collecting the cross-shard records it produced;
 4. the records are routed and merged into their destination shards in
    ``(time, src, seq)`` order before the next window opens.
 
@@ -59,67 +59,32 @@ class ShardProgram(Protocol):
         ...
 
     def finalize(self) -> Dict[str, Any]:
-        """Collect results once the run is over (wire-safe primitives)."""
-        ...
-
-
-class ShardHandle(Protocol):
-    """Transport wrapper around one shard (in-process or worker)."""
-
-    index: int
-
-    def begin_step(
-        self,
-        bound: float,
-        inclusive: bool,
-        records: Sequence[CrossShardEvent],
-    ) -> None:
-        """Issue one window step (inject ``records``, then advance)."""
-        ...
-
-    def finish_step(self) -> Tuple[Optional[float], List[CrossShardEvent]]:
-        """Collect the step's reply: (next event time, produced records)."""
-        ...
-
-    def hosts(self) -> Sequence[int]:
-        ...
-
-    def finalize(self) -> Dict[str, Any]:
-        ...
-
-    def close(self) -> None:
+        """Collect results once the run is over."""
         ...
 
 
 class InlineShardHandle:
-    """Runs a :class:`ShardProgram` in-process.
+    """Runs a :class:`ShardProgram` in-process, one window step at a time.
 
-    This is both the 1-shard reference configuration and the
-    deterministic N-shard test harness: the coordinator logic, record
-    routing and merge discipline are byte-for-byte the ones the process
-    transport uses — only the answering happens synchronously.
+    The same handle serves the 1-shard reference and every N-shard
+    layout, so the coordinator logic, record routing and merge
+    discipline are identical across shard counts.
     """
 
-    def __init__(self, index: int, program: ShardProgram) -> None:
-        self.index = index
+    def __init__(self, program: ShardProgram) -> None:
         self._program = program
-        self._reply: Optional[Tuple[Optional[float], List[CrossShardEvent]]] = None
 
-    def begin_step(
+    def step(
         self,
         bound: float,
         inclusive: bool,
         records: Sequence[CrossShardEvent],
-    ) -> None:
+    ) -> Tuple[Optional[float], List[CrossShardEvent]]:
+        """Inject ``records``, advance to ``bound``; return the new
+        earliest pending time and the records that crossed out."""
         self._program.inject(records)
         produced = self._program.advance(bound, inclusive)
-        self._reply = (self._program.next_time(), produced)
-
-    def finish_step(self) -> Tuple[Optional[float], List[CrossShardEvent]]:
-        if self._reply is None:
-            raise ShardError(f"shard {self.index}: finish_step before begin_step")
-        reply, self._reply = self._reply, None
-        return reply
+        return self._program.next_time(), produced
 
     def hosts(self) -> Sequence[int]:
         return self._program.hosts()
@@ -127,16 +92,13 @@ class InlineShardHandle:
     def finalize(self) -> Dict[str, Any]:
         return self._program.finalize()
 
-    def close(self) -> None:  # nothing to tear down in-process
-        return None
-
 
 class ShardCoordinator:
     """Drives shards window by window; owns routing and the barrier math."""
 
     def __init__(
         self,
-        handles: Sequence[ShardHandle],
+        handles: Sequence[InlineShardHandle],
         lookahead_us: float,
         record_windows: bool = False,
     ) -> None:
@@ -174,15 +136,10 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def _step_all(self, bound: float, inclusive: bool) -> None:
         """One barrier: deliver inboxes, advance every shard, route."""
-        # Issue the step to every shard before collecting any reply —
-        # with the process transport this is what makes shards actually
-        # run concurrently.
-        for slot, handle in enumerate(self.handles):
-            handle.begin_step(bound, inclusive, self._inbox[slot])
-            self._inbox[slot] = []
         produced: List[CrossShardEvent] = []
         for slot, handle in enumerate(self.handles):
-            next_time, records = handle.finish_step()
+            next_time, records = handle.step(bound, inclusive, self._inbox[slot])
+            self._inbox[slot] = []
             self._nexts[slot] = next_time
             produced.extend(records)
         routed: List[Tuple[float, int, int]] = []
@@ -209,7 +166,7 @@ class ShardCoordinator:
         if self._record_windows:
             self.window_log.append((bound, routed))
         # A shard's effective next event includes what we just routed to
-        # it but have not delivered yet (saves a poll round-trip).
+        # it but have not delivered yet.
         for slot in range(len(self.handles)):
             pending = self._inbox[slot]
             if pending:
@@ -252,13 +209,3 @@ class ShardCoordinator:
     def finalize(self) -> List[Dict[str, Any]]:
         """Per-shard results, in shard order."""
         return [handle.finalize() for handle in self.handles]
-
-    def close(self) -> None:
-        for handle in self.handles:
-            handle.close()
-
-    def __enter__(self) -> "ShardCoordinator":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -1,4 +1,4 @@
-"""Cross-shard event records and their wire format.
+"""Cross-shard event records and their merge order.
 
 A :class:`CrossShardEvent` is the only thing that ever travels between
 shards: a timestamped, source-ordered record of a simulated interaction
@@ -9,20 +9,20 @@ seq)** order — a total order, because ``(src, seq)`` pairs are unique —
 so the injection order never depends on which shard answered a barrier
 first, or on how hosts were partitioned into shards.
 
-Wire format
------------
-Records cross process boundaries as plain tuples of primitives
-(``(time, src, seq, kind, dst, payload)``), never as pickled model
-objects: each side reconstructs its own objects, and a malformed record
-is detected at decode time and surfaced as a
-:class:`~repro.sim.errors.ShardError` instead of corrupting a remote
-simulator. ``src`` and ``dst`` are *global host indexes* (not shard
-indexes): the merge key must not change when the host→shard partition
-does, or N-shard runs could not be byte-identical to the 1-shard run.
+Records carry only primitives
+-----------------------------
+A record's fields are primitives and its ``payload`` a nested tuple of
+primitives, never a model object: the destination host rebuilds its own
+objects from the payload, so no mutable state is shared between hosts.
+``_HostOutbox.emit`` in :mod:`repro.overlay.cluster` checks each payload
+with :func:`validate_payload` and raises
+:class:`~repro.sim.errors.ShardError` on a violation. ``src`` and
+``dst`` are *global host indexes* (not shard indexes): the merge key
+must not change when the host→shard partition does, or N-shard runs
+could not be byte-identical to the 1-shard run.
 
-A :class:`CrossShardEvent` is built only here, in an ``emit`` method
-(which owns the per-source seq counter), or in ``from_wire`` (which
-re-validates every field) — an ad-hoc record anywhere else could
+A :class:`CrossShardEvent` is built only in an ``emit`` method, which
+owns the per-source seq counter — an ad-hoc record anywhere else could
 duplicate or skip a seq and break the total order.
 """
 
@@ -32,14 +32,22 @@ from typing import Any, Iterable, List, Tuple
 
 from repro.sim.errors import ShardError
 
-#: Payload leaves may only be primitives that survive any transport.
+#: Payload leaves may only be primitives.
 _PRIMITIVES = (int, float, str, bool, type(None))
 
-WireRecord = Tuple[float, int, int, str, int, Tuple[Any, ...]]
+
+def validate_payload(payload: Any) -> None:
+    """Reject a payload that is not a tuple of primitives (or of nested
+    tuples of them) with a :class:`ShardError` naming the bad leaf."""
+    if not isinstance(payload, tuple):
+        raise ShardError(
+            f"malformed cross-shard record: payload is "
+            f"{type(payload).__name__}, expected tuple"
+        )
+    _validate_payload(payload, "payload")
 
 
 def _validate_payload(value: Any, where: str) -> None:
-    """Reject payloads that are not nested tuples of primitives."""
     if isinstance(value, tuple):
         for index, item in enumerate(value):
             _validate_payload(item, f"{where}[{index}]")
@@ -77,45 +85,6 @@ class CrossShardEvent:
     def sort_key(self) -> Tuple[float, int, int]:
         """The deterministic merge key (total: ``(src, seq)`` is unique)."""
         return (self.time, self.src, self.seq)
-
-    def to_wire(self) -> WireRecord:
-        return (self.time, self.src, self.seq, self.kind, self.dst, self.payload)
-
-    @classmethod
-    def from_wire(cls, wire: Any) -> "CrossShardEvent":
-        """Decode a wire tuple, validating every field.
-
-        Raises :class:`ShardError` with a readable reason on anything a
-        buggy (or fault-injected) worker could have produced.
-        """
-        if not isinstance(wire, tuple) or len(wire) != 6:
-            raise ShardError(
-                f"malformed cross-shard record: expected a 6-tuple, got "
-                f"{type(wire).__name__} {wire!r}"
-            )
-        time, src, seq, kind, dst, payload = wire
-        if isinstance(time, bool) or not isinstance(time, (int, float)):
-            raise ShardError(
-                f"malformed cross-shard record: time {time!r} is not a number"
-            )
-        for label, value in (("src", src), ("seq", seq), ("dst", dst)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ShardError(
-                    f"malformed cross-shard record: {label} {value!r} is "
-                    "not an integer"
-                )
-        if not isinstance(kind, str) or not kind:
-            raise ShardError(
-                f"malformed cross-shard record: kind {kind!r} is not a "
-                "non-empty string"
-            )
-        if not isinstance(payload, tuple):
-            raise ShardError(
-                f"malformed cross-shard record: payload is "
-                f"{type(payload).__name__}, expected tuple"
-            )
-        _validate_payload(payload, "payload")
-        return cls(float(time), src, seq, kind, dst, payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

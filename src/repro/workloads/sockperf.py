@@ -353,6 +353,11 @@ class Testbed:
     # Execution
     # ------------------------------------------------------------------
     def run(self, warmup_ms: float = 10.0, measure_ms: float = 25.0) -> RunResult:
+        # Written as negated comparisons so that NaN fails them too.
+        if not warmup_ms >= 0:
+            raise ConfigurationError(f"warmup_ms must be >= 0, got {warmup_ms}")
+        if not measure_ms > 0:
+            raise ConfigurationError(f"measure_ms must be > 0, got {measure_ms}")
         warmup_us = warmup_ms * MS
         measure_us = measure_ms * MS
         end_us = warmup_us + measure_us

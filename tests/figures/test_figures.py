@@ -202,14 +202,6 @@ def check_fig19(series):
         assert cpu["Con"] > cpu["Host"], rate
 
 
-def check_fig20(series):
-    # Every shard count simulates the identical run.
-    simulated = ("messages_delivered", "windows_run", "records_exchanged", "events")
-    by_shards = series["by_shards"]
-    rows = {tuple(row[key] for key in simulated) for row in by_shards.values()}
-    assert len(by_shards) >= 2 and len(rows) == 1
-
-
 def check_fig21(series):
     # (a) under stress, the warm ONCache regimes deliver more than vanilla.
     regimes = series["regimes"]

@@ -1,9 +1,8 @@
 """Shard-count equivalence: N shards must reproduce the 1-shard run.
 
 The sharded engine's core guarantee is partition invariance: splitting a
-cluster's hosts across shards (and even across worker processes) is an
-implementation detail that must not change one byte of the simulated
-outcome. These tests pin that down by comparing canonical trace JSON —
+cluster's hosts across shards is an implementation detail that must not
+change one byte of the simulated outcome. These tests pin that down by comparing canonical trace JSON —
 the same serialization the golden suite uses — between a 1-shard
 reference and 2/4-shard runs, across a seed matrix.
 
@@ -30,8 +29,8 @@ DURATION_US = 2500.0
 WARMUP_US = 1000.0
 
 
-def _run(spec, shards, transport="inline"):
-    result = run_cluster(spec, shards=shards, transport=transport)
+def _run(spec, shards):
+    result = run_cluster(spec, shards=shards)
     assert result.trace_doc is not None
     return result
 
@@ -163,24 +162,6 @@ def test_flowcache_churn_shards_match_reference(shards):
     assert churned["ingress_hits"] > 0
     assert churned["ingress_evictions"] > 0
     assert actual.records_exchanged > 0
-
-
-def test_process_transport_matches_inline():
-    """Spawn workers + pipes must equal the in-process reference exactly
-    (fresh interpreters, own RNG registries, wire (de)serialization)."""
-    spec = udp_ring_spec(
-        num_hosts=4,
-        message_size=512,
-        rate_pps=60_000.0,
-        seed=42,
-        warmup_us=WARMUP_US,
-        duration_us=DURATION_US,
-        trace=True,
-    )
-    reference = _run(spec, shards=1, transport="inline")
-    actual = _run(spec, shards=2, transport="process")
-    _assert_equivalent("process-shards2", reference, actual)
-    assert actual.transport == "process"
 
 
 def test_uneven_partition_matches_reference():

@@ -67,10 +67,7 @@ MODULE_TESTS = {
     ),
     "kernel/stages.py": ("tests/unit/test_sockets_stages.py",),
     "metrics/cpuacct.py": ("tests/unit/test_steering_timers_metrics.py",),
-    "overlay/cluster.py": (
-        "tests/unit/test_cluster.py",
-        "tests/integration/test_shard_faults.py",
-    ),
+    "overlay/cluster.py": ("tests/unit/test_cluster.py",),
     "sim/engine.py": (
         "tests/unit/test_engine.py",
         "tests/unit/test_scheduler.py",
@@ -80,7 +77,6 @@ MODULE_TESTS = {
     "sim/shard/coordinator.py": (
         "tests/unit/test_shard_compaction.py",
         "tests/props/test_shard_props.py",
-        "tests/integration/test_shard_faults.py",
     ),
     "workloads/sockperf.py": ("tests/unit/test_workloads.py",),
     "workloads/traffic.py": ("tests/unit/test_workloads.py",),
@@ -370,7 +366,7 @@ BUGS: Tuple[Bug, ...] = (
         "\n"
         "\n"
         "class _HostOutbox:\n",
-        frozenset({"golden", "shard-eq"}),
+        frozenset({"golden"}),
     ),
     Bug(
         "udp_tx_reinject_after_encode",
@@ -440,7 +436,7 @@ BUGS: Tuple[Bug, ...] = (
         "                self._inbox[slot].append(record)\n",
         "                self._inbox[slot].append(record)\n"
         "                self._inbox[slot].append(record)\n",
-        frozenset({"golden"}),
+        frozenset({"golden", "module"}),
     ),
     Bug(
         "coordinator_drops_last_record",
@@ -456,7 +452,7 @@ BUGS: Tuple[Bug, ...] = (
         "sim/shard/coordinator.py",
         "                self._inbox[slot].append(record)\n",
         "                self.handles[slot]._program.inject([record])\n",
-        frozenset({"shard-eq", "module"}),
+        frozenset({"module"}),
     ),
     Bug(
         "sockperf_end_unconverted",

@@ -10,10 +10,14 @@ Two families:
   destination before the barrier of the window that produced it, and the
   whole exchange is partition-invariant: K shards deliver exactly what
   one shard delivers, in the same order.
+
+A relay test adds liveness: a shard whose only work is a record routed
+to it still runs that record.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -148,17 +152,14 @@ def _drive(num_hosts, shards, seed, periods, until=200.0):
     groups = [all_hosts[i::shards] for i in range(shards)]
     groups = [g for g in groups if g]
     handles = [
-        InlineShardHandle(
-            slot, PingProgram(group, all_hosts, seed, periods)
-        )
-        for slot, group in enumerate(groups)
+        InlineShardHandle(PingProgram(group, all_hosts, seed, periods))
+        for group in groups
     ]
     coordinator = ShardCoordinator(
         handles, lookahead_us=PingProgram.LATENCY, record_windows=True
     )
     coordinator.run(until=until)
     results = coordinator.finalize()
-    coordinator.close()
     delivered = []
     for doc in results:
         delivered.extend(tuple(d) for d in doc["delivered"])
@@ -206,3 +207,53 @@ def test_toy_partition_invariance(setup, shards):
     _, actual = _drive(num_hosts, min(shards, num_hosts), seed, periods)
     assert actual == reference
     assert reference, "scenario delivered nothing — vacuous equivalence"
+
+
+class RelayProgram(PingProgram):
+    """A toy shard whose hosts act only on what they receive: one token
+    travels the ring, one ``LATENCY`` per hop. Between hops every shard
+    is idle, so the run goes on only if the coordinator counts a routed,
+    not yet delivered record as its destination's next event."""
+
+    def __init__(self, hosts, all_hosts):
+        self._hosts = tuple(hosts)
+        self._all_hosts = list(all_hosts)
+        self._sim = Simulator()
+        self._seqs = {h: 0 for h in hosts}
+        self._out = []
+        self.delivered = []  # (delivery_time, host)
+        if all_hosts[0] in self._hosts:
+            self._sim.schedule_at(0.0, self._send, all_hosts[0])
+
+    def _send(self, host):
+        ring = self._all_hosts
+        peer = ring[(ring.index(host) + 1) % len(ring)]
+        seq = self._seqs[host]
+        self._seqs[host] = seq + 1
+        self._out.append(
+            CrossShardEvent(self._sim.now + self.LATENCY, host, seq, "token", peer, ())
+        )
+
+    def _receive(self, host):
+        self.delivered.append((self._sim.now, host))
+        self._send(host)
+
+    def inject(self, records):
+        for record in records:
+            self._sim.schedule_at(record.time, self._receive, record.dst)
+
+
+@pytest.mark.parametrize("shards", [1, 2, 3])
+def test_token_woken_shards_keep_running(shards):
+    all_hosts = [0, 1, 2]
+    handles = [
+        InlineShardHandle(RelayProgram(all_hosts[i::shards], all_hosts))
+        for i in range(shards)
+    ]
+    coordinator = ShardCoordinator(handles, lookahead_us=RelayProgram.LATENCY)
+    coordinator.run(until=50.0)
+    delivered = sorted(
+        hop for doc in coordinator.finalize() for hop in doc["delivered"]
+    )
+    hops = range(1, 11)
+    assert delivered == [(RelayProgram.LATENCY * k, k % 3) for k in hops]

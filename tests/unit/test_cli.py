@@ -48,9 +48,29 @@ class TestMain:
     def test_cluster_entry_prints_ring_totals(self, capsys):
         assert main(["run", "cluster_udp_ring_vanilla"]) == 0
         out = capsys.readouterr().out
-        assert "1 shard(s) via inline" in out
+        assert "4 hosts, 1 shard(s)" in out
         assert "cross-shard records" in out
         assert "host 3:" in out
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_shards_below_one_rejected(self, shards, capsys):
+        assert main(["run", "cluster_udp_ring_vanilla", "--shards", shards]) == 2
+        assert "need at least one shard" in capsys.readouterr().err
+
+    def test_two_shards_print_the_one_shard_result(self, capsys):
+        def modelled_rows(shards):
+            assert main(["run", "cluster_udp_ring_vanilla", "--shards", shards]) == 0
+            out = capsys.readouterr().out
+            rows = [
+                line for line in out.splitlines()
+                if line.strip().startswith(
+                    ("messages delivered", "message rate", "avg latency", "host ")
+                )
+            ]
+            assert len(rows) == 7
+            return rows
+
+        assert modelled_rows("2") == modelled_rows("1")
 
     def test_shards_rejected_on_single_host_entry(self, capsys):
         assert main(["run", "udp_fixed_vanilla", "--shards", "2"]) == 2

@@ -2,10 +2,14 @@
 
 Records merge by ``(time, src, seq)``. ``(src, seq)`` must never repeat,
 or two records from one host at one time tie and their order falls to
-how the batch happened to be assembled.
+how the batch happened to be assembled. A record's payload is a tuple
+of primitives, so no model object is shared between hosts.
 """
 
-from repro.overlay.cluster import RECORD_CREDIT, _HostOutbox
+import pytest
+
+from repro.overlay.cluster import RECORD_CREDIT, RECORD_SKB, _HostOutbox
+from repro.sim.errors import ShardError
 from repro.sim.shard.records import merge_records
 
 
@@ -19,3 +23,22 @@ def test_outbox_seq_makes_merge_keys_unique():
     merged = merge_records(second.drain() + records)
     keys = [record.sort_key for record in merged]
     assert all(a < b for a, b in zip(keys, keys[1:])), keys
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ([4, 5.0], "payload is list, expected tuple"),
+        (7, "payload is int, expected tuple"),
+        ((4, object()), r"payload\[1\] has non-primitive type object"),
+        ((4, (5.0, {"x": 1})), r"payload\[1\]\[1\] has non-primitive type dict"),
+    ],
+    ids=["list", "int", "object-leaf", "nested-dict"],
+)
+def test_outbox_rejects_non_primitive_payload(payload, reason):
+    outbox = _HostOutbox(0)
+    with pytest.raises(ShardError, match=reason):
+        outbox.emit(5.0, RECORD_SKB, 1, payload)
+    assert outbox.drain() == []
+    outbox.emit(5.0, RECORD_SKB, 1, (4, 5.0, "x", True, None, (1, 2)))
+    assert [record.seq for record in outbox.drain()] == [0]

@@ -182,13 +182,11 @@ def test_churn_cluster_is_partition_invariant(monkeypatch):
     def drive(shards):
         groups = [g for g in (all_hosts[i::shards] for i in range(shards)) if g]
         handles = [
-            InlineShardHandle(slot, ChurnProgram(group, all_hosts))
-            for slot, group in enumerate(groups)
+            InlineShardHandle(ChurnProgram(group, all_hosts)) for group in groups
         ]
         coordinator = ShardCoordinator(handles, ChurnProgram.LATENCY)
         coordinator.run(until=120.0)
         results = coordinator.finalize()
-        coordinator.close()
         delivered = []
         for doc in results:
             delivered.extend(tuple(d) for d in doc["delivered"])

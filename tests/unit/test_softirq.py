@@ -207,18 +207,13 @@ class TestNicAttach:
 
 class TestBacklogNapi:
     def test_take_respects_limit(self):
+        _sim, _machine, softnet = make_env()
         stage, _ = simple_stage()
-        napi = BacklogNapi(stage, capacity=100)
         for i in range(10):
-            napi.enqueue(make_skb(i))
+            enqueue(softnet, 0, make_skb(i), stage, from_cpu=0)
+        napi = softnet.data[0].queues[stage.name]
+        assert isinstance(napi, BacklogNapi)
         items = napi.take(3)
-        assert len(items) == 3
+        assert [skb.flow.sport for skb in items] == [0, 1, 2]
+        assert len(napi.queue) == 7
         assert napi.has_work()
-
-    def test_capacity_drop(self):
-        stage, _ = simple_stage()
-        napi = BacklogNapi(stage, capacity=2)
-        assert napi.enqueue(make_skb(1))
-        assert napi.enqueue(make_skb(2))
-        assert not napi.enqueue(make_skb(3))
-        assert napi.drops == 1

@@ -248,3 +248,21 @@ class TestTestbedLayout:
     def test_empty_rps_cpus_turns_rps_off(self):
         bed = Testbed(mode="overlay", rps_cpus=[])
         assert bed.stack.rps is None
+
+    @pytest.mark.parametrize("warmup_ms", [-5.0, float("nan")])
+    def test_negative_warmup_rejected_before_the_first_event(self, warmup_ms):
+        bed = Testbed(mode="overlay")
+        bed.add_udp_flow(64, rate_pps=10_000.0)
+        with pytest.raises(ConfigurationError, match="warmup_ms"):
+            bed.run(warmup_ms=warmup_ms, measure_ms=2.0)
+        assert bed.sim.events_processed == 0
+        assert bed.sim.now == 0.0
+
+    @pytest.mark.parametrize("measure_ms", [0.0, -2.0, float("nan")])
+    def test_empty_measure_window_rejected_before_the_first_event(self, measure_ms):
+        bed = Testbed(mode="overlay")
+        bed.add_udp_flow(64, rate_pps=10_000.0)
+        with pytest.raises(ConfigurationError, match="measure_ms"):
+            bed.run(warmup_ms=1.0, measure_ms=measure_ms)
+        assert bed.sim.events_processed == 0
+        assert bed.sim.now == 0.0
