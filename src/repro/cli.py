@@ -151,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser(
         "validate",
-        help="run the simulator validation suites (invariants, differential, golden)",
+        help="run the simulator validation suites (invariants, golden)",
     )
     validate.add_argument(
         "--suite",
-        choices=["all", "invariants", "differential", "golden"],
+        choices=["all", "invariants", "golden"],
         default="all",
     )
     validate.add_argument(

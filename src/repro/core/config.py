@@ -10,7 +10,7 @@ whether GRO splitting is active (Section 5's "GRO-splitting").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.sim.errors import ConfigurationError
 
@@ -26,8 +26,6 @@ _POLICIES = (POLICY_TWO_CHOICE, POLICY_STATIC, POLICY_LEAST_LOADED)
 class FalconConfig:
     """All Falcon knobs, with the paper's defaults."""
 
-    #: Master switch. When False the stack behaves like vanilla Linux.
-    enabled: bool = True
     #: FALCON_CPUS — the cores softirq stages may be pipelined onto.
     #: Defaults avoid the conventional IRQ (0), RPS (1) and application
     #: (2) cores, matching the paper's use of dedicated cores for flow
@@ -62,11 +60,6 @@ class FalconConfig:
                 f"unknown balancing policy {self.policy!r}; pick one of {_POLICIES}"
             )
 
-    @classmethod
-    def disabled(cls) -> "FalconConfig":
-        """Vanilla-overlay configuration (Falcon compiled out)."""
-        return cls(enabled=False, cpus=[0])
-
 
 @dataclass
 class FlowCacheConfig:
@@ -77,8 +70,6 @@ class FlowCacheConfig:
     parallelizes whatever work remains. Both can be on at once.
     """
 
-    #: Master switch. When False the stack builds no flow tables.
-    enabled: bool = True
     #: LRU entry budget, per direction (the ingress and egress tables
     #: each hold this many flows).
     capacity: int = 128
@@ -86,8 +77,3 @@ class FlowCacheConfig:
     def validate(self) -> None:
         if self.capacity < 1:
             raise ConfigurationError("flow cache capacity must be >= 1")
-
-    @classmethod
-    def disabled(cls) -> "FlowCacheConfig":
-        """Explicit cache-off configuration."""
-        return cls(enabled=False)

@@ -57,8 +57,6 @@ class FalconSteering:
     # ------------------------------------------------------------------
     def active(self) -> bool:
         """Line 6: is there room for parallelization right now?"""
-        if not self.config.enabled:
-            return False
         if not self.config.threshold_enabled:
             return True
         # The mean as sum / len: the arithmetic the figure digests were

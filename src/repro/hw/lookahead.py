@@ -20,22 +20,16 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.hw.link import Link
 from repro.sim.errors import ConfigurationError
 
 
-def lookahead_from_links(links: Iterable[Link]) -> float:
-    """Minimum propagation delay (µs) over the shard-crossing links.
-
-    Raises :class:`ConfigurationError` when no link is given or any link
-    has a non-positive propagation delay — both would make conservative
-    synchronization unsound.
-    """
-    return lookahead_from_latencies(link.propagation_us for link in links)
-
-
 def lookahead_from_latencies(latencies_us: Iterable[float]) -> float:
-    """Minimum over explicit inter-host latencies (µs), validated > 0."""
+    """Minimum over the inter-host latencies (µs).
+
+    Raises :class:`ConfigurationError` when none is given or the minimum
+    is not positive: both would make conservative synchronization
+    unsound.
+    """
     values = list(latencies_us)
     if not values:
         raise ConfigurationError(

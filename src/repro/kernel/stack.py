@@ -95,7 +95,7 @@ class StackConfig:
     load_alpha: float = 0.5
     #: Falcon configuration; None builds a vanilla stack.
     falcon: Optional[FalconConfig] = None
-    #: ONCache-style flow cache; None (or disabled) keeps two datapaths.
+    #: ONCache-style flow cache; None keeps two datapaths.
     flowcache: Optional[FlowCacheConfig] = None
 
     def resolve_costs(self) -> CostModel:
@@ -166,11 +166,7 @@ class NetworkStack:
         self.defrag = DefragEngine(self.sim)
 
         # --- flow cache (third datapath; overlay only) ---------------------
-        if (
-            config.flowcache is not None
-            and config.flowcache.enabled
-            and self.is_overlay
-        ):
+        if config.flowcache is not None and self.is_overlay:
             self.flowcache: Optional[FlowCache] = FlowCache(config.flowcache)
         else:
             self.flowcache = None
@@ -339,12 +335,7 @@ class NetworkStack:
                 miss=rps_transition,
             )
 
-        split = (
-            self.falcon is not None
-            and self.falcon.config.enabled
-            and self.falcon.config.split_gro
-        )
-        if split:
+        if self.falcon is not None and self.falcon.config.split_gro:
             validate_split(GRO_SPLIT)
             gro_flush = self.gro.flush if self.gro is not None else None
             second_half = Stage(
@@ -469,11 +460,6 @@ class NetworkStack:
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
-    def cache_counters(self) -> dict:
-        """Flow-cache hit/miss/eviction/invalidation counters (empty when
-        the cache is off)."""
-        return self.flowcache.counters() if self.flowcache is not None else {}
-
     def drop_counts(self) -> dict:
         socket_drops = sum(sock.drops for sock in self.sockets.sockets())
         return {

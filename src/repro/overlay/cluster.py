@@ -44,7 +44,7 @@ from repro.sim.shard import (
     ShardCoordinator,
     validate_payload,
 )
-from repro.validate.golden import SCHEMA_VERSION, TIME_PRECISION
+from repro.validate.golden import serialize_traces
 from repro.workloads.flows import TcpSender, UdpSender
 from repro.workloads.traffic import ConstantRate, Saturating
 
@@ -389,22 +389,7 @@ class _ClusterHost:
             doc["flowcache"] = dict(sorted(flowcache.counters().items()))
             doc["fastpath_deliveries"] = self.host.stack.fastpath_deliveries
         if self.tracer is not None:
-            doc["trace_entries"] = [
-                [
-                    trace.flow_id,
-                    trace.msg_id,
-                    [
-                        [
-                            round(event.time_us, TIME_PRECISION),
-                            event.kind,
-                            event.stage,
-                            event.cpu,
-                        ]
-                        for event in trace.events
-                    ],
-                ]
-                for trace in self.tracer.traces(complete_only=False)
-            ]
+            doc["traces"] = self.tracer.traces(complete_only=False)
         return doc
 
 
@@ -665,32 +650,6 @@ class ClusterResult:
     trace_doc: Optional[Dict[str, Any]] = None
 
 
-def _merge_trace_doc(
-    per_host: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Combine per-host raw trace entries into one canonical document.
-
-    Same canonicalization as :func:`repro.validate.golden.serialize_traces`:
-    dense flow indexes in ascending flow-id order, entries sorted by
-    (flow, msg).
-    """
-    entries: List[Tuple[int, int, List[Any]]] = []
-    for host_doc in per_host:
-        for flow_id, msg_id, events in host_doc.get("trace_entries", []):
-            entries.append((flow_id, msg_id, events))
-    flow_order = sorted({flow_id for flow_id, _, _ in entries})
-    flow_index = {flow_id: index for index, flow_id in enumerate(flow_order)}
-    entries.sort(key=lambda entry: (flow_index[entry[0]], entry[1]))
-    return {
-        "schema": SCHEMA_VERSION,
-        "meta": dict(meta),
-        "traces": [
-            {"flow": flow_index[flow_id], "msg": msg_id, "events": events}
-            for flow_id, msg_id, events in entries
-        ],
-    }
-
-
 def run_cluster(
     spec: ClusterSpec,
     shards: int = 1,
@@ -724,8 +683,8 @@ def run_cluster(
     )
     trace_doc: Optional[Dict[str, Any]] = None
     if spec.trace:
-        trace_doc = _merge_trace_doc(
-            per_host,
+        trace_doc = serialize_traces(
+            [trace for doc in per_host for trace in doc.pop("traces")],
             meta={
                 "scenario": "cluster",
                 "num_hosts": spec.num_hosts,
@@ -747,8 +706,6 @@ def run_cluster(
                 ),
             },
         )
-        for doc in per_host:
-            doc.pop("trace_entries", None)
     return ClusterResult(
         spec=spec,
         shards=shards,

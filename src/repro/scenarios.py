@@ -5,8 +5,8 @@ regime, its traffic and its run length — and :func:`build` turns
 ``(name, seed)`` into an unrun :class:`~repro.workloads.sockperf.Testbed`
 (single host) or a :class:`~repro.overlay.cluster.ClusterSpec` (a ring of
 hosts on the sharded engine). The validation suites and ``repro run NAME``
-read this table; a suite attaches its observer (tracer, invariant
-monitor, delivery recorder) to the built bed before ``run()``.
+read this table; a suite attaches its observer (tracer or invariant
+monitor) to the built bed before ``run()``.
 
 Golden names double as file names under ``tests/goldens``; do not rename
 them.
@@ -108,22 +108,6 @@ _ENTRIES = (
         "udp_fixed_host", "host", "udp", 512, rate_pps=60_000.0,
         warmup_ms=5.0, measure_ms=10.0,
     ),
-    # Differential baselines: underloaded, so every message must arrive.
-    Scenario(
-        "udp_2flow_40k", "vanilla", "udp", 512, flows=2, rate_pps=40_000.0,
-        measure_ms=8.0,
-    ),
-    Scenario(
-        "udp_fragmented_8k", "vanilla", "udp", 4096, rate_pps=8_000.0,
-        measure_ms=8.0,
-    ),
-    # Paced, not closed-loop: a saturating window would let the faster
-    # side send more messages, and the byte counts would then differ for
-    # throughput reasons, not correctness ones.
-    Scenario(
-        "tcp_paced_10k", "vanilla", "tcp", 4096, rate_pps=10_000.0,
-        window_msgs=64, measure_ms=8.0,
-    ),
     # Cluster rings on the sharded engine (traced; goldens are pinned at
     # one shard and the shard-equivalence suite holds every count to them).
     Scenario(
@@ -171,25 +155,10 @@ INVARIANTS: Tuple[str, ...] = (
     "udp_fixed_host",
 )
 
-#: Differential cases: a vanilla baseline entry and the regimes that must
-#: deliver exactly what it delivers.
-DIFFERENTIAL: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("udp_2flow_40k", ("falcon", "oncache", "oncache_falcon")),
-    ("udp_fragmented_8k", ("falcon",)),
-    ("tcp_paced_10k", ("falcon", "oncache")),
-)
-
-
-def build(
-    name: str, seed: int = 0, regime: Optional[str] = None
-) -> Union[Testbed, ClusterSpec]:
-    """The unrun bed (or cluster spec) for entry ``name`` at ``seed``.
-
-    ``regime`` swaps the datapath and keeps the traffic (the differential
-    suite's candidate sides).
-    """
+def build(name: str, seed: int = 0) -> Union[Testbed, ClusterSpec]:
+    """The unrun bed (or cluster spec) for entry ``name`` at ``seed``."""
     entry = SCENARIOS[name]
-    mode, falcon, flowcache = datapath(regime or entry.regime)
+    mode, falcon, flowcache = datapath(entry.regime)
     if entry.cluster:
         return _cluster_spec(entry, seed, mode, falcon, flowcache)
     bed = Testbed(mode=mode, falcon=falcon, flowcache=flowcache, seed=seed)

@@ -1,20 +1,14 @@
-"""Correctness tooling: invariant monitors, differential & golden testing.
+"""Correctness tooling: invariant monitors and golden traces.
 
 Any run can opt in::
 
     from repro.validate import attach_monitor
     monitor = attach_monitor(stack)      # raises InvariantViolation on bugs
 
-`repro validate` (see :mod:`repro.cli`) wires the three suites together;
+`repro validate` (see :mod:`repro.cli`) runs the two suites;
 :mod:`repro.validate.harness` is the programmatic entry point.
 """
 
-from repro.validate.differential import (
-    DiffReport,
-    SideRecord,
-    compare_sides,
-    run_differential,
-)
 from repro.validate.golden import (
     check_goldens,
     default_golden_dir,
@@ -28,7 +22,6 @@ from repro.validate.golden import (
 from repro.validate.harness import (
     SuiteOutcome,
     drain_to_quiescence,
-    run_differential_suite,
     run_golden_suite,
     run_invariant_scenario,
     run_invariant_suite,
@@ -44,23 +37,18 @@ from repro.validate.invariants import (
 )
 
 __all__ = [
-    "DiffReport",
     "InvariantMonitor",
     "InvariantViolation",
-    "SideRecord",
     "SuiteOutcome",
     "TERMINAL_OUTCOMES",
     "attach_monitor",
     "check_goldens",
-    "compare_sides",
     "corrupt_conservation_ledger",
     "corrupt_interrupt_counter",
     "default_golden_dir",
     "diff_trace_docs",
     "drain_to_quiescence",
     "load_golden",
-    "run_differential",
-    "run_differential_suite",
     "run_golden_scenario",
     "run_golden_suite",
     "run_invariant_scenario",

@@ -25,7 +25,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 SCHEMA_VERSION = 1
 
@@ -43,9 +43,14 @@ _CLUSTER_FIELDS = ("hosts", "rate2_pps", "flowcache_capacity", "churn")
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
-def serialize_traces(tracer, meta: Optional[Dict] = None) -> Dict:
-    """Freeze a tracer's recorded traces into a canonical document."""
-    traces = tracer.traces(complete_only=False)
+def serialize_traces(traces: Iterable[Any], meta: Optional[Dict] = None) -> Dict:
+    """Freeze message traces into a canonical document.
+
+    ``traces`` are :class:`~repro.metrics.tracing.MessageTrace` objects:
+    one tracer's ``traces(complete_only=False)``, or every host's in a
+    cluster run.
+    """
+    traces = list(traces)
     flow_order = sorted({trace.flow_id for trace in traces})
     flow_index = {flow_id: index for index, flow_id in enumerate(flow_order)}
     entries = []
@@ -221,7 +226,7 @@ def run_golden_scenario(name: str) -> Dict:
         for key, value in asdict(entry).items()
         if key not in _CLUSTER_FIELDS
     }
-    return serialize_traces(tracer, meta=meta)
+    return serialize_traces(tracer.traces(complete_only=False), meta=meta)
 
 
 def check_goldens(

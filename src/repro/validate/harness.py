@@ -1,12 +1,11 @@
-"""The `repro validate` driver: invariants + differential + golden suites.
+"""The `repro validate` driver: the invariant and golden suites.
 
 Each suite returns :class:`SuiteOutcome` rows; the CLI prints them and
 exits non-zero when anything failed. Every run is a named entry of
 :mod:`repro.scenarios`: the invariant suite runs its ``INVARIANTS``
 (vanilla overlay, Falcon, GRO splitting, host mode, fragmented UDP)
 under the monitor and finishes each with a strict quiescent conservation
-check; the differential suite runs its ``DIFFERENTIAL`` cases and the
-golden suite its ``GOLDEN`` entries.
+check; the golden suite runs its ``GOLDEN`` entries.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.validate.differential import run_differential
 from repro.validate.golden import check_goldens
 from repro.validate.invariants import InvariantMonitor, InvariantViolation
 
@@ -90,27 +88,6 @@ def run_invariant_suite() -> List[SuiteOutcome]:
 
 
 # ----------------------------------------------------------------------
-# Differential suite
-# ----------------------------------------------------------------------
-def run_differential_suite() -> List[SuiteOutcome]:
-    from repro import scenarios
-
-    outcomes = []
-    for name, candidates in scenarios.DIFFERENTIAL:
-        for report in run_differential(name, candidates):
-            baseline = report.baseline
-            details = report.failures or [
-                f"{baseline.label} vs {report.candidate.label}: both sides "
-                f"delivered {baseline.delivered_messages} messages "
-                f"({baseline.delivered_bytes} B) in identical per-flow order"
-            ]
-            outcomes.append(
-                SuiteOutcome("differential", report.name, report.ok, details)
-            )
-    return outcomes
-
-
-# ----------------------------------------------------------------------
 # Golden suite
 # ----------------------------------------------------------------------
 def run_golden_suite(regen: bool = False) -> List[SuiteOutcome]:
@@ -130,8 +107,6 @@ def run_validation(
     outcomes: List[SuiteOutcome] = []
     if suites in ("all", "invariants"):
         outcomes.extend(run_invariant_suite())
-    if suites in ("all", "differential"):
-        outcomes.extend(run_differential_suite())
     if suites in ("all", "golden"):
         outcomes.extend(run_golden_suite(regen=regen_goldens))
     return outcomes

@@ -391,7 +391,7 @@ class Testbed:
         mode_label = self.mode
         if flowcache is not None:
             mode_label = f"{mode_label}+cache"
-        if falcon is not None and falcon.config.enabled:
+        if falcon is not None:
             mode_label = f"{mode_label}+falcon"
         return RunResult(
             mode=mode_label,

@@ -68,18 +68,31 @@ def _poisson_run(use_falcon, flows):
     for _ in range(flows):
         bed.add_udp_flow(512, clients=2, rate_pps=80_000.0, poisson=True)
     result = bed.run(warmup_ms=2.0, measure_ms=4.0)
-    return trace_doc_to_json(serialize_traces(tracer)), dataclasses.asdict(result)
+    return trace_doc_to_json(serialize_traces(tracer.traces(complete_only=False))), dataclasses.asdict(result)
+
+
+def _cluster_run(name):
+    from repro import scenarios
+    from repro.overlay.cluster import run_cluster
+
+    return dataclasses.asdict(run_cluster(scenarios.build(name)))
 
 
 def test_run_order_does_not_matter():
     """Scenario A, then a different scenario B, then A again in one
     process: A's output depends only on its config and seed, even with
-    Poisson arrivals, whose RNG streams are named after flow ids."""
+    Poisson arrivals, whose RNG streams are named after flow ids. The
+    same holds for a cluster ring, whose state (codecs included) must
+    not outlive its run."""
     first = _poisson_run(use_falcon=True, flows=1)
     _poisson_run(use_falcon=False, flows=3)
     second = _poisson_run(use_falcon=True, flows=1)
     assert first[0] == second[0], "canonical traces depend on run order"
     assert first[1] == second[1], "RunResult depends on run order"
+    first_ring = _cluster_run("cluster_udp_ring_vanilla")
+    _cluster_run("cluster_tcp_ring")
+    second_ring = _cluster_run("cluster_udp_ring_vanilla")
+    assert first_ring == second_ring, "ClusterResult depends on run order"
 
 
 def test_memcached_deterministic():
@@ -118,7 +131,7 @@ def _traced_run(seed, use_falcon):
     return (
         tuple(sorted(bed.host.machine.interrupts.snapshot().items())),
         tuple(sorted(bed.stack.drop_counts().items())),
-        trace_doc_to_json(serialize_traces(tracer)),
+        trace_doc_to_json(serialize_traces(tracer.traces(complete_only=False))),
     )
 
 

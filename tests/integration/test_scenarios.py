@@ -1,10 +1,8 @@
 """The scenario catalogue's validation suites as a tier-1 gate.
 
 Each test asserts what ``repro validate`` asserts for one catalogue case:
-a golden entry's trace matches its file in ``tests/goldens`` exactly, an
-invariant entry conserves every packet at strict quiescence, and a
-differential workload delivers the same messages in the same per-flow
-order on its baseline and on every candidate regime.
+a golden entry's trace matches its file in ``tests/goldens`` exactly, and
+an invariant entry conserves every packet at strict quiescence.
 """
 
 import dataclasses
@@ -19,7 +17,6 @@ from repro.validate import (
     default_golden_dir,
     diff_trace_docs,
     load_golden,
-    run_differential,
     run_golden_scenario,
     run_invariant_scenario,
 )
@@ -37,21 +34,6 @@ def test_invariants_hold_to_quiescence(name):
     assert outcome.ok, outcome.render()
 
 
-@pytest.mark.parametrize(
-    "name,candidates",
-    scenarios.DIFFERENTIAL,
-    ids=[name for name, _ in scenarios.DIFFERENTIAL],
-)
-def test_differential_regimes_agree(name, candidates):
-    reports = run_differential(name, candidates)
-    assert [report.name for report in reports] == [f"{name}/{c}" for c in candidates]
-    assert {report.name: report.failures for report in reports} == {
-        report.name: [] for report in reports
-    }
-    # One baseline run shared by every candidate.
-    assert len({id(report.baseline) for report in reports}) == 1
-
-
 def test_each_config_has_one_name():
     configs = [
         dataclasses.replace(entry, name="") for entry in scenarios.SCENARIOS.values()
@@ -61,11 +43,7 @@ def test_each_config_has_one_name():
 
 def test_suites_name_catalogue_entries():
     named = set(scenarios.GOLDEN) | set(scenarios.INVARIANTS)
-    named |= {name for name, _ in scenarios.DIFFERENTIAL}
     assert named <= set(scenarios.SCENARIOS)
-    for name, candidates in scenarios.DIFFERENTIAL:
-        assert scenarios.SCENARIOS[name].regime == "vanilla"
-        assert set(candidates) <= set(scenarios.REGIMES)
 
 
 def test_missing_golden_is_reported(tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ Each :class:`Bug` is one small patch to a copy of a real module under
 ``src/repro``. ``caught_by`` names every check that turns red on it:
 
 * a static rule id: ``repro check``'s rules, run on the mutated file;
-* ``golden``, ``invariants``, ``differential``: the validate suites, as
-  tier-1 runs them in ``tests/integration/test_scenarios.py``;
+* ``golden``, ``invariants``: the validate suites, as tier-1 runs them
+  in ``tests/integration/test_scenarios.py``;
 * ``shard-eq``: ``tests/integration/test_shard_equivalence.py``;
 * ``determinism``: ``tests/integration/test_determinism.py``;
 * ``module``: the unit and property tests of the mutated module
@@ -14,8 +14,9 @@ Each :class:`Bug` is one small patch to a copy of a real module under
 ``tests/mutations/test_catalogue.py`` holds the table to the truth.
 Tier-1 checks every static catch at its exact line; the slow tier runs
 the dynamic checks on each planted copy in a subprocess. The table is
-the evidence that each check earns its place: a check whose every catch
-another check also makes is a candidate for deletion.
+the evidence that each check earns its place: every static rule and
+every dynamic column has a row that only it catches, and a check
+without one is deleted.
 
 Print the table as it appears in ``docs/architecture.md`` with
 ``PYTHONPATH=src python tests/mutations/catalogue.py``.
@@ -35,20 +36,21 @@ from typing import FrozenSet, Iterable, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The dynamic checks, in table order.
-DYNAMIC = (
-    "golden", "invariants", "differential", "shard-eq", "determinism", "module",
-)
+DYNAMIC = ("golden", "invariants", "shard-eq", "determinism", "module")
 
-#: The suites every planted copy runs, whatever module it mutates.
+#: The suites every planted copy runs, whatever module it mutates, in
+#: the order tier-1 collects them: state that one suite leaves behind in
+#: the process is what the next one starts from.
 SUITES = (
+    "tests/integration/test_determinism.py",
     "tests/integration/test_scenarios.py",
     "tests/integration/test_shard_equivalence.py",
-    "tests/integration/test_determinism.py",
 )
 
 #: The ``module`` column: the unit and property tests of each module.
 MODULE_TESTS = {
     "core/fairshare.py": ("tests/unit/test_fairshare.py",),
+    "kernel/costs.py": ("tests/unit/test_skb_costs.py",),
     "kernel/defrag.py": ("tests/unit/test_gro_defrag.py",),
     "kernel/flowcache.py": (
         "tests/unit/test_flowcache.py",
@@ -113,6 +115,14 @@ BUGS: Tuple[Bug, ...] = (
         "key=lambda n: (ideal[n] - counts[n], weights[n], id(n)))",
         frozenset({"SIM103"}),
         flag="        name = max(names, key=lambda n:",
+    ),
+    Bug(
+        "copy_to_user_fixed_x1_3",
+        "`CostModel.copy_to_user`'s fixed cost is 1.3 times its calibrated value",
+        "kernel/costs.py",
+        "    copy_to_user: FuncCost = FuncCost(0.85, 0.00015)\n",
+        "    copy_to_user: FuncCost = FuncCost(0.85 * 1.3, 0.00015)\n",
+        frozenset({"golden"}),
     ),
     Bug(
         "defrag_complete_keeps_entry",
@@ -186,7 +196,7 @@ BUGS: Tuple[Bug, ...] = (
         "            self._held[key] = skb\n"
         "            skb.segs = 1\n"
         "            return skb",
-        frozenset({"golden", "invariants", "differential", "module"}),
+        frozenset({"golden", "invariants", "module"}),
     ),
     Bug(
         "module_flow_counter",
@@ -205,9 +215,7 @@ BUGS: Tuple[Bug, ...] = (
         "kernel/softirq.py",
         "            self.raise_net_rx(target_cpu, napi, from_cpu)\n",
         "",
-        frozenset({
-            "golden", "invariants", "differential", "shard-eq", "module",
-        }),
+        frozenset({"golden", "invariants", "shard-eq", "module"}),
     ),
     Bug(
         "enqueue_peeks_remote_active",
@@ -278,13 +286,48 @@ BUGS: Tuple[Bug, ...] = (
         frozenset({"golden"}),
     ),
     Bug(
+        "host_tail_steps_twice",
+        "a host-mode stack runs its tail steps (ip, defrag, l4, socket) twice",
+        "kernel/stack.py",
+        "        ] + stack_tail_steps(costs, self.defrag)\n",
+        "        ] + stack_tail_steps(costs, self.defrag)\n"
+        "        if not self.is_overlay:\n"
+        "            tail_steps += stack_tail_steps(costs, self.defrag)\n",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "host_backlog_charged_thrice",
+        "a host-mode stack charges `process_backlog` three times its cost",
+        "kernel/stack.py",
+        "            Step.simple(\"process_backlog\", costs.backlog_dequeue)\n",
+        "            Step(\n"
+        "                \"process_backlog\",\n"
+        "                None,\n"
+        "                None,\n"
+        "                costs.backlog_dequeue.fixed * (1 if self.is_overlay else 3),\n"
+        "                costs.backlog_dequeue.per_byte,\n"
+        "            )\n",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "falcon_veth_selector_vxlan",
+        "Falcon's `netif_rx[veth]` transition is built with "
+        "`selector(IFINDEX_VXLAN)`",
+        "kernel/stack.py",
+        "                    steering.selector(devices.IFINDEX_VETH),\n"
+        "                    name=\"netif_rx[veth]\",\n",
+        "                    steering.selector(devices.IFINDEX_VXLAN),\n"
+        "                    name=\"netif_rx[veth]\",\n",
+        frozenset({"golden"}),
+    ),
+    Bug(
         "socket_deliver_twice",
         "`SocketDeliver.route` delivers each packet to its socket twice",
         "kernel/stages.py",
         "            deliver(skb, cpu_index)\n",
         "            deliver(skb, cpu_index)\n"
         "            deliver(skb, cpu_index)\n",
-        frozenset({"golden", "invariants", "differential"}),
+        frozenset({"golden", "invariants"}),
     ),
     Bug(
         "cpuacct_item_total_reassociated",
@@ -339,7 +382,7 @@ BUGS: Tuple[Bug, ...] = (
         "overlay/cluster.py",
         "sim.now + propagation, RECORD_CREDIT",
         "sim.now + propagation / 2, RECORD_CREDIT",
-        frozenset({"golden", "shard-eq"}),
+        frozenset({"golden", "shard-eq", "determinism"}),
     ),
     Bug(
         "merge_key_shard_id",
@@ -347,7 +390,7 @@ BUGS: Tuple[Bug, ...] = (
         "overlay/cluster.py",
         "CrossShardEvent(time, self.host_index, self._seq, kind, dst, payload)",
         "CrossShardEvent(time, self.shard_index, self._seq, kind, dst, payload)",
-        frozenset({"golden", "shard-eq", "module"}),
+        frozenset({"golden", "shard-eq", "determinism", "module"}),
     ),
     Bug(
         "decode_skb_from_cache",
@@ -366,7 +409,7 @@ BUGS: Tuple[Bug, ...] = (
         "\n"
         "\n"
         "class _HostOutbox:\n",
-        frozenset({"golden"}),
+        frozenset({"golden", "determinism"}),
     ),
     Bug(
         "udp_tx_reinject_after_encode",
@@ -509,21 +552,20 @@ def static_findings(path: Path) -> List[Tuple[int, str]]:
 def column_of(nodeid: str) -> Set[str]:
     """The dynamic check(s) a failed or erroring pytest node belongs to."""
     path, _, test = nodeid.partition("::")
-    if path == SUITES[0]:
+    if path == "tests/integration/test_scenarios.py":
         if not test:  # the module did not even import
-            return {"golden", "invariants", "differential"}
+            return {"golden", "invariants"}
         for prefix, column in (
             ("test_golden", "golden"),
             ("test_missing_golden", "golden"),
             ("test_invariant", "invariants"),
-            ("test_differential", "differential"),
         ):
             if test.startswith(prefix):
                 return {column}
         return {nodeid}  # an unexpected failure shows up by name
-    if path == SUITES[1]:
+    if path == "tests/integration/test_shard_equivalence.py":
         return {"shard-eq"}
-    if path == SUITES[2]:
+    if path == "tests/integration/test_determinism.py":
         return {"determinism"}
     return {"module"}
 

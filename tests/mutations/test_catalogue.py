@@ -2,7 +2,8 @@
 
 Tier-1: every planted bug gets exactly the static findings its row
 claims, at the planted line, and no others; an unmutated copy of every
-planted module is clean; every rule has a row that only it catches.
+planted module is clean; every static rule and every dynamic column has
+a row that only it catches.
 Slow tier: the dynamic checks run on each planted copy in a subprocess
 and catch exactly the row's columns.
 """
@@ -38,10 +39,10 @@ def test_every_bug_has_a_catcher(bug):
     assert bool(bug.rules) == bool(bug.flag)
 
 
-@pytest.mark.parametrize("rule", [rule.id for rule in ALL_RULES])
-def test_every_rule_has_a_row_only_it_catches(rule):
-    assert any(bug.caught_by == {rule} for bug in BUGS), (
-        f"{rule} catches no planted bug that nothing else catches"
+@pytest.mark.parametrize("check", [rule.id for rule in ALL_RULES] + list(DYNAMIC))
+def test_every_rule_has_a_row_only_it_catches(check):
+    assert any(bug.caught_by == {check} for bug in BUGS), (
+        f"{check} catches no planted bug that nothing else catches"
     )
 
 

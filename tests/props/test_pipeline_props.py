@@ -1,14 +1,14 @@
 """End-to-end property tests: delivery invariants of the full stack.
 
-Whatever the Falcon configuration, message sizes or rates (kept below
-capacity so queues don't drop), the receive pipeline must deliver every
-message exactly once, in order, with its bytes intact.
+Whatever the Falcon configuration, flow cache, message sizes or rates
+(kept below capacity so queues don't drop), the receive pipeline must
+deliver every message exactly once, in order, with its bytes intact.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import FalconConfig
+from repro.core.config import FalconConfig, FlowCacheConfig
 from repro.workloads.sockperf import Testbed
 
 falcon_configs = st.one_of(
@@ -22,16 +22,22 @@ falcon_configs = st.one_of(
     ),
 )
 
+#: The flow cache off, or the ONCache fast path on (overlay only).
+flowcaches = st.one_of(st.none(), st.builds(FlowCacheConfig))
+
 
 @settings(max_examples=15, deadline=None)
 @given(
     mode=st.sampled_from(["host", "overlay"]),
     falcon=falcon_configs,
+    flowcache=flowcaches,
     message_size=st.sampled_from([16, 300, 1024, 4096]),
     flows=st.integers(min_value=1, max_value=3),
 )
-def test_udp_messages_delivered_once_in_order(mode, falcon, message_size, flows):
-    bed = Testbed(mode=mode, falcon=falcon)
+def test_udp_messages_delivered_once_in_order(
+    mode, falcon, flowcache, message_size, flows
+):
+    bed = Testbed(mode=mode, falcon=falcon, flowcache=flowcache)
     sent = []
     for _ in range(flows):
         # Modest per-flow rate: stays below capacity in every mode.
@@ -55,10 +61,11 @@ def test_udp_messages_delivered_once_in_order(mode, falcon, message_size, flows)
 @settings(max_examples=10, deadline=None)
 @given(
     falcon=falcon_configs,
+    flowcache=flowcaches,
     message_size=st.sampled_from([512, 4096, 16384]),
 )
-def test_tcp_stream_is_lossless_and_ordered(falcon, message_size):
-    bed = Testbed(mode="overlay", falcon=falcon)
+def test_tcp_stream_is_lossless_and_ordered(falcon, flowcache, message_size):
+    bed = Testbed(mode="overlay", falcon=falcon, flowcache=flowcache)
     bed.add_tcp_flow(message_size, window_msgs=8)
     result = bed.run(warmup_ms=2, measure_ms=8)
     steering_changed = result.falcon_fallbacks > 0 or (
@@ -86,12 +93,13 @@ def test_tcp_stream_is_lossless_and_ordered(falcon, message_size):
 @settings(max_examples=8, deadline=None)
 @given(
     falcon=falcon_configs,
+    flowcache=flowcaches,
     message_size=st.sampled_from([2000, 9000, 65507]),
 )
-def test_fragmented_udp_reassembles_fully(falcon, message_size):
+def test_fragmented_udp_reassembles_fully(falcon, flowcache, message_size):
     """Messages above the MTU ride multiple wire packets; below capacity
     every datagram must reassemble (no defrag timeouts, no partials)."""
-    bed = Testbed(mode="overlay", falcon=falcon)
+    bed = Testbed(mode="overlay", falcon=falcon, flowcache=flowcache)
     bed.add_udp_flow(message_size, clients=1, rate_pps=5_000)
     result = bed.run(warmup_ms=2, measure_ms=10)
     assert result.drops["defrag_timeout"] == 0

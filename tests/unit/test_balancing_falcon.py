@@ -47,10 +47,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             FalconConfig(policy="round_robin").validate(num_cpus=8)
 
-    def test_disabled_preset(self):
-        config = FalconConfig.disabled()
-        assert not config.enabled
-
 
 class TestBalancers:
     def test_static_is_deterministic(self):
@@ -138,14 +134,6 @@ class TestBalancers:
 
 
 class TestFalconSteering:
-    def test_inactive_when_disabled(self):
-        machine = make_machine()
-        steering = FalconSteering(machine, FalconConfig(enabled=False, cpus=[3]))
-        assert not steering.active()
-        skb = make_skb()
-        assert steering.select_cpu(3, skb, current_cpu=1) == 1
-        assert steering.fallbacks == 1
-
     def test_load_gate_disables_falcon(self):
         machine = make_machine()
         config = FalconConfig(cpus=[3, 4], load_threshold=0.85)

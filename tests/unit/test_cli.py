@@ -29,6 +29,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_unknown_validate_suite_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["validate", "--suite", "differential"])
+        assert exc.value.code == 2
+        assert "choose from 'all', 'invariants', 'golden'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_stress_runs(self, capsys):

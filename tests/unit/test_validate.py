@@ -1,9 +1,7 @@
 """Unit tests for the validation subsystem (src/repro/validate/).
 
 Covers the golden-trace serializer round-trip, the trace diff engine's
-failure messages, the differential checker's failure messages (driven by
-fabricated SideRecords, no simulation), and the invariant monitor's
-individual checks.
+failure messages, and the invariant monitor's individual checks.
 """
 
 import json
@@ -14,10 +12,8 @@ import pytest
 from repro.validate import (
     InvariantMonitor,
     InvariantViolation,
-    SideRecord,
     SuiteOutcome,
     attach_monitor,
-    compare_sides,
     corrupt_conservation_ledger,
     diff_trace_docs,
     load_golden,
@@ -28,7 +24,7 @@ from repro.validate import (
 
 
 # ----------------------------------------------------------------------
-# Fabricated tracer (mirrors PacketTracer's read API)
+# Fabricated traces (mirror MessageTrace's fields)
 # ----------------------------------------------------------------------
 def _event(time_us, kind, stage, cpu):
     return SimpleNamespace(time_us=time_us, kind=kind, stage=stage, cpu=cpu)
@@ -38,63 +34,51 @@ def _trace(flow_id, msg_id, events):
     return SimpleNamespace(flow_id=flow_id, msg_id=msg_id, events=events)
 
 
-class _Tracer:
-    def __init__(self, traces):
-        self._traces = traces
-
-    def traces(self, complete_only=False):
-        return list(self._traces)
-
-
-def _sample_tracer():
-    return _Tracer(
-        [
-            _trace(40, 2, [_event(10.0, "rx", "irq", 0)]),
-            _trace(17, 5, [_event(1.25, "rx", "irq", 0), _event(3.5, "app", "socket", 2)]),
-            _trace(40, 1, [_event(8.123456789, "rx", "irq", 1)]),
-        ]
-    )
+def _sample_traces():
+    return [
+        _trace(40, 2, [_event(10.0, "rx", "irq", 0)]),
+        _trace(17, 5, [_event(1.25, "rx", "irq", 0), _event(3.5, "app", "socket", 2)]),
+        _trace(40, 1, [_event(8.123456789, "rx", "irq", 1)]),
+    ]
 
 
 class TestSerializeTraces:
     def test_flow_ids_remapped_dense_and_sorted(self):
-        doc = serialize_traces(_sample_tracer())
+        doc = serialize_traces(_sample_traces())
         keys = [(t["flow"], t["msg"]) for t in doc["traces"]]
         # flow 17 -> index 0, flow 40 -> index 1; msgs ascend within a flow.
         assert keys == [(0, 5), (1, 1), (1, 2)]
 
     def test_times_rounded_to_fixed_precision(self):
-        doc = serialize_traces(_sample_tracer())
+        doc = serialize_traces(_sample_traces())
         by_key = {(t["flow"], t["msg"]): t for t in doc["traces"]}
         assert by_key[(1, 1)]["events"][0][0] == round(8.123456789, 6)
 
     def test_meta_and_schema_carried(self):
-        doc = serialize_traces(_sample_tracer(), meta={"scenario": "x"})
+        doc = serialize_traces(_sample_traces(), meta={"scenario": "x"})
         assert doc["schema"] == 1
         assert doc["meta"] == {"scenario": "x"}
 
     def test_raw_flow_ids_do_not_leak(self):
-        """Two tracers with shifted raw flow ids serialize identically."""
-        shifted = _Tracer(
-            [
-                _trace(140, 2, [_event(10.0, "rx", "irq", 0)]),
-                _trace(117, 5, [_event(1.25, "rx", "irq", 0), _event(3.5, "app", "socket", 2)]),
-                _trace(140, 1, [_event(8.123456789, "rx", "irq", 1)]),
-            ]
-        )
-        assert serialize_traces(_sample_tracer()) == serialize_traces(shifted)
+        """Traces with shifted raw flow ids serialize identically."""
+        shifted = [
+            _trace(140, 2, [_event(10.0, "rx", "irq", 0)]),
+            _trace(117, 5, [_event(1.25, "rx", "irq", 0), _event(3.5, "app", "socket", 2)]),
+            _trace(140, 1, [_event(8.123456789, "rx", "irq", 1)]),
+        ]
+        assert serialize_traces(_sample_traces()) == serialize_traces(shifted)
 
 
 class TestGoldenRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
-        doc = serialize_traces(_sample_tracer(), meta={"k": 1})
+        doc = serialize_traces(_sample_traces(), meta={"k": 1})
         path = tmp_path / "sub" / "golden.json"
         write_golden(path, doc)
         assert load_golden(path) == doc
         assert diff_trace_docs(doc, load_golden(path)) == []
 
     def test_json_text_is_canonical(self, tmp_path):
-        doc = serialize_traces(_sample_tracer())
+        doc = serialize_traces(_sample_traces())
         text = trace_doc_to_json(doc)
         assert text.endswith("\n")
         # Stable key order: serializing the parsed text reproduces it.
@@ -107,7 +91,7 @@ def _mutated(doc):
 
 class TestDiffMessages:
     def setup_method(self):
-        self.doc = serialize_traces(_sample_tracer(), meta={"scenario": "x"})
+        self.doc = serialize_traces(_sample_traces(), meta={"scenario": "x"})
 
     def test_identical_docs_no_diffs(self):
         assert diff_trace_docs(self.doc, _mutated(self.doc)) == []
@@ -156,83 +140,6 @@ class TestDiffMessages:
         diffs = diff_trace_docs(self.doc, actual, max_messages=2)
         assert len(diffs) <= 3  # cap + optional truncation marker
         assert diffs[-1] == "... diff truncated"
-
-
-# ----------------------------------------------------------------------
-# Differential checker (fabricated SideRecords)
-# ----------------------------------------------------------------------
-def _clean_side(label):
-    return SideRecord(
-        label=label,
-        deliveries={0: [(0, 512), (1, 512)], 1: [(0, 512)]},
-        sent={0: 2, 1: 1},
-    )
-
-
-class TestCompareSides:
-    def test_identical_sides_pass(self):
-        assert compare_sides(_clean_side("vanilla"), _clean_side("falcon")) == []
-
-    def test_drops_reported_per_side(self):
-        falcon = _clean_side("falcon")
-        falcon.drops = {"backlog": 3}
-        (failure,) = compare_sides(_clean_side("vanilla"), falcon)
-        assert failure == (
-            "falcon: dropped packets in an underloaded run: {'backlog': 3}"
-        )
-
-    def test_reordering_reported(self):
-        vanilla = _clean_side("vanilla")
-        vanilla.reordered = 2
-        failures = compare_sides(vanilla, _clean_side("falcon"))
-        assert "vanilla: 2 messages delivered out of order" in failures
-
-    def test_message_conservation_failure_names_flow(self):
-        falcon = _clean_side("falcon")
-        falcon.sent[0] = 5  # sender pushed 5, only 2 arrived
-        failures = compare_sides(_clean_side("vanilla"), falcon)
-        assert any(
-            "falcon: message conservation broken on flow 0: sent 5 messages "
-            "but delivered 2" in f
-            for f in failures
-        )
-
-    def test_per_flow_order_failure_names_position(self):
-        falcon = _clean_side("falcon")
-        falcon.deliveries[0] = [(1, 512), (0, 512)]
-        failures = compare_sides(_clean_side("vanilla"), falcon)
-        assert any(
-            "falcon: flow 0 delivery order broken at position 1" in f
-            for f in failures
-        )
-
-    def test_cross_side_count_and_first_divergence(self):
-        falcon = _clean_side("falcon")
-        falcon.deliveries[1] = [(0, 256)]
-        falcon.sent = dict(falcon.sent)
-        failures = compare_sides(_clean_side("vanilla"), falcon)
-        assert any(
-            "flow 1 position 0: vanilla delivered msg 0 (512 B), falcon "
-            "msg 0 (256 B)" in f
-            for f in failures
-        )
-        assert any("application byte counts differ" in f for f in failures)
-
-    def test_flow_set_mismatch_reported(self):
-        falcon = _clean_side("falcon")
-        del falcon.deliveries[1]
-        del falcon.sent[1]
-        failures = compare_sides(_clean_side("vanilla"), falcon)
-        assert any("flow sets differ" in f for f in failures)
-
-    def test_byte_totals_compared_exactly(self):
-        falcon = _clean_side("falcon")
-        falcon.deliveries[1] = [(0, 513)]
-        failures = compare_sides(_clean_side("vanilla"), falcon)
-        assert any(
-            "application byte counts differ: vanilla 1536 vs falcon 1537" in f
-            for f in failures
-        )
 
 
 # ----------------------------------------------------------------------
