@@ -31,10 +31,21 @@ from repro.kernel.hashing import hash_32
 
 
 class Balancer(Protocol):
-    """Selects a CPU from the Falcon set for one softirq."""
+    """Selects a CPU from the Falcon set for the next softirq of ``n``
+    consecutive packets of one flow.
+
+    The choice is a function of ``skb_hash + ifindex`` and the loads the
+    balancer reads, so it is the same for each of the ``n`` packets; a
+    balancer adds ``n`` to every counter it keeps.
+    """
 
     def select(
-        self, machine: Machine, cpus: List[int], skb_hash: int, ifindex: int
+        self,
+        machine: Machine,
+        cpus: List[int],
+        skb_hash: int,
+        ifindex: int,
+        n: int,
     ) -> int: ...
 
 
@@ -72,7 +83,12 @@ class StaticHashBalancer:
         self.load_threshold = load_threshold
 
     def select(
-        self, machine: Machine, cpus: List[int], skb_hash: int, ifindex: int
+        self,
+        machine: Machine,
+        cpus: List[int],
+        skb_hash: int,
+        ifindex: int,
+        n: int,
     ) -> int:
         return first_choice_cpu(cpus, skb_hash, ifindex)
 
@@ -95,7 +111,12 @@ class TwoChoiceBalancer:
         self._choices_cpus: List[int] = []
 
     def select(
-        self, machine: Machine, cpus: List[int], skb_hash: int, ifindex: int
+        self,
+        machine: Machine,
+        cpus: List[int],
+        skb_hash: int,
+        ifindex: int,
+        n: int,
     ) -> int:
         if cpus != self._choices_cpus:
             self._choices = {}
@@ -112,7 +133,7 @@ class TwoChoiceBalancer:
             return first
         # Second choice: re-hash. Committed to even if it is also busy,
         # which keeps the mapping stable and avoids load fluctuations.
-        self.second_choices += 1
+        self.second_choices += n
         return second
 
 
@@ -128,7 +149,12 @@ class LeastLoadedBalancer:
         self.load_threshold = load_threshold
 
     def select(
-        self, machine: Machine, cpus: List[int], skb_hash: int, ifindex: int
+        self,
+        machine: Machine,
+        cpus: List[int],
+        skb_hash: int,
+        ifindex: int,
+        n: int,
     ) -> int:
         return min(cpus, key=lambda index: machine.cpus[index].load)
 

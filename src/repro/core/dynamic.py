@@ -118,9 +118,9 @@ def attach_dynamic_splitting(
         stack.stages["pnic_gro"].ifindex
     )
 
-    def switched_selector(skb, current_cpu):
+    def switched_selector(skb, current_cpu, n):
         if switch.active:
-            return static_selector(skb, current_cpu)
+            return static_selector(skb, current_cpu, n)
         return current_cpu
 
     split_stage.exit.selector = switched_selector

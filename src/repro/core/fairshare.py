@@ -106,11 +106,11 @@ class FairShareBalancer:
     # Balancer protocol (see repro.core.balancing)
     # ------------------------------------------------------------------
     def select(
-        self, machine, cpus: List[int], skb_hash: int, ifindex: int
+        self, machine, cpus: List[int], skb_hash: int, ifindex: int, n: int
     ) -> int:
         tenant = self._tenant_by_flow_hash.get(skb_hash)
         if tenant is None:
-            self.unassigned_selections += 1
+            self.unassigned_selections += n
             pool = cpus
         else:
             pool = self._partitions[tenant]
@@ -118,7 +118,7 @@ class FairShareBalancer:
         cpu = pool[_index(first_hash, len(pool))]
         if machine.cpus[cpu].load < self.load_threshold:
             return cpu
-        self.second_choices += 1
+        self.second_choices += n
         return pool[_index(hash_32(first_hash), len(pool))]
 
 

@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.core.balancing import make_balancer
 from repro.core.config import FalconConfig
 from repro.hw.cpu import Cpu
 from repro.hw.topology import Machine
 from repro.kernel.skb import Skb
+from repro.kernel.stages import Selector
+from repro.sim.stats import fold_sum
 
 #: A core's recent load, read without a comprehension frame per call.
 _LOAD = attrgetter("load")
@@ -59,55 +61,59 @@ class FalconSteering:
         """Line 6: is there room for parallelization right now?"""
         if not self.config.threshold_enabled:
             return True
-        # The mean as sum / len: the arithmetic the figure digests were
-        # pinned with, so the gate flips at exactly the same loads.
+        # The mean as a left-fold sum / len: the arithmetic the figure
+        # digests were pinned with, so the gate flips at exactly the same
+        # loads on every Python version.
         cpus = self._falcon_cpus
-        total: float = sum(map(_LOAD, cpus))
-        return total / len(cpus) < self.config.load_threshold
+        return fold_sum(map(_LOAD, cpus)) / len(cpus) < self.config.load_threshold
 
-    def select_cpu(self, ifindex: int, skb: Skb, current_cpu: int) -> int:
+    def select_cpu(
+        self, ifindex: int, skb: Skb, current_cpu: int, n: int
+    ) -> int:
         """The steering decision a stage-transition function makes.
 
-        Returns the CPU whose backlog should receive the packet's next
-        stage: a Falcon CPU when Falcon is active, the current CPU (the
-        vanilla ``netif_rx`` behaviour) otherwise. The balancer is read
-        from ``self`` on every call, because
+        Returns the CPU whose backlog should receive the next stage of
+        ``n`` consecutive packets of ``skb``'s flow: a Falcon CPU when
+        Falcon is active, the current CPU (the vanilla ``netif_rx``
+        behaviour) otherwise. Every counter grows by ``n``, as if each
+        packet had been asked about in turn. The balancer is read from
+        ``self`` on every call, because
         :func:`repro.core.fairshare.use_fair_share` swaps it after build.
         """
         if not self.active():
-            self.fallbacks += 1
+            self.fallbacks += n
             return current_cpu
-        self.steered += 1
+        self.steered += n
         self.steered_by_ifindex[ifindex] = (
-            self.steered_by_ifindex.get(ifindex, 0) + 1
+            self.steered_by_ifindex.get(ifindex, 0) + n
         )
         return self.balancer.select(
-            self.machine, self.config.cpus, skb.hash, ifindex
+            self.machine, self.config.cpus, skb.hash, ifindex, n
         )
 
-    def selector(self, ifindex: int) -> Callable[[Skb, int], int]:
+    def selector(self, ifindex: int) -> Selector:
         """Bind this steering instance to a device, for use as a
         :class:`~repro.kernel.stages.EnqueueTransition` selector.
 
-        A ``partial`` binds the device index in C, so a steered packet
-        pays one Python frame, ``select_cpu``'s own.
+        A ``partial`` binds the device index in C, so a steered run of
+        packets pays one Python frame, ``select_cpu``'s own.
         """
         return partial(self.select_cpu, ifindex)
 
-    def split_selector(
-        self, ifindex: int, split_same_core: bool
-    ) -> Callable[[Skb, int], int]:
+    def split_selector(self, ifindex: int, split_same_core: bool) -> Selector:
         """Selector for a *split* half-stage.
 
         ``split_same_core`` implements the Section 6.4 workaround: target
         the current core so the split function never actually moves.
         """
         if split_same_core:
-            def _stay(skb: Skb, current_cpu: int) -> int:
-                return current_cpu
-
             return _stay
         return self.selector(ifindex)
+
+
+def _stay(skb: Skb, current_cpu: int, n: int) -> int:
+    """The vanilla ``netif_rx`` target: the current core."""
+    return current_cpu
 
 
 class VanillaSteering:
@@ -117,8 +123,5 @@ class VanillaSteering:
     exist (they are part of the kernel) but never move packets.
     """
 
-    def selector(self, ifindex: int) -> Callable[[Skb, int], int]:
-        def _select(skb: Skb, current_cpu: int) -> int:
-            return current_cpu
-
-        return _select
+    def selector(self, ifindex: int) -> Selector:
+        return _stay

@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.core.config import FalconConfig
 from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
+from repro.sim.stats import fold_sum
 from repro.workloads.multiflow import run_multicontainer
 
 FULL_COUNTS = (6, 10, 20, 30, 40)
@@ -52,7 +53,8 @@ def run(quick: bool = False) -> ExperimentOutput:
                 )
                 values[label] = result.message_rate_pps
                 utils[label] = (
-                    sum(result.cpu_util[cpu] for cpu in RECEIVING) / len(RECEIVING)
+                    fold_sum(result.cpu_util[cpu] for cpu in RECEIVING)
+                    / len(RECEIVING)
                 )
             gain = (values["Falcon"] / values["Con"] - 1.0) * 100 if values["Con"] else 0.0
             table.add_row(

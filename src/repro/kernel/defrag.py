@@ -40,9 +40,13 @@ class DefragEngine:
         self.flowcache = None
 
     def feed(self, skb: Skb, _cpu_index: int = 0) -> Optional[Skb]:
-        """Offer a fragment; returns the reassembled datagram when complete."""
-        if skb.frag_count == 1:
-            return skb  # not fragmented
+        """Offer a fragment; returns the reassembled datagram when complete.
+
+        TCP passes straight through: its segments are GRO-merged earlier
+        or accumulate at the socket.
+        """
+        if skb.is_tcp or skb.frag_count == 1:
+            return skb  # TCP, or not fragmented
         key = (skb.flow.flow_id, skb.msg_id)
         entry = self._table.get(key)
         if entry is None:

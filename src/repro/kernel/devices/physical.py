@@ -23,18 +23,22 @@ def gro_step(costs: CostModel, gro: Optional[GroCluster]) -> Step:
     """``napi_gro_receive``: full merge work for TCP, a quick look for UDP.
 
     When GRO is disabled (``gro is None``) the function degenerates to the
-    cheap examine-and-pass path for all traffic.
+    cheap examine-and-pass path for all traffic. Both prices are
+    ``fixed + per_byte * size``, computed as :meth:`FuncCost.cost` does
+    but without its call.
     """
+    check_fixed = costs.gro_check.fixed
+    check_per_byte = costs.gro_check.per_byte
+    merge_fixed = costs.napi_gro_receive.fixed
+    merge_per_byte = costs.napi_gro_receive.per_byte
+    merges_tcp = gro is not None
 
     def cost(skb: Skb) -> float:
-        if gro is not None and skb.is_tcp:
-            return costs.napi_gro_receive.cost(skb.size)
-        return costs.gro_check.cost(skb.size)
+        if merges_tcp and skb.is_tcp:
+            return merge_fixed + merge_per_byte * skb.size
+        return check_fixed + check_per_byte * skb.size
 
-    effect = None
-    if gro is not None:
-        def effect(skb: Skb, cpu_index: int) -> Optional[Skb]:
-            return gro.feed(skb, cpu_index)
+    effect = None if gro is None else gro.feed
 
     return Step("napi_gro_receive", cost, effect)
 

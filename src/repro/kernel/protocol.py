@@ -9,7 +9,7 @@ and once for the inner packet inside the container's namespace.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.kernel.costs import CostModel
 from repro.kernel.defrag import DefragEngine
@@ -24,32 +24,34 @@ def ip_rcv_step(costs: CostModel) -> Step:
 def defrag_step(costs: CostModel, engine: DefragEngine) -> Step:
     """``ip_defrag``: reassemble UDP fragments; TCP passes straight through
     (its segments are either GRO-merged earlier or accumulate at the
-    socket)."""
+    socket), as does an unfragmented UDP datagram, at no cost. The engine
+    is the effect: its ``feed`` holds the pass-through rule."""
 
     def cost(skb: Skb) -> float:
         if skb.is_tcp or skb.frag_count == 1:
             return 0.0
         return costs.ip_defrag.cost(skb.size)
 
-    def effect(skb: Skb, _cpu_index: int) -> Optional[Skb]:
-        if skb.is_tcp:
-            return skb
-        return engine.feed(skb)
-
-    return Step("ip_defrag", cost, effect)
+    return Step("ip_defrag", cost, engine.feed)
 
 
 def l4_rcv_step(costs: CostModel) -> Step:
     """``udp_rcv`` or ``tcp_v4_rcv`` depending on the packet's protocol.
 
     The TCP cost includes ACK generation (``tcp_ack_tx``), charged per
-    merged skb, matching how GRO amortizes ACK traffic.
+    merged skb, matching how GRO amortizes ACK traffic. Both prices are
+    computed as :meth:`FuncCost.cost` does, without its call.
     """
+    tcp_fixed = costs.tcp_v4_rcv.fixed
+    tcp_per_byte = costs.tcp_v4_rcv.per_byte
+    ack_fixed = costs.tcp_ack_tx.fixed
+    udp_fixed = costs.udp_rcv.fixed
+    udp_per_byte = costs.udp_rcv.per_byte
 
     def cost(skb: Skb) -> float:
         if skb.is_tcp:
-            return costs.tcp_v4_rcv.cost(skb.size) + costs.tcp_ack_tx.fixed
-        return costs.udp_rcv.cost(skb.size)
+            return (tcp_fixed + tcp_per_byte * skb.size) + ack_fixed
+        return udp_fixed + udp_per_byte * skb.size
 
     return Step("l4_rcv", cost)
 

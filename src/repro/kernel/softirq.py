@@ -252,40 +252,62 @@ class SoftirqNet:
     ) -> None:
         """``enqueue_to_backlog``: queue a batch's continuations, raise NET_RX.
 
-        For each packet, in order: ``selector(skb, from_cpu)`` picks the
-        target core, then the packet is queued for ``stage`` there and
-        NET_RX is raised. Same-CPU enqueues are always admitted —
-        ``process_backlog`` splices ``input_pkt_queue`` before processing,
-        so packets a core re-injects into itself find the queue freshly
-        emptied. Cross-CPU enqueues check the backlog limit and drop on
-        overflow. A raise on a NAPI that is already scheduled while the
-        target's softirq chain is active changes nothing but the demand
-        counter, so only that counter is bumped.
+        The batch is walked as runs of consecutive packets of one flow
+        (one ``skb.flow`` object, so one ``hash`` and ``flow_id``). For a
+        run of ``n`` packets ``selector(skb, from_cpu, n)`` picks the
+        target core once, and the target's queue for ``stage`` is looked
+        up once. That is the decision the selector would make for each
+        packet: it reads only the flow, per-CPU load, the RFS table and
+        the split switch, none of which changes within one event or when
+        a packet is queued. Then, per packet in order, the packet is
+        queued there and NET_RX is raised. Same-CPU enqueues are always
+        admitted — ``process_backlog`` splices ``input_pkt_queue`` before
+        processing, so packets a core re-injects into itself find the
+        queue freshly emptied. Cross-CPU enqueues check the backlog limit
+        and drop on overflow. A raise on a NAPI that is already scheduled
+        while the target's softirq chain is active changes nothing but
+        the demand counter, so only that counter is bumped.
         """
         tracer = self.ctx.tracer
         name = stage.name
-        data_of = self.data
-        for skb in skbs:
-            target_cpu = selector(skb, from_cpu)
-            if tracer is not None and tracer.wants(skb):
-                tracer.record(skb, self.machine.sim.now, "enqueue", name, target_cpu)
-            data = data_of[target_cpu]
-            skb.last_cpu = from_cpu
+        count = len(skbs)
+        start = 0
+        while start < count:
+            # The first packet of a run: one decision for all of it.
+            skb = skbs[start]
+            flow = skb.flow
+            stop = start + 1
+            while stop < count and skbs[stop].flow is flow:
+                stop += 1
+            target_cpu = selector(skb, from_cpu, stop - start)
+            data = self.data[target_cpu]
             napi = data.queues.get(name)
             if napi is None:
                 napi = data.queue_for(stage)
-            if from_cpu != target_cpu and len(napi.queue) >= napi.capacity:
-                napi.drops += 1
-                if self.flowcache is not None:
-                    self.flowcache.packet_terminated(skb)
-                if self.monitor is not None:
-                    self.monitor.on_terminal(skb, "backlog_drop")
-                continue
-            napi.queue.append(skb)
-            if napi.scheduled and data.net_rx_active:
-                self.softirq_raises += 1
-                continue
-            self.raise_net_rx(target_cpu, napi, from_cpu)
+            queue = napi.queue
+            remote = from_cpu != target_cpu
+            while True:
+                if tracer is not None and tracer.wants(skb):
+                    tracer.record(
+                        skb, self.machine.sim.now, "enqueue", name, target_cpu
+                    )
+                skb.last_cpu = from_cpu
+                if remote and len(queue) >= napi.capacity:
+                    napi.drops += 1
+                    if self.flowcache is not None:
+                        self.flowcache.packet_terminated(skb)
+                    if self.monitor is not None:
+                        self.monitor.on_terminal(skb, "backlog_drop")
+                else:
+                    queue.append(skb)
+                    if napi.scheduled and data.net_rx_active:
+                        self.softirq_raises += 1
+                    else:
+                        self.raise_net_rx(target_cpu, napi, from_cpu)
+                start += 1
+                if start == stop:
+                    break
+                skb = skbs[start]
 
     # ------------------------------------------------------------------
     # net_rx_action

@@ -253,7 +253,7 @@ class NetworkStack:
     def _rps_selector(self):
         if self.rps is not None:
             return self.rps.get_rps_cpu
-        return lambda skb, current_cpu: current_cpu
+        return lambda skb, current_cpu, n: current_cpu
 
     def _build_stages(self) -> None:
         costs = self.costs

@@ -34,8 +34,11 @@ Effect = Callable[[Skb, int], Optional[Skb]]
 #: A step's cost function: skb -> µs (costs may depend on size and protocol).
 CostFn = Callable[[Skb], float]
 
-#: A steering policy: ``(skb, current cpu) -> target cpu``.
-Selector = Callable[[Skb, int], int]
+#: A steering policy: ``(skb, current cpu, n) -> target cpu``. One call
+#: decides for a run of ``n`` consecutive packets of ``skb``'s flow, so a
+#: selector adds ``n`` to each counter it keeps (see
+#: :meth:`repro.kernel.softirq.SoftirqNet.enqueue_backlog`).
+Selector = Callable[[Skb, int, int], int]
 
 
 class Step:
@@ -97,10 +100,10 @@ class Transition:
 class EnqueueTransition(Transition):
     """Enqueue to (possibly remote) per-CPU backlogs and raise softirqs.
 
-    ``selector(skb, cpu_index) -> target cpu`` encapsulates the steering
-    policy: RPS steering, Falcon's ``get_falcon_cpu``, or the vanilla
-    behaviour of staying on the current core. The softnet applies it to
-    each packet in turn.
+    ``selector(skb, cpu_index, n) -> target cpu`` encapsulates the
+    steering policy: RPS steering, Falcon's ``get_falcon_cpu``, or the
+    vanilla behaviour of staying on the current core. The softnet asks it
+    once per run of ``n`` consecutive same-flow packets.
     """
 
     def __init__(

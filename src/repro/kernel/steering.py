@@ -20,7 +20,7 @@ class Rps:
     >>> rps = Rps([1, 2, 3])
     >>> class _S:  # minimal skb stand-in
     ...     hash = 12345
-    >>> rps.get_rps_cpu(_S(), current_cpu=0) in (1, 2, 3)
+    >>> rps.get_rps_cpu(_S(), current_cpu=0, n=1) in (1, 2, 3)
     True
     """
 
@@ -29,15 +29,15 @@ class Rps:
             raise ValueError("RPS needs a non-empty CPU set")
         self.rps_cpus: List[int] = list(rps_cpus)
 
-    def get_rps_cpu(self, skb: Skb, current_cpu: int) -> int:
-        """Map a packet to its steering target by flow hash."""
+    def get_rps_cpu(self, skb: Skb, current_cpu: int, n: int) -> int:
+        """Map ``n`` packets of ``skb``'s flow to their target by flow hash."""
         return self.rps_cpus[skb.hash % len(self.rps_cpus)]
 
 
 class NoSteering:
     """Disabled RPS: processing continues on the current core."""
 
-    def get_rps_cpu(self, skb: Skb, current_cpu: int) -> int:
+    def get_rps_cpu(self, skb: Skb, current_cpu: int, n: int) -> int:
         return current_cpu
 
 
@@ -66,10 +66,10 @@ class Rfs:
         """The socket layer saw the app read this flow on ``cpu``."""
         self._flow_table[flow_id] = cpu
 
-    def get_rps_cpu(self, skb: Skb, current_cpu: int) -> int:
+    def get_rps_cpu(self, skb: Skb, current_cpu: int, n: int) -> int:
         target = self._flow_table.get(skb.flow.flow_id)
         if target is None:
-            self.misses += 1
-            return self._fallback.get_rps_cpu(skb, current_cpu)
-        self.hits += 1
+            self.misses += n
+            return self._fallback.get_rps_cpu(skb, current_cpu, n)
+        self.hits += n
         return target

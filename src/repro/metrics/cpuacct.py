@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
+from repro.sim.stats import fold_sum
+
 #: Execution contexts, ordered by dispatch priority (lower = higher prio).
 HARDIRQ = 0
 SOFTIRQ = 1
@@ -181,7 +183,7 @@ class CpuWindow:
             label: end_totals.get(label, 0.0) - start_totals.get(label, 0.0)
             for label in end_totals
         }
-        total = sum(value for value in deltas.values() if value > 0)
+        total = fold_sum(value for value in deltas.values() if value > 0)
         if total <= 0:
             return {}
         return {

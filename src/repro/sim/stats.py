@@ -8,7 +8,24 @@ to numpy arrays afterwards.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, rounding after every addition.
+
+    This is what builtin ``sum`` does with floats up to Python 3.11.
+    From 3.12 ``sum`` compensates its rounding, so the same run could
+    report different floats on two interpreters. Model and report paths
+    that add floats use this fold instead, which gives 3.11's result on
+    every version.
+
+    >>> fold_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
+    True
+    """
+    return reduce(add, values, 0)
 
 
 class Counter:

@@ -6,9 +6,15 @@ unseeded randomness or dict-ordering luck breaks it.
 """
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import FalconConfig
 from repro.workloads.sockperf import Testbed
 
@@ -78,21 +84,49 @@ def _cluster_run(name):
     return dataclasses.asdict(run_cluster(scenarios.build(name)))
 
 
+#: The runs whose output must not depend on what ran before them:
+#: Poisson arrivals, whose RNG streams are named after flow ids, and
+#: cluster rings, whose state (codecs included) must not outlive a run.
+ORDER_RUNS = {
+    "poisson_falcon_1flow": lambda: _poisson_run(use_falcon=True, flows=1),
+    "poisson_vanilla_3flows": lambda: _poisson_run(use_falcon=False, flows=3),
+    "cluster_udp_ring_vanilla": lambda: _cluster_run("cluster_udp_ring_vanilla"),
+    "cluster_tcp_ring": lambda: _cluster_run("cluster_tcp_ring"),
+}
+
+
+def _canonical_run(name):
+    return json.dumps(ORDER_RUNS[name](), sort_keys=True, default=repr)
+
+
+def _fresh_process_run(name):
+    """``name``'s output from a new interpreter that runs nothing else."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, __file__, name],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.rstrip("\n")
+
+
 def test_run_order_does_not_matter():
-    """Scenario A, then a different scenario B, then A again in one
-    process: A's output depends only on its config and seed, even with
-    Poisson arrivals, whose RNG streams are named after flow ids. The
-    same holds for a cluster ring, whose state (codecs included) must
-    not outlive its run."""
-    first = _poisson_run(use_falcon=True, flows=1)
-    _poisson_run(use_falcon=False, flows=3)
-    second = _poisson_run(use_falcon=True, flows=1)
-    assert first[0] == second[0], "canonical traces depend on run order"
-    assert first[1] == second[1], "RunResult depends on run order"
-    first_ring = _cluster_run("cluster_udp_ring_vanilla")
-    _cluster_run("cluster_tcp_ring")
-    second_ring = _cluster_run("cluster_udp_ring_vanilla")
-    assert first_ring == second_ring, "ClusterResult depends on run order"
+    """Each run, made in this process after other runs (twice over, so
+    every run follows every other), equals the same run in a fresh
+    process. Module-level state is caught whatever ran earlier in the
+    process."""
+    outputs = {name: [] for name in ORDER_RUNS}
+    for name in [*ORDER_RUNS, *ORDER_RUNS]:
+        outputs[name].append(_canonical_run(name))
+    # Reported by name: a diff of the long canonical strings is slow.
+    differing = []
+    for name, runs in outputs.items():
+        fresh = _fresh_process_run(name)
+        if any(run != fresh for run in runs):
+            differing.append(name)
+    assert not differing, f"{differing} depend on what ran before them in the process"
 
 
 def test_memcached_deterministic():
@@ -151,3 +185,7 @@ def test_seed_matrix_seeds_actually_differ():
     """The matrix is vacuous if every seed produces the same run."""
     traces = {_traced_run(seed, True)[2] for seed in MATRIX_SEEDS}
     assert len(traces) > 1
+
+
+if __name__ == "__main__":
+    print(_canonical_run(sys.argv[1]))

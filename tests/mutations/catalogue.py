@@ -49,7 +49,15 @@ SUITES = (
 
 #: The ``module`` column: the unit and property tests of each module.
 MODULE_TESTS = {
+    "core/balancing.py": (
+        "tests/unit/test_balancing_falcon.py",
+        "tests/props/test_softirq_props.py",
+    ),
     "core/fairshare.py": ("tests/unit/test_fairshare.py",),
+    "core/falcon.py": (
+        "tests/unit/test_balancing_falcon.py",
+        "tests/props/test_softirq_props.py",
+    ),
     "kernel/costs.py": ("tests/unit/test_skb_costs.py",),
     "kernel/defrag.py": ("tests/unit/test_gro_defrag.py",),
     "kernel/flowcache.py": (
@@ -68,7 +76,10 @@ MODULE_TESTS = {
         "tests/integration/test_stack_paths.py",
     ),
     "kernel/stages.py": ("tests/unit/test_sockets_stages.py",),
-    "metrics/cpuacct.py": ("tests/unit/test_steering_timers_metrics.py",),
+    "metrics/cpuacct.py": (
+        "tests/unit/test_steering_timers_metrics.py",
+        "tests/integration/test_float_sums.py",
+    ),
     "overlay/cluster.py": ("tests/unit/test_cluster.py",),
     "sim/engine.py": (
         "tests/unit/test_engine.py",
@@ -115,6 +126,15 @@ BUGS: Tuple[Bug, ...] = (
         "key=lambda n: (ideal[n] - counts[n], weights[n], id(n)))",
         frozenset({"SIM103"}),
         flag="        name = max(names, key=lambda n:",
+    ),
+    Bug(
+        "falcon_steered_counts_runs",
+        "`FalconSteering.select_cpu` adds 1 to `steered` per run of "
+        "same-flow packets, not the run's `n` packets",
+        "core/falcon.py",
+        "        self.steered += n\n",
+        "        self.steered += 1\n",
+        frozenset({"module"}),
     ),
     Bug(
         "copy_to_user_fixed_x1_3",
@@ -213,8 +233,8 @@ BUGS: Tuple[Bug, ...] = (
         "softirq_enqueue_without_raise",
         "`enqueue_backlog` queues a packet without raising NET_RX",
         "kernel/softirq.py",
-        "            self.raise_net_rx(target_cpu, napi, from_cpu)\n",
-        "",
+        "                        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
+        "                        pass\n",
         frozenset({"golden", "invariants", "shard-eq", "module"}),
     ),
     Bug(
@@ -222,12 +242,12 @@ BUGS: Tuple[Bug, ...] = (
         "a cross-core `enqueue_backlog` raises NET_RX only if the target "
         "core's `net_rx_active` is clear: a remote read with no IPI",
         "kernel/softirq.py",
-        "            napi.queue.append(skb)\n"
-        "            if napi.scheduled and data.net_rx_active:\n",
-        "            napi.queue.append(skb)\n"
-        "            if from_cpu != target_cpu and data.net_rx_active:\n"
-        "                continue\n"
-        "            if napi.scheduled and data.net_rx_active:\n",
+        "                    queue.append(skb)\n"
+        "                    if napi.scheduled and data.net_rx_active:\n",
+        "                    queue.append(skb)\n"
+        "                    if remote and data.net_rx_active:\n"
+        "                        pass\n"
+        "                    elif napi.scheduled and data.net_rx_active:\n",
         frozenset({"golden", "invariants", "module"}),
     ),
     Bug(
@@ -246,7 +266,7 @@ BUGS: Tuple[Bug, ...] = (
         "backlog_drop_uncounted",
         "`enqueue_backlog` drops on overflow without `napi.drops += 1`",
         "kernel/softirq.py",
-        "                napi.drops += 1\n",
+        "                    napi.drops += 1\n",
         "",
         frozenset({"module"}),
     ),
@@ -254,8 +274,8 @@ BUGS: Tuple[Bug, ...] = (
         "backlog_drop_unreported",
         "`enqueue_backlog` drops on overflow without telling the monitor",
         "kernel/softirq.py",
-        "                if self.monitor is not None:\n"
-        "                    self.monitor.on_terminal(skb, \"backlog_drop\")\n",
+        "                    if self.monitor is not None:\n"
+        "                        self.monitor.on_terminal(skb, \"backlog_drop\")\n",
         "",
         frozenset({"invariants"}),
     ),
@@ -340,6 +360,15 @@ BUGS: Tuple[Bug, ...] = (
         "            total += duration\n"
         "        self._by_context[ckey] = context_us\n"
         "        self._busy_by_cpu[cpu] = busy + total\n",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "label_shares_builtin_sum",
+        "`label_shares` totals with builtin `sum`, whose float result "
+        "depends on the Python version",
+        "metrics/cpuacct.py",
+        "        total = fold_sum(value for value in deltas.values() if value > 0)\n",
+        "        total = sum(value for value in deltas.values() if value > 0)\n",
         frozenset({"module"}),
     ),
     Bug(

@@ -144,7 +144,7 @@ def test_two_choice_cache_matches_uncached_choices(sets, calls):
             cpu.load = 0.0
         machine.cpus[first].load = 0.99 if loaded else 0.0
         expected = second if loaded else first
-        assert balancer.select(machine, cpus, skb_hash, ifindex) == expected
+        assert balancer.select(machine, cpus, skb_hash, ifindex, 1) == expected
         assert balancer._choices[skb_hash + ifindex] == (first, second)
         # Rotate the set in place: the next call on it sees a new set.
         cpus.append(cpus.pop(0))

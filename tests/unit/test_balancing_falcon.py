@@ -53,7 +53,7 @@ class TestBalancers:
         machine = make_machine()
         balancer = StaticHashBalancer()
         cpus = [3, 4, 5, 6]
-        picks = {balancer.select(machine, cpus, 12345, 3) for _ in range(10)}
+        picks = {balancer.select(machine, cpus, 12345, 3, 1) for _ in range(10)}
         assert len(picks) == 1
         assert picks.pop() in cpus
 
@@ -64,7 +64,7 @@ class TestBalancers:
         cpus = [3, 4, 5, 6]
         skb_hash, ifindex = 99999, 5
         expected = first_choice_cpu(cpus, skb_hash, ifindex)
-        assert StaticHashBalancer().select(machine, cpus, skb_hash, ifindex) == expected
+        assert StaticHashBalancer().select(machine, cpus, skb_hash, ifindex, 1) == expected
 
     def test_second_choice_usually_differs_from_first(self):
         """The regression the high-bit folding fixes: with a power-of-two
@@ -84,8 +84,8 @@ class TestBalancers:
         machine = make_machine()
         balancer = TwoChoiceBalancer(load_threshold=0.85)
         cpus = [3, 4, 5, 6]
-        first = StaticHashBalancer().select(machine, cpus, 777, 3)
-        assert balancer.select(machine, cpus, 777, 3) == first
+        first = StaticHashBalancer().select(machine, cpus, 777, 3, 1)
+        assert balancer.select(machine, cpus, 777, 3, 1) == first
         assert balancer.second_choices == 0
 
     def test_two_choice_rehashes_away_from_busy_core(self):
@@ -101,7 +101,7 @@ class TestBalancers:
             if first != second:
                 break
         machine.cpus[first].load = 0.99
-        assert balancer.select(machine, cpus, skb_hash, 3) == second
+        assert balancer.select(machine, cpus, skb_hash, 3, 1) == second
         assert balancer.second_choices == 1
 
     def test_two_choice_commits_to_second_even_if_busy(self):
@@ -110,7 +110,7 @@ class TestBalancers:
         balancer = TwoChoiceBalancer(load_threshold=0.85)
         for cpu in cpus:
             machine.cpus[cpu].load = 0.99
-        pick = balancer.select(machine, cpus, 42, 3)
+        pick = balancer.select(machine, cpus, 42, 3, 1)
         assert pick in cpus  # no third choice, no exception
 
     def test_least_loaded_chases_minimum(self):
@@ -119,7 +119,7 @@ class TestBalancers:
         machine.cpus[5].load = 0.0
         for cpu in (3, 4, 6):
             machine.cpus[cpu].load = 0.9
-        assert LeastLoadedBalancer().select(machine, cpus, 1, 2) == 5
+        assert LeastLoadedBalancer().select(machine, cpus, 1, 2, 1) == 5
 
     def test_factory(self):
         assert isinstance(
@@ -142,7 +142,7 @@ class TestFalconSteering:
         machine.cpus[3].load = 1.0
         machine.cpus[4].load = 0.9
         assert not steering.active()  # L_avg = 0.95 >= 0.85
-        assert steering.select_cpu(3, make_skb(), current_cpu=1) == 1
+        assert steering.select_cpu(3, make_skb(), current_cpu=1, n=1) == 1
 
     def test_always_on_ignores_load(self):
         machine = make_machine()
@@ -156,7 +156,7 @@ class TestFalconSteering:
         machine = make_machine()
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4, 5, 6]))
         skb = make_skb()
-        target = steering.select_cpu(ifindex=3, skb=skb, current_cpu=1)
+        target = steering.select_cpu(ifindex=3, skb=skb, current_cpu=1, n=1)
         assert target in (3, 4, 5, 6)
         assert steering.steered == 1
 
@@ -164,7 +164,7 @@ class TestFalconSteering:
         machine = make_machine()
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4, 5, 6]))
         skb = make_skb()
-        picks = {steering.select_cpu(3, skb, 1) for _ in range(20)}
+        picks = {steering.select_cpu(3, skb, 1, 1) for _ in range(20)}
         assert len(picks) == 1
 
     def test_different_devices_usually_differ(self):
@@ -173,7 +173,7 @@ class TestFalconSteering:
         differing = 0
         for sport in range(100):
             skb = make_skb(sport=sport)
-            if steering.select_cpu(3, skb, 1) != steering.select_cpu(5, skb, 1):
+            if steering.select_cpu(3, skb, 1, 1) != steering.select_cpu(5, skb, 1, 1):
                 differing += 1
         assert differing > 70  # 1 - 1/12 expected
 
@@ -182,17 +182,17 @@ class TestFalconSteering:
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4, 5, 6]))
         skb = make_skb()
         selector = steering.selector(5)
-        assert selector(skb, 1) == steering.select_cpu(5, skb, 1)
+        assert selector(skb, 1, 1) == steering.select_cpu(5, skb, 1, 1)
 
     def test_split_selector_same_core_pins(self):
         machine = make_machine()
         steering = FalconSteering(machine, FalconConfig(cpus=[3, 4]))
         selector = steering.split_selector(1002, split_same_core=True)
-        assert selector(make_skb(), 7) == 7
+        assert selector(make_skb(), 7, 1) == 7
 
     def test_vanilla_steering_never_moves(self):
         selector = VanillaSteering().selector(5)
-        assert selector(make_skb(), 9) == 9
+        assert selector(make_skb(), 9, 1) == 9
 
 
 class TestSplitting:

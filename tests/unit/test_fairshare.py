@@ -65,10 +65,10 @@ class TestBalancer:
         balancer.assign_flow(bronze_flow, "bronze")
         for ifindex in range(2, 40):
             assert balancer.select(
-                machine, [3, 4, 5, 6], gold_flow.hash, ifindex
+                machine, [3, 4, 5, 6], gold_flow.hash, ifindex, 1
             ) in gold_part
             assert balancer.select(
-                machine, [3, 4, 5, 6], bronze_flow.hash, ifindex
+                machine, [3, 4, 5, 6], bronze_flow.hash, ifindex, 1
             ) in bronze_part
 
     def test_second_choice_stays_in_partition(self):
@@ -78,14 +78,14 @@ class TestBalancer:
         balancer.assign_flow(flow, "gold")
         for cpu in gold_part:
             machine.cpus[cpu].load = 0.99
-        pick = balancer.select(machine, [3, 4, 5, 6], flow.hash, 5)
+        pick = balancer.select(machine, [3, 4, 5, 6], flow.hash, 5, 1)
         assert pick in gold_part  # never steals bronze's CPU
         assert balancer.second_choices >= 1
 
     def test_unassigned_flow_uses_full_set(self):
         machine, balancer = self.make()
         flow = FlowKey.make(9, 9, flow_id=1)
-        pick = balancer.select(machine, [3, 4, 5, 6], flow.hash, 3)
+        pick = balancer.select(machine, [3, 4, 5, 6], flow.hash, 3, 1)
         assert pick in (3, 4, 5, 6)
         assert balancer.unassigned_selections == 1
 

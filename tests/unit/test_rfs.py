@@ -19,14 +19,14 @@ class TestRfsUnit:
     def test_falls_back_to_rps_without_entry(self):
         rfs = Rfs([1, 2, 3])
         skb = make_skb()
-        assert rfs.get_rps_cpu(skb, 0) in (1, 2, 3)
+        assert rfs.get_rps_cpu(skb, 0, 1) in (1, 2, 3)
         assert rfs.misses == 1
 
     def test_steers_to_recorded_consumer(self):
         rfs = Rfs([1, 2, 3])
         skb = make_skb()
         rfs.record_consumer(skb.flow.flow_id, 7)
-        assert rfs.get_rps_cpu(skb, 0) == 7
+        assert rfs.get_rps_cpu(skb, 0, 1) == 7
         assert rfs.hits == 1
 
     def test_consumer_migration_updates_table(self):
@@ -34,7 +34,7 @@ class TestRfsUnit:
         skb = make_skb()
         rfs.record_consumer(skb.flow.flow_id, 5)
         rfs.record_consumer(skb.flow.flow_id, 6)
-        assert rfs.get_rps_cpu(skb, 0) == 6
+        assert rfs.get_rps_cpu(skb, 0, 1) == 6
 
 
 class TestRfsInStack:
@@ -53,7 +53,7 @@ class TestRfsInStack:
         )
         flow = FlowKey.make(1, host.host_ip, flow_id=1)
         host.stack.open_socket(flow, app_cpu=5)
-        assert host.stack.rps.get_rps_cpu(Skb(flow, size=16), 0) == 5
+        assert host.stack.rps.get_rps_cpu(Skb(flow, size=16), 0, 1) == 5
 
     def test_rfs_runs_stack_next_to_app(self):
         """With RFS, the host stack stage executes on the app's core."""

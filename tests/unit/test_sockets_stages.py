@@ -207,9 +207,9 @@ class TestStage:
         class FakeStack:
             def enqueue_backlog(self, skbs, stage, selector, from_cpu):
                 for skb in skbs:
-                    routed.append((selector(skb, from_cpu), from_cpu))
+                    routed.append((selector(skb, from_cpu, 1), from_cpu))
 
         next_stage = Stage("next", 3, [], exit=None)
-        transition = EnqueueTransition(next_stage, lambda skb, cpu: 7)
+        transition = EnqueueTransition(next_stage, lambda skb, cpu, n: 7)
         transition.route([make_skb()], cpu_index=1, stack=FakeStack())
         assert routed == [(7, 1)]

@@ -54,7 +54,7 @@ def make_skb(sport=1):
 
 def enqueue(softnet, target_cpu, skb, stage, from_cpu):
     """Enqueue one packet for ``stage`` on ``target_cpu``."""
-    softnet.enqueue_backlog([skb], stage, lambda _skb, _cpu: target_cpu, from_cpu)
+    softnet.enqueue_backlog([skb], stage, lambda _skb, _cpu, _n: target_cpu, from_cpu)
 
 
 class TestBacklogEnqueue:
@@ -148,7 +148,7 @@ class TestPolling:
 
         class HopExit(Transition):
             def route(self, skbs, cpu_index, stack):
-                stack.enqueue_backlog(skbs, final, lambda _skb, _cpu: 2, cpu_index)
+                stack.enqueue_backlog(skbs, final, lambda _skb, _cpu, _n: 2, cpu_index)
 
         first = Stage("first", 2, [Step("fn", lambda skb: 1.0)], HopExit())
         enqueue(softnet, 1, make_skb(), first, from_cpu=0)

@@ -24,12 +24,12 @@ class TestRps:
     def test_same_flow_same_cpu(self):
         rps = Rps([1, 2, 3])
         skb = make_skb()
-        picks = {rps.get_rps_cpu(skb, 0) for _ in range(10)}
+        picks = {rps.get_rps_cpu(skb, 0, 1) for _ in range(10)}
         assert len(picks) == 1
 
     def test_flows_spread(self):
         rps = Rps([1, 2, 3, 4])
-        picks = {rps.get_rps_cpu(make_skb(sport=s), 0) for s in range(64)}
+        picks = {rps.get_rps_cpu(make_skb(sport=s), 0, 1) for s in range(64)}
         assert len(picks) == 4
 
     def test_empty_cpus_rejected(self):
@@ -37,7 +37,7 @@ class TestRps:
             Rps([])
 
     def test_no_steering_stays(self):
-        assert NoSteering().get_rps_cpu(make_skb(), 5) == 5
+        assert NoSteering().get_rps_cpu(make_skb(), 5, 1) == 5
 
 
 class TestLoadTracker:
