@@ -1,7 +1,7 @@
 """Determinism rules (SIM1xx).
 
 Two runs of the simulator with the same seed must be bit-identical:
-golden traces, shard equivalence and the seed-matrix tests all rest on
+golden traces, figure digests and the seed-matrix tests all rest on
 it. These rules ban three ways nondeterminism leaks into a DES that
 no run-time check reliably sees: wall-clock reads, object identity as
 an ordering key, and counters that outlive a run.

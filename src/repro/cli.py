@@ -3,17 +3,15 @@
 Examples::
 
     python -m repro.cli run      udp_fixed_falcon
-    python -m repro.cli run      cluster_udp_ring_falcon --shards 2
     python -m repro.cli validate --suite golden
     python -m repro.cli figures  --quick --only fig10_udp_stress
     python -m repro.cli check    src
 
 `run` builds one named entry of the scenario catalogue
 (:mod:`repro.scenarios`) and prints its result row plus the per-core
-utilization, or the ring totals for a cluster entry; `validate` runs the
-catalogue's validation suites, `figures` delegates to
-:mod:`repro.experiments.run_all` and `check` to the static analyzer
-(:mod:`repro.analysis.check`).
+utilization; `validate` runs the catalogue's validation suites,
+`figures` delegates to :mod:`repro.experiments.run_all` and `check` to
+the static analyzer (:mod:`repro.analysis.check`).
 """
 
 from __future__ import annotations
@@ -49,46 +47,9 @@ def _print_result(result: RunResult) -> None:
 
 
 def _run(args) -> int:
-    from repro.overlay.cluster import run_cluster
-    from repro.sim.errors import ConfigurationError
-
     entry = SCENARIOS[args.name]
-    if not entry.cluster:
-        if args.shards is not None:
-            print(
-                f"repro run: --shards applies to cluster entries only; "
-                f"{args.name} runs on a single host",
-                file=sys.stderr,
-            )
-            return 2
-        bed = build(args.name, args.seed)
-        _print_result(bed.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms))
-        return 0
-    shards = 1 if args.shards is None else args.shards
-    try:
-        result = run_cluster(build(args.name, args.seed), shards=shards)
-    except ConfigurationError as exc:
-        print(f"repro run: {exc}", file=sys.stderr)
-        return 2
-    table = Table(
-        ["metric", "value"],
-        title=f"{args.name}, {entry.hosts} hosts, "
-        f"{result.shards} shard(s)",
-    )
-    table.add_row("messages delivered", f"{result.messages_delivered:,}")
-    table.add_row("message rate", f"{result.message_rate_pps/1e3:,.1f} kmsg/s")
-    table.add_row("goodput", f"{result.goodput_gbps:.3f} Gbps")
-    table.add_row("avg latency", f"{result.avg_latency_us:.1f} us")
-    table.add_row("sim events", f"{result.events_processed:,}")
-    table.add_row("sync windows", f"{result.windows_run:,}")
-    table.add_row("cross-shard records", f"{result.records_exchanged:,}")
-    print(table.render())
-    for host_doc in result.per_host:
-        print(
-            f"host {host_doc['host']}: "
-            f"{host_doc['messages_delivered']:,} delivered, "
-            f"{host_doc['message_rate_pps']/1e3:,.1f} kmsg/s"
-        )
+    bed = build(args.name, args.seed)
+    _print_result(bed.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms))
     return 0
 
 
@@ -107,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="catalogue entry: " + ", ".join(sorted(SCENARIOS)),
     )
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--shards", type=int, default=None,
-        help="cluster entries only: split the hosts over N shards, all "
-        "run in this process; every N gives the same result (default 1)",
-    )
 
     figures = sub.add_parser("figures", help="regenerate paper figures")
     figures.add_argument("--quick", action="store_true")

@@ -57,29 +57,11 @@ class Link:
         """Time to clock ``nbytes`` onto the wire."""
         return nbytes * 8.0 / (self.bandwidth_gbps * 1e3)
 
-    def reserve(self, nbytes: int) -> float:
-        """Book a frame onto the wire; return its arrival timestamp.
-
-        Advances the sender-side serialization horizon and the traffic
-        counters but schedules nothing — the caller owns delivery. The
-        sharded engine uses this to compute an arrival time whose
-        delivery happens on *another* shard's simulator: the arrival is
-        always at least ``propagation_us`` in the future, which is
-        exactly the lookahead the window barrier relies on.
-        """
-        start = max(self.sim.now, self._next_free)
-        finish = start + self.serialization_us(nbytes)
-        self._next_free = finish
-        self.frames_sent += 1
-        self.bytes_sent += nbytes
-        return finish + self.propagation_us
-
     def send(self, nbytes: int, deliver: Callable[..., Any], *args: Any) -> float:
         """Transmit a frame; call ``deliver(*args)`` when it fully arrives.
 
         Returns the arrival timestamp. Frames queue behind each other at
         the sender (FIFO), modelling the NIC's transmit serialization.
-        Books the wire exactly as :meth:`reserve` does, inline.
         """
         sim = self.sim
         now = sim.now

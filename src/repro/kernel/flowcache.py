@@ -53,7 +53,7 @@ class FlowTable:
 
     Backed by an :class:`~collections.OrderedDict` — eviction order is a
     pure function of the access sequence, never of hashes or ids, so
-    sharded runs stay byte-identical.
+    runs with the same config and seed stay byte-identical.
     """
 
     __slots__ = (

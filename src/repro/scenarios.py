@@ -2,11 +2,10 @@
 
 Each entry maps a stable name to a frozen :class:`Scenario` — a datapath
 regime, its traffic and its run length — and :func:`build` turns
-``(name, seed)`` into an unrun :class:`~repro.workloads.sockperf.Testbed`
-(single host) or a :class:`~repro.overlay.cluster.ClusterSpec` (a ring of
-hosts on the sharded engine). The validation suites and ``repro run NAME``
-read this table; a suite attaches its observer (tracer or invariant
-monitor) to the built bed before ``run()``.
+``(name, seed)`` into an unrun :class:`~repro.workloads.sockperf.Testbed`.
+The validation suites and ``repro run NAME`` read this table; a suite
+attaches its observer (tracer or invariant monitor) to the built bed
+before ``run()``.
 
 Golden names double as file names under ``tests/goldens``; do not rename
 them.
@@ -15,15 +14,9 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import FalconConfig, FlowCacheConfig
-from repro.overlay.cluster import (
-    ClusterSpec,
-    tcp_ring_spec,
-    udp_double_ring_spec,
-    udp_ring_spec,
-)
 from repro.workloads.sockperf import Testbed
 
 #: Regime name -> (stack mode, Falcon on, GRO split, flow cache on).
@@ -57,27 +50,15 @@ class Scenario:
     regime: str
     proto: str  # "udp" | "tcp"
     message_size: int
-    #: Flows on the testbed; on a cluster, rings (2 adds a stride-2 ring).
+    #: Flows on the testbed.
     flows: int = 1
-    #: Sender threads per flow (single host).
+    #: Sender threads per flow.
     clients: int = 1
     #: Offered rate per flow; None saturates (UDP) or runs closed-loop (TCP).
     rate_pps: Optional[float] = None
     window_msgs: int = 16
     warmup_ms: float = 2.0
     measure_ms: float = 5.0
-    #: Hosts in the ring; 0 means the single-host testbed.
-    hosts: int = 0
-    #: Per-flow rate of the second ring (cluster, ``flows=2``).
-    rate2_pps: Optional[float] = None
-    #: Ingress flow-table capacity of a cluster's cache regime.
-    flowcache_capacity: int = 128
-    #: Cluster container restarts, ``(time_us, host)``.
-    churn: Tuple[Tuple[float, int], ...] = ()
-
-    @property
-    def cluster(self) -> bool:
-        return self.hosts > 0
 
 
 _ENTRIES = (
@@ -108,25 +89,6 @@ _ENTRIES = (
         "udp_fixed_host", "host", "udp", 512, rate_pps=60_000.0,
         warmup_ms=5.0, measure_ms=10.0,
     ),
-    # Cluster rings on the sharded engine (traced; goldens are pinned at
-    # one shard and the shard-equivalence suite holds every count to them).
-    Scenario(
-        "cluster_udp_ring_vanilla", "vanilla", "udp", 512, rate_pps=40_000.0,
-        hosts=4,
-    ),
-    Scenario(
-        "cluster_udp_ring_falcon", "falcon", "udp", 512, rate_pps=40_000.0,
-        hosts=4,
-    ),
-    Scenario("cluster_tcp_ring", "vanilla", "tcp", 4096, window_msgs=8, hosts=3),
-    # Full cache lifecycle: two flows per host thrash a capacity-1 table
-    # (miss, hit, evict), then churn on host 1 invalidates locally and
-    # sends RECORD_INVAL to its senders.
-    Scenario(
-        "cluster_udp_ring_oncache_churn", "oncache", "udp", 512, flows=2,
-        rate_pps=40_000.0, rate2_pps=12_000.0, hosts=3, flowcache_capacity=1,
-        churn=((3500.0, 1),),
-    ),
 )
 
 #: Every entry by name.
@@ -140,10 +102,6 @@ GOLDEN: Tuple[str, ...] = (
     "tcp_stream_falcon_split",
     "udp_fixed_oncache",
     "udp_fixed_oncache_falcon",
-    "cluster_udp_ring_vanilla",
-    "cluster_udp_ring_falcon",
-    "cluster_tcp_ring",
-    "cluster_udp_ring_oncache_churn",
 )
 
 #: Entries run under the invariant monitor to strict quiescence.
@@ -155,12 +113,11 @@ INVARIANTS: Tuple[str, ...] = (
     "udp_fixed_host",
 )
 
-def build(name: str, seed: int = 0) -> Union[Testbed, ClusterSpec]:
-    """The unrun bed (or cluster spec) for entry ``name`` at ``seed``."""
+
+def build(name: str, seed: int = 0) -> Testbed:
+    """The unrun bed for entry ``name`` at ``seed``."""
     entry = SCENARIOS[name]
     mode, falcon, flowcache = datapath(entry.regime)
-    if entry.cluster:
-        return _cluster_spec(entry, seed, mode, falcon, flowcache)
     bed = Testbed(mode=mode, falcon=falcon, flowcache=flowcache, seed=seed)
     for _ in range(entry.flows):
         if entry.proto == "udp":
@@ -174,33 +131,3 @@ def build(name: str, seed: int = 0) -> Union[Testbed, ClusterSpec]:
                 rate_pps=entry.rate_pps,
             )
     return bed
-
-
-def _cluster_spec(
-    entry: Scenario,
-    seed: int,
-    mode: str,
-    falcon: Optional[FalconConfig],
-    flowcache: Optional[FlowCacheConfig],
-) -> ClusterSpec:
-    if mode != "overlay" or (falcon is not None and falcon.split_gro):
-        raise ValueError(f"{entry.name}: regime {entry.regime!r} has no cluster form")
-    common: Dict[str, Any] = dict(
-        num_hosts=entry.hosts,
-        message_size=entry.message_size,
-        falcon=falcon is not None,
-        seed=seed,
-        trace=True,
-        warmup_us=entry.warmup_ms * 1000.0,
-        duration_us=entry.measure_ms * 1000.0,
-        churn=entry.churn,
-    )
-    if flowcache is not None:
-        common.update(flowcache=True, flowcache_capacity=entry.flowcache_capacity)
-    if entry.proto == "tcp":
-        return tcp_ring_spec(window_msgs=entry.window_msgs, **common)
-    if entry.flows == 2:
-        return udp_double_ring_spec(
-            rate_pps=entry.rate_pps, rate2_pps=entry.rate2_pps, **common
-        )
-    return udp_ring_spec(rate_pps=entry.rate_pps, **common)

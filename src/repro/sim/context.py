@@ -13,8 +13,8 @@ in one process to share state by accident. With an explicit context:
 * monitor and tracer attachment is a context-level operation that fans
   out to every registered hot-path sink, instead of a hand-maintained
   list of attribute assignments;
-* two contexts in one process share nothing, so the hosts of a
-  multi-host cluster can each own a fully isolated simulation.
+* two contexts in one process share nothing, so each run owns a fully
+  isolated simulation whatever else ran in the process.
 
 Ownership rules
 ---------------

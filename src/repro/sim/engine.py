@@ -65,7 +65,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._seq: int = 0
-        self._halted: bool = False
         self.events_processed: int = 0
         #: Flow ids handed out so far in this simulated world (see
         #: :meth:`repro.sim.context.SimContext.new_flow_id`).
@@ -133,8 +132,6 @@ class Simulator:
                 exactly ``until`` are still processed; the clock is left at
                 ``until`` if the queue ran dry earlier.
         """
-        if self._halted:
-            raise SimulationError("simulator has been halted")
         heap = self._heap
         horizon = math.inf if until is None else until
         processed = 0
@@ -155,33 +152,9 @@ class Simulator:
             self.now = time
             fn(*entry[3])
             processed += 1
-            if self._halted:
-                break
         self.events_processed += processed
-        if until is not None and self.now < until and not self._halted:
+        if until is not None and self.now < until:
             self.now = until
-
-    def step(self) -> bool:
-        """Process a single event. Returns False when the queue is empty."""
-        if self.peek_time() is None:
-            return False
-        entry = heappop(self._heap)
-        fn = entry[2]
-        entry[2] = None
-        if self.monitor is not None:
-            self.monitor.on_event(self.now, entry[0])
-        self.now = entry[0]
-        fn(*entry[3])
-        self.events_processed += 1
-        return True
-
-    def halt(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
-        self._halted = True
-
-    def resume(self) -> None:
-        """Clear a previous :meth:`halt` so that :meth:`run` works again."""
-        self._halted = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,18 +162,3 @@ class Simulator:
     def pending(self) -> int:
         """Events still queued (cancelled ones count until compacted)."""
         return len(self._heap)
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None when idle.
-
-        Cancelled entries at the head are discarded on the way.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2] is not None:
-                time: float = entry[0]
-                return time
-            heappop(heap)
-            self._cancelled -= 1
-        return None

@@ -36,9 +36,6 @@ TIME_PRECISION = 6
 #: File in the golden directory mapping figure name -> series digest.
 FIGURE_DIGESTS = "figures.json"
 
-#: Scenario fields only cluster entries use; single-host metas omit them.
-_CLUSTER_FIELDS = ("hosts", "rate2_pps", "flowcache_capacity", "churn")
-
 
 # ----------------------------------------------------------------------
 # Serialization
@@ -46,9 +43,8 @@ _CLUSTER_FIELDS = ("hosts", "rate2_pps", "flowcache_capacity", "churn")
 def serialize_traces(traces: Iterable[Any], meta: Optional[Dict] = None) -> Dict:
     """Freeze message traces into a canonical document.
 
-    ``traces`` are :class:`~repro.metrics.tracing.MessageTrace` objects:
-    one tracer's ``traces(complete_only=False)``, or every host's in a
-    cluster run.
+    ``traces`` are :class:`~repro.metrics.tracing.MessageTrace` objects,
+    such as one tracer's ``traces(complete_only=False)``.
     """
     traces = list(traces)
     flow_order = sorted({trace.flow_id for trace in traces})
@@ -202,31 +198,16 @@ def default_golden_dir() -> Path:
 
 
 def run_golden_scenario(name: str) -> Dict:
-    """Run catalogue entry ``name`` traced; return its trace document.
-
-    A cluster entry runs at one shard; its document is independent of
-    the shard count by design (the shard-equivalence suite asserts it).
-    """
+    """Run catalogue entry ``name`` traced; return its trace document."""
     from repro import scenarios
     from repro.metrics.tracing import PacketTracer
-    from repro.overlay.cluster import run_cluster
 
     entry = scenarios.SCENARIOS[name]
-    built = scenarios.build(name)
-    if entry.cluster:
-        doc = run_cluster(built).trace_doc
-        assert doc is not None  # cluster entries trace
-        doc["meta"]["name"] = name
-        return doc
+    bed = scenarios.build(name)
     tracer = PacketTracer(sample_every=10, max_messages=64)
-    built.stack.tracer = tracer
-    built.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms)
-    meta = {
-        key: value
-        for key, value in asdict(entry).items()
-        if key not in _CLUSTER_FIELDS
-    }
-    return serialize_traces(tracer.traces(complete_only=False), meta=meta)
+    bed.stack.tracer = tracer
+    bed.run(warmup_ms=entry.warmup_ms, measure_ms=entry.measure_ms)
+    return serialize_traces(tracer.traces(complete_only=False), meta=asdict(entry))
 
 
 def check_goldens(

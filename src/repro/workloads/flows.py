@@ -148,21 +148,11 @@ class BaseSender:
                 overlay,
             )
             state.seq_counter += 1
-            self._transmit(skb)
+            self.link.send(skb.wire_size, self.stack.inject, skb)
         self.frames_sent += frag_count
         self.messages_sent += 1
         if on_pushed is not None:
             on_pushed(msg_id)
-
-    def _transmit(self, skb: Skb) -> None:
-        """Hand one frame to the wire.
-
-        The default is a same-simulator link delivery into the receiving
-        stack. The sharded cluster senders override this to route frames
-        through the cross-shard record path instead (the receiving host
-        may live in another process).
-        """
-        self.link.send(skb.wire_size, self.stack.inject, skb)
 
 
 class UdpSender(BaseSender):

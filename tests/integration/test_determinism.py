@@ -77,21 +77,11 @@ def _poisson_run(use_falcon, flows):
     return trace_doc_to_json(serialize_traces(tracer.traces(complete_only=False))), dataclasses.asdict(result)
 
 
-def _cluster_run(name):
-    from repro import scenarios
-    from repro.overlay.cluster import run_cluster
-
-    return dataclasses.asdict(run_cluster(scenarios.build(name)))
-
-
 #: The runs whose output must not depend on what ran before them:
-#: Poisson arrivals, whose RNG streams are named after flow ids, and
-#: cluster rings, whose state (codecs included) must not outlive a run.
+#: Poisson arrivals, whose RNG streams are named after flow ids.
 ORDER_RUNS = {
     "poisson_falcon_1flow": lambda: _poisson_run(use_falcon=True, flows=1),
     "poisson_vanilla_3flows": lambda: _poisson_run(use_falcon=False, flows=3),
-    "cluster_udp_ring_vanilla": lambda: _cluster_run("cluster_udp_ring_vanilla"),
-    "cluster_tcp_ring": lambda: _cluster_run("cluster_tcp_ring"),
 }
 
 

@@ -6,7 +6,6 @@ Each :class:`Bug` is one small patch to a copy of a real module under
 * a static rule id: ``repro check``'s rules, run on the mutated file;
 * ``golden``, ``invariants``: the validate suites, as tier-1 runs them
   in ``tests/integration/test_scenarios.py``;
-* ``shard-eq``: ``tests/integration/test_shard_equivalence.py``;
 * ``determinism``: ``tests/integration/test_determinism.py``;
 * ``module``: the unit and property tests of the mutated module
   (:data:`MODULE_TESTS`).
@@ -36,7 +35,7 @@ from typing import FrozenSet, Iterable, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: The dynamic checks, in table order.
-DYNAMIC = ("golden", "invariants", "shard-eq", "determinism", "module")
+DYNAMIC = ("golden", "invariants", "determinism", "module")
 
 #: The suites every planted copy runs, whatever module it mutates, in
 #: the order tier-1 collects them: state that one suite leaves behind in
@@ -44,7 +43,6 @@ DYNAMIC = ("golden", "invariants", "shard-eq", "determinism", "module")
 SUITES = (
     "tests/integration/test_determinism.py",
     "tests/integration/test_scenarios.py",
-    "tests/integration/test_shard_equivalence.py",
 )
 
 #: The ``module`` column: the unit and property tests of each module.
@@ -80,16 +78,11 @@ MODULE_TESTS = {
         "tests/unit/test_steering_timers_metrics.py",
         "tests/integration/test_float_sums.py",
     ),
-    "overlay/cluster.py": ("tests/unit/test_cluster.py",),
     "sim/engine.py": (
         "tests/unit/test_engine.py",
         "tests/unit/test_scheduler.py",
         "tests/props/test_scheduler_props.py",
         "tests/unit/test_shard_compaction.py",
-    ),
-    "sim/shard/coordinator.py": (
-        "tests/unit/test_shard_compaction.py",
-        "tests/props/test_shard_props.py",
     ),
     "workloads/sockperf.py": ("tests/unit/test_workloads.py",),
     "workloads/traffic.py": ("tests/unit/test_workloads.py",),
@@ -177,7 +170,7 @@ BUGS: Tuple[Bug, ...] = (
         "kernel/flowcache.py",
         "popitem(last=False)",
         "popitem(last=True)",
-        frozenset({"golden", "module"}),
+        frozenset({"module"}),
     ),
     Bug(
         "invalidate_uncounted",
@@ -196,7 +189,7 @@ BUGS: Tuple[Bug, ...] = (
         "        self.misses += 1\n"
         "        self.insert(key)\n"
         "        self._slow_inflight[key] =",
-        frozenset({"golden", "module"}),
+        frozenset({"module"}),
     ),
     Bug(
         "lookup_skips_ledger",
@@ -235,7 +228,7 @@ BUGS: Tuple[Bug, ...] = (
         "kernel/softirq.py",
         "                        self.raise_net_rx(target_cpu, napi, from_cpu)\n",
         "                        pass\n",
-        frozenset({"golden", "invariants", "shard-eq", "module"}),
+        frozenset({"golden", "invariants", "module"}),
     ),
     Bug(
         "enqueue_peeks_remote_active",
@@ -372,112 +365,13 @@ BUGS: Tuple[Bug, ...] = (
         frozenset({"module"}),
     ),
     Bug(
-        "churn_emit_at_now",
-        "the churn `RECORD_INVAL` is emitted at bare `now`",
-        "overlay/cluster.py",
-        "                    self.sim.now + propagation,\n"
-        "                    RECORD_INVAL,",
-        "                    self.sim.now,\n"
-        "                    RECORD_INVAL,",
-        frozenset({"golden", "shard-eq"}),
-    ),
-    Bug(
-        "churn_skips_local_invalidation",
-        "`_churn` keeps the churned host's own cache entries",
-        "overlay/cluster.py",
-        "        if flowcache is not None:\n"
-        "            flowcache.invalidate_ip(container_ip(world_host.index))\n",
-        "",
-        frozenset({"golden", "shard-eq"}),
-    ),
-    Bug(
-        "window_open_skewed_by_shard",
-        "each shard opens its measurement windows late by its first host index",
-        "overlay/cluster.py",
-        "        for h in self._hosts:\n"
-        "            world_host = self.by_index[h]\n"
-        "            self.sim.schedule_at(spec.warmup_us, self._open_window, world_host)\n",
-        "        shard_id = self._hosts[0]\n"
-        "        for h in self._hosts:\n"
-        "            world_host = self.by_index[h]\n"
-        "            self.sim.schedule_at(\n"
-        "                spec.warmup_us + shard_id, self._open_window, world_host\n"
-        "            )\n",
-        frozenset({"shard-eq"}),
-    ),
-    Bug(
-        "credit_half_propagation",
-        "the TCP credit is emitted half a propagation delay out",
-        "overlay/cluster.py",
-        "sim.now + propagation, RECORD_CREDIT",
-        "sim.now + propagation / 2, RECORD_CREDIT",
-        frozenset({"golden", "shard-eq", "determinism"}),
-    ),
-    Bug(
-        "merge_key_shard_id",
-        "the outbox stamps records with a shard index, not the host index",
-        "overlay/cluster.py",
-        "CrossShardEvent(time, self.host_index, self._seq, kind, dst, payload)",
-        "CrossShardEvent(time, self.shard_index, self._seq, kind, dst, payload)",
-        frozenset({"golden", "shard-eq", "determinism", "module"}),
-    ),
-    Bug(
-        "decode_skb_from_cache",
-        "`decode_skb` serves a module-level cache keyed by flow index, so "
-        "every frame of a flow after the first is the same object",
-        "overlay/cluster.py",
-        "class _HostOutbox:\n",
-        "_DECODE_CACHE = {}\n"
-        "_decode_fresh = decode_skb\n"
-        "\n"
-        "\n"
-        "def decode_skb(flow, payload):\n"
-        "    if payload[0] not in _DECODE_CACHE:\n"
-        "        _DECODE_CACHE[payload[0]] = _decode_fresh(flow, payload)\n"
-        "    return _DECODE_CACHE[payload[0]]\n"
-        "\n"
-        "\n"
-        "class _HostOutbox:\n",
-        frozenset({"golden", "determinism"}),
-    ),
-    Bug(
-        "udp_tx_reinject_after_encode",
-        "`ClusterUdpSender._transmit` also injects the skb it just encoded "
-        "into its own stack",
-        "overlay/cluster.py",
-        "            arrival, RECORD_SKB, self.dst_host, "
-        "encode_skb(self.flow_index, skb)\n"
-        "        )\n"
-        "\n"
-        "\n"
-        "class ClusterTcpSender",
-        "            arrival, RECORD_SKB, self.dst_host, "
-        "encode_skb(self.flow_index, skb)\n"
-        "        )\n"
-        "        self.stack.inject(skb)\n"
-        "\n"
-        "\n"
-        "class ClusterTcpSender",
-        frozenset({"golden"}),
-    ),
-    Bug(
-        "outbox_seq_frozen",
-        "`_HostOutbox.emit` never advances `_seq`",
-        "overlay/cluster.py",
-        "        self._seq += 1\n",
-        "",
-        frozenset({"module"}),
-    ),
-    Bug(
         "engine_cpu_budget",
         "`Simulator.run` ends its loop once the process has used 600 s "
         "of CPU time",
         "sim/engine.py",
-        "            if self._halted:\n"
-        "                break\n"
+        "            processed += 1\n"
         "        self.events_processed += processed\n",
-        "            if self._halted:\n"
-        "                break\n"
+        "            processed += 1\n"
         "            import time\n"
         "\n"
         "            if time.process_time() > 600.0:\n"
@@ -488,43 +382,19 @@ BUGS: Tuple[Bug, ...] = (
     ),
     Bug(
         "engine_alarm_halt",
-        "`Simulator.run` arms a 600 s `signal.alarm` whose handler halts it",
+        "`Simulator.run` arms a 600 s `signal.alarm` whose handler empties "
+        "the event queue",
         "sim/engine.py",
         "        processed = 0\n"
         "        while heap:\n",
         "        import signal\n"
         "\n"
-        "        signal.signal(signal.SIGALRM, lambda signum, frame: self.halt())\n"
+        "        signal.signal(signal.SIGALRM, lambda signum, frame: heap.clear())\n"
         "        signal.alarm(600)\n"
         "        processed = 0\n"
         "        while heap:\n",
         frozenset({"DES201"}),
         flag="        import signal",
-    ),
-    Bug(
-        "coordinator_routes_twice",
-        "the coordinator routes each record twice",
-        "sim/shard/coordinator.py",
-        "                self._inbox[slot].append(record)\n",
-        "                self._inbox[slot].append(record)\n"
-        "                self._inbox[slot].append(record)\n",
-        frozenset({"golden", "module"}),
-    ),
-    Bug(
-        "coordinator_drops_last_record",
-        "the coordinator drops each shard's last record",
-        "sim/shard/coordinator.py",
-        "            produced.extend(records)\n",
-        "            produced.extend(records[:-1])\n",
-        frozenset({"golden", "shard-eq", "module"}),
-    ),
-    Bug(
-        "coordinator_injects_foreign_program",
-        "the coordinator injects records straight into a shard's program",
-        "sim/shard/coordinator.py",
-        "                self._inbox[slot].append(record)\n",
-        "                self.handles[slot]._program.inject([record])\n",
-        frozenset({"module"}),
     ),
     Bug(
         "sockperf_end_unconverted",
@@ -592,8 +462,6 @@ def column_of(nodeid: str) -> Set[str]:
             if test.startswith(prefix):
                 return {column}
         return {nodeid}  # an unexpected failure shows up by name
-    if path == "tests/integration/test_shard_equivalence.py":
-        return {"shard-eq"}
     if path == "tests/integration/test_determinism.py":
         return {"determinism"}
     return {"module"}

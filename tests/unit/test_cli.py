@@ -11,7 +11,6 @@ class TestParser:
         args = build_parser().parse_args(["run", "udp_stress_vanilla"])
         assert args.name == "udp_stress_vanilla"
         assert args.seed == 0
-        assert args.shards is None
 
     def test_unknown_name_lists_the_catalogue(self, capsys):
         with pytest.raises(SystemExit):
@@ -51,36 +50,18 @@ class TestMain:
         assert main(["run", "tcp_stream_falcon_split"]) == 0
         assert "Gbps" in capsys.readouterr().out
 
-    def test_cluster_entry_prints_ring_totals(self, capsys):
-        assert main(["run", "cluster_udp_ring_vanilla"]) == 0
-        out = capsys.readouterr().out
-        assert "4 hosts, 1 shard(s)" in out
-        assert "cross-shard records" in out
-        assert "host 3:" in out
-
     @pytest.mark.parametrize("shards", ["0", "-1"])
     def test_shards_below_one_rejected(self, shards, capsys):
-        assert main(["run", "cluster_udp_ring_vanilla", "--shards", shards]) == 2
-        assert "need at least one shard" in capsys.readouterr().err
-
-    def test_two_shards_print_the_one_shard_result(self, capsys):
-        def modelled_rows(shards):
-            assert main(["run", "cluster_udp_ring_vanilla", "--shards", shards]) == 0
-            out = capsys.readouterr().out
-            rows = [
-                line for line in out.splitlines()
-                if line.strip().startswith(
-                    ("messages delivered", "message rate", "avg latency", "host ")
-                )
-            ]
-            assert len(rows) == 7
-            return rows
-
-        assert modelled_rows("2") == modelled_rows("1")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "udp_fixed_vanilla", "--shards", shards])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --shards {shards}" in capsys.readouterr().err
 
     def test_shards_rejected_on_single_host_entry(self, capsys):
-        assert main(["run", "udp_fixed_vanilla", "--shards", "2"]) == 2
-        assert "cluster entries only" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "udp_fixed_vanilla", "--shards", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     def test_figures_quick_subset(self, tmp_path, capsys):
         code = main(

@@ -82,30 +82,6 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
-def test_halt_stops_run():
-    sim = Simulator()
-    hits = []
-    sim.schedule(1.0, hits.append, "a")
-    sim.schedule(2.0, sim.halt)
-    sim.schedule(3.0, hits.append, "b")
-    sim.run()
-    assert hits == ["a"]
-    sim.resume()
-    sim.run()
-    assert hits == ["a", "b"]
-
-
-def test_step_processes_single_event():
-    sim = Simulator()
-    hits = []
-    sim.schedule(1.0, hits.append, 1)
-    sim.schedule(2.0, hits.append, 2)
-    assert sim.step()
-    assert hits == [1]
-    assert sim.step()
-    assert not sim.step()
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(5):
@@ -114,11 +90,13 @@ def test_events_processed_counter():
     assert sim.events_processed == 5
 
 
-def test_pending_and_peek():
+def test_pending_counts_queued_events():
     sim = Simulator()
-    assert sim.peek_time() is None
+    assert sim.pending() == 0
     event = sim.schedule(7.0, lambda: None)
     assert sim.pending() == 1
-    assert sim.peek_time() == 7.0
     sim.cancel(event)
-    assert sim.peek_time() is None
+    assert sim.pending() == 1  # lazy: discarded when it reaches the head
+    sim.run()
+    assert sim.pending() == 0
+    assert sim.events_processed == 0

@@ -1,8 +1,8 @@
 """Unit tests for the simulator's event queue and its mechanics.
 
 Covers the heap inside :class:`Simulator` (ordering, lazy-cancellation
-discard, compaction), lazy-pop ``peek_time`` and the cancellation-leak
-fix. The heap entry ``[time, seq, fn, args]`` is the event handle.
+discard, compaction) and the cancellation-leak fix. The heap entry
+``[time, seq, fn, args]`` is the event handle.
 """
 
 from unittest import mock
@@ -21,28 +21,26 @@ def test_pop_orders_by_time_then_seq():
     sim.schedule_at(1.0, fired.append, "a")
     sim.schedule_at(5.0, fired.append, "d")
     sim.schedule_at(0.5, fired.append, "start")
-    while sim.step():
-        pass
+    sim.run()
     assert fired == ["start", "a", "c", "d"]
     assert sim.pending() == 0
     assert sim.events_processed == 4
 
 
-def test_peek_returns_next_live_without_removing():
+def test_cancelled_head_is_discarded_when_reached():
     sim = Simulator()
     fired = []
     first = sim.schedule(1.0, fired.append, "first")
     sim.schedule(2.0, fired.append, "second")
-    assert sim.peek_time() == 1.0
-    assert sim.pending() == 2
     sim.cancel(first)
-    # Lazy-pop: the cancelled head is discarded as a side effect.
-    assert sim.peek_time() == 2.0
-    assert sim.pending() == 1
-    assert sim.step()
+    assert sim.pending() == 2  # lazy: the cancelled entry stays queued
+    sim.run(until=1.5)
+    assert fired == []
+    assert sim.pending() == 1  # reaching the head discarded it
+    sim.run()
     assert fired == ["second"]
-    assert sim.peek_time() is None
-    assert not sim.step()
+    assert sim.pending() == 0
+    assert sim.events_processed == 1
 
 
 def test_pop_until_pops_only_due_events():
@@ -57,7 +55,7 @@ def test_pop_until_pops_only_due_events():
     assert sim.pending() == 1
     # A live head past the horizon stays queued.
     sim.run(until=2.5)
-    assert fired == ["due"] and sim.peek_time() == 3.0
+    assert fired == ["due"] and sim.pending() == 1
     sim.run(until=3.0)
     assert fired == ["due", "later"]
     sim.run(until=10.0)
@@ -153,26 +151,3 @@ def test_cancel_after_fire_does_not_skew_compaction(monkeypatch):
     sim.run()
     assert sim._cancelled == 0
     assert sim.events_processed == 8 + 3
-
-
-# ----------------------------------------------------------------------
-# peek_time (lazy-pop fix)
-# ----------------------------------------------------------------------
-def test_peek_time_skips_cancelled_head():
-    sim = Simulator()
-    first = sim.schedule(1.0, lambda: None)
-    sim.schedule(5.0, lambda: None)
-    assert sim.peek_time() == 1.0
-    sim.cancel(first)
-    assert sim.peek_time() == 5.0
-    assert sim.events_processed == 0  # peek never executes anything
-    sim.run()
-    assert sim.peek_time() is None
-
-
-def test_peek_time_many_cancelled():
-    sim = Simulator()
-    handles = [sim.schedule(float(i), lambda: None) for i in range(100)]
-    for handle in handles[:99]:
-        sim.cancel(handle)
-    assert sim.peek_time() == 99.0
