@@ -80,9 +80,18 @@ class Cpu:
         """Queue ``duration`` µs of work; call ``fn(*args)`` when it completes."""
         if duration < 0:
             raise ValueError(f"work duration must be >= 0, got {duration}")
-        self._queues[context].append((label, duration, fn, args))
+        item = (label, duration, fn, args)
         if self._running is None:
+            hardirq, softirq, user = queues = self._queues
+            if not (hardirq or softirq or user):
+                # Idle core, nothing queued: the dispatcher would pop
+                # this very item, so start it at once.
+                self._start(context, item)
+                return
+            queues[context].append(item)
             self._maybe_dispatch()
+        else:
+            self._queues[context].append(item)
 
     def submit_multi(
         self,
@@ -99,22 +108,29 @@ class Cpu:
         the core stays busy for their sum. ``costs`` must be a ``list``:
         that is how the dispatcher tells a multi-charge item.
         """
-        self._queues[context].append((names, costs, fn, args))
+        item = (names, costs, fn, args)
         if self._running is None:
+            hardirq, softirq, user = queues = self._queues
+            if not (hardirq or softirq or user):
+                self._start(context, item)
+                return
+            queues[context].append(item)
             self._maybe_dispatch()
+        else:
+            self._queues[context].append(item)
 
     def _maybe_dispatch(self) -> None:
         """Start the highest-priority queued item; the core must be idle."""
         hardirq, softirq, user = self._queues
         if hardirq:
-            context, queue = HARDIRQ, hardirq
+            self._start(HARDIRQ, hardirq.popleft())
         elif softirq:
-            context, queue = SOFTIRQ, softirq
+            self._start(SOFTIRQ, softirq.popleft())
         elif user:
-            context, queue = USER, user
-        else:
-            return
-        item = queue.popleft()
+            self._start(USER, user.popleft())
+
+    def _start(self, context: int, item: tuple) -> None:
+        """Run ``item`` now: charge it and schedule its completion."""
         label, duration, fn, args = item
         self._running = item
         if duration.__class__ is list:
@@ -133,7 +149,9 @@ class Cpu:
         if fn is not None:
             fn(*args)
         if self._running is None:
-            self._maybe_dispatch()
+            hardirq, softirq, user = self._queues
+            if hardirq or softirq or user:
+                self._maybe_dispatch()
 
     # ------------------------------------------------------------------
     # Introspection

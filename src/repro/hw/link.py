@@ -53,10 +53,6 @@ class Link:
         self.frames_sent = 0
         self.bytes_sent = 0
 
-    def serialization_us(self, nbytes: int) -> float:
-        """Time to clock ``nbytes`` onto the wire."""
-        return nbytes * 8.0 / (self.bandwidth_gbps * 1e3)
-
     def send(self, nbytes: int, deliver: Callable[..., Any], *args: Any) -> float:
         """Transmit a frame; call ``deliver(*args)`` when it fully arrives.
 

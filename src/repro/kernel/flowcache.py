@@ -223,12 +223,6 @@ class FlowCache:
         key = flow.tuple()
         return int(self.ingress.invalidate(key)) + int(self.egress.invalidate(key))
 
-    def invalidate_ip(self, ip: int) -> int:
-        return self.ingress.invalidate_ip(ip) + self.egress.invalidate_ip(ip)
-
-    def invalidate_all(self) -> int:
-        return self.ingress.invalidate_all() + self.egress.invalidate_all()
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------

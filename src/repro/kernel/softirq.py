@@ -33,71 +33,54 @@ from repro.metrics.counters import HARDIRQ as IRQ_HARD
 from repro.metrics.counters import NET_RX, RES
 
 class Napi:
-    """Base NAPI instance: a pollable packet source feeding one stage.
+    """Base NAPI instance: a pollable packet queue feeding one stage.
 
     Every packet a NAPI instance yields is processed by ``stage``, so its
-    queue holds bare skbs.
+    ``queue`` holds bare skbs. ``net_rx_action`` polls the queue directly
+    (see :meth:`SoftirqNet._poll_round`); ``rx_queue`` is the NIC receive
+    queue whose interrupt is re-enabled once the queue is polled dry, or
+    None for a backlog.
     """
 
-    __slots__ = ("label", "weight", "scheduled", "stage")
+    __slots__ = ("label", "weight", "scheduled", "stage", "queue", "rx_queue")
 
-    def __init__(self, label: str, stage: Stage, weight: int = 64) -> None:
+    def __init__(
+        self,
+        label: str,
+        stage: Stage,
+        weight: int,
+        queue: Deque[Skb],
+        rx_queue: Optional[RxQueue] = None,
+    ) -> None:
+        if weight < 1:
+            raise ValueError(f"NAPI weight must be >= 1, got {weight}")
         self.label = label
         self.weight = weight
         self.stage = stage
+        self.queue = queue
+        self.rx_queue = rx_queue
         #: True while on some core's poll list.
         self.scheduled = False
 
-    def take(self, max_items: int) -> List[Skb]:
-        raise NotImplementedError
-
-    def has_work(self) -> bool:
-        raise NotImplementedError
-
-    def on_complete(self) -> None:
-        """Called when polled empty and removed from the poll list."""
-
 
 class DriverNapi(Napi):
-    """NAPI instance of one physical-NIC receive queue."""
+    """NAPI instance of one physical-NIC receive queue: polls its ring."""
 
-    __slots__ = ("rx_queue",)
+    __slots__ = ()
 
     def __init__(self, rx_queue: RxQueue, stage: Stage, weight: int = 64) -> None:
-        super().__init__("mlx5e_napi_poll", stage, weight)
-        self.rx_queue = rx_queue
-
-    def take(self, max_items: int) -> List[Skb]:
-        ring = self.rx_queue.ring
-        popleft = ring.popleft
-        return [popleft() for _ in range(min(max_items, len(ring)))]
-
-    def has_work(self) -> bool:
-        return bool(self.rx_queue.ring)
-
-    def on_complete(self) -> None:
-        # Polled the ring dry: re-enable the hardware interrupt.
-        self.rx_queue.napi_scheduled = False
+        super().__init__("mlx5e_napi_poll", stage, weight, rx_queue.ring, rx_queue)
 
 
 class BacklogNapi(Napi):
     """One stage's per-CPU backlog (``input_pkt_queue`` + ``process_backlog``)."""
 
-    __slots__ = ("queue", "capacity", "drops")
+    __slots__ = ("capacity", "drops")
 
     def __init__(self, stage: Stage, capacity: int = 1000, weight: int = 64) -> None:
-        super().__init__(f"process_backlog[{stage.name}]", stage, weight)
-        self.queue: Deque[Skb] = deque()
+        super().__init__(f"process_backlog[{stage.name}]", stage, weight, deque())
         self.capacity = capacity
         self.drops = 0
-
-    def take(self, max_items: int) -> List[Skb]:
-        queue = self.queue
-        popleft = queue.popleft
-        return [popleft() for _ in range(min(max_items, len(queue)))]
-
-    def has_work(self) -> bool:
-        return bool(self.queue)
 
 
 class SoftNetData:
@@ -151,6 +134,10 @@ class SoftirqNet:
         batch_max: int = 16,
         backlog_capacity: int = 1000,
     ) -> None:
+        if budget < 1 or batch_max < 1:
+            raise ValueError(
+                f"budget and batch_max must be >= 1, got {budget} and {batch_max}"
+            )
         self.machine = machine
         #: The run's :class:`~repro.sim.context.SimContext` — the softirq
         #: subsystem draws its RNG stream and tracer from here, never from
@@ -325,10 +312,19 @@ class SoftirqNet:
         )
 
     def _poll_round(self, cpu_index: int, budget_left: int) -> None:
+        """Poll the head of the core's poll list for one batch.
+
+        The batch limit is the smallest of the NAPI weight, the budget
+        left and ``batch_max``. A queue that fits the limit is taken
+        whole and leaves the poll list (``napi_complete``; a driver
+        queue's interrupt is re-enabled); a longer one gives up ``limit``
+        packets and rotates to the tail, so other NAPI sources on the
+        core get their share.
+        """
         data = self.data[cpu_index]
-        cpu = self.machine.cpus[cpu_index]
+        poll_list = data.poll_list
         while True:
-            if not data.poll_list:
+            if not poll_list:
                 data.net_rx_active = False
                 return
             if budget_left <= 0:
@@ -338,20 +334,35 @@ class SoftirqNet:
                 self.softirq_raises += 1
                 self._kick(cpu_index)
                 return
-            napi = data.poll_list.popleft()
-            skbs = napi.take(min(napi.weight, budget_left, self.batch_max))
-            if not skbs:
+            napi = poll_list.popleft()
+            queue = napi.queue
+            limit = napi.weight
+            if budget_left < limit:
+                limit = budget_left
+            if self.batch_max < limit:
+                limit = self.batch_max
+            drained = len(queue) <= limit
+            if drained:
+                skbs = list(queue)
+                queue.clear()
                 napi.scheduled = False
-                napi.on_complete()
-                continue
-            if napi.has_work():
-                # Used its slot but not drained: rotate to the tail so
-                # other NAPI sources on this core get their share.
-                data.poll_list.append(napi)
+                if napi.rx_queue is not None:
+                    # Polled the ring dry: re-enable the hardware interrupt.
+                    napi.rx_queue.napi_scheduled = False
+                if not skbs:
+                    continue
             else:
-                napi.scheduled = False
-                napi.on_complete()
-            self._run_batch(cpu, cpu_index, napi, skbs, budget_left - len(skbs))
+                popleft = queue.popleft
+                skbs = [popleft() for _ in range(limit)]
+                poll_list.append(napi)
+            self._run_batch(
+                self.machine.cpus[cpu_index],
+                cpu_index,
+                napi,
+                skbs,
+                budget_left - len(skbs),
+                drained,
+            )
             return
 
     def _run_batch(
@@ -361,6 +372,7 @@ class SoftirqNet:
         napi: Napi,
         skbs: List[Skb],
         budget_left: int,
+        drained: bool,
     ) -> None:
         data = self.data[cpu_index]
         names: List[str] = []
@@ -386,7 +398,7 @@ class SoftirqNet:
             self.machine.sim.now,
         )
         # End-of-batch flush (GRO) once the source is drained.
-        if stage.flush is not None and not napi.has_work():
+        if drained and stage.flush is not None:
             outputs.extend(stage.flush(cpu_index))
         cpu.submit_multi(
             SOFTIRQ,

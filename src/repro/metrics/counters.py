@@ -39,12 +39,15 @@ class InterruptCounters:
     def record(self, kind: str, cpu: int, amount: int = 1) -> None:
         if self.monitor is not None:
             self.monitor.on_counter_record(kind, cpu, amount)
-        totals = self._totals
-        totals[kind] = totals.get(kind, 0) + amount
-        per_cpu = self._per_cpu.get(cpu)
-        if per_cpu is None:
-            per_cpu = self._per_cpu[cpu] = {}
-        per_cpu[kind] = per_cpu.get(kind, 0) + amount
+        try:
+            self._totals[kind] += amount
+        except KeyError:
+            self._totals[kind] = amount
+        try:
+            self._per_cpu[cpu][kind] += amount
+        except KeyError:
+            # The CPU or the kind is new: either way the count starts here.
+            self._per_cpu.setdefault(cpu, {})[kind] = amount
 
     def total(self, kind: str) -> int:
         return self._totals.get(kind, 0)

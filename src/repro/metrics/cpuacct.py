@@ -22,11 +22,33 @@ USER = 2
 CONTEXT_NAMES = {HARDIRQ: "hardirq", SOFTIRQ: "softirq", USER: "user"}
 
 
+class _CpuRecord:
+    """One CPU's sums: ``{label: µs}``, µs per context, and busy µs."""
+
+    __slots__ = ("labels", "contexts", "busy")
+
+    def __init__(self) -> None:
+        self.labels: Dict[str, float] = {}
+        #: Indexed by context (``HARDIRQ``, ``SOFTIRQ``, ``USER``).
+        self.contexts: List[float] = [0.0, 0.0, 0.0]
+        self.busy = 0.0
+
+    def copy(self) -> "_CpuRecord":
+        record = _CpuRecord()
+        record.labels = dict(self.labels)
+        record.contexts = list(self.contexts)
+        record.busy = self.busy
+        return record
+
+
 class CpuAccounting:
     """Accumulates busy microseconds per (cpu, label) and per (cpu, context).
 
-    Labels are stored as one ``{label: µs}`` map per CPU, so the hot path
-    never builds a ``(cpu, label)`` key. ``_label_order`` lists each
+    Each CPU has one record (:class:`_CpuRecord`) holding its label map,
+    its per-context sums and its busy sum, so a charge looks up one
+    CPU-keyed map, and the hot path never builds a ``(cpu, label)`` or
+    ``(cpu, context)`` key. Every sum starts at ``0.0`` and gets each
+    duration added in charge order. ``_label_order`` lists each
     ``(cpu, label)`` pair once, in the order it was first charged:
     :meth:`total_by_label` walks it, so its sums are added in the same
     order, and its keys come out in the same order, as a flat map keyed
@@ -34,24 +56,24 @@ class CpuAccounting:
     """
 
     def __init__(self) -> None:
-        self._by_label: Dict[int, Dict[str, float]] = {}
+        self._cpus: Dict[int, _CpuRecord] = {}
         self._label_order: List[Tuple[int, str]] = []
-        self._by_context: Dict[Tuple[int, int], float] = {}
-        self._busy_by_cpu: Dict[int, float] = {}
 
     def charge(self, cpu: int, context: int, label: str, duration: float) -> None:
         """Attribute ``duration`` µs of busy time."""
-        labels = self._by_label.get(cpu)
-        if labels is None:
-            labels = self._by_label[cpu] = {}
-        value = labels.get(label)
-        if value is None:
+        try:
+            record = self._cpus[cpu]
+        except KeyError:
+            record = self._cpus[cpu] = _CpuRecord()
+        labels = record.labels
+        try:
+            labels[label] += duration
+        except KeyError:
+            # First charge of this pair: start from 0.0.
+            labels[label] = 0.0 + duration
             self._label_order.append((cpu, label))
-            value = 0.0
-        labels[label] = value + duration
-        ckey = (cpu, context)
-        self._by_context[ckey] = self._by_context.get(ckey, 0.0) + duration
-        self._busy_by_cpu[cpu] = self._busy_by_cpu.get(cpu, 0.0) + duration
+        record.contexts[context] += duration
+        record.busy += duration
 
     def charge_items(
         self, cpu: int, context: int, names: List[str], costs: List[float]
@@ -68,14 +90,16 @@ class CpuAccounting:
         compensated.
         """
         if not names:
-            # Per-pair charging would insert no keys either.
+            # Per-pair charging would create no record either.
             return 0.0
-        labels = self._by_label.get(cpu)
-        if labels is None:
-            labels = self._by_label[cpu] = {}
-        ckey = (cpu, context)
-        context_us = self._by_context.get(ckey, 0.0)
-        busy = self._busy_by_cpu.get(cpu, 0.0)
+        try:
+            record = self._cpus[cpu]
+        except KeyError:
+            record = self._cpus[cpu] = _CpuRecord()
+        labels = record.labels
+        contexts = record.contexts
+        context_us = contexts[context]
+        busy = record.busy
         total = 0.0
         for label, duration in zip(names, costs):
             try:
@@ -87,41 +111,41 @@ class CpuAccounting:
             context_us += duration
             busy += duration
             total += duration
-        self._by_context[ckey] = context_us
-        self._busy_by_cpu[cpu] = busy
+        contexts[context] = context_us
+        record.busy = busy
         return total
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def busy_us(self, cpu: int) -> float:
-        return self._busy_by_cpu.get(cpu, 0.0)
+        record = self._cpus.get(cpu)
+        return 0.0 if record is None else record.busy
 
     def busy_us_label(self, cpu: int, label: str) -> float:
-        labels = self._by_label.get(cpu)
-        return 0.0 if labels is None else labels.get(label, 0.0)
+        record = self._cpus.get(cpu)
+        return 0.0 if record is None else record.labels.get(label, 0.0)
 
     def busy_us_context(self, cpu: int, context: int) -> float:
-        return self._by_context.get((cpu, context), 0.0)
+        record = self._cpus.get(cpu)
+        return 0.0 if record is None else record.contexts[context]
 
     def total_by_label(self) -> Dict[str, float]:
         """Busy µs per label summed over all CPUs (flamegraph view)."""
-        by_label = self._by_label
+        records = self._cpus
         totals: Dict[str, float] = {}
         for cpu, label in self._label_order:
-            totals[label] = totals.get(label, 0.0) + by_label[cpu][label]
+            totals[label] = totals.get(label, 0.0) + records[cpu].labels[label]
         return totals
 
     def cpus(self) -> Iterable[int]:
-        return sorted(self._busy_by_cpu)
+        return sorted(self._cpus)
 
     def snapshot(self) -> "CpuAccounting":
         """Deep copy for window-boundary bookkeeping."""
         copy = CpuAccounting()
-        copy._by_label = {cpu: dict(labels) for cpu, labels in self._by_label.items()}
+        copy._cpus = {cpu: record.copy() for cpu, record in self._cpus.items()}
         copy._label_order = list(self._label_order)
-        copy._by_context = dict(self._by_context)
-        copy._busy_by_cpu = dict(self._busy_by_cpu)
         return copy
 
 

@@ -56,6 +56,10 @@ MODULE_TESTS = {
         "tests/unit/test_balancing_falcon.py",
         "tests/props/test_softirq_props.py",
     ),
+    "hw/cpu.py": (
+        "tests/unit/test_cpu.py",
+        "tests/props/test_cpu_props.py",
+    ),
     "kernel/costs.py": ("tests/unit/test_skb_costs.py",),
     "kernel/defrag.py": ("tests/unit/test_gro_defrag.py",),
     "kernel/flowcache.py": (
@@ -68,7 +72,10 @@ MODULE_TESTS = {
         "tests/props/test_merge_props.py",
     ),
     "kernel/skb.py": ("tests/unit/test_skb_costs.py",),
-    "kernel/softirq.py": ("tests/unit/test_softirq.py",),
+    "kernel/softirq.py": (
+        "tests/unit/test_softirq.py",
+        "tests/props/test_drain_props.py",
+    ),
     "kernel/stack.py": (
         "tests/unit/test_flowcache.py",
         "tests/integration/test_stack_paths.py",
@@ -127,6 +134,21 @@ BUGS: Tuple[Bug, ...] = (
         "core/falcon.py",
         "        self.steered += n\n",
         "        self.steered += 1\n",
+        frozenset({"module"}),
+    ),
+    Bug(
+        "idle_start_skips_queued_work",
+        "`Cpu.submit` starts an item at once when its own context's queue "
+        "is empty, though another context holds queued work",
+        "hw/cpu.py",
+        "        item = (label, duration, fn, args)\n"
+        "        if self._running is None:\n"
+        "            hardirq, softirq, user = queues = self._queues\n"
+        "            if not (hardirq or softirq or user):\n",
+        "        item = (label, duration, fn, args)\n"
+        "        if self._running is None:\n"
+        "            hardirq, softirq, user = queues = self._queues\n"
+        "            if not queues[context]:\n",
         frozenset({"module"}),
     ),
     Bug(
@@ -348,11 +370,11 @@ BUGS: Tuple[Bug, ...] = (
         "metrics/cpuacct.py",
         "            busy += duration\n"
         "            total += duration\n"
-        "        self._by_context[ckey] = context_us\n"
-        "        self._busy_by_cpu[cpu] = busy\n",
+        "        contexts[context] = context_us\n"
+        "        record.busy = busy\n",
         "            total += duration\n"
-        "        self._by_context[ckey] = context_us\n"
-        "        self._busy_by_cpu[cpu] = busy + total\n",
+        "        contexts[context] = context_us\n"
+        "        record.busy = busy + total\n",
         frozenset({"module"}),
     ),
     Bug(

@@ -13,7 +13,8 @@ class TestLink:
     def test_serialization_delay(self):
         sim = Simulator()
         link = Link(sim, bandwidth_gbps=10.0, propagation_us=0.0)
-        assert link.serialization_us(1250) == pytest.approx(1.0)
+        # 1250 B is 10,000 bits: 1 µs at 10 Gb/s on an idle link.
+        assert link.send(1250, lambda: None) == pytest.approx(1.0)
 
     def test_frames_queue_fifo(self):
         sim = Simulator()
@@ -37,10 +38,10 @@ class TestLink:
 
     def test_bandwidth_scales(self):
         sim = Simulator()
-        fast = Link(sim, bandwidth_gbps=100.0)
-        slow = Link(sim, bandwidth_gbps=10.0)
-        assert fast.serialization_us(10000) == pytest.approx(
-            slow.serialization_us(10000) / 10.0
+        fast = Link(sim, bandwidth_gbps=100.0, propagation_us=0.0)
+        slow = Link(sim, bandwidth_gbps=10.0, propagation_us=0.0)
+        assert fast.send(10000, lambda: None) == pytest.approx(
+            slow.send(10000, lambda: None) / 10.0
         )
 
     def test_invalid_params(self):

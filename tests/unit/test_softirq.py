@@ -206,14 +206,32 @@ class TestNicAttach:
 
 
 class TestBacklogNapi:
-    def test_take_respects_limit(self):
-        _sim, _machine, softnet = make_env()
+    @pytest.mark.parametrize("weight", [0, -1])
+    def test_weight_below_one_rejected(self, weight):
         stage, _ = simple_stage()
+        with pytest.raises(ValueError, match="NAPI weight"):
+            BacklogNapi(stage, weight=weight)
+
+    @pytest.mark.parametrize("limit", [{"budget": 0}, {"batch_max": 0}])
+    def test_poll_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="budget and batch_max"):
+            make_env(**limit)
+
+    def test_take_respects_limit(self):
+        """One poll of a queue longer than the batch limit takes ``limit``
+        packets from the head and rotates the NAPI to the poll list's tail."""
+        _sim, _machine, softnet = make_env(batch_max=3)
+        seen = []
+        stage = Stage(
+            "stage", 2, [Step("fn", lambda skb: seen.append(skb.flow.sport) or 1.0)],
+            CollectExit(),
+        )
         for i in range(10):
             enqueue(softnet, 0, make_skb(i), stage, from_cpu=0)
         napi = softnet.data[0].queues[stage.name]
         assert isinstance(napi, BacklogNapi)
-        items = napi.take(3)
-        assert [skb.flow.sport for skb in items] == [0, 1, 2]
+        softnet._poll_round(0, softnet.budget)
+        assert seen == [0, 1, 2]
         assert len(napi.queue) == 7
-        assert napi.has_work()
+        assert napi.scheduled
+        assert list(softnet.data[0].poll_list) == [napi]

@@ -16,6 +16,9 @@ from repro.metrics.report import Table, format_table
 from repro.sim.engine import Simulator
 
 
+LABELS = ("skb_alloc", "ip_rcv", "udp_rcv", "netif_rx")
+
+
 def make_skb(sport=1000):
     return Skb(FlowKey.make(1, 2, sport=sport, flow_id=sport), size=64)
 
@@ -84,20 +87,25 @@ class TestLoadTracker:
             LoadTracker(machine, CostModel(), alpha=0.0)
 
 
-#: Work items as ``(cpu, context, [(label, µs), ...])``; an empty charges
-#: list is allowed, and values carry enough digits for float sums to
-#: depend on their association.
+#: Work items as ``(cpu, context, [(label, µs), ...], call, snapshot)``:
+#: ``call`` says how the item is charged (``charge`` once per pair, as a
+#: run of single-label items is, or ``charge_items`` once), and
+#: ``snapshot`` whether the accounting is snapshotted after it. An empty
+#: charges list is allowed, and values carry enough digits for float sums
+#: to depend on their association.
 charged_items = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=2),
         st.sampled_from([HARDIRQ, SOFTIRQ, USER]),
         st.lists(
             st.tuples(
-                st.sampled_from(["skb_alloc", "ip_rcv", "udp_rcv", "netif_rx"]),
+                st.sampled_from(LABELS),
                 st.floats(min_value=0.0, max_value=5.0),
             ),
             max_size=6,
         ),
+        st.sampled_from(["charge", "charge_items"]),
+        st.booleans(),
     ),
     max_size=30,
 )
@@ -105,16 +113,36 @@ charged_items = st.lists(
 
 def stored_views(acct):
     """Each attribute of ``acct`` as nested ``(key, value)`` lists, so that
-    ``==`` compares values and key order at every level."""
+    ``==`` compares values and key order at every level (per-CPU records
+    included, slot by slot)."""
 
     def ordered(value):
         if isinstance(value, dict):
             return [(key, ordered(item)) for key, item in value.items()]
         if isinstance(value, list):
             return [ordered(item) for item in value]
+        if hasattr(value, "__slots__"):
+            return [(name, ordered(getattr(value, name))) for name in value.__slots__]
         return value
 
     return [(name, ordered(value)) for name, value in vars(acct).items()]
+
+
+def query_views(acct):
+    """Every query's answer over the drawn CPUs, contexts and labels."""
+    return (
+        list(acct.cpus()),
+        [
+            (
+                acct.busy_us(cpu),
+                [acct.busy_us_context(cpu, c) for c in (HARDIRQ, SOFTIRQ, USER)],
+                [acct.busy_us_label(cpu, label) for label in LABELS],
+            )
+            for cpu in range(3)
+        ],
+        list(acct.total_by_label().items()),
+        stored_views(acct),
+    )
 
 
 class TestCpuAccounting:
@@ -122,46 +150,51 @@ class TestCpuAccounting:
     # even), so the left fold stays at 1e16. A compensated sum
     # (``math.fsum``, or ``sum`` from Python 3.12) gives
     # 1.0000000000000002e16, and so does adding the item's total once.
-    @example([(0, SOFTIRQ, [("skb_alloc", 1e16)]),
-              (0, SOFTIRQ, [("ip_rcv", 1.0), ("udp_rcv", 1.0)])])
+    @example([(0, SOFTIRQ, [("skb_alloc", 1e16)], "charge", False),
+              (0, SOFTIRQ, [("ip_rcv", 1.0), ("udp_rcv", 1.0)], "charge_items", True)])
     @given(charged_items)
     def test_charge_items_is_bit_exact_per_pair(self, items):
-        """One ``charge_items`` per work item equals one ``charge`` per pair
-        exactly (``==``, not approx), with the same key order."""
-        per_item, per_pair = CpuAccounting(), CpuAccounting()
-        for cpu, context, charges in items:
+        """``charge`` and ``charge_items`` calls interleaved on one
+        accounting equal one ``charge`` per pair exactly (``==``, not
+        approx), with the same key order; a snapshot taken between them
+        holds exactly the state at that point, and is a copy."""
+        mixed, per_pair = CpuAccounting(), CpuAccounting()
+        snapshots = []
+        for cpu, context, charges, call, snapshot in items:
             names = [label for label, _duration in charges]
             costs = [duration for _label, duration in charges]
-            total = per_item.charge_items(cpu, context, names, costs)
+            if call == "charge_items":
+                total = mixed.charge_items(cpu, context, names, costs)
+            else:
+                total = 0.0
+                for label, duration in charges:
+                    mixed.charge(cpu, context, label, duration)
+                    total += duration
             expected = 0.0
             for label, duration in charges:
                 per_pair.charge(cpu, context, label, duration)
                 expected += duration
             assert total == expected
-        assert list(per_item.cpus()) == list(per_pair.cpus())
-        for cpu in range(3):
-            assert per_item.busy_us(cpu) == per_pair.busy_us(cpu)
-            for context in (HARDIRQ, SOFTIRQ, USER):
-                assert per_item.busy_us_context(cpu, context) == (
-                    per_pair.busy_us_context(cpu, context)
-                )
-            for label in ("skb_alloc", "ip_rcv", "udp_rcv", "netif_rx"):
-                assert per_item.busy_us_label(cpu, label) == (
-                    per_pair.busy_us_label(cpu, label)
-                )
-        assert list(per_item.total_by_label().items()) == list(
-            per_pair.total_by_label().items()
-        )
-        # Every stored view too, in insertion order (nested maps included).
-        assert stored_views(per_item) == stored_views(per_pair)
-        # A snapshot stores the same views and totals, and is a copy.
-        copy = per_item.snapshot()
-        assert stored_views(copy) == stored_views(per_item)
-        assert list(copy.total_by_label().items()) == list(
-            per_item.total_by_label().items()
-        )
+            if snapshot:
+                snapshots.append((mixed.snapshot(), query_views(per_pair)))
+        assert query_views(mixed) == query_views(per_pair)
+        for copy, at_snapshot in snapshots:
+            assert query_views(copy) == at_snapshot
+        copy = mixed.snapshot()
         copy.charge(0, SOFTIRQ, "after_snapshot", 1.0)
-        assert stored_views(per_item) == stored_views(per_pair)
+        assert query_views(mixed) == query_views(per_pair)
+
+    def test_charge_starts_each_sum_at_zero(self):
+        acct = CpuAccounting()
+        acct.charge(1, USER, "fn", 2.5)
+        acct.charge_items(1, SOFTIRQ, ["fn", "other"], [1.0, 0.5])
+        assert acct.busy_us(1) == 4.0
+        assert [acct.busy_us_context(1, c) for c in (HARDIRQ, SOFTIRQ, USER)] == [
+            0.0, 1.5, 2.5,
+        ]
+        assert acct.busy_us_label(1, "fn") == 3.5
+        assert acct.busy_us(0) == 0.0 and acct.busy_us_context(0, USER) == 0.0
+        assert list(acct.cpus()) == [1]
 
     def test_window_utilization(self):
         acct = CpuAccounting()
