@@ -25,7 +25,6 @@ from repro.kernel.costs import CostModel
 from repro.kernel.skb import FlowKey, Skb
 from repro.kernel.stack import NetworkStack, StackConfig
 from repro.overlay.host import Host
-from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
 from repro.workloads.sockperf import Testbed
 
@@ -39,7 +38,6 @@ __all__ = [
     "FlowKey",
     "Host",
     "NetworkStack",
-    "OverlayNetwork",
     "Simulator",
     "Skb",
     "StackConfig",

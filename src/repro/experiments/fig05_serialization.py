@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations
 from repro.metrics.report import Table
+from repro.sim.stats import fold_sum
 from repro.workloads.sockperf import Testbed
 
 CORES_SHOWN = 8
@@ -68,6 +69,6 @@ def run(quick: bool = False) -> ExperimentOutput:
         for label, result in multi.items()
     }
     out.series["total_busy"] = {
-        label: sum(result.cpu_util) for label, result in single.items()
+        label: fold_sum(result.cpu_util) for label, result in single.items()
     }
     return out

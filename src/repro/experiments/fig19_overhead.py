@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.runner import ExperimentOutput, durations, standard_modes
 from repro.metrics.report import Table
+from repro.sim.stats import fold_sum
 from repro.workloads.sockperf import Testbed
 
 RATES_FULL = (100_000, 200_000, 300_000, 400_000)
@@ -38,7 +39,7 @@ def run(quick: bool = False) -> ExperimentOutput:
             bed = Testbed(**kwargs)
             bed.add_udp_flow(16, rate_pps=float(rate))
             result = bed.run(**dur)
-            usage[label] = sum(result.cpu_util)
+            usage[label] = fold_sum(result.cpu_util)
             raises[label] = result.softirq_handler_runs / (
                 result.duration_us * 1e-6
             )

@@ -195,9 +195,9 @@ class NetworkStack:
         self.unroutable_packets = 0
         #: Pure-ACK packets consumed by the stack (request/response loads).
         self.control_packets = 0
-        #: Optional :class:`repro.validate.InvariantMonitor`; attached via
-        #: the context (see the ``monitor`` property), None in normal runs.
-        self._monitor = None
+        #: Optional :class:`repro.validate.InvariantMonitor`; written by
+        #: the context on attach/detach, None in normal runs.
+        self.monitor = None
         self.ctx.register_monitored(self, self.softnet, self.defrag)
 
         # --- stage graph -------------------------------------------------
@@ -227,22 +227,6 @@ class NetworkStack:
     @tracer.setter
     def tracer(self, value) -> None:
         self.ctx.attach_tracer(value)
-
-    @property
-    def monitor(self):
-        """The run's invariant monitor (owned by the :class:`SimContext`)."""
-        return self._monitor
-
-    @monitor.setter
-    def monitor(self, value) -> None:
-        self._monitor = value
-        # Assigning through the stack attaches context-wide; the context's
-        # own fan-out lands here too, guarded against re-entry.
-        if self.ctx.monitor is not value:
-            if value is None:
-                self.ctx.detach_monitor()
-            else:
-                self.ctx.attach_monitor(value)
 
     # ------------------------------------------------------------------
     # Stage-graph construction
@@ -376,7 +360,7 @@ class NetworkStack:
     # ------------------------------------------------------------------
     def deliver_to_socket(self, skb: Skb, cpu_index: int) -> None:
         tracer = self.ctx.tracer
-        monitor = self._monitor
+        monitor = self.monitor
         flowcache = self.flowcache
         if flowcache is not None:
             # Whatever the outcome below, the packet leaves the pipeline
@@ -453,8 +437,8 @@ class NetworkStack:
         """A frame arrived from the wire (called at link delivery time)."""
         skb.t_nic = self.sim.now
         accepted = self.nic.receive(skb)
-        if self._monitor is not None:
-            self._monitor.on_inject(skb, accepted)
+        if self.monitor is not None:
+            self.monitor.on_inject(skb, accepted)
         return accepted
 
     # ------------------------------------------------------------------

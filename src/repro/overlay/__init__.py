@@ -3,16 +3,11 @@
 The data-plane mechanics (VXLAN encap/decap, bridge, veth) live in
 :mod:`repro.kernel`; this package provides the orchestration-level
 objects around them: containers with private IPs
-(:mod:`~repro.overlay.container`), hosts running a stack
-(:mod:`~repro.overlay.host`), the distributed key-value store mapping
-container IPs to host IPs (:mod:`~repro.overlay.kvstore`), and the
-overlay network object tying them together
-(:mod:`~repro.overlay.network`) the way Docker's overlay driver does.
+(:mod:`~repro.overlay.container`) and hosts running a stack
+(:mod:`~repro.overlay.host`).
 """
 
 from repro.overlay.container import Container
 from repro.overlay.host import Host
-from repro.overlay.kvstore import KvStore
-from repro.overlay.network import OverlayNetwork
 
-__all__ = ["Container", "Host", "KvStore", "OverlayNetwork"]
+__all__ = ["Container", "Host"]

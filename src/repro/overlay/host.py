@@ -41,8 +41,8 @@ class Host:
         self.config = config or StackConfig()
         self.stack = NetworkStack(self.ctx, self.machine, self.config)
         self.containers: Dict[str, Container] = {}
-        #: Ingress link (remote sender → this host's NIC); set by the
-        #: testbed/OverlayNetwork wiring.
+        #: Ingress link (remote sender → this host's NIC); set by
+        #: :meth:`attach_ingress`.
         self.ingress_link: Optional[Link] = None
         self._next_container_ip = 0xAC110002  # 172.17.0.2
 

@@ -26,7 +26,7 @@ attributes for compatibility, but those are the context's simulator.
 Hot-path objects that consult ``monitor`` register themselves via
 :meth:`SimContext.register_monitored` at construction time and keep a
 plain ``monitor`` attribute that the context writes on attach/detach, so
-the per-event cost of an unmonitored run stays one attribute check.
+an unmonitored hook costs one attribute check where it is called.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class SimContext:
         self.monitor: Optional[Any] = None
         #: Optional :class:`repro.metrics.tracing.PacketTracer`.
         self.tracer: Optional[Any] = None
-        self._monitored: List[Any] = [self.sim]
+        self._monitored: List[Any] = []
 
     # ------------------------------------------------------------------
     # RNG streams

@@ -6,8 +6,6 @@ simulator would invalidate every figure. An :class:`InvariantMonitor`
 attaches to one host's :class:`~repro.kernel.stack.NetworkStack` and
 checks, while the simulation runs:
 
-* **Clock monotonicity** — the engine never executes an event timestamped
-  before the current clock.
 * **Per-core serialization** — a :class:`~repro.hw.cpu.Cpu` is a
   non-preemptive serialized resource: no two work items may overlap on
   one core, and no item may complete before its busy interval ends.
@@ -24,8 +22,8 @@ checks, while the simulation runs:
   the two must be equal.
 
 Attachment is explicit and hooks are ``None``-guarded at every hot-path
-call site, so an unattached run pays one attribute check per event and
-nothing else. Violations raise :class:`InvariantViolation` immediately —
+call site, so an unattached run pays one attribute check per hook call
+and nothing else. Violations raise :class:`InvariantViolation` immediately —
 fail fast, at the event that broke the invariant, with the simulation
 clock in the message.
 """
@@ -98,15 +96,18 @@ class InvariantMonitor:
         self._cpu_busy_until: Dict[int, float] = {}
         self._last_interrupts: Dict[str, int] = {}
         self._last_busy_us: List[float] = []
-        self._audit_event = None
 
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, stack) -> "InvariantMonitor":
-        """Wire this monitor into ``stack`` and all its components."""
-        if self.attached:
-            raise ValueError("monitor is already attached")
+        """Wire this monitor into ``stack`` and all its components.
+
+        A monitor attaches once: its ledger counts from this moment, and
+        the audit armed here keeps running until :meth:`detach`.
+        """
+        if self.stack is not None:
+            raise ValueError("a monitor attaches once")
         self.stack = stack
         self.attached = True
         machine = stack.machine
@@ -116,36 +117,24 @@ class InvariantMonitor:
         stack.ctx.attach_monitor(self)
         self._last_interrupts = machine.interrupts.snapshot()
         self._last_busy_us = [machine.acct.busy_us(cpu.index) for cpu in machine.cpus]
-        self._audit_event = stack.sim.schedule(self.audit_interval_us, self._audit)
+        stack.sim.schedule(self.audit_interval_us, self._audit)
         return self
 
     def detach(self) -> None:
-        """Unhook from the stack; the run continues unmonitored."""
+        """Unhook from the stack; the run continues unmonitored.
+
+        The pending audit stays queued: it finds the monitor detached,
+        returns, and does not re-arm.
+        """
         if not self.attached:
             return
-        stack = self.stack
-        stack.ctx.detach_monitor()
-        if self._audit_event is not None:
-            stack.sim.cancel(self._audit_event)
-            self._audit_event = None
+        self.stack.ctx.detach_monitor()
         self.attached = False
 
     def _fail(self, kind: str, message: str) -> None:
         text = f"{message} (sim t={self.stack.sim.now:.3f}us)" if self.stack else message
         self.violations.append(f"[{kind}] {text}")
         raise InvariantViolation(kind, text)
-
-    # ------------------------------------------------------------------
-    # Engine hooks
-    # ------------------------------------------------------------------
-    def on_event(self, now: float, event_time: float) -> None:
-        if event_time < now:
-            self._fail(
-                "clock-monotonicity",
-                f"event scheduled at t={event_time} executed while the clock "
-                f"was already at t={now}",
-            )
-        self.checks_passed += 1
 
     # ------------------------------------------------------------------
     # CPU hooks (per-core serialization)
@@ -345,7 +334,7 @@ class InvariantMonitor:
             self._fail("queue-bound", "negative backlog drop count")
         self.check_conservation(strict=False)
         self.audits += 1
-        self._audit_event = stack.sim.schedule(self.audit_interval_us, self._audit)
+        stack.sim.schedule(self.audit_interval_us, self._audit)
 
 
 def attach_monitor(stack, audit_interval_us: float = 500.0) -> InvariantMonitor:

@@ -27,7 +27,6 @@ from repro.kernel.skb import PROTO_TCP, PROTO_UDP, FlowKey
 from repro.kernel.stack import MODE_OVERLAY, StackConfig
 from repro.metrics.meters import MeasurementWindow
 from repro.overlay.host import Host
-from repro.overlay.network import OverlayNetwork
 from repro.sim.clock import MS
 from repro.sim.engine import Simulator
 from repro.sim.errors import ConfigurationError
@@ -160,11 +159,8 @@ class Testbed:
         self._sockets: List = []
 
         if mode == MODE_OVERLAY:
-            self.network = OverlayNetwork()
             self.server_container = self.host.launch_container("server")
-            self.network.join(self.server_container)
         else:
-            self.network = None
             self.server_container = None
         #: Server → client return link (built lazily by request/response
         #: workloads; the paper's testbed links are full duplex).
@@ -181,12 +177,10 @@ class Testbed:
         return self._egress_link
 
     def new_container(self, name: str):
-        """Launch another container and join it to the overlay network."""
+        """Launch another container on the server host."""
         if self.mode != MODE_OVERLAY:
             raise ValueError("containers only exist in overlay mode")
-        container = self.host.launch_container(name)
-        self.network.join(container)
-        return container
+        return self.host.launch_container(name)
 
     # ------------------------------------------------------------------
     # Flow construction
@@ -213,8 +207,6 @@ class Testbed:
         self._next_sport += 1
         if self.mode == MODE_OVERLAY:
             dst_ip = (container or self.server_container).private_ip
-            # Exercise the control plane the way an encapsulating sender does.
-            self.network.resolve_host(dst_ip)
         else:
             dst_ip = self.host.host_ip
         flow_id = self.host.ctx.new_flow_id()

@@ -15,7 +15,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import scenarios
 from repro.core.config import FalconConfig
+from repro.metrics.tracing import PacketTracer
+from repro.validate import InvariantMonitor
+from repro.validate.golden import figure_digest
 from repro.workloads.sockperf import Testbed
 
 FAST = dict(warmup_ms=3.0, measure_ms=6.0)
@@ -65,7 +69,6 @@ def test_tcp_run_deterministic():
 
 def _poisson_run(use_falcon, flows):
     """A traced Poisson-paced run: (canonical trace, full RunResult)."""
-    from repro.metrics.tracing import PacketTracer
     from repro.validate import serialize_traces, trace_doc_to_json
 
     bed = Testbed(mode="overlay", falcon=FalconConfig() if use_falcon else None)
@@ -119,6 +122,37 @@ def test_run_order_does_not_matter():
     assert not differing, f"{differing} depend on what ran before them in the process"
 
 
+#: Short enough to keep all of :data:`repro.scenarios.SCENARIOS` run
+#: three ways in a few seconds.
+OBSERVED_WINDOW = dict(warmup_ms=1.0, measure_ms=2.0)
+
+
+def _observed_digest(name, observer):
+    """Digest of entry ``name``'s :class:`RunResult` with ``observer``
+    ("none", "tracer" or "monitor") attached for the whole run."""
+    bed = scenarios.build(name)
+    monitor = None
+    if observer == "tracer":
+        bed.stack.tracer = PacketTracer(sample_every=1)
+    elif observer == "monitor":
+        monitor = InvariantMonitor().attach(bed.stack)
+    result = bed.run(**OBSERVED_WINDOW)
+    if monitor is not None:
+        monitor.detach()
+    return figure_digest(dataclasses.asdict(result))
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
+def test_instrumentation_never_changes_a_run(name):
+    """A run's result is the same with nothing attached, with a packet
+    tracer and with an invariant monitor: observing never steers."""
+    digests = {
+        observer: _observed_digest(name, observer)
+        for observer in ("none", "tracer", "monitor")
+    }
+    assert len(set(digests.values())) == 1, digests
+
+
 def test_memcached_deterministic():
     from repro.workloads.memcached import MemcachedScenario
 
@@ -140,7 +174,6 @@ MATRIX_SEEDS = [0, 1, 2, 3, 4]
 
 
 def _traced_run(seed, use_falcon):
-    from repro.metrics.tracing import PacketTracer
     from repro.validate import serialize_traces, trace_doc_to_json
 
     bed = Testbed(

@@ -89,7 +89,7 @@ MODULE_TESTS = {
         "tests/unit/test_engine.py",
         "tests/unit/test_scheduler.py",
         "tests/props/test_scheduler_props.py",
-        "tests/unit/test_shard_compaction.py",
+        "tests/props/test_engine_props.py",
     ),
     "workloads/sockperf.py": ("tests/unit/test_workloads.py",),
     "workloads/traffic.py": ("tests/unit/test_workloads.py",),
@@ -152,6 +152,17 @@ BUGS: Tuple[Bug, ...] = (
         frozenset({"module"}),
     ),
     Bug(
+        "unmonitored_net_rx_charged_twice",
+        "`Cpu._start` charges a `net_rx_action` item a second time when no "
+        "monitor is attached",
+        "hw/cpu.py",
+        "            self.monitor.on_cpu_start(self.index, self.sim.now, duration)\n",
+        "            self.monitor.on_cpu_start(self.index, self.sim.now, duration)\n"
+        "        elif label == \"net_rx_action\":\n"
+        "            self.acct.charge(self.index, context, label, duration)\n",
+        frozenset({"determinism"}),
+    ),
+    Bug(
         "copy_to_user_fixed_x1_3",
         "`CostModel.copy_to_user`'s fixed cost is 1.3 times its calibrated value",
         "kernel/costs.py",
@@ -165,7 +176,7 @@ BUGS: Tuple[Bug, ...] = (
         "kernel/defrag.py",
         "        del self._table[key]\n",
         "",
-        frozenset({"invariants", "module"}),
+        frozenset({"invariants", "determinism", "module"}),
     ),
     Bug(
         "flowtable_insert_duplicates",
@@ -231,7 +242,7 @@ BUGS: Tuple[Bug, ...] = (
         "            self._held[key] = skb\n"
         "            skb.segs = 1\n"
         "            return skb",
-        frozenset({"golden", "invariants", "module"}),
+        frozenset({"golden", "invariants", "determinism", "module"}),
     ),
     Bug(
         "module_flow_counter",
@@ -362,7 +373,7 @@ BUGS: Tuple[Bug, ...] = (
         "            deliver(skb, cpu_index)\n",
         "            deliver(skb, cpu_index)\n"
         "            deliver(skb, cpu_index)\n",
-        frozenset({"golden", "invariants"}),
+        frozenset({"golden", "invariants", "determinism"}),
     ),
     Bug(
         "cpuacct_item_total_reassociated",

@@ -54,20 +54,6 @@ def test_chained_scheduling_advances_clock_monotonically(gaps, depth):
     assert len(times) == depth + 1
 
 
-@given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=50), st.data())
-def test_cancelled_events_never_fire(delays, data):
-    sim = Simulator()
-    fired = []
-    events = [sim.schedule(d, lambda i=i: fired.append(i)) for i, d in enumerate(delays)]
-    to_cancel = data.draw(
-        st.sets(st.integers(0, len(delays) - 1), max_size=len(delays))
-    )
-    for index in to_cancel:
-        sim.cancel(events[index])
-    sim.run()
-    assert set(fired) == set(range(len(delays))) - to_cancel
-
-
 @given(st.lists(st.floats(0.0, 1000.0), max_size=60), st.floats(0.0, 1000.0))
 def test_run_until_never_processes_later_events(delays, bound):
     sim = Simulator()

@@ -2,39 +2,32 @@
 
 Each test runs one program on two event queues — the heap inside
 :class:`Simulator` and :class:`ReferenceQueue` — and requires identical
-outcomes. The model is the plainest possible queue: a list of the live
-``(time, seq, fn, args)`` entries kept sorted, where ``cancel`` removes
-an entry and events scheduled by a firing callback (spawned children)
-are inserted when their parent fires. :class:`Simulator` must produce
-the same fire order, clocks and ``events_processed`` for any
-schedule/schedule_at/batch/cancel/run program — hypothesis-generated op
-lists and a seeded self-sustaining churn. The compaction thresholds are
-lowered so that lazy-cancel compaction runs inside these programs.
+outcomes. The model is the plainest possible queue: a list of the
+``(time, seq, fn, args)`` entries kept sorted, where events scheduled by
+a firing callback (spawned children) are inserted when their parent
+fires. :class:`Simulator` must produce the same fire order, clocks and
+``events_processed`` for any schedule/schedule_at/batch/run program —
+hypothesis-generated op lists and a seeded self-sustaining churn.
 """
 
 import bisect
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.engine as engine_module
 from repro.sim.engine import Simulator
 
 _DELAY = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 _OP = st.one_of(
-    # schedule keeps its handle for later cancels; forget drops it.
     st.tuples(st.just("schedule"), _DELAY),
-    st.tuples(st.just("forget"), _DELAY),
     st.tuples(st.just("schedule_at"), _DELAY),
     # spawn: an event that, when fired, schedules a child — exercises
     # pushes after the clock has advanced.
     st.tuples(st.just("spawn"), _DELAY, st.floats(0.0, 50.0, allow_nan=False)),
     st.tuples(st.just("batch"), _DELAY, st.integers(1, 8)),
-    st.tuples(st.just("cancel"), st.integers(0, 10_000)),
 )
 
 
@@ -48,21 +41,14 @@ class ReferenceQueue:
         self._seq = 0
 
     def _add(self, time, fn, args):
-        key = (time, self._seq)
+        bisect.insort(self._entries, (time, self._seq, fn, args))
         self._seq += 1
-        bisect.insort(self._entries, (time, key[1], fn, args))
-        return key
 
     def schedule(self, delay, fn, *args):
-        return self._add(self.now + delay, fn, args)
+        self._add(self.now + delay, fn, args)
 
     def schedule_at(self, time, fn, *args):
-        return self._add(time, fn, args)
-
-    def cancel(self, key):
-        index = bisect.bisect_left(self._entries, key)
-        if index < len(self._entries) and self._entries[index][:2] == key:
-            del self._entries[index]
+        self._add(time, fn, args)
 
     def pending(self):
         return len(self._entries)
@@ -79,25 +65,9 @@ class ReferenceQueue:
             self.now = until
 
 
-def _small_compaction():
-    return mock.patch.object(engine_module, "COMPACT_MIN_EVENTS", 8)
-
-
-def _eager_compaction():
-    """Compact on every cancel once two entries are queued.
-
-    The op mix cancels too few of its events to cross the real live
-    fraction, so without this hypothesis would almost never compact.
-    """
-    return mock.patch.multiple(
-        engine_module, COMPACT_MIN_EVENTS=2, COMPACT_LIVE_FRACTION=1.0
-    )
-
-
 def _run_program(sim, ops):
     """Apply one op sequence to ``sim``; return its full trace."""
     trace = []
-    handles = []
 
     def fire(tag):
         trace.append((sim.now, tag))
@@ -109,8 +79,6 @@ def _run_program(sim, ops):
     for tag, op in enumerate(ops):
         kind = op[0]
         if kind == "schedule":
-            handles.append(sim.schedule(op[1], fire, tag))
-        elif kind == "forget":
             sim.schedule(op[1], fire, tag)
         elif kind == "schedule_at":
             sim.schedule_at(op[1], fire, tag)
@@ -119,8 +87,6 @@ def _run_program(sim, ops):
         elif kind == "batch":
             for i in range(op[2]):
                 sim.schedule(op[1], fire, (tag, i))
-        elif kind == "cancel" and handles:
-            sim.cancel(handles[op[1] % len(handles)])
     sim.run()
     return trace, sim.now, sim.events_processed
 
@@ -128,9 +94,7 @@ def _run_program(sim, ops):
 @given(st.lists(_OP, max_size=120))
 @settings(max_examples=60, deadline=None)
 def test_simulator_matches_reference_model(ops):
-    with _eager_compaction():
-        actual = _run_program(Simulator(), ops)
-    assert actual == _run_program(ReferenceQueue(), ops)
+    assert _run_program(Simulator(), ops) == _run_program(ReferenceQueue(), ops)
 
 
 @given(st.lists(_DELAY, max_size=80), st.floats(0.0, 2000.0, allow_nan=False))
@@ -149,7 +113,7 @@ def test_run_until_agrees_across_schedulers(delays, bound):
 
 
 def _churn(sim, seed):
-    """Self-sustaining ticks plus cancellable timers, seeded."""
+    """Self-sustaining ticks plus one-shot timers, seeded."""
     rng = random.Random(seed)
     trace = []
     remaining = 2_000
@@ -166,9 +130,7 @@ def _churn(sim, seed):
         delay = rng.random() * 4.0 if rng.random() < 0.9 else 400.0 + rng.random() * 600.0
         sim.schedule(delay, tick)
         if rng.random() < 0.5:
-            handle = sim.schedule(rng.random() * 50.0, fire, remaining)
-            if rng.random() < 0.8:
-                sim.cancel(handle)
+            sim.schedule(rng.random() * 50.0, fire, remaining)
 
     for _ in range(16):
         sim.schedule(rng.random(), tick)
@@ -178,11 +140,6 @@ def _churn(sim, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1337])
 def test_seeded_churn_identical_across_schedulers(seed):
-    """Heavy lazy cancellation drives the heap through compaction."""
-    compact = engine_module.Simulator._compact
-    with _small_compaction(), mock.patch.object(
-        engine_module.Simulator, "_compact", autospec=True, side_effect=compact
-    ) as spy:
-        actual = _churn(Simulator(), seed)
-    assert spy.call_count > 0
-    assert actual == _churn(ReferenceQueue(), seed)
+    """Thousands of pushes from firing callbacks, at ties and far-future
+    times, keep the heap's order equal to the sorted reference."""
+    assert _churn(Simulator(), seed) == _churn(ReferenceQueue(), seed)

@@ -9,13 +9,7 @@ from repro.sim.rng import RngRegistry
 
 
 class _Monitor:
-    """Minimal monitor double: records on_event callbacks."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_event(self, now, time):
-        self.events.append((now, time))
+    """Minimal monitor double: the context only passes it around."""
 
 
 def test_context_builds_own_sim_and_rng():
@@ -56,22 +50,12 @@ def test_monitor_fanout_to_registered_sinks():
     monitor = _Monitor()
     ctx.attach_monitor(monitor)
     assert sink.monitor is monitor
-    assert ctx.sim.monitor is monitor  # the sim itself is always a sink
     # Registering after attach picks the monitor up immediately.
     late = Sink()
     ctx.register_monitored(late)
     assert late.monitor is monitor
     ctx.detach_monitor()
-    assert sink.monitor is None and late.monitor is None and ctx.sim.monitor is None
-
-
-def test_monitor_reaches_event_loop():
-    ctx = SimContext()
-    monitor = _Monitor()
-    ctx.attach_monitor(monitor)
-    ctx.sim.schedule(5.0, lambda: None)
-    ctx.sim.run()
-    assert monitor.events == [(0.0, 5.0)]
+    assert sink.monitor is None and late.monitor is None
 
 
 def test_machine_auto_creates_context():
@@ -107,20 +91,6 @@ def test_stack_accepts_context_or_legacy_sim():
     legacy = NetworkStack(legacy_sim, legacy_machine, StackConfig())
     assert legacy.ctx is legacy_machine.ctx
     assert legacy.sim is legacy_sim
-
-
-def test_stack_monitor_property_round_trips_through_context():
-    ctx = SimContext()
-    machine = Machine(ctx.sim, num_cpus=2, ctx=ctx)
-    stack = NetworkStack(ctx, machine, StackConfig())
-    monitor = _Monitor()
-    stack.monitor = monitor
-    assert ctx.monitor is monitor
-    assert stack.softnet.monitor is monitor
-    assert stack.defrag.monitor is monitor
-    stack.monitor = None
-    assert ctx.monitor is None
-    assert stack.softnet.monitor is None
 
 
 def test_stack_tracer_property_uses_context():

@@ -1,4 +1,4 @@
-"""Unit tests for the overlay control plane (containers, hosts, KV store)."""
+"""Unit tests for the overlay package (containers and hosts)."""
 
 import pytest
 
@@ -6,44 +6,8 @@ from repro.kernel.skb import PROTO_TCP, PROTO_UDP
 from repro.kernel.stack import StackConfig
 from repro.overlay.container import Container
 from repro.overlay.host import Host
-from repro.overlay.kvstore import KvStore
-from repro.overlay.network import OverlayNetwork
 from repro.sim.engine import Simulator
 from repro.sim.errors import TopologyError
-
-
-class TestKvStore:
-    def test_publish_resolve(self):
-        store = KvStore()
-        store.publish(100, 1)
-        assert store.resolve(100) == 1
-
-    def test_missing_mapping_raises(self):
-        with pytest.raises(TopologyError):
-            KvStore().resolve(42)
-
-    def test_cache_hits_counted(self):
-        store = KvStore()
-        store.publish(100, 1)
-        store.resolve(100)
-        store.resolve(100)
-        assert store.lookups == 2
-        assert store.cache_hits == 1
-
-    def test_republish_invalidates_cache(self):
-        store = KvStore()
-        store.publish(100, 1)
-        store.resolve(100)
-        store.publish(100, 2)  # container migrated
-        assert store.resolve(100) == 2
-
-    def test_withdraw(self):
-        store = KvStore()
-        store.publish(100, 1)
-        store.withdraw(100)
-        with pytest.raises(TopologyError):
-            store.resolve(100)
-        assert len(store) == 0
 
 
 class TestHostContainers:
@@ -82,42 +46,3 @@ class TestHostContainers:
         host = self.make_host()
         link = host.attach_ingress(bandwidth_gbps=100.0)
         assert host.ingress_link is link
-
-
-class TestOverlayNetwork:
-    def test_join_publishes_mapping(self):
-        host = Host(Simulator(), StackConfig(mode="overlay"), num_cpus=8)
-        network = OverlayNetwork()
-        container = host.launch_container("a")
-        network.join(container)
-        assert network.resolve_host(container.private_ip) == host.host_ip
-        assert network.container_at(container.private_ip) is container
-
-    def test_double_join_rejected(self):
-        host = Host(Simulator(), StackConfig(mode="overlay"), num_cpus=8)
-        network = OverlayNetwork()
-        container = host.launch_container("a")
-        network.join(container)
-        with pytest.raises(TopologyError):
-            network.join(container)
-
-    def test_leave_withdraws(self):
-        host = Host(Simulator(), StackConfig(mode="overlay"), num_cpus=8)
-        network = OverlayNetwork()
-        container = host.launch_container("a")
-        network.join(container)
-        network.leave(container)
-        with pytest.raises(TopologyError):
-            network.resolve_host(container.private_ip)
-
-    def test_encap_overhead_is_vxlan(self):
-        assert OverlayNetwork.encap_overhead() == 50
-
-    def test_members_listing(self):
-        host = Host(Simulator(), StackConfig(mode="overlay"), num_cpus=8)
-        network = OverlayNetwork()
-        a = host.launch_container("a")
-        b = host.launch_container("b")
-        network.join(a)
-        network.join(b)
-        assert set(network.members()) == {a, b}
